@@ -6,68 +6,14 @@ closed form, and selects routes over a corner roadmap either exactly or with
 a binary-chromosome ant colony.
 """
 
-from .geometry import (
-    AxisRect,
-    Circle,
-    CornerArc,
-    EnvelopeRegion,
-    ObstacleSpec,
-    Parallelogram,
-    Point,
-    Scene,
-    ShapeKindError,
-    Triangle,
-    builtin_scene,
-    inflate_scene,
-    min_clearance,
-    obstacle_vertices,
-    parallelogram_from,
-    segment_clear,
-)
-from .paths import (
-    Arc,
-    ChainingError,
-    CornerProblem,
-    CornerSolution,
-    Line,
-    MIN_TURN_RADIUS,
-    PathDiagnostics,
-    SmoothPath,
-    TangencyError,
-    Turn,
-    TurningCircle,
-    arc_between,
-    chain_path,
-    common_tangents,
-    max_turn_speed,
-    path_length,
-    solve_corner,
-    tangent_length,
-    tangents_from_point,
-    travel_time,
-    validate_path,
-)
-from .aco import (
-    AcoParams,
-    AcoResult,
-    WeightedGraph,
-    aco_run,
-    bits_from_string,
-    bits_to_string,
-    builtin_graph,
-    decode_and_cost,
-    dijkstra_shortest,
-    graph_from_edges,
-    pheromone_init,
-)
+from .geometry import Point, Scene, builtin_scene
+from .aco import AcoParams, aco_run, builtin_graph
 from .planner import (
     KNOWN_TARGETS,
     PlanResult,
     RequestError,
-    Roadmap,
     RouteInfeasible,
     RouteRequest,
-    build_roadmap,
     enumerate_candidates,
     plan_route,
 )
@@ -75,19 +21,9 @@ from .planner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisRect", "Circle", "CornerArc", "EnvelopeRegion", "ObstacleSpec",
-    "Parallelogram", "Point", "Scene", "ShapeKindError", "Triangle",
-    "builtin_scene", "inflate_scene", "min_clearance", "obstacle_vertices",
-    "parallelogram_from", "segment_clear",
-    "Arc", "ChainingError", "CornerProblem", "CornerSolution", "Line",
-    "MIN_TURN_RADIUS", "PathDiagnostics", "SmoothPath", "TangencyError",
-    "Turn", "TurningCircle", "arc_between", "chain_path", "common_tangents",
-    "max_turn_speed", "path_length", "solve_corner", "tangent_length",
-    "tangents_from_point", "travel_time", "validate_path",
-    "AcoParams", "AcoResult", "WeightedGraph", "aco_run", "bits_from_string",
-    "bits_to_string", "builtin_graph", "decode_and_cost", "dijkstra_shortest",
-    "graph_from_edges", "pheromone_init",
-    "KNOWN_TARGETS", "PlanResult", "RequestError", "Roadmap", "RouteInfeasible",
-    "RouteRequest", "build_roadmap", "enumerate_candidates", "plan_route",
+    "Point", "Scene", "builtin_scene",
+    "AcoParams", "aco_run", "builtin_graph",
+    "KNOWN_TARGETS", "PlanResult", "RequestError", "RouteInfeasible", "RouteRequest",
+    "enumerate_candidates", "plan_route",
     "__version__",
 ]

@@ -4,7 +4,8 @@ Routes are encoded as node-inclusion bit strings: bit i says whether node i+1
 is on the route, and a chromosome decodes by visiting its set nodes in
 ascending index order.  Missing edges between consecutive visited nodes cost
 the graph's no-edge penalty, so infeasible routes are merely expensive, never
-invalid.  An exact Dijkstra oracle lives alongside for verification.
+invalid.  The exact Dijkstra that checks the colony, and that the planner's
+k-shortest search runs, lives alongside.
 """
 
 from __future__ import annotations
@@ -229,12 +230,19 @@ def aco_run(
     )
 
 
-def dijkstra_shortest(g: WeightedGraph, src: int, dst: int) -> tuple[tuple[int, ...], float]:
+def dijkstra_shortest(
+    g: WeightedGraph,
+    src: int,
+    dst: int,
+    banned_nodes: frozenset[int] = frozenset(),
+    banned_edges: frozenset[tuple[int, int]] = frozenset(),
+) -> tuple[tuple[int, ...], float]:
     """Exact shortest path treating sentinel/no-edge weights as absent.
 
+    The search never enters a node of `banned_nodes` nor uses an edge of
+    `banned_edges` (listed in either direction), as Yen's spur searches need.
     Returns ((), inf) when dst is unreachable.
     """
-    n = g.node_count
     dist = {src: 0.0}
     prev: dict[int, int] = {}
     heap = [(0.0, src)]
@@ -247,12 +255,14 @@ def dijkstra_shortest(g: WeightedGraph, src: int, dst: int) -> tuple[tuple[int, 
         if u == dst:
             break
         for v, w in g.neighbors(u):
+            if v in banned_nodes or (u, v) in banned_edges or (v, u) in banned_edges:
+                continue
             nd = d + w
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
-    if dst not in dist or (dst not in seen and dst != src):
+    if dst not in seen:
         return (), math.inf
     path = [dst]
     while path[-1] != src:

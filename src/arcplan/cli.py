@@ -164,7 +164,7 @@ def _cmd_enumerate(args, stdout) -> int:
 
 def _cmd_verify(args, stdout) -> int:
     exp = sceneio.load_expected()
-    scene = sceneio.load_fixture_scene()
+    scene = builtin_scene()
     failures = 0
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -221,7 +221,7 @@ def _cmd_verify(args, stdout) -> int:
     check("chain_ob exact total", abs(path.length - e["exact_total"]) <= te,
           f"{path.length:.9f} vs {e['exact_total']} (tol {te:g})")
     plan = plan_route(RouteRequest(Point(*e["start"]), Point(*e["end"]), scene))
-    got_centers = [list(c.center) for c in plan.corners]
+    got_centers = [[float(v) for v in c.center] for c in plan.corners]  # as expected.json stores them
     check("chain_ob corner centers", got_centers == e["centers"], f"{got_centers}")
 
     # planner benchmark: full O->A pipeline

@@ -155,10 +155,6 @@ class CornerSolution:
     turn: Optional[Turn]
 
 
-def path_length(p: SmoothPath) -> float:
-    return p.length
-
-
 def tangents_from_point(p: Point, c: TurningCircle) -> tuple[Point, Point]:
     """The two tangency points of the tangent lines from p to the circle.
 

@@ -120,7 +120,9 @@ def corner_candidates(scene: Scene) -> tuple[Point, ...]:
     out = []
     for spec in scene.obstacles:
         if isinstance(spec.shape, Circle):
-            continue  # circle obstacles are wrapped directly, not via corner nodes
+            # Circle obstacles get no turning circle, so no route wraps one:
+            # a known defect, listed in ROADMAP.md.
+            continue
         for v in obstacle_vertices(spec):
             if r <= v.x <= w - r and r <= v.y <= h - r:
                 out.append(v)
@@ -147,11 +149,10 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     """Weighted roadmap over start, goal and all corner candidates.
 
     An edge exists iff some clearance-respecting tangent connection joins the
-    two nodes; its weight is the plain Euclidean anchor distance.
+    two nodes; its weight is the plain Euclidean anchor distance.  The
+    endpoints are not checked here: the planning entry points check them first.
     """
     start, goal = Point(*start), Point(*goal)
-    _check_endpoint(start, scene, "start")
-    _check_endpoint(goal, scene, "goal")
     r = scene.clearance
     corners = sorted(corner_candidates(scene), key=lambda v: (math.dist(start, v), v.x, v.y))
     anchors: list[Point] = [start, *corners, goal]
@@ -188,41 +189,6 @@ def _directed_corners(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[TurningCi
     return tuple(circles)
 
 
-def _dijkstra_masked(
-    g: WeightedGraph,
-    src: int,
-    dst: int,
-    banned_nodes: frozenset[int],
-    banned_edges: frozenset[tuple[int, int]],
-) -> tuple[tuple[int, ...], float]:
-    dist = {src: 0.0}
-    prev: dict[int, int] = {}
-    heap = [(0.0, src)]
-    seen: set[int] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in seen:
-            continue
-        seen.add(u)
-        if u == dst:
-            break
-        for v, w in g.neighbors(u):
-            if v in banned_nodes or (u, v) in banned_edges or (v, u) in banned_edges:
-                continue
-            nd = d + w
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    if dst not in seen:
-        return (), math.inf
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return tuple(path), dist[dst]
-
-
 def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tuple[int, ...], float]]:
     """Loopless shortest roadmap routes in ascending cost order (Yen)."""
     best = dijkstra_shortest(g, src, dst)
@@ -242,7 +208,7 @@ def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tu
                 if len(p) > i and p[: i + 1] == root:
                     banned_edges.add((p[i], p[i + 1]))
             banned_nodes = frozenset(root[:-1])
-            tail, tail_cost = _dijkstra_masked(g, spur, dst, banned_nodes, frozenset(banned_edges))
+            tail, tail_cost = dijkstra_shortest(g, spur, dst, banned_nodes, frozenset(banned_edges))
             if not tail:
                 continue
             candidate = root[:-1] + tail
@@ -332,21 +298,26 @@ def _colony_subgraph(rm: Roadmap) -> Optional[tuple[WeightedGraph, tuple[int, ..
     return WeightedGraph(tuple(tuple(row) for row in weights), rm.graph.no_edge), keep
 
 
+def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Optional[PlanResult]:
+    """Check both endpoints; return the empty or straight plan when one fits."""
+    _check_endpoint(start, scene, "start")
+    _check_endpoint(goal, scene, "goal")
+    if start == goal:
+        return PlanResult((), SmoothPath(()), 0.0, 0.0, (1, 1), engine, 0.0)
+    if segment_clear(start, goal, scene):
+        path = SmoothPath((Line(start, goal),))
+        return PlanResult((), path, path.length, travel_time(path), (1, 2), engine, path.length)
+    return None
+
+
 def plan_route(req: RouteRequest) -> PlanResult:
     """Shortest validated line-and-arc route for the request."""
     scene = req.scene
     start, goal = Point(*req.start), Point(*req.goal)
-    _check_endpoint(start, scene, "start")
-    _check_endpoint(goal, scene, "goal")
-
-    if start == goal:
-        return PlanResult((), SmoothPath(()), 0.0, 0.0, (1, 1), req.engine, 0.0)
-    if segment_clear(start, goal, scene):
-        path = SmoothPath((Line(start, goal),))
-        return PlanResult((), path, path.length, travel_time(path), (1, 2), req.engine, path.length)
-
+    direct = _direct_plan(scene, start, goal, req.engine)
+    if direct is not None:
+        return direct
     rm = build_roadmap(scene, start, goal)
-    n = rm.graph.node_count
 
     if req.engine == "aco":
         reduced = _colony_subgraph(rm)
@@ -392,9 +363,8 @@ def enumerate_candidates(scene: Scene, start: Point, goal: Point, k: int = 3) ->
     if k < 1:
         raise ValueError("k must be >= 1")
     start, goal = Point(*start), Point(*goal)
-    if segment_clear(start, goal, scene) and start != goal:
-        path = SmoothPath((Line(start, goal),))
-        return [PlanResult((), path, path.length, travel_time(path), (1, 2), "exact", path.length)]
+    direct = _direct_plan(scene, start, goal, "exact")
+    if direct is not None:
+        return [direct]
     rm = build_roadmap(scene, start, goal)
-    found = _ranked_plans(rm, scene, max(_FALLBACK_TRIES, 8 * k), _KEEP_VALID * k)
-    return found[:k]
+    return _ranked_plans(rm, scene, max(_FALLBACK_TRIES, 8 * k), _KEEP_VALID * k)[:k]

@@ -1,5 +1,5 @@
-"""File formats and rendering: JSON scenes and graphs, run reports,
-convergence curves, SVG drawings.
+"""File formats and rendering: JSON scenes, run reports, convergence curves,
+SVG drawings.
 
 Scene files carry the obstacle parameters verbatim (anchor + dimensions, not
 derived vertex lists) so they stay human-editable; shapes are completed on
@@ -15,7 +15,7 @@ import os
 from importlib import resources
 from typing import Optional
 
-from .aco import AcoResult, WeightedGraph, graph_from_edges
+from .aco import AcoResult
 from .geometry import (
     AxisRect,
     Circle,
@@ -112,32 +112,6 @@ def dump_scene(scene: Scene, path: str) -> None:
         fh.write("\n")
 
 
-def graph_from_dict(d: dict) -> WeightedGraph:
-    n = int(d["nodes"])
-    no_edge = float(d.get("no_edge", 1000.0))
-    edges = [(int(i), int(j), float(w)) for i, j, w in d["edges"]]
-    return graph_from_edges(n, edges, no_edge=no_edge)
-
-
-def graph_to_dict(g: WeightedGraph) -> dict:
-    edges = []
-    n = g.node_count
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if g.has_edge(i, j):
-                edges.append([i, j, g.weight(i, j)])
-    return {"nodes": n, "no_edge": g.no_edge, "edges": edges}
-
-
-def load_graph(path: str) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SceneFormatError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return graph_from_dict(data)
-
-
 def fixture_dir() -> str:
     override = os.environ.get(FIXTURE_ENV)
     if override:
@@ -145,16 +119,8 @@ def fixture_dir() -> str:
     return str(resources.files("arcplan").joinpath("fixtures"))
 
 
-def fixture_path(name: str) -> str:
-    return os.path.join(fixture_dir(), name)
-
-
-def load_fixture_scene() -> Scene:
-    return load_scene(fixture_path("scene.json"))
-
-
 def load_expected() -> dict:
-    with open(fixture_path("expected.json"), "r", encoding="utf-8") as fh:
+    with open(os.path.join(fixture_dir(), "expected.json"), "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 

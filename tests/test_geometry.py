@@ -8,25 +8,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from arcplan import (
+from arcplan.geometry import (
     AxisRect,
     Circle,
     Parallelogram,
     Point,
     ShapeKindError,
     Triangle,
-    builtin_scene,
-    inflate_scene,
-    min_clearance,
-    obstacle_vertices,
-    parallelogram_from,
-    segment_clear,
-)
-from arcplan.geometry import (
     _pt_seg_dist,
     _seg_seg_dist,
     blocking_obstacles,
+    builtin_scene,
+    inflate_scene,
+    min_clearance,
     obstacle_distance,
+    obstacle_vertices,
+    parallelogram_from,
+    segment_clear,
     segment_min_clearance,
 )
 

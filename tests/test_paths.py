@@ -8,22 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from arcplan import (
+from arcplan.geometry import Point, builtin_scene
+from arcplan.paths import (
     Arc,
     ChainingError,
     CornerProblem,
     Line,
-    Point,
     SmoothPath,
     TangencyError,
     Turn,
     TurningCircle,
     arc_between,
-    builtin_scene,
     chain_path,
     common_tangents,
     max_turn_speed,
-    path_length,
     solve_corner,
     tangent_length,
     tangents_from_point,
@@ -353,11 +351,6 @@ def test_travel_time_straight_and_circle():
 def test_travel_time_ob_chain(expected):
     path = chain_path(Point(0, 0), OB_CORNERS, Point(100, 700))
     assert travel_time(path) == pytest.approx(expected["chain_ob"]["travel_time"], abs=1e-6)
-
-
-def test_path_length_helper():
-    path = chain_path(Point(0, 0), OB_CORNERS, Point(100, 700))
-    assert path_length(path) == path.length
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scene-level planning: roadmap construction, both engines, enumeration."""
 
+import itertools
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from arcplan.planner import (
     build_roadmap,
     corner_candidates,
     enumerate_candidates,
+    k_shortest_routes,
     plan_route,
 )
 
@@ -122,6 +124,8 @@ def test_plan_start_equals_goal(scene):
     assert plan.length == 0.0
     assert plan.corners == ()
     assert plan.node_sequence == (1, 1)
+    # enumeration offers the same single plan, not loops back to the start
+    assert enumerate_candidates(scene, Point(20, 20), Point(20, 20), k=3) == [plan]
 
 
 def test_plan_direct_when_clear(scene):
@@ -182,14 +186,30 @@ def test_enumerate_candidates_ascending(scene):
         assert validate_path(plan.path, scene).ok
 
 
+def test_k_shortest_routes_match_exhaustive_on_builtin(graph):
+    routes = list(itertools.islice(k_shortest_routes(graph, 1, 15), 20))
+    exhaustive = oracles.exhaustive_routes([list(r) for r in graph.weights], graph.no_edge, 1, 15)
+    assert len(routes) == 20
+    # ascending and equal, rank by rank, to the exhaustive scan's costs
+    assert [cost for _, cost in routes] == [cost for cost, _ in exhaustive[:20]]
+    assert len({nodes for nodes, _ in routes}) == 20
+    for nodes, cost in routes:
+        assert len(set(nodes)) == len(nodes)  # loopless
+        assert (cost, nodes) in exhaustive  # a real 1 -> 15 route at its own cost
+
+
 def test_enumerate_rejects_bad_k(scene):
     with pytest.raises(ValueError):
         enumerate_candidates(scene, O, A, k=0)
 
 
 def test_request_error_outside_bounds(scene):
-    with pytest.raises(RequestError):
-        plan_route(RouteRequest(Point(-5, 0), A, scene))
+    start = Point(-5, 0)
+    for goal in (A, Point(5, 5)):  # (5, 5) is in straight sight of the start
+        with pytest.raises(RequestError):
+            plan_route(RouteRequest(start, goal, scene))
+        with pytest.raises(RequestError):
+            enumerate_candidates(scene, start, goal)
 
 
 def test_request_error_blocked_endpoint(scene):
