@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .geometry import Point, Scene, min_clearance, segment_obstacle_distance
+from .geometry import Point, Scene, min_clearance, segment_min_clearance
 
 TAU = 2.0 * math.pi
 MIN_TURN_RADIUS = 10.0
@@ -129,12 +129,6 @@ class SmoothPath:
     @property
     def end(self) -> Point:
         return self.segments[-1].end
-
-    def lines(self) -> tuple[Line, ...]:
-        return tuple(s for s in self.segments if isinstance(s, Line))
-
-    def arcs(self) -> tuple[Arc, ...]:
-        return tuple(s for s in self.segments if isinstance(s, Arc))
 
 
 @dataclass(frozen=True)
@@ -444,10 +438,7 @@ def validate_path(p: SmoothPath, scene: Scene, spacing: float = 0.5) -> PathDiag
                     out.append(Violation("tangency", a.end, f"junction {i}/{i + 1} tangent dot {dot!r}"))
     for i, seg in enumerate(segs):
         if isinstance(seg, Line):
-            worst = min(
-                (segment_obstacle_distance(seg.a, seg.b, ob) for ob in scene.obstacles),
-                default=math.inf,
-            )
+            worst = segment_min_clearance(seg.a, seg.b, scene)
             if worst < limit:
                 out.append(Violation("clearance", seg.a, f"line segment {i} clearance {worst:.9f}"))
         else:

@@ -4,13 +4,20 @@ Pipeline: inflate the scene, take one turning-circle candidate per convex
 obstacle vertex, connect candidates whose tangent segments keep clearance,
 pick a node sequence (exact Dijkstra / k-shortest, or the ant colony), assign
 each corner the turn direction the polyline bends in, chain the smooth path
-and validate it.  Roadmap weights are center-to-center distances and slightly
-underestimate the chained length; reported lengths always come from the chain.
+and validate it.  Reported lengths always come from the chain.
+
+Roadmap weights are center-to-center distances, and a sequence's roadmap cost
+never exceeds its chained length: a tangent leg falls short of its hop by no
+more than the arcs at its two ends add.  The exact engine walks Yen's
+sequences in ascending roadmap cost and stops once it holds k valid plans and
+the next sequence costs at least the k-th plan's length; no later sequence can
+be shorter.  Otherwise it gives up after max(_FALLBACK_TRIES, 8k) sequences.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -23,6 +30,7 @@ from .geometry import (
     Scene,
     blocking_obstacles,
     min_clearance,
+    obstacle_distance,
     obstacle_vertices,
     segment_clear,
 )
@@ -47,9 +55,7 @@ KNOWN_TARGETS: dict[str, Point] = {
     "C": Point(700.0, 640.0),
 }
 
-MAX_ROUTE_CORNERS = 12  # enumeration cap; benchmark optima use at most 5
-_FALLBACK_TRIES = 60
-_KEEP_VALID = 3    # validated candidates ranked per shortest-plan query
+_FALLBACK_TRIES = 60  # sequences the exact engine scans before giving up
 _ACO_RETRIES = 25
 _ACO_ROUTES = 12   # cheapest loopless routes whose node union the colony searches
 _ACO_PENALTY = 1e6  # roadmap no-edge hops must dominate any real route cost
@@ -101,12 +107,10 @@ class PlanResult:
 def _check_endpoint(p: Point, scene: Scene, label: str) -> None:
     if not scene.contains(p):
         raise RequestError(f"{label} {tuple(p)} lies outside the scene bounds {scene.bounds}")
+    limit = scene.clearance - CLEARANCE_EPS
     d = min_clearance(p, scene)
-    if d < scene.clearance - CLEARANCE_EPS:
-        near = tuple(
-            spec.id for spec in scene.obstacles
-            if min_clearance(p, Scene(scene.bounds, (spec,), scene.clearance)) < scene.clearance
-        )
+    if d < limit:
+        near = tuple(spec.id for spec in scene.obstacles if obstacle_distance(p, spec) < limit)
         raise RequestError(
             f"{label} {tuple(p)} has clearance {d:.4f} < {scene.clearance} (obstacles {near})"
         )
@@ -231,8 +235,6 @@ def _chain_for(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[tuple[TurningCir
 
 
 def _result(rm, scene, node_seq, roadmap_cost, engine, aco=None) -> Optional[PlanResult]:
-    if len(node_seq) - 2 > MAX_ROUTE_CORNERS:
-        return None
     try:
         circles, path = _chain_for(rm, node_seq)
     except (ChainingError, TangencyError):
@@ -251,21 +253,22 @@ def _result(rm, scene, node_seq, roadmap_cost, engine, aco=None) -> Optional[Pla
     )
 
 
-def _ranked_plans(rm: Roadmap, scene: Scene, budget: int, keep: int) -> list[PlanResult]:
-    """Validated plans for the cheapest roadmap sequences, sorted by true length.
+def _ranked_plans(rm: Roadmap, scene: Scene, k: int) -> list[PlanResult]:
+    """The k shortest validated plans, sorted by chained length.
 
-    Roadmap weights underestimate smooth-path length (tangents cut the
-    corners), so the scan keeps several validated candidates before ranking.
+    Sequences come in ascending roadmap cost, which never exceeds a chained
+    length, so the scan stops once k plans are held and the next sequence
+    costs at least the k-th plan's length.  Otherwise it gives up after
+    max(_FALLBACK_TRIES, 8k) sequences.
     """
-    n = rm.graph.node_count
     found: list[PlanResult] = []
-    for tries, (seq, cost) in enumerate(k_shortest_routes(rm.graph, 1, n)):
-        if tries >= budget or len(found) >= keep:
+    routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count)
+    for seq, cost in itertools.islice(routes, max(_FALLBACK_TRIES, 8 * k)):
+        if len(found) == k and cost >= found[-1].length:
             break
         plan = _result(rm, scene, seq, cost, "exact")
         if plan is not None:
-            found.append(plan)
-    found.sort(key=lambda p: (p.length, p.node_sequence))
+            found = sorted([*found, plan], key=lambda p: (p.length, p.node_sequence))[:k]
     return found
 
 
@@ -349,7 +352,7 @@ def plan_route(req: RouteRequest) -> PlanResult:
             blockers=blocking_obstacles(start, goal, scene),
         )
 
-    plans = _ranked_plans(rm, scene, _FALLBACK_TRIES, _KEEP_VALID)
+    plans = _ranked_plans(rm, scene, 1)
     if plans:
         return plans[0]
     raise RouteInfeasible(
@@ -367,4 +370,4 @@ def enumerate_candidates(scene: Scene, start: Point, goal: Point, k: int = 3) ->
     if direct is not None:
         return [direct]
     rm = build_roadmap(scene, start, goal)
-    return _ranked_plans(rm, scene, max(_FALLBACK_TRIES, 8 * k), _KEEP_VALID * k)[:k]
+    return _ranked_plans(rm, scene, k)

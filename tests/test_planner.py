@@ -1,26 +1,33 @@
 """Scene-level planning: roadmap construction, both engines, enumeration."""
 
+import importlib
 import itertools
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 import oracles
 from arcplan.aco import AcoParams
-from arcplan.geometry import AxisRect, ObstacleSpec, Point, Scene
-from arcplan.paths import Turn, validate_path
+from arcplan.geometry import AxisRect, ObstacleSpec, Point, Scene, min_clearance, segment_clear
+from arcplan.paths import ChainingError, TangencyError, Turn, validate_path
 from arcplan.planner import (
+    _FALLBACK_TRIES,
     KNOWN_TARGETS,
     PlanResult,
     RequestError,
     RouteInfeasible,
     RouteRequest,
+    _chain_for,
+    _result,
     build_roadmap,
     corner_candidates,
     enumerate_candidates,
     k_shortest_routes,
     plan_route,
 )
+from arcplan.sceneio import scene_from_dict
 
 O, A, B, C = (KNOWN_TARGETS[k] for k in "OABC")
 
@@ -218,8 +225,9 @@ def test_request_error_blocked_endpoint(scene):
         plan_route(RouteRequest(O, Point(310, 410), scene))
     assert "goal" in str(err.value)
     # too close to obstacle 1 without being inside
-    with pytest.raises(RequestError):
+    with pytest.raises(RequestError) as err:
         plan_route(RouteRequest(O, Point(295, 405), scene))
+    assert "(obstacles (1,))" in str(err.value)
 
 
 def test_route_infeasible_reports_blockers():
@@ -238,3 +246,110 @@ def test_colony_plan_smoke(scene):
     assert exact.length <= plan.length + 1e-9
     assert validate_path(plan.path, scene).ok
     assert isinstance(plan, PlanResult)
+
+
+def recipe_pairs(scene: Scene, count: int) -> list[tuple[Point, Point]]:
+    """The first `count` random queries of the ROADMAP recipe: uniform points
+    from random.Random(3) with clearance >= 10.5, paired (0,1), (2,3), ...,
+    keeping only pairs without a straight route."""
+    rng = random.Random(3)
+    w, h = scene.bounds
+
+    def point():
+        while True:
+            p = Point(rng.uniform(0, w), rng.uniform(0, h))
+            if min_clearance(p, scene) >= 10.5:
+                return p
+
+    pairs = []
+    while len(pairs) < count:
+        a, b = point(), point()
+        if not segment_clear(a, b, scene):
+            pairs.append((a, b))
+    return pairs
+
+
+def detour_scene(ids) -> Scene:
+    """Some obstacles of a seeded random scene, for the query (302.62, 776.21)
+    -> (80.10, 521.64).  With all six, the first valid chain in roadmap-cost
+    order is not the shortest; with ids 2, 3, 11 and 17, the first three valid
+    chains are not the three shortest."""
+    obstacles = [
+        {"id": 2, "kind": "circle", "center": [240.228, 718.932], "radius": 53.375},
+        {"id": 3, "kind": "rect", "anchor": [35.879, 702.423], "width": 57.127, "height": 54.489},
+        {"id": 9, "kind": "circle", "center": [363.056, 690.501], "radius": 14.809},
+        {"id": 11, "kind": "triangle", "left": [198.497, 514.358], "lower_right": [269.011, 528.854],
+         "top": [241.086, 613.743]},
+        {"id": 15, "kind": "triangle", "left": [205.696, 370.439], "lower_right": [275.118, 352.623],
+         "top": [260.332, 450.264]},
+        {"id": 17, "kind": "rect", "anchor": [385.505, 507.954], "width": 40.973, "height": 91.769},
+    ]
+    return scene_from_dict({"bounds": [800.0, 800.0], "clearance": 10.0,
+                            "obstacles": [ob for ob in obstacles if ob["id"] in ids]})
+
+
+@pytest.fixture(scope="module")
+def yen_scans(scene):
+    """Per query: (scene, start, goal, [(rank, seq, roadmap cost, chain length
+    or None, validated plan or None)]) over the first 150 Yen sequences."""
+    detour = (Point(302.6218164353809, 776.2112292225685), Point(80.10331516036162, 521.6401595915338))
+    queries = (
+        [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"]
+        + [(scene, *pair) for pair in recipe_pairs(scene, 4)]
+        + [(detour_scene(ids), *detour) for ids in ((2, 3, 9, 11, 15, 17), (2, 3, 11, 17))]
+    )
+    scans = []
+    for sc, start, goal in queries:
+        rm = build_roadmap(sc, start, goal)
+        rows = []
+        routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count)
+        for rank, (seq, cost) in enumerate(itertools.islice(routes, 150)):
+            try:
+                length = _chain_for(rm, seq)[1].length
+            except (ChainingError, TangencyError):
+                length = None
+            rows.append((rank, seq, cost, length, _result(rm, sc, seq, cost, "exact")))
+        scans.append((sc, start, goal, rows))
+    return scans
+
+
+def test_roadmap_cost_bounds_chained_length(yen_scans):
+    # the exact engine's stopping rule relies on this lower bound
+    chained = 0
+    for *_, rows in yen_scans:
+        for rank, seq, cost, length, _ in rows[:60]:
+            if length is not None:
+                assert length >= cost - 1e-9, (rank, seq)
+                chained += 1
+    assert chained > 100
+
+
+def test_stopping_rule_matches_brute_force_ranking(yen_scans):
+    solved = 0
+    for scene, start, goal, rows in yen_scans:
+        for k in (1, 3):
+            got = enumerate_candidates(scene, start, goal, k)
+            if len(got) == k:
+                # the full scan of 150 sequences ranks the same k plans first
+                valid = [plan for *_, plan in rows if plan is not None]
+                solved += 1
+            else:
+                # gave up: every valid chain within the give-up bound is returned
+                bound = max(_FALLBACK_TRIES, 8 * k)
+                valid = [plan for rank, *_, plan in rows if plan is not None and rank < bound]
+            valid.sort(key=lambda p: (p.length, p.node_sequence))
+            assert got == valid[:k], (start, goal, k)
+    assert solved >= 10
+
+
+def test_trace_wrap_points_resolve():
+    # the benchmark's per-layer metrics wrap arcplan functions by name
+    # (read and run, not imported, so nothing is written under perfbench/)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = {"__name__": "tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    resolved: dict[str, bool] = {}
+    for module, attr, name, _how in tracing["WRAPS"]:
+        fn = getattr(importlib.import_module(f"arcplan.{module}"), attr, None)
+        resolved[name] = resolved.get(name, False) or callable(fn)
+    assert resolved and all(resolved.values()), [n for n, ok in resolved.items() if not ok]
