@@ -43,6 +43,16 @@ def _parse_point(text: str) -> Point:
     return Point(x, y)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _load_scene(arg: Optional[str]) -> Scene:
     if arg is None:
         return builtin_scene()
@@ -55,6 +65,17 @@ def _add_route_args(p: argparse.ArgumentParser) -> None:
                    metavar="NAME|X,Y", help="start point (default O)")
     p.add_argument("--to", dest="dst", type=_parse_point, default=KNOWN_TARGETS["A"],
                    metavar="NAME|X,Y", help="goal point (default A)")
+
+
+def _add_colony_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--ants", type=_positive_int, default=50)
+    p.add_argument("--gens", type=int, default=100)
+
+
+def _add_engine_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--engine", choices=("exact", "aco"), default="exact")
+    _add_colony_args(p)
 
 
 def _label(args) -> str:
@@ -76,17 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="compute the shortest route")
     _add_route_args(p_plan)
-    p_plan.add_argument("--engine", choices=("exact", "aco"), default="exact")
-    p_plan.add_argument("--seed", type=int, default=1)
-    p_plan.add_argument("--ants", type=int, default=50)
-    p_plan.add_argument("--gens", type=int, default=100)
+    _add_engine_args(p_plan)
     p_plan.add_argument("--out", metavar="FILE", help="write full-precision JSON result")
     p_plan.add_argument("--svg", metavar="FILE", help="write an SVG drawing")
 
     p_aco = sub.add_parser("aco", help="run the colony on the builtin 15-node graph")
-    p_aco.add_argument("--seed", type=int, default=1)
-    p_aco.add_argument("--ants", type=int, default=50)
-    p_aco.add_argument("--gens", type=int, default=100)
+    _add_colony_args(p_aco)
     p_aco.add_argument("--out", metavar="FILE", help="write the convergence curve (gen best mean)")
 
     p_ver = sub.add_parser("verify", help="check this build against stored benchmark results")
@@ -95,15 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_svg = sub.add_parser("export-svg", help="draw scene + envelope + route")
     _add_route_args(p_svg)
-    p_svg.add_argument("--engine", choices=("exact", "aco"), default="exact")
-    p_svg.add_argument("--seed", type=int, default=1)
-    p_svg.add_argument("--ants", type=int, default=50)
-    p_svg.add_argument("--gens", type=int, default=100)
+    _add_engine_args(p_svg)
     p_svg.add_argument("--out", metavar="FILE", required=True)
 
     p_enum = sub.add_parser("enumerate", help="ranked alternative routes")
     _add_route_args(p_enum)
-    p_enum.add_argument("--top", type=int, default=3, metavar="K")
+    p_enum.add_argument("--top", type=_positive_int, default=3, metavar="K")
 
     return parser
 

@@ -20,7 +20,6 @@ from .geometry import Point, Scene, min_clearance, segment_min_clearance
 TAU = 2.0 * math.pi
 MIN_TURN_RADIUS = 10.0
 V0_DEFAULT = 5.0
-ON_CIRCLE_TOL = 1e-6
 
 
 class Turn(enum.Enum):
@@ -149,191 +148,31 @@ class CornerSolution:
     turn: Optional[Turn]
 
 
-def tangents_from_point(p: Point, c: TurningCircle) -> tuple[Point, Point]:
-    """The two tangency points of the tangent lines from p to the circle.
+def tangent_angle(p: Point, c: TurningCircle, side: float) -> float:
+    """Polar angle, seen from the center, of a tangency point of the tangent
+    lines from p to the circle: phi + side * alpha for side +1.0 or -1.0,
+    where phi is the direction of p and alpha = arccos(r / |p - c|).  The
+    tangent segment is sqrt(|p - c|^2 - r^2) long on either side.
 
-    Returned as (plus, minus): at polar angles phi +/- alpha seen from the
-    center, where phi is the direction of p and alpha = arccos(r / |p - c|).
-    The tangent segment length is sqrt(|p - c|^2 - r^2) for both.
+    A path arriving from p joins the circle at side = c.turn.sign and one
+    leaving it toward p parts at side = -c.turn.sign.
     """
     dx, dy = p[0] - c.center.x, p[1] - c.center.y
     d = math.hypot(dx, dy)
     if d <= c.radius:
-        raise TangencyError(f"point {p} is not strictly outside circle at {c.center} (r={c.radius})")
-    alpha = math.acos(c.radius / d)
-    phi = math.atan2(dy, dx)
-    return c.at(phi + alpha), c.at(phi - alpha)
+        raise TangencyError(f"point {p} is not strictly outside the circle at {c.center} (r={c.radius})")
+    return math.atan2(dy, dx) + side * math.acos(c.radius / d)
 
 
-def tangent_length(p: Point, c: TurningCircle) -> float:
-    d2 = (p[0] - c.center.x) ** 2 + (p[1] - c.center.y) ** 2
-    if d2 <= c.radius * c.radius:
-        raise TangencyError(f"point {p} is not strictly outside circle at {c.center}")
-    return math.sqrt(d2 - c.radius * c.radius)
-
-
-def common_tangents(c1: TurningCircle, c2: TurningCircle) -> tuple[Line, ...]:
-    """Common tangent segments between two equal-radius circles.
-
-    Two outer tangents (translates of the center line, length = center
-    distance) always exist for distinct centers; the two inner tangents exist
-    iff the center distance exceeds 2r.  Raises on concentric or unequal-radius
-    input.
-    """
-    if abs(c1.radius - c2.radius) > 1e-12:
-        raise TangencyError("common_tangents expects equal radii")
+def pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
+    """Tangency angles (on c1, on c2) of the unique common tangent that leaves
+    c1 and enters c2 consistently with their turn directions: the outer
+    tangent when the directions match, the inner one when they oppose.
+    Raises ChainingError where that tangent does not exist."""
     dx, dy = c2.center.x - c1.center.x, c2.center.y - c1.center.y
     D = math.hypot(dx, dy)
     if D == 0.0:
-        raise TangencyError("concentric circles admit no common tangent")
-    r = c1.radius
-    beta = math.atan2(dy, dx)
-    out = []
-    for th in (beta + math.pi / 2, beta - math.pi / 2):
-        out.append(Line(c1.at(th), c2.at(th)))
-    if D > 2 * r:
-        g = math.acos(2 * r / D)
-        for th in (beta + g, beta - g):
-            p1 = c1.at(th)
-            p2 = Point(c2.center.x - r * math.cos(th), c2.center.y - r * math.sin(th))
-            out.append(Line(p1, p2))
-    elif D == 2 * r:
-        mid = Point((c1.center.x + c2.center.x) / 2, (c1.center.y + c2.center.y) / 2)
-        out.append(Line(mid, mid))
-    return tuple(out)
-
-
-def arc_between(c: TurningCircle, p1: Point, p2: Point, turn: Optional[Turn] = None) -> Arc:
-    """Arc on circle c from p1 to p2 swept in the given direction.
-
-    Both points must lie on the circle within 1e-6.  For sweeps below pi the
-    length agrees with the chord form 2r*arcsin(chord / 2r).
-    """
-    turn = turn if turn is not None else c.turn
-    for p in (p1, p2):
-        err = abs(math.hypot(p[0] - c.center.x, p[1] - c.center.y) - c.radius)
-        if err > ON_CIRCLE_TOL:
-            raise TangencyError(f"point {p} lies {err:g} off the circle at {c.center}")
-    a1 = math.atan2(p1[1] - c.center.y, p1[0] - c.center.x)
-    a2 = math.atan2(p2[1] - c.center.y, p2[0] - c.center.x)
-    return Arc(TurningCircle(c.center, c.radius, turn), a1, a2)
-
-
-def max_turn_speed(radius: float, v0: float = V0_DEFAULT) -> float:
-    """Maximum safe speed on an arc of the given radius: v0/(1 + e^(10 - 0.1 r^2))."""
-    if radius <= 0:
-        raise ValueError("turn radius must be positive")
-    return v0 / (1.0 + math.exp(10.0 - 0.1 * radius * radius))
-
-
-def travel_time(p: SmoothPath, v0: float = V0_DEFAULT) -> float:
-    """Straights at v0, each arc at the max turn speed for its radius."""
-    t = 0.0
-    for seg in p.segments:
-        if isinstance(seg, Line):
-            t += seg.length / v0
-        else:
-            t += seg.length / max_turn_speed(seg.circle.radius, v0)
-    return t
-
-
-def _wrap(start: Point, end: Point, center: Point, r: float, turn: Turn):
-    """Entry/exit tangency angles and lengths for one directed wrap."""
-    sx, sy = start[0] - center[0], start[1] - center[1]
-    ex, ey = end[0] - center[0], end[1] - center[1]
-    dS = math.hypot(sx, sy)
-    dE = math.hypot(ex, ey)
-    if dS <= r or dE <= r:
-        raise TangencyError("corner endpoints must lie strictly outside the turning circle")
-    aS = math.acos(r / dS)
-    aE = math.acos(r / dE)
-    pS = math.atan2(sy, sx)
-    pE = math.atan2(ey, ex)
-    if turn is Turn.CCW:
-        a1, a2 = pS + aS, pE - aE
-        sweep = (a2 - a1) % TAU
-    else:
-        a1, a2 = pS - aS, pE + aE
-        sweep = (a1 - a2) % TAU
-    t1 = math.sqrt(dS * dS - r * r)
-    t2 = math.sqrt(dE * dE - r * r)
-    return a1, a2, sweep, t1, t2
-
-
-def solve_corner(prob: CornerProblem) -> CornerSolution:
-    """Shortest line-arc-line path from start to end around one turning circle.
-
-    Closed form: each line is the point-to-circle tangent of length
-    sqrt(d^2 - r^2); the arc spans the angle left between the two tangency
-    points.  Both turn directions are evaluated and the shorter one returned
-    (ties break toward the smaller sweep).  The corner is wrapped only when it
-    actually sits across the route - when the center projects beyond either
-    endpoint of the segment, the straight line is already taut and the
-    degenerate zero-arc solution is returned.
-    """
-    c, r = prob.center, prob.radius
-    dx, dy = prob.end[0] - prob.start[0], prob.end[1] - prob.start[1]
-    L2 = dx * dx + dy * dy
-    t = 0.0 if L2 == 0.0 else ((c[0] - prob.start[0]) * dx + (c[1] - prob.start[1]) * dy) / L2
-    if t <= 0.0 or t >= 1.0:
-        line = Line(Point(*prob.start), Point(*prob.end))
-        grazing = _closest_circle_point(c, r, prob.start, prob.end)
-        path = SmoothPath((line,))
-        return CornerSolution(grazing, grazing, 0.0, path, line.length, None)
-
-    best = None
-    for turn in (Turn.CCW, Turn.CW):
-        a1, a2, sweep, t1, t2 = _wrap(prob.start, prob.end, c, r, turn)
-        total = t1 + r * sweep + t2
-        key = (total, sweep)
-        if best is None or key < best[0]:
-            best = (key, turn, a1, a2, sweep, total)
-    _, turn, a1, a2, sweep, total = best
-    circle = TurningCircle(Point(*c), r, turn)
-    entry = circle.at(a1)
-    exit_ = circle.at(a2)
-    path = SmoothPath((Line(Point(*prob.start), entry), Arc(circle, a1, a2), Line(exit_, Point(*prob.end))))
-    return CornerSolution(entry, exit_, sweep / 2.0, path, total, turn)
-
-
-def _closest_circle_point(center, r, a, b) -> Point:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    L2 = dx * dx + dy * dy
-    t = 0.0 if L2 == 0 else max(0.0, min(1.0, ((center[0] - a[0]) * dx + (center[1] - a[1]) * dy) / L2))
-    qx, qy = a[0] + t * dx, a[1] + t * dy
-    d = math.hypot(qx - center[0], qy - center[1])
-    if d == 0.0:
-        return Point(center[0] + r, center[1])
-    return Point(center[0] + r * (qx - center[0]) / d, center[1] + r * (qy - center[1]) / d)
-
-
-def _entry_angle(p: Point, c: TurningCircle) -> float:
-    """Tangency angle on c for a tangent line arriving from p, honoring c.turn."""
-    dx, dy = p[0] - c.center.x, p[1] - c.center.y
-    d = math.hypot(dx, dy)
-    if d <= c.radius:
-        raise TangencyError(f"chain endpoint {p} is inside the turning circle at {c.center}")
-    alpha = math.acos(c.radius / d)
-    phi = math.atan2(dy, dx)
-    return phi + alpha if c.turn is Turn.CCW else phi - alpha
-
-
-def _exit_angle(p: Point, c: TurningCircle) -> float:
-    dx, dy = p[0] - c.center.x, p[1] - c.center.y
-    d = math.hypot(dx, dy)
-    if d <= c.radius:
-        raise TangencyError(f"chain endpoint {p} is inside the turning circle at {c.center}")
-    alpha = math.acos(c.radius / d)
-    phi = math.atan2(dy, dx)
-    return phi - alpha if c.turn is Turn.CCW else phi + alpha
-
-
-def _pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
-    """Tangency angles (on c1, on c2) of the unique common tangent that leaves
-    c1 and enters c2 consistently with their turn directions: the outer
-    tangent when the directions match, the inner one when they oppose."""
-    dx, dy = c2.center.x - c1.center.x, c2.center.y - c1.center.y
-    D = math.hypot(dx, dy)
+        raise ChainingError(f"circles at {tuple(c1.center)} are concentric; no common tangent")
     beta = math.atan2(dy, dx)
     if c1.turn is c2.turn:
         k = (c1.radius - c2.radius) / D
@@ -354,6 +193,62 @@ def _pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
     return th, th + math.pi
 
 
+def max_turn_speed(radius: float, v0: float = V0_DEFAULT) -> float:
+    """Maximum safe speed on an arc of the given radius: v0/(1 + e^(10 - 0.1 r^2))."""
+    if radius <= 0:
+        raise ValueError("turn radius must be positive")
+    return v0 / (1.0 + math.exp(10.0 - 0.1 * radius * radius))
+
+
+def travel_time(p: SmoothPath, v0: float = V0_DEFAULT) -> float:
+    """Straights at v0, each arc at the max turn speed for its radius."""
+    t = 0.0
+    for seg in p.segments:
+        if isinstance(seg, Line):
+            t += seg.length / v0
+        else:
+            t += seg.length / max_turn_speed(seg.circle.radius, v0)
+    return t
+
+
+def solve_corner(prob: CornerProblem) -> CornerSolution:
+    """Shortest line-arc-line path from start to end around one turning circle.
+
+    Closed form: each line is the point-to-circle tangent of length
+    sqrt(d^2 - r^2); the arc spans the angle left between the two tangency
+    points.  Both turn directions are chained and the shorter one returned
+    (ties break toward the smaller sweep).  The corner is wrapped only when it
+    actually sits across the route - when the center projects beyond either
+    endpoint of the segment, the straight line is already taut and the
+    degenerate zero-arc solution is returned.
+    """
+    c, r = prob.center, prob.radius
+    dx, dy = prob.end[0] - prob.start[0], prob.end[1] - prob.start[1]
+    L2 = dx * dx + dy * dy
+    t = 0.0 if L2 == 0.0 else ((c[0] - prob.start[0]) * dx + (c[1] - prob.start[1]) * dy) / L2
+    if t <= 0.0 or t >= 1.0:
+        line = Line(Point(*prob.start), Point(*prob.end))
+        grazing = _closest_circle_point(c, r, prob.start, prob.end)
+        path = SmoothPath((line,))
+        return CornerSolution(grazing, grazing, 0.0, path, line.length, None)
+
+    wraps = [chain_path(prob.start, (TurningCircle(Point(*c), r, turn),), prob.end) for turn in (Turn.CCW, Turn.CW)]
+    path = min(wraps, key=lambda w: (w.length, w.segments[1].sweep))
+    entry, arc, exit_ = path.segments
+    return CornerSolution(entry.b, exit_.a, arc.sweep / 2.0, path, path.length, arc.circle.turn)
+
+
+def _closest_circle_point(center, r, a, b) -> Point:
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    L2 = dx * dx + dy * dy
+    t = 0.0 if L2 == 0 else max(0.0, min(1.0, ((center[0] - a[0]) * dx + (center[1] - a[1]) * dy) / L2))
+    qx, qy = a[0] + t * dx, a[1] + t * dy
+    d = math.hypot(qx - center[0], qy - center[1])
+    if d == 0.0:
+        return Point(center[0] + r, center[1])
+    return Point(center[0] + r * (qx - center[0]) / d, center[1] + r * (qy - center[1]) / d)
+
+
 def chain_path(start: Point, circles: tuple[TurningCircle, ...], end: Point) -> SmoothPath:
     """Tangent-line / arc chain through an ordered sequence of turning circles.
 
@@ -366,21 +261,21 @@ def chain_path(start: Point, circles: tuple[TurningCircle, ...], end: Point) -> 
         return SmoothPath((Line(start, end),))
     segs: list[PathSegment] = []
     first = circles[0]
-    a_in = _entry_angle(start, first)
+    a_in = tangent_angle(start, first, first.turn.sign)
     segs.append(Line(start, first.at(a_in)))
     cur = a_in
     for i, c in enumerate(circles):
         if i + 1 < len(circles):
             nxt = circles[i + 1]
             try:
-                a_out, a_next = _pair_tangent(c, nxt)
+                a_out, a_next = pair_tangent(c, nxt)
             except ChainingError as e:
                 raise ChainingError(f"cannot join circles {i} and {i + 1}: {e}") from None
             segs.append(Arc(c, cur, a_out))
             segs.append(Line(c.at(a_out), nxt.at(a_next)))
             cur = a_next
         else:
-            a_out = _exit_angle(end, c)
+            a_out = tangent_angle(end, c, -c.turn.sign)
             segs.append(Arc(c, cur, a_out))
             segs.append(Line(c.at(a_out), end))
     return SmoothPath(tuple(segs))

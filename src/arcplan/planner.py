@@ -42,8 +42,8 @@ from .paths import (
     Turn,
     TurningCircle,
     chain_path,
-    common_tangents,
-    tangents_from_point,
+    pair_tangent,
+    tangent_angle,
     travel_time,
     validate_path,
 )
@@ -133,34 +133,44 @@ def corner_candidates(scene: Scene) -> tuple[Point, ...]:
     return tuple(out)
 
 
-def _point_circle_connected(p: Point, center: Point, r: float, scene: Scene) -> bool:
+def _point_circle_connected(p: Point, c: TurningCircle, scene: Scene) -> bool:
+    """True iff one of the two tangents from p to c keeps clearance."""
     try:
-        t_plus, t_minus = tangents_from_point(p, TurningCircle(center, r))
+        return any(segment_clear(p, c.at(tangent_angle(p, c, side)), scene) for side in (1.0, -1.0))
     except TangencyError:
         return False
-    return segment_clear(p, t_plus, scene) or segment_clear(p, t_minus, scene)
 
 
-def _circle_circle_connected(a: Point, b: Point, r: float, scene: Scene) -> bool:
-    try:
-        tangents = common_tangents(TurningCircle(a, r), TurningCircle(b, r))
-    except TangencyError:
-        return False
-    return any(seg.length > 0 and segment_clear(seg.a, seg.b, scene) for seg in tangents)
+def _circle_circle_connected(a: tuple[TurningCircle, TurningCircle], b: tuple[TurningCircle, TurningCircle],
+                             scene: Scene) -> bool:
+    """True iff the directed tangent of one of the four turn pairs keeps
+    clearance; a and b are a corner's (CW, CCW) circles."""
+    for c1, c2 in ((a[0], b[0]), (a[1], b[1]), (a[0], b[1]), (a[1], b[0])):
+        try:
+            t1, t2 = pair_tangent(c1, c2)
+        except ChainingError:
+            continue
+        if segment_clear(c1.at(t1), c2.at(t2), scene):
+            return True
+    return False
 
 
 def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     """Weighted roadmap over start, goal and all corner candidates.
 
-    An edge exists iff some clearance-respecting tangent connection joins the
-    two nodes; its weight is the plain Euclidean anchor distance.  The
-    endpoints are not checked here: the planning entry points check them first.
+    An edge exists iff some clearance-respecting tangent joins the two nodes:
+    the straight segment between start and goal, one of the two tangents from
+    an endpoint to a corner circle, or the directed tangent of one of the four
+    turn pairs between two corner circles.  Its weight is the plain Euclidean
+    anchor distance.  The endpoints are not checked here: the planning entry
+    points check them first.
     """
     start, goal = Point(*start), Point(*goal)
     r = scene.clearance
     corners = sorted(corner_candidates(scene), key=lambda v: (math.dist(start, v), v.x, v.y))
     anchors: list[Point] = [start, *corners, goal]
     n = len(anchors)
+    circles = [(TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in anchors]
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -170,11 +180,11 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
             if i_pt and j_pt:
                 ok = segment_clear(a, b, scene)
             elif i_pt:
-                ok = _point_circle_connected(a, b, r, scene)
+                ok = _point_circle_connected(a, circles[j][0], scene)
             elif j_pt:
-                ok = _point_circle_connected(b, a, r, scene)
+                ok = _point_circle_connected(b, circles[i][0], scene)
             else:
-                ok = _circle_circle_connected(a, b, r, scene)
+                ok = _circle_circle_connected(circles[i], circles[j], scene)
             if ok:
                 edges.append((i + 1, j + 1, math.dist(a, b)))
     return Roadmap(graph_from_edges(n, edges, no_edge=math.inf), tuple(anchors), r)

@@ -44,8 +44,13 @@ def _pt(v) -> Point:
 
 
 def scene_from_dict(d: dict) -> Scene:
+    if not isinstance(d, dict):
+        raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
-        bounds = tuple(float(b) for b in d.get("bounds", (800.0, 800.0)))
+        raw = d.get("bounds", [800.0, 800.0])
+        if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+            raise SceneFormatError(f"bounds must be [width, height], got {raw!r}")
+        bounds = (float(raw[0]), float(raw[1]))
         clearance = float(d.get("clearance", 10.0))
         obstacles = []
         for entry in d.get("obstacles", ()):
@@ -69,7 +74,7 @@ def scene_from_dict(d: dict) -> Scene:
         if isinstance(e, SceneFormatError):
             raise
         raise SceneFormatError(f"bad scene value: {e}") from None
-    return Scene(bounds=(bounds[0], bounds[1]), obstacles=tuple(obstacles), clearance=clearance)
+    return Scene(bounds=bounds, obstacles=tuple(obstacles), clearance=clearance)
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -97,8 +102,13 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def load_scene(path: str) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise SceneFormatError(f"{path}: cannot read scene file: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise SceneFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -278,7 +288,7 @@ SVG_STYLE = (
 )
 
 
-def render_svg(scene: Scene, path: Optional[SmoothPath] = None, include_envelope: bool = True) -> str:
+def render_svg(scene: Scene, path: Optional[SmoothPath] = None) -> str:
     """Scene + hazard envelope + route drawing (y axis flipped to screen)."""
     w, h = scene.bounds
     parts = [
@@ -292,11 +302,10 @@ def render_svg(scene: Scene, path: Optional[SmoothPath] = None, include_envelope
     for spec in scene.obstacles:
         parts.append(_svg_obstacle(spec))
     parts.append("</g>")
-    if include_envelope:
-        parts.append('<g id="envelope">')
-        for region in inflate_scene(scene):
-            parts.append(_svg_envelope(region))
-        parts.append("</g>")
+    parts.append('<g id="envelope">')
+    for region in inflate_scene(scene):
+        parts.append(_svg_envelope(region))
+    parts.append("</g>")
     if path is not None and path.segments:
         parts.append('<g id="route">')
         for seg in path.segments:
@@ -310,6 +319,6 @@ def render_svg(scene: Scene, path: Optional[SmoothPath] = None, include_envelope
     return "\n".join(parts) + "\n"
 
 
-def write_svg(scene: Scene, path: Optional[SmoothPath], out_path: str, include_envelope: bool = True) -> None:
+def write_svg(scene: Scene, path: Optional[SmoothPath], out_path: str) -> None:
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(scene, path, include_envelope))
+        fh.write(render_svg(scene, path))

@@ -1,10 +1,5 @@
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import HealthCheck, settings
-
-sys.path.insert(0, str(Path(__file__).parent))  # makes `import oracles` work
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]

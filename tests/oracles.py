@@ -335,6 +335,84 @@ def chain_segment_lengths(start, corners, end, radius) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# tangent roadmap edges
+
+
+def segment_distance(a, b, c, d) -> float:
+    """Distance between segments ab and cd (0 when they cross)."""
+
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    if orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0:
+        return 0.0
+    return min(seg_dist(a, c, d), seg_dist(b, c, d), seg_dist(c, a, b), seg_dist(d, a, b))
+
+
+def segment_clearance(a, b, obstacles) -> float:
+    """Least distance from segment ab to obstacles given as ("poly", vertices)
+    or ("circle", center, radius); 0 where the segment enters one."""
+    best = math.inf
+    for ob in obstacles:
+        if ob[0] == "circle":
+            d = max(0.0, seg_dist(ob[1], a, b) - ob[2])
+        else:
+            poly = ob[1]
+            if point_in_poly(a, poly) or point_in_poly(b, poly):
+                return 0.0
+            d = min(segment_distance(a, b, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly)))
+        best = min(best, d)
+    return best
+
+
+def tangent_roadmap_edges(anchors, radius, obstacles, limit) -> set:
+    """Edges (i, j), 1-based with i < j, of a roadmap over anchors[0] (start),
+    anchors[-1] (goal) and corner circles of `radius` at the anchors between.
+
+    An edge exists iff one tangent joining the two nodes keeps clearance
+    `limit`: the straight segment between start and goal, the entry (start) or
+    exit (goal) tangent for either turn, or the common tangent of one of the
+    four turn pairs between two corners.  Opposite turns have no common
+    tangent when the circles touch or overlap.
+    """
+    n = len(anchors)
+
+    def clear(p, q):
+        return segment_clearance(p, q, obstacles) >= limit
+
+    def on_circle(center, angle):
+        return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
+
+    def endpoint_tangents(p, center, tangent):
+        if math.dist(p, center) <= radius:
+            return []
+        return [(p, on_circle(center, tangent(p, center, radius, turn))) for turn in (1, -1)]
+
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = anchors[i], anchors[j]
+            if i == 0 and j == n - 1:
+                segments = [(a, b)]
+            elif i == 0:
+                segments = endpoint_tangents(a, b, entry_angle)
+            elif j == n - 1:
+                segments = endpoint_tangents(b, a, exit_angle)
+            else:
+                D = math.dist(a, b)
+                segments = []
+                for t1 in (1, -1):
+                    for t2 in (1, -1):
+                        if D == 0.0 or (t1 != t2 and D <= 2 * radius):
+                            continue
+                        a1, a2 = pair_angles(a, t1, b, t2, radius)
+                        segments.append((on_circle(a, a1), on_circle(b, a2)))
+            if any(clear(p, q) for p, q in segments):
+                edges.add((i + 1, j + 1))
+    return edges
+
+
+# ---------------------------------------------------------------------------
 # exhaustive route enumeration over a weight matrix
 
 

@@ -174,6 +174,55 @@ def test_bad_scene_file_exit_code(capsys, tmp_path):
     assert "invalid JSON" in err and "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "must be a JSON object"),
+        ('{"bounds": [800]}', "bounds must be [width, height]"),
+        ('{"bounds": [800, 800, 5]}', "bounds must be [width, height]"),
+    ],
+    ids=["top-level-array", "one-bound", "three-bounds"],
+)
+def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
+    bad = tmp_path / "scene.json"
+    bad.write_text(text)
+    rc, _, err = run_cli(capsys, "plan", "--scene", str(bad))
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read scene file"), (b"\xff\xfe{}", "not UTF-8 text")],
+    ids=["missing", "not-utf8"],
+)
+def test_unreadable_scene_file_exit_code(capsys, tmp_path, content, message):
+    path = tmp_path / "scene.json"
+    if content is not None:
+        path.write_bytes(content)
+    rc, _, err = run_cli(capsys, "plan", "--scene", str(path))
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--top", "0"),
+        ("plan", "--ants", "0"),
+        ("export-svg", "--ants", "0", "--out", "route.svg"),
+        ("aco", "--ants", "0"),
+    ],
+    ids=["enumerate-top", "plan-ants", "export-svg-ants", "aco-ants"],
+)
+def test_nonpositive_count_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "expected an integer >= 1, got 0" in capsys.readouterr().err
+
+
 def test_infeasible_exit_code(capsys, tmp_path):
     scene_file = tmp_path / "pocket.json"
     sceneio.dump_scene(pocket_scene(), str(scene_file))

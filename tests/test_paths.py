@@ -18,13 +18,11 @@ from arcplan.paths import (
     TangencyError,
     Turn,
     TurningCircle,
-    arc_between,
     chain_path,
-    common_tangents,
     max_turn_speed,
+    pair_tangent,
     solve_corner,
-    tangent_length,
-    tangents_from_point,
+    tangent_angle,
     travel_time,
     validate_path,
 )
@@ -46,8 +44,10 @@ OB_CORNERS = (
 
 def test_tangents_from_point_known():
     c = TurningCircle(Point(80, 210), 10.0, Turn.CW)
-    assert tangent_length(Point(0, 0), c) == pytest.approx(math.sqrt(50400), abs=1e-12)
-    for t in tangents_from_point(Point(0, 0), c):
+    points = [c.at(tangent_angle(Point(0, 0), c, side)) for side in (1.0, -1.0)]
+    assert math.dist(*points) > 1.0  # the two sides give two distinct tangents
+    for t in points:
+        assert math.dist(Point(0, 0), t) == pytest.approx(math.sqrt(50400), abs=1e-9)
         assert math.dist(t, c.center) == pytest.approx(10.0, abs=1e-12)
         # radius is perpendicular to the tangent segment
         dot = (t.x - 0) * (t.x - c.center.x) + (t.y - 0) * (t.y - c.center.y)
@@ -56,10 +56,11 @@ def test_tangents_from_point_known():
 
 def test_tangents_from_point_inside_raises():
     c = TurningCircle(Point(0, 0), 10.0, Turn.CCW)
-    with pytest.raises(TangencyError):
-        tangents_from_point(Point(3, 4), c)
-    with pytest.raises(TangencyError):
-        tangent_length(Point(6, 8), c)  # exactly on the circle
+    for side in (1.0, -1.0):
+        with pytest.raises(TangencyError):
+            tangent_angle(Point(3, 4), c, side)
+        with pytest.raises(TangencyError):
+            tangent_angle(Point(6, 8), c, side)  # exactly on the circle
 
 
 @given(
@@ -73,72 +74,84 @@ def test_tangent_invariants(cx, cy, r, ang, gap):
     c = TurningCircle(Point(cx, cy), r, Turn.CCW)
     p = Point(cx + (r + gap) * math.cos(ang), cy + (r + gap) * math.sin(ang))
     expected = math.sqrt((r + gap) ** 2 - r * r)
-    assert tangent_length(p, c) == pytest.approx(expected, rel=1e-12)
-    for t in tangents_from_point(p, c):
+    for side in (1.0, -1.0):
+        t = c.at(tangent_angle(p, c, side))
         assert math.dist(t, c.center) == pytest.approx(r, rel=1e-9)
         assert math.dist(p, t) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+def test_tangent_angle_sides_follow_the_turn():
+    # entering at side = turn.sign and leaving at -turn.sign are the
+    # kinematically consistent tangents of the independent construction
+    p, center = Point(-40, 25), Point(30, -10)
+    for turn in (Turn.CCW, Turn.CW):
+        c = TurningCircle(center, 10.0, turn)
+        s = turn.sign
+        assert tangent_angle(p, c, s) == pytest.approx(oracles.entry_angle(p, center, 10.0, s), abs=1e-12)
+        assert tangent_angle(p, c, -s) == pytest.approx(oracles.exit_angle(p, center, 10.0, s), abs=1e-12)
+
+
+def _pair_segment(c1, c2):
+    a1, a2 = pair_tangent(c1, c2)
+    return Line(c1.at(a1), c2.at(a2))
+
+
 def test_common_tangents_counts_and_lengths():
     r = 10.0
-    c1 = TurningCircle(Point(150, 435), r, Turn.CW)
-    c2 = TurningCircle(Point(220, 470), r, Turn.CCW)
-    D = math.dist(c1.center, c2.center)
-    tangents = common_tangents(c1, c2)
-    assert len(tangents) == 4
-    outer, inner = tangents[:2], tangents[2:]
-    for t in outer:
-        assert t.length == pytest.approx(D, rel=1e-12)
-    for t in inner:
-        assert t.length == pytest.approx(math.sqrt(D * D - 4 * r * r), rel=1e-12)
-        assert t.length == pytest.approx(math.sqrt(5725), rel=1e-12)
-    for t in tangents:
-        assert math.dist(t.a, c1.center) == pytest.approx(r, abs=1e-9)
-        assert math.dist(t.b, c2.center) == pytest.approx(r, abs=1e-9)
-        if t.length > 0:
-            d = t.direction()
-            assert (t.a.x - c1.center.x) * d.x + (t.a.y - c1.center.y) * d.y == pytest.approx(
-                0.0, abs=1e-9
-            )
+    a, b = Point(150, 435), Point(220, 470)
+    D = math.dist(a, b)
+    segments = {}
+    for t1 in (Turn.CW, Turn.CCW):
+        for t2 in (Turn.CW, Turn.CCW):
+            c1, c2 = TurningCircle(a, r, t1), TurningCircle(b, r, t2)
+            seg = _pair_segment(c1, c2)
+            segments[t1, t2] = seg
+            assert math.dist(seg.a, a) == pytest.approx(r, abs=1e-9)
+            assert math.dist(seg.b, b) == pytest.approx(r, abs=1e-9)
+            if t1 is t2:  # outer tangent: a translate of the center line
+                assert seg.length == pytest.approx(D, rel=1e-12)
+            else:  # inner tangent
+                assert seg.length == pytest.approx(math.sqrt(D * D - 4 * r * r), rel=1e-12)
+                assert seg.length == pytest.approx(math.sqrt(5725), rel=1e-12)
+            # the segment leaves c1 and enters c2 along their turn directions
+            d = seg.direction()
+            for circle, q in ((c1, seg.a), (c2, seg.b)):
+                angle = math.atan2(q.y - circle.center.y, q.x - circle.center.x)
+                s = circle.turn.sign
+                assert d.x * -s * math.sin(angle) + d.y * s * math.cos(angle) == pytest.approx(1.0, abs=1e-12)
+    # the four turn pairs give the four distinct common tangents
+    ends = {(round(s.a.x, 6), round(s.a.y, 6), round(s.b.x, 6), round(s.b.y, 6)) for s in segments.values()}
+    assert len(ends) == 4
 
 
 def test_common_tangents_degenerate_cases():
     r = 10.0
-    touching = common_tangents(
-        TurningCircle(Point(0, 0), r, Turn.CW), TurningCircle(Point(20, 0), r, Turn.CW)
-    )
-    assert len(touching) == 3 and touching[2].length == 0.0
-    overlapping = common_tangents(
-        TurningCircle(Point(0, 0), r, Turn.CW), TurningCircle(Point(12, 0), r, Turn.CW)
-    )
-    assert len(overlapping) == 2
-    with pytest.raises(TangencyError):
-        common_tangents(
-            TurningCircle(Point(0, 0), 10, Turn.CW), TurningCircle(Point(50, 0), 20, Turn.CW)
-        )
-    with pytest.raises(TangencyError):
-        common_tangents(
-            TurningCircle(Point(0, 0), 10, Turn.CW), TurningCircle(Point(0, 0), 10, Turn.CW)
-        )
+    for D in (20.0, 12.0):  # touching, overlapping
+        for turn in (Turn.CW, Turn.CCW):
+            same = _pair_segment(TurningCircle(Point(0, 0), r, turn), TurningCircle(Point(D, 0), r, turn))
+            assert same.length == pytest.approx(D, rel=1e-12)
+            other = Turn.CCW if turn is Turn.CW else Turn.CW
+            with pytest.raises(ChainingError):
+                pair_tangent(TurningCircle(Point(0, 0), r, turn), TurningCircle(Point(D, 0), r, other))
+    for t1 in (Turn.CW, Turn.CCW):  # concentric
+        for t2 in (Turn.CW, Turn.CCW):
+            with pytest.raises(ChainingError):
+                pair_tangent(TurningCircle(Point(5, 5), r, t1), TurningCircle(Point(5, 5), r, t2))
+    with pytest.raises(ChainingError):  # containment: no outer tangent
+        pair_tangent(TurningCircle(Point(0, 0), 10, Turn.CW), TurningCircle(Point(5, 0), 30, Turn.CW))
 
 
 # ---------------------------------------------------------------------------
 # arcs
 
 
-def test_arc_between_directions():
+def test_arc_sweep_directions():
     c_ccw = TurningCircle(Point(0, 0), 10.0, Turn.CCW)
     c_cw = TurningCircle(Point(0, 0), 10.0, Turn.CW)
-    p1, p2 = Point(10, 0), Point(0, 10)
-    assert arc_between(c_ccw, p1, p2).sweep == pytest.approx(math.pi / 2)
-    assert arc_between(c_cw, p1, p2).sweep == pytest.approx(3 * math.pi / 2)
-    assert arc_between(c_ccw, p1, p2, turn=Turn.CW).sweep == pytest.approx(3 * math.pi / 2)
-
-
-def test_arc_between_rejects_off_circle_points():
-    c = TurningCircle(Point(0, 0), 10.0, Turn.CCW)
-    with pytest.raises(TangencyError):
-        arc_between(c, Point(10.1, 0), Point(0, 10))
+    assert Arc(c_ccw, 0.0, math.pi / 2).sweep == pytest.approx(math.pi / 2)
+    assert Arc(c_cw, 0.0, math.pi / 2).sweep == pytest.approx(3 * math.pi / 2)
+    assert Arc(c_cw, math.pi / 2, 0.0).sweep == pytest.approx(math.pi / 2)
+    assert Arc(c_ccw, math.pi / 2, 0.0).sweep == pytest.approx(3 * math.pi / 2)
 
 
 def test_arc_chord_identity_sample():

@@ -10,7 +10,16 @@ import pytest
 
 import oracles
 from arcplan.aco import AcoParams
-from arcplan.geometry import AxisRect, ObstacleSpec, Point, Scene, min_clearance, segment_clear
+from arcplan.geometry import (
+    AxisRect,
+    Circle,
+    ObstacleSpec,
+    Point,
+    Scene,
+    min_clearance,
+    obstacle_vertices,
+    segment_clear,
+)
 from arcplan.paths import ChainingError, TangencyError, Turn, validate_path
 from arcplan.planner import (
     _FALLBACK_TRIES,
@@ -89,6 +98,46 @@ def test_build_roadmap_empty_scene():
     assert len(rm.anchors) == 2
     assert rm.graph.has_edge(1, 2)
     assert rm.graph.weight(1, 2) == pytest.approx(math.dist((10, 10), (480, 30)))
+
+
+def roadmap_edges(rm) -> set:
+    g = rm.graph
+    return {(i, j) for i in range(1, g.node_count + 1) for j, _ in g.neighbors(i) if i < j}
+
+
+def oracle_edges(rm, scene: Scene) -> set:
+    obstacles = [
+        ("circle", tuple(spec.shape.center), spec.shape.radius)
+        if isinstance(spec.shape, Circle)
+        else ("poly", [tuple(v) for v in obstacle_vertices(spec)])
+        for spec in scene.obstacles
+    ]
+    return oracles.tangent_roadmap_edges(rm.anchors, rm.radius, obstacles, scene.clearance - 1e-9)
+
+
+def shared_vertex_scene() -> Scene:
+    """Two squares that meet at (200, 200): two corner candidates coincide."""
+    squares = (
+        ObstacleSpec(1, AxisRect(Point(100, 100), 100, 100)),
+        ObstacleSpec(2, AxisRect(Point(200, 200), 100, 100)),
+    )
+    return Scene(bounds=(400.0, 400.0), obstacles=squares, clearance=10.0)
+
+
+def test_roadmap_edges_match_tangent_oracle(scene):
+    for start, goal in [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 3):
+        rm = build_roadmap(scene, start, goal)
+        assert roadmap_edges(rm) == oracle_edges(rm, scene), (start, goal)
+
+
+def test_shared_vertex_scene_plans():
+    scene = shared_vertex_scene()
+    start, goal = Point(60, 300), Point(300, 60)
+    rm = build_roadmap(scene, start, goal)
+    assert rm.anchors.count(Point(200, 200)) == 2
+    assert roadmap_edges(rm) == oracle_edges(rm, scene)
+    plan = plan_route(RouteRequest(start, goal, scene))
+    assert plan.corners and validate_path(plan.path, scene).ok
 
 
 def test_plan_oa_exact(scene, expected):
