@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import Sequence
 
 NO_EDGE = 1000.0  # sentinel weight used by the builtin graph
 
@@ -94,19 +94,16 @@ def bits_to_string(bits: Bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-def decode_and_cost(bits: Bits, g: WeightedGraph, penalty: Optional[float] = None) -> tuple[tuple[int, ...], float]:
+def decode_and_cost(bits: Bits, g: WeightedGraph) -> tuple[tuple[int, ...], float]:
     """Decode a node-inclusion chromosome: visit set nodes in ascending order.
 
-    Consecutive pairs without an edge contribute `penalty` (default: the
-    graph's no-edge sentinel) instead of a real weight.
+    Consecutive pairs without an edge contribute the graph's no-edge sentinel
+    instead of a real weight.
     """
-    if penalty is None:
-        penalty = g.no_edge if math.isfinite(g.no_edge) else 1e6
     nodes = tuple(i + 1 for i, b in enumerate(bits) if b)
     cost = 0.0
     for a, b in zip(nodes, nodes[1:]):
-        w = g.weight(a, b)
-        cost += w if g.has_edge(a, b) else penalty
+        cost += g.weight(a, b) if g.has_edge(a, b) else g.no_edge
     return nodes, cost
 
 
@@ -141,12 +138,7 @@ class AcoResult:
         return bits_to_string(self.bits)
 
 
-def aco_run(
-    g: WeightedGraph,
-    params: AcoParams = AcoParams(),
-    penalty: Optional[float] = None,
-    taboo: frozenset[tuple[int, ...]] = frozenset(),
-) -> AcoResult:
+def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
     """Run the colony.  Fixed seed => bit-identical result.
 
     Generation step (first and last bits stay set; the rest are "free"):
@@ -162,26 +154,20 @@ def aco_run(
       5. evaporate and re-deposit: T <- (1 - P) * T + (max(cost) - cost).
       6. record best / mean cost curves; repeat from 3.
 
-    Node sequences listed in `taboo` are surcharged with the missing-edge
-    penalty so the colony steers around routes a caller has already rejected.
+    A missing hop costs the graph's no-edge sentinel, so `g.no_edge` must be
+    finite and dominate any real route cost.
     """
     t_start = time.perf_counter()
     rng = random.Random(params.seed)
     n = g.node_count
     free = list(range(1, n - 1))
-    surcharge = penalty if penalty is not None else g.no_edge
-
-    def route_cost(bits: Bits) -> float:
-        nodes, cost = decode_and_cost(bits, g, penalty)
-        return cost + surcharge if nodes in taboo else cost
-
     colony: list[list[int]] = []
     for _ in range(params.ants):
         bits = [rng.randint(0, 1) for _ in range(n)]
         bits[0] = 1
         bits[n - 1] = 1
         colony.append(bits)
-    costs = [route_cost(tuple(b)) for b in colony]
+    costs = [decode_and_cost(tuple(b), g)[1] for b in colony]
     pher = pheromone_init(costs)
 
     best_cost = min(costs)
@@ -206,7 +192,7 @@ def aco_run(
             else:
                 for idx in free:
                     cand[idx] = rng.randint(0, 1)
-            c = route_cost(tuple(cand))
+            c = decode_and_cost(tuple(cand), g)[1]
             if c < costs[j]:
                 colony[j] = cand
                 costs[j] = c
@@ -219,7 +205,7 @@ def aco_run(
         best_curve.append(best_cost)
         mean_curve.append(fmean(costs))
 
-    nodes, cost = decode_and_cost(best_bits, g, penalty)
+    nodes, cost = decode_and_cost(best_bits, g)
     return AcoResult(
         bits=best_bits,
         nodes=nodes,

@@ -123,7 +123,8 @@ def builtin_scene() -> Scene:
 
 
 def obstacle_vertices(spec: ObstacleSpec) -> tuple[Point, ...]:
-    """CCW convex vertex list of a polygonal obstacle."""
+    """CCW convex vertex list of a polygonal obstacle, whatever order a
+    triangle or parallelogram was given in."""
     s = spec.shape
     if isinstance(s, AxisRect):
         a = s.anchor
@@ -134,10 +135,13 @@ def obstacle_vertices(spec: ObstacleSpec) -> tuple[Point, ...]:
             Point(a.x, a.y + s.height),
         )
     if isinstance(s, Triangle):
-        return (s.v1, s.v2, s.v3)
-    if isinstance(s, Parallelogram):
-        return (s.v1, s.v2, s.v3, s.v4)
-    raise ShapeKindError(f"obstacle {spec.id} has no polygon vertices ({type(s).__name__})")
+        verts = (s.v1, s.v2, s.v3)
+    elif isinstance(s, Parallelogram):
+        verts = (s.v1, s.v2, s.v3, s.v4)
+    else:
+        raise ShapeKindError(f"obstacle {spec.id} has no polygon vertices ({type(s).__name__})")
+    twice_area = sum(a.x * b.y - b.x * a.y for a, b in zip(verts, verts[1:] + verts[:1]))
+    return verts[::-1] if twice_area < 0.0 else verts
 
 
 # ---------------------------------------------------------------------------

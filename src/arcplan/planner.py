@@ -4,7 +4,8 @@ Pipeline: inflate the scene, take one turning-circle candidate per convex
 obstacle vertex, connect candidates whose tangent segments keep clearance,
 pick a node sequence (exact Dijkstra / k-shortest, or the ant colony), assign
 each corner the turn direction the polyline bends in, chain the smooth path
-and validate it.  Reported lengths always come from the chain.
+and validate it.  Reported lengths always come from the chain.  A colony
+proposal that fails is no infeasibility verdict: the exact engine answers it.
 
 Roadmap weights are center-to-center distances, and a sequence's roadmap cost
 never exceeds its chained length: a tangent leg falls short of its hop by no
@@ -19,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, dijkstra_shortest, graph_from_edges
@@ -56,9 +57,8 @@ KNOWN_TARGETS: dict[str, Point] = {
 }
 
 _FALLBACK_TRIES = 60  # sequences the exact engine scans before giving up
-_ACO_RETRIES = 25
 _ACO_ROUTES = 12   # cheapest loopless routes whose node union the colony searches
-_ACO_PENALTY = 1e6  # roadmap no-edge hops must dominate any real route cost
+_ACO_PENALTY = 1e6  # the colony subgraph's no-edge weight: dominates any real route cost
 
 
 class RequestError(ValueError):
@@ -289,26 +289,21 @@ def _colony_subgraph(rm: Roadmap) -> Optional[tuple[WeightedGraph, tuple[int, ..
     colony (random chromosomes decode through dozens of penalty hops), so the
     colony searches the sub-network spanned by the best few routes - the same
     simplification step that turns a scene into a small weighted graph by
-    hand.  Returns the subgraph plus the kept original node ids (ascending, so
-    node 1 stays the start and the last node stays the goal), or None when the
-    goal is unreachable.
+    hand.  A missing hop weighs _ACO_PENALTY, the subgraph's no-edge sentinel.
+    Returns the subgraph plus the kept original node ids (ascending, so node 1
+    stays the start and the last node stays the goal), or None when the goal
+    is unreachable.
     """
-    routes: list[tuple[int, ...]] = []
-    for seq, _cost in k_shortest_routes(rm.graph, 1, rm.graph.node_count):
-        routes.append(seq)
-        if len(routes) >= _ACO_ROUTES:
-            break
-    if not routes:
+    routes = itertools.islice(k_shortest_routes(rm.graph, 1, rm.graph.node_count), _ACO_ROUTES)
+    keep = tuple(sorted({node for seq, _ in routes for node in seq}))
+    if not keep:
         return None
-    keep = tuple(sorted({node for seq in routes for node in seq}))
-    index = {orig: i + 1 for i, orig in enumerate(keep)}
-    m = len(keep)
-    weights = [[rm.graph.no_edge] * m for _ in range(m)]
-    for a in keep:
-        for b in keep:
-            if a != b and rm.graph.has_edge(a, b):
-                weights[index[a] - 1][index[b] - 1] = rm.graph.weight(a, b)
-    return WeightedGraph(tuple(tuple(row) for row in weights), rm.graph.no_edge), keep
+    edges = [
+        (i, j, rm.graph.weight(a, b))
+        for (i, a), (j, b) in itertools.combinations(enumerate(keep, start=1), 2)
+        if rm.graph.has_edge(a, b)
+    ]
+    return graph_from_edges(len(keep), edges, no_edge=_ACO_PENALTY), keep
 
 
 def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Optional[PlanResult]:
@@ -324,7 +319,12 @@ def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Option
 
 
 def plan_route(req: RouteRequest) -> PlanResult:
-    """Shortest validated line-and-arc route for the request."""
+    """Shortest validated line-and-arc route for the request.
+
+    The colony engine runs the colony once.  When its proposal is unconnected
+    or does not chain into a valid path, the exact engine answers instead: the
+    plan says engine "exact" and keeps the colony's result as `aco`.
+    """
     scene = req.scene
     start, goal = Point(*req.start), Point(*req.goal)
     direct = _direct_plan(scene, start, goal, req.engine)
@@ -332,39 +332,22 @@ def plan_route(req: RouteRequest) -> PlanResult:
         return direct
     rm = build_roadmap(scene, start, goal)
 
+    colony = None
     if req.engine == "aco":
         reduced = _colony_subgraph(rm)
-        if reduced is None:
-            raise RouteInfeasible(
-                f"no feasible route from {tuple(start)} to {tuple(goal)}",
-                blockers=blocking_obstacles(start, goal, scene),
-            )
-        sub, keep = reduced
-        params = req.aco_params or AcoParams()
-        taboo: set[tuple[int, ...]] = set()
-        for _ in range(_ACO_RETRIES):
-            res = aco_run(sub, params, penalty=_ACO_PENALTY, taboo=frozenset(taboo))
-            picked = res.nodes
-            connected = (
-                picked and picked[0] == 1 and picked[-1] == sub.node_count
-                and all(sub.has_edge(a, b) for a, b in zip(picked, picked[1:]))
-            )
-            if connected and picked not in taboo:
+        if reduced is not None:
+            sub, keep = reduced
+            colony = aco_run(sub, req.aco_params or AcoParams())
+            picked = colony.nodes
+            if all(sub.has_edge(a, b) for a, b in zip(picked, picked[1:])):
                 seq = tuple(keep[i - 1] for i in picked)
-                plan = _result(rm, scene, seq, res.cost, "aco", aco=res)
+                plan = _result(rm, scene, seq, colony.cost, "aco", aco=colony)
                 if plan is not None:
                     return plan
-            if not picked or picked in taboo:
-                break  # colony re-proposed a rejected route; no progress left
-            taboo.add(picked)
-        raise RouteInfeasible(
-            f"colony found no realizable route in {len(taboo) + 1} runs",
-            blockers=blocking_obstacles(start, goal, scene),
-        )
 
     plans = _ranked_plans(rm, scene, 1)
     if plans:
-        return plans[0]
+        return replace(plans[0], aco=colony)
     raise RouteInfeasible(
         f"no feasible route from {tuple(start)} to {tuple(goal)}",
         blockers=blocking_obstacles(start, goal, scene),

@@ -37,36 +37,56 @@ class SceneFormatError(ValueError):
     pass
 
 
-def _pt(v) -> Point:
+def _num(value, name: str, positive: bool = False) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        raise SceneFormatError(f"{name} must be a {'positive' if positive else 'finite'} number, got {value!r}")
+    return x
+
+
+def _pt(v, name: str) -> Point:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise SceneFormatError(f"expected [x, y] pair, got {v!r}")
-    return Point(float(v[0]), float(v[1]))
+        raise SceneFormatError(f"{name}: expected [x, y] pair, got {v!r}")
+    return Point(_num(v[0], name), _num(v[1], name))
 
 
 def scene_from_dict(d: dict) -> Scene:
+    """Scene from its JSON form; every number must be finite, and the
+    clearance, bounds and obstacle dimensions positive."""
     if not isinstance(d, dict):
         raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
         raw = d.get("bounds", [800.0, 800.0])
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise SceneFormatError(f"bounds must be [width, height], got {raw!r}")
-        bounds = (float(raw[0]), float(raw[1]))
-        clearance = float(d.get("clearance", 10.0))
+        bounds = (_num(raw[0], "bounds width", positive=True), _num(raw[1], "bounds height", positive=True))
+        clearance = _num(d.get("clearance", 10.0), "clearance", positive=True)
         obstacles = []
         for entry in d.get("obstacles", ()):
-            oid = int(entry["id"])
+            oid = int(_num(entry["id"], "obstacle id"))
             kind = entry["kind"]
+            at = f"obstacle {oid}"
+
+            def pt(key: str) -> Point:
+                return _pt(entry[key], f"{at} {key}")
+
+            def size(key: str) -> float:
+                return _num(entry[key], f"{at} {key}", positive=True)
+
             if kind == "rect":
-                shape = AxisRect(_pt(entry["anchor"]), float(entry["width"]), float(entry["height"]))
+                shape = AxisRect(pt("anchor"), size("width"), size("height"))
             elif kind == "circle":
-                shape = Circle(_pt(entry["center"]), float(entry["radius"]))
+                shape = Circle(pt("center"), size("radius"))
             elif kind == "triangle":
-                # stored CCW as (left, lower-right, top)
-                shape = Triangle(_pt(entry["left"]), _pt(entry["lower_right"]), _pt(entry["top"]))
+                # stored as (left, lower-right, top); either orientation reads as CCW
+                shape = Triangle(pt("left"), pt("lower_right"), pt("top"))
             elif kind == "parallelogram":
-                shape = parallelogram_from(_pt(entry["anchor"]), float(entry["base"]), _pt(entry["top_left"]))
+                shape = parallelogram_from(pt("anchor"), size("base"), pt("top_left"))
             else:
-                raise SceneFormatError(f"obstacle {oid}: unknown kind {kind!r}")
+                raise SceneFormatError(f"{at}: unknown kind {kind!r}")
             obstacles.append(ObstacleSpec(oid, shape))
     except KeyError as e:
         raise SceneFormatError(f"scene entry missing field {e}") from None

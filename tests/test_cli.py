@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -80,6 +81,15 @@ def test_plan_colony_engine(capsys):
     assert "colony cost" in out
     chromosome = out.rsplit("chromosome", 1)[1].split()[0]
     assert set(chromosome) <= {"0", "1"}
+
+
+def test_plan_colony_miss_answered_by_exact_engine(capsys):
+    # the zero-generation colony's proposal makes no valid path; the exact engine answers
+    rc, out, err = run_cli(capsys, "plan", "--engine", "aco", "--gens", "0")
+    assert rc == 0 and err == ""
+    assert out.startswith("route O -> A  (engine exact)")
+    assert "total length 471.0372" in out
+    assert "colony cost" in out
 
 
 def test_aco_command(capsys):
@@ -174,14 +184,32 @@ def test_bad_scene_file_exit_code(capsys, tmp_path):
     assert "invalid JSON" in err and "line 1" in err
 
 
+def _scene_with(obstacle: dict) -> str:
+    """Scene-file text holding one obstacle (id 1); non-finite floats are
+    written as JSON's NaN/Infinity extensions."""
+    return json.dumps({"obstacles": [{"id": 1, **obstacle}]})
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ("[]", "must be a JSON object"),
         ('{"bounds": [800]}', "bounds must be [width, height]"),
         ('{"bounds": [800, 800, 5]}', "bounds must be [width, height]"),
+        ('{"clearance": -5}', "clearance must be a positive number, got -5"),
+        ('{"clearance": NaN}', "clearance must be a positive number, got nan"),
+        ('{"bounds": [800, 0]}', "bounds height must be a positive number, got 0"),
+        (_scene_with({"kind": "rect", "anchor": [10, 10], "width": -5, "height": 20}),
+         "obstacle 1 width must be a positive number, got -5"),
+        (_scene_with({"kind": "circle", "center": [50, math.inf], "radius": 5}),
+         "obstacle 1 center must be a finite number, got inf"),
+        (_scene_with({"kind": "circle", "center": [50, 50], "radius": 0}),
+         "obstacle 1 radius must be a positive number, got 0"),
+        (_scene_with({"kind": "parallelogram", "anchor": [10, 10], "base": -30, "top_left": [20, 40]}),
+         "obstacle 1 base must be a positive number, got -30"),
     ],
-    ids=["top-level-array", "one-bound", "three-bounds"],
+    ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
+         "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"
@@ -232,6 +260,22 @@ def test_infeasible_exit_code(capsys, tmp_path):
     assert rc == 3
     assert err.startswith("infeasible:")
     assert "blocking obstacles" in err
+    rc, out, enum_err = run_cli(
+        capsys, "enumerate", "--scene", str(scene_file), "--from", "20,20", "--to", "100,100"
+    )
+    assert rc == 3 and out == ""
+    assert enum_err == err
+
+
+def test_clockwise_triangle_start_inside_exit_code(capsys, tmp_path):
+    # vertices given clockwise; (300, 200) lies inside the triangle
+    scene_file = tmp_path / "cw.json"
+    scene_file.write_text(
+        _scene_with({"kind": "triangle", "left": [100, 100], "lower_right": [300, 500], "top": [500, 100]})
+    )
+    rc, out, err = run_cli(capsys, "plan", "--scene", str(scene_file), "--from", "300,200", "--to", "300,250")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: start (300.0, 200.0) has clearance 0.0000")
 
 
 def test_fixture_dir_env_override(capsys, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import oracles
 from arcplan.geometry import (
     AxisRect,
     Circle,
+    ObstacleSpec,
     Parallelogram,
     Point,
     ShapeKindError,
@@ -106,6 +107,27 @@ def test_obstacle_vertices_and_orientation(scene):
             for i in range(len(verts))
         )
         assert area2 > 0, f"obstacle {spec.id} vertices are not CCW"
+
+
+def test_clockwise_polygons_read_as_ccw():
+    # a triangle and a parallelogram (top edge below the base) given clockwise
+    shapes = (
+        Triangle(Point(100, 100), Point(300, 500), Point(500, 100)),
+        parallelogram_from(Point(400, 600), 200, Point(450, 450)),
+    )
+    rng = random.Random(5)
+    for oid, shape in enumerate(shapes, start=1):
+        given = (shape.v1, shape.v2, shape.v3) + ((shape.v4,) if isinstance(shape, Parallelogram) else ())
+        spec = ObstacleSpec(oid, shape)
+        verts = obstacle_vertices(spec)
+        assert verts == given[::-1]
+        area2 = sum(verts[i - 1].x * verts[i].y - verts[i].x * verts[i - 1].y for i in range(len(verts)))
+        assert area2 > 0
+        for _ in range(400):
+            p = Point(rng.uniform(50, 750), rng.uniform(50, 750))
+            inside = oracles.point_in_poly(tuple(p), [tuple(v) for v in given])
+            assert (obstacle_distance(p, spec) == 0.0) == inside, f"obstacle {oid} at {p}"
+            assert obstacle_distance(p, spec) == pytest.approx(oracles.poly_dist(tuple(p), given), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,19 @@ def test_colony_plan_smoke(scene):
     assert isinstance(plan, PlanResult)
 
 
+def test_colony_miss_answered_by_exact_engine(scene):
+    # On these two recipe queries the seed-1 colony proposes a route that does
+    # not make a valid path; the exact engine answers, and the plan says so.
+    for start, goal in recipe_pairs(scene, 11)[9:]:
+        exact = plan_route(RouteRequest(start, goal, scene))
+        colony = plan_route(RouteRequest(start, goal, scene, engine="aco", aco_params=AcoParams(seed=1)))
+        assert colony.engine == "exact"
+        assert colony.aco is not None
+        assert colony.length == exact.length
+        assert colony.node_sequence == exact.node_sequence
+        assert validate_path(colony.path, scene).ok
+
+
 def recipe_pairs(scene: Scene, count: int) -> list[tuple[Point, Point]]:
     """The first `count` random queries of the ROADMAP recipe: uniform points
     from random.Random(3) with clearance >= 10.5, paired (0,1), (2,3), ...,
