@@ -43,14 +43,17 @@ def _parse_point(text: str) -> Point:
     return Point(x, y)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _load_scene(arg: Optional[str]) -> Scene:
@@ -69,8 +72,8 @@ def _add_route_args(p: argparse.ArgumentParser) -> None:
 
 def _add_colony_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--ants", type=_positive_int, default=50)
-    p.add_argument("--gens", type=int, default=100)
+    p.add_argument("--ants", type=_int_at_least(1), default=50)
+    p.add_argument("--gens", type=_int_at_least(0), default=100)
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
@@ -116,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="ranked alternative routes")
     _add_route_args(p_enum)
-    p_enum.add_argument("--top", type=_positive_int, default=3, metavar="K")
+    p_enum.add_argument("--top", type=_int_at_least(1), default=3, metavar="K")
 
     return parser
 

@@ -1,11 +1,12 @@
-"""Line-and-arc smooth paths: point/circle tangents, the single-corner
-optimization, multi-corner chains, lengths and travel times.
+"""Line-and-arc smooth paths: directed tangents between turning circles, the
+single-corner optimization, multi-corner chains, lengths and travel times.
 
-A smooth path alternates straight tangent lines with circular arcs of radius
->= 10 (the robot's minimum turning radius).  The shortest way around one
-convex corner is a line-arc-line "taut rope" whose geometry is closed-form:
-the lines are point-to-circle tangents, the arc is whatever angle remains
-between the two tangency points in the chosen turn direction.
+A smooth path alternates straight lines with circular arcs of radius >= 10
+(the robot's minimum turning radius).  Each line is the common tangent of two
+turning circles that agrees with their turns; the start and the goal are
+circles of radius 0.  The shortest way around one convex corner is such a
+line-arc-line "taut rope" whose arc spans the angle left between the two
+tangency points in the chosen turn direction.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class TurningCircle:
             self.center.x + self.radius * math.cos(angle),
             self.center.y + self.radius * math.sin(angle),
         )
-
-
-class TangencyError(ValueError):
-    pass
 
 
 class ChainingError(ValueError):
@@ -148,27 +145,13 @@ class CornerSolution:
     turn: Optional[Turn]
 
 
-def tangent_angle(p: Point, c: TurningCircle, side: float) -> float:
-    """Polar angle, seen from the center, of a tangency point of the tangent
-    lines from p to the circle: phi + side * alpha for side +1.0 or -1.0,
-    where phi is the direction of p and alpha = arccos(r / |p - c|).  The
-    tangent segment is sqrt(|p - c|^2 - r^2) long on either side.
-
-    A path arriving from p joins the circle at side = c.turn.sign and one
-    leaving it toward p parts at side = -c.turn.sign.
-    """
-    dx, dy = p[0] - c.center.x, p[1] - c.center.y
-    d = math.hypot(dx, dy)
-    if d <= c.radius:
-        raise TangencyError(f"point {p} is not strictly outside the circle at {c.center} (r={c.radius})")
-    return math.atan2(dy, dx) + side * math.acos(c.radius / d)
-
-
 def pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
     """Tangency angles (on c1, on c2) of the unique common tangent that leaves
     c1 and enters c2 consistently with their turn directions: the outer
-    tangent when the directions match, the inner one when they oppose.
-    Raises ChainingError where that tangent does not exist."""
+    tangent when the directions match, the inner one when they oppose.  A
+    circle of radius 0 is a point, where either turn gives the same tangent.
+    Raises ChainingError where that tangent does not exist, which includes a
+    point on or inside the other circle."""
     dx, dy = c2.center.x - c1.center.x, c2.center.y - c1.center.y
     D = math.hypot(dx, dy)
     if D == 0.0:
@@ -176,9 +159,9 @@ def pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
     beta = math.atan2(dy, dx)
     if c1.turn is c2.turn:
         k = (c1.radius - c2.radius) / D
-        if abs(k) > 1.0:
+        if abs(k) >= 1.0:
             raise ChainingError(
-                f"circle at {tuple(c1.center)} contains circle at {tuple(c2.center)}; no outer tangent"
+                f"one of the circles at {tuple(c1.center)} and {tuple(c2.center)} contains the other; no outer tangent"
             )
         delta = math.acos(k)  # pi/2 for equal radii
         th = beta - delta if c1.turn is Turn.CCW else beta + delta
@@ -252,32 +235,24 @@ def _closest_circle_point(center, r, a, b) -> Point:
 def chain_path(start: Point, circles: tuple[TurningCircle, ...], end: Point) -> SmoothPath:
     """Tangent-line / arc chain through an ordered sequence of turning circles.
 
-    Each circle carries its own turn direction; consecutive circles are joined
-    by the common tangent consistent with their direction pair.  With an empty
-    circle list the result is the single straight segment.
+    The start and the end become circles of radius 0, each consecutive pair
+    is joined by the tangent of its turn pair, and arcs run on the given
+    circles only.  With no circles the result is the straight segment.
     """
     start, end = Point(*start), Point(*end)
     if not circles:
         return SmoothPath((Line(start, end),))
+    chain = (TurningCircle(start, 0.0), *circles, TurningCircle(end, 0.0))
     segs: list[PathSegment] = []
-    first = circles[0]
-    a_in = tangent_angle(start, first, first.turn.sign)
-    segs.append(Line(start, first.at(a_in)))
-    cur = a_in
-    for i, c in enumerate(circles):
-        if i + 1 < len(circles):
-            nxt = circles[i + 1]
-            try:
-                a_out, a_next = pair_tangent(c, nxt)
-            except ChainingError as e:
-                raise ChainingError(f"cannot join circles {i} and {i + 1}: {e}") from None
-            segs.append(Arc(c, cur, a_out))
-            segs.append(Line(c.at(a_out), nxt.at(a_next)))
-            cur = a_next
-        else:
-            a_out = tangent_angle(end, c, -c.turn.sign)
-            segs.append(Arc(c, cur, a_out))
-            segs.append(Line(c.at(a_out), end))
+    for i, (c, nxt) in enumerate(zip(chain, chain[1:])):
+        try:
+            a_out, a_next = pair_tangent(c, nxt)
+        except ChainingError as e:
+            raise ChainingError(f"cannot join chain circles {i} and {i + 1}: {e}") from None
+        if i:
+            segs.append(Arc(c, a_in, a_out))
+        segs.append(Line(c.at(a_out), nxt.at(a_next)))
+        a_in = a_next
     return SmoothPath(tuple(segs))
 
 

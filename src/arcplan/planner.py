@@ -1,11 +1,12 @@
 """End-to-end route planning over a corner roadmap.
 
 Pipeline: inflate the scene, take one turning-circle candidate per convex
-obstacle vertex, connect candidates whose tangent segments keep clearance,
-pick a node sequence (exact Dijkstra / k-shortest, or the ant colony), assign
-each corner the turn direction the polyline bends in, chain the smooth path
-and validate it.  Reported lengths always come from the chain.  A colony
-proposal that fails is no infeasibility verdict: the exact engine answers it.
+obstacle vertex and circles of radius 0 at the start and the goal, connect
+anchors whose directed tangents keep clearance, pick a node sequence (exact
+Dijkstra / k-shortest, or the ant colony), assign each corner the turn
+direction the polyline bends in, chain the smooth path and validate it.
+Reported lengths always come from the chain.  A colony proposal that fails is
+no infeasibility verdict: the exact engine answers it.
 
 Roadmap weights are center-to-center distances, and a sequence's roadmap cost
 never exceeds its chained length: a tangent leg falls short of its hop by no
@@ -39,12 +40,10 @@ from .paths import (
     ChainingError,
     Line,
     SmoothPath,
-    TangencyError,
     Turn,
     TurningCircle,
     chain_path,
     pair_tangent,
-    tangent_angle,
     travel_time,
     validate_path,
 )
@@ -133,19 +132,10 @@ def corner_candidates(scene: Scene) -> tuple[Point, ...]:
     return tuple(out)
 
 
-def _point_circle_connected(p: Point, c: TurningCircle, scene: Scene) -> bool:
-    """True iff one of the two tangents from p to c keeps clearance."""
-    try:
-        return any(segment_clear(p, c.at(tangent_angle(p, c, side)), scene) for side in (1.0, -1.0))
-    except TangencyError:
-        return False
-
-
-def _circle_circle_connected(a: tuple[TurningCircle, TurningCircle], b: tuple[TurningCircle, TurningCircle],
-                             scene: Scene) -> bool:
-    """True iff the directed tangent of one of the four turn pairs keeps
-    clearance; a and b are a corner's (CW, CCW) circles."""
-    for c1, c2 in ((a[0], b[0]), (a[1], b[1]), (a[0], b[1]), (a[1], b[0])):
+def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene: Scene) -> bool:
+    """True iff the directed tangent of one turn pair, same turns first, keeps
+    clearance; a and b are two anchors' circles."""
+    for c1, c2 in sorted(itertools.product(a, b), key=lambda pair: pair[0].turn is not pair[1].turn):
         try:
             t1, t2 = pair_tangent(c1, c2)
         except ChainingError:
@@ -158,36 +148,31 @@ def _circle_circle_connected(a: tuple[TurningCircle, TurningCircle], b: tuple[Tu
 def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     """Weighted roadmap over start, goal and all corner candidates.
 
-    An edge exists iff some clearance-respecting tangent joins the two nodes:
-    the straight segment between start and goal, one of the two tangents from
-    an endpoint to a corner circle, or the directed tangent of one of the four
-    turn pairs between two corner circles.  Its weight is the plain Euclidean
+    Every anchor has its turning circles: one of radius 0 for an endpoint, a
+    CW and a CCW one of radius clearance for a corner.  An edge exists iff the
+    directed tangent of some turn pair between two anchors' circles keeps
+    clearance.  Between the endpoints that tangent is the straight segment;
+    between an endpoint and a corner the two turn pairs give the two tangents
+    (either turn of an endpoint reaches both; the start's CCW and the goal's
+    CW only fix which is tried first).  Its weight is the plain Euclidean
     anchor distance.  The endpoints are not checked here: the planning entry
     points check them first.
     """
     start, goal = Point(*start), Point(*goal)
     r = scene.clearance
     corners = sorted(corner_candidates(scene), key=lambda v: (math.dist(start, v), v.x, v.y))
-    anchors: list[Point] = [start, *corners, goal]
-    n = len(anchors)
-    circles = [(TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in anchors]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = anchors[i], anchors[j]
-            i_pt = i == 0 or i == n - 1
-            j_pt = j == 0 or j == n - 1
-            if i_pt and j_pt:
-                ok = segment_clear(a, b, scene)
-            elif i_pt:
-                ok = _point_circle_connected(a, circles[j][0], scene)
-            elif j_pt:
-                ok = _point_circle_connected(b, circles[i][0], scene)
-            else:
-                ok = _circle_circle_connected(circles[i], circles[j], scene)
-            if ok:
-                edges.append((i + 1, j + 1, math.dist(a, b)))
-    return Roadmap(graph_from_edges(n, edges, no_edge=math.inf), tuple(anchors), r)
+    anchors = (start, *corners, goal)
+    circles = [
+        (TurningCircle(start, 0.0, Turn.CCW),),
+        *((TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corners),
+        (TurningCircle(goal, 0.0, Turn.CW),),
+    ]
+    edges = [
+        (i + 1, j + 1, math.dist(anchors[i], anchors[j]))
+        for i, j in itertools.combinations(range(len(anchors)), 2)
+        if _connected(circles[i], circles[j], scene)
+    ]
+    return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, r)
 
 
 def _directed_corners(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[TurningCircle, ...]:
@@ -247,7 +232,7 @@ def _chain_for(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[tuple[TurningCir
 def _result(rm, scene, node_seq, roadmap_cost, engine, aco=None) -> Optional[PlanResult]:
     try:
         circles, path = _chain_for(rm, node_seq)
-    except (ChainingError, TangencyError):
+    except ChainingError:
         return None
     if not validate_path(path, scene).ok:
         return None

@@ -39,7 +39,7 @@ class SceneFormatError(ValueError):
 
 def _num(value, name: str, positive: bool = False) -> float:
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x) or (positive and x <= 0.0):
@@ -54,8 +54,9 @@ def _pt(v, name: str) -> Point:
 
 
 def scene_from_dict(d: dict) -> Scene:
-    """Scene from its JSON form; every number must be finite, and the
-    clearance, bounds and obstacle dimensions positive."""
+    """Scene from its JSON form; every number must be finite and no boolean,
+    the clearance, bounds and obstacle dimensions positive, the obstacle ids
+    distinct integers and no triangle or parallelogram of zero area."""
     if not isinstance(d, dict):
         raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
@@ -66,7 +67,12 @@ def scene_from_dict(d: dict) -> Scene:
         clearance = _num(d.get("clearance", 10.0), "clearance", positive=True)
         obstacles = []
         for entry in d.get("obstacles", ()):
-            oid = int(_num(entry["id"], "obstacle id"))
+            oid = _num(entry["id"], "obstacle id")
+            if not oid.is_integer():
+                raise SceneFormatError(f"obstacle id must be an integer, got {entry['id']!r}")
+            oid = int(oid)
+            if any(spec.id == oid for spec in obstacles):
+                raise SceneFormatError(f"obstacle id {oid} is used twice")
             kind = entry["kind"]
             at = f"obstacle {oid}"
 
@@ -83,8 +89,13 @@ def scene_from_dict(d: dict) -> Scene:
             elif kind == "triangle":
                 # stored as (left, lower-right, top); either orientation reads as CCW
                 shape = Triangle(pt("left"), pt("lower_right"), pt("top"))
+                (ax, ay), (bx, by), (cx, cy) = shape.v1, shape.v2, shape.v3
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0.0:
+                    raise SceneFormatError(f"{at}: left, lower_right and top are collinear (zero area)")
             elif kind == "parallelogram":
                 shape = parallelogram_from(pt("anchor"), size("base"), pt("top_left"))
+                if shape.v4.y == shape.v1.y:
+                    raise SceneFormatError(f"{at}: top_left is level with anchor (zero area)")
             else:
                 raise SceneFormatError(f"{at}: unknown kind {kind!r}")
             obstacles.append(ObstacleSpec(oid, shape))

@@ -207,9 +207,22 @@ def _scene_with(obstacle: dict) -> str:
          "obstacle 1 radius must be a positive number, got 0"),
         (_scene_with({"kind": "parallelogram", "anchor": [10, 10], "base": -30, "top_left": [20, 40]}),
          "obstacle 1 base must be a positive number, got -30"),
+        ('{"clearance": true}', "clearance must be a positive number, got True"),
+        (_scene_with({"id": 2.7, "kind": "circle", "center": [50, 50], "radius": 5}),
+         "obstacle id must be an integer, got 2.7"),
+        (_scene_with({"id": True, "kind": "circle", "center": [50, 50], "radius": 5}),
+         "obstacle id must be a finite number, got True"),
+        (json.dumps({"obstacles": [{"id": 4, "kind": "circle", "center": [50, 50], "radius": 5},
+                                   {"id": 4, "kind": "circle", "center": [150, 50], "radius": 5}]}),
+         "obstacle id 4 is used twice"),
+        (_scene_with({"kind": "triangle", "left": [100, 100], "lower_right": [300, 300], "top": [200, 200]}),
+         "obstacle 1: left, lower_right and top are collinear (zero area)"),
+        (_scene_with({"kind": "parallelogram", "anchor": [100, 100], "base": 50, "top_left": [130, 100]}),
+         "obstacle 1: top_left is level with anchor (zero area)"),
     ],
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
-         "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base"],
+         "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
+         "fractional-id", "boolean-id", "duplicate-id", "zero-area-triangle", "zero-area-parallelogram"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"
@@ -234,21 +247,22 @@ def test_unreadable_scene_file_exit_code(capsys, tmp_path, content, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("enumerate", "--top", "0"),
-        ("plan", "--ants", "0"),
-        ("export-svg", "--ants", "0", "--out", "route.svg"),
-        ("aco", "--ants", "0"),
+        (("enumerate", "--top", "0"), "expected an integer >= 1, got 0"),
+        (("plan", "--ants", "0"), "expected an integer >= 1, got 0"),
+        (("export-svg", "--ants", "0", "--out", "route.svg"), "expected an integer >= 1, got 0"),
+        (("aco", "--ants", "0"), "expected an integer >= 1, got 0"),
+        (("aco", "--gens", "-5"), "expected an integer >= 0, got -5"),
     ],
-    ids=["enumerate-top", "plan-ants", "export-svg-ants", "aco-ants"],
+    ids=["enumerate-top", "plan-ants", "export-svg-ants", "aco-ants", "aco-gens"],
 )
-def test_nonpositive_count_usage_error(capsys, tmp_path, monkeypatch, argv):
+def test_nonpositive_count_usage_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "expected an integer >= 1, got 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_infeasible_exit_code(capsys, tmp_path):

@@ -15,14 +15,12 @@ from arcplan.paths import (
     CornerProblem,
     Line,
     SmoothPath,
-    TangencyError,
     Turn,
     TurningCircle,
     chain_path,
     max_turn_speed,
     pair_tangent,
     solve_corner,
-    tangent_angle,
     travel_time,
     validate_path,
 )
@@ -42,10 +40,24 @@ OB_CORNERS = (
 # point and circle tangents
 
 
+def _angle_gap(a: float, b: float) -> float:
+    return abs((a - b + math.pi) % TAU - math.pi)
+
+
+def _point_tangents(p: Point, c: TurningCircle) -> list[Point]:
+    """Tangency points of the tangents from p, a circle of radius 0, into c's
+    circle turning either way."""
+    out = []
+    for turn in (Turn.CW, Turn.CCW):
+        circle = TurningCircle(c.center, c.radius, turn)
+        out.append(circle.at(pair_tangent(TurningCircle(p, 0.0), circle)[1]))
+    return out
+
+
 def test_tangents_from_point_known():
     c = TurningCircle(Point(80, 210), 10.0, Turn.CW)
-    points = [c.at(tangent_angle(Point(0, 0), c, side)) for side in (1.0, -1.0)]
-    assert math.dist(*points) > 1.0  # the two sides give two distinct tangents
+    points = _point_tangents(Point(0, 0), c)
+    assert math.dist(*points) > 1.0  # the two turns give two distinct tangents
     for t in points:
         assert math.dist(Point(0, 0), t) == pytest.approx(math.sqrt(50400), abs=1e-9)
         assert math.dist(t, c.center) == pytest.approx(10.0, abs=1e-12)
@@ -55,12 +67,15 @@ def test_tangents_from_point_known():
 
 
 def test_tangents_from_point_inside_raises():
-    c = TurningCircle(Point(0, 0), 10.0, Turn.CCW)
-    for side in (1.0, -1.0):
-        with pytest.raises(TangencyError):
-            tangent_angle(Point(3, 4), c, side)
-        with pytest.raises(TangencyError):
-            tangent_angle(Point(6, 8), c, side)  # exactly on the circle
+    # a point inside the circle, and one exactly on it, has no tangent either way
+    for p in (Point(3, 4), Point(6, 8)):
+        for t1 in (Turn.CW, Turn.CCW):
+            for t2 in (Turn.CW, Turn.CCW):
+                point, circle = TurningCircle(p, 0.0, t1), TurningCircle(Point(0, 0), 10.0, t2)
+                with pytest.raises(ChainingError):
+                    pair_tangent(point, circle)
+                with pytest.raises(ChainingError):
+                    pair_tangent(circle, point)
 
 
 @given(
@@ -74,21 +89,23 @@ def test_tangent_invariants(cx, cy, r, ang, gap):
     c = TurningCircle(Point(cx, cy), r, Turn.CCW)
     p = Point(cx + (r + gap) * math.cos(ang), cy + (r + gap) * math.sin(ang))
     expected = math.sqrt((r + gap) ** 2 - r * r)
-    for side in (1.0, -1.0):
-        t = c.at(tangent_angle(p, c, side))
+    for t in _point_tangents(p, c):
         assert math.dist(t, c.center) == pytest.approx(r, rel=1e-9)
         assert math.dist(p, t) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-def test_tangent_angle_sides_follow_the_turn():
-    # entering at side = turn.sign and leaving at -turn.sign are the
-    # kinematically consistent tangents of the independent construction
+def test_point_tangent_angles_follow_the_turn():
+    # a radius-0 circle at p, of either turn, enters and leaves the circle on
+    # the kinematically consistent tangents of the independent construction
     p, center = Point(-40, 25), Point(30, -10)
     for turn in (Turn.CCW, Turn.CW):
         c = TurningCircle(center, 10.0, turn)
-        s = turn.sign
-        assert tangent_angle(p, c, s) == pytest.approx(oracles.entry_angle(p, center, 10.0, s), abs=1e-12)
-        assert tangent_angle(p, c, -s) == pytest.approx(oracles.exit_angle(p, center, 10.0, s), abs=1e-12)
+        for point_turn in (Turn.CCW, Turn.CW):
+            point = TurningCircle(p, 0.0, point_turn)
+            entry = pair_tangent(point, c)[1]
+            exit_ = pair_tangent(c, point)[0]
+            assert _angle_gap(entry, oracles.entry_angle(p, center, 10.0, turn.sign)) < 1e-12
+            assert _angle_gap(exit_, oracles.exit_angle(p, center, 10.0, turn.sign)) < 1e-12
 
 
 def _pair_segment(c1, c2):
@@ -223,7 +240,7 @@ def test_corner_degenerate_straight():
 
 
 def test_corner_endpoint_inside_circle_raises():
-    with pytest.raises(TangencyError):
+    with pytest.raises(ChainingError):
         solve_corner(CornerProblem(Point(75, 210), Point(300, 300), Point(80, 210), 10.0))
 
 
@@ -323,7 +340,7 @@ def test_chain_errors():
             ),
             Point(60, 0),
         )
-    with pytest.raises(TangencyError):
+    with pytest.raises(ChainingError):
         chain_path(Point(3, 0), (TurningCircle(Point(0, 0), 10, Turn.CCW),), Point(60, 0))
 
 

@@ -20,7 +20,7 @@ from arcplan.geometry import (
     obstacle_vertices,
     segment_clear,
 )
-from arcplan.paths import ChainingError, TangencyError, Turn, validate_path
+from arcplan.paths import ChainingError, Turn, validate_path
 from arcplan.planner import (
     _FALLBACK_TRIES,
     KNOWN_TARGETS,
@@ -368,7 +368,7 @@ def yen_scans(scene):
         for rank, (seq, cost) in enumerate(itertools.islice(routes, 150)):
             try:
                 length = _chain_for(rm, seq)[1].length
-            except (ChainingError, TangencyError):
+            except ChainingError:
                 length = None
             rows.append((rank, seq, cost, length, _result(rm, sc, seq, cost, "exact")))
         scans.append((sc, start, goal, rows))
