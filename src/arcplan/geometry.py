@@ -1,17 +1,22 @@
 """Planar scene model: convex obstacles, clearance queries, hazard envelopes.
 
-The workspace is an 800x800 field holding 12 convex obstacles.  A legal robot
-path must stay at least ``clearance`` units (default 10) away from every
-obstacle, so each obstacle is surrounded by a "hazard envelope": its edges
-offset outward by the clearance plus a circular arc of radius = clearance
-around each vertex.  Taut shortest paths run along these envelopes.
+A scene is a rectangular field (``bounds``) holding any number of convex
+obstacles: axis-aligned rectangles, circles, triangles and parallelograms.
+A legal robot path must stay at least ``clearance`` units (default 10) away
+from every obstacle, so each obstacle is surrounded by a "hazard envelope":
+its edges offset outward by the clearance plus a circular arc of radius =
+clearance around each vertex.  Taut shortest paths run along these envelopes.
+
+Each Scene object compiles itself on first use and keeps the result for as
+long as it lives: the clearance queries read its per-obstacle table (kind,
+vertex or circle payload, bounding box).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 CLEARANCE_EPS = 1e-9  # tolerance when comparing distances against the clearance
@@ -73,6 +78,21 @@ class Scene:
     def contains(self, p: Point) -> bool:
         w, h = self.bounds
         return 0.0 <= p[0] <= w and 0.0 <= p[1] <= h
+
+    @cached_property
+    def compiled(self) -> CompiledScene:
+        """What this Scene object derives once, built on first use."""
+        return CompiledScene(tuple(_obstacle_geom(spec) for spec in self.obstacles))
+
+
+@dataclass
+class CompiledScene:
+    """What one Scene object derives once and keeps for as long as it lives:
+    the obstacle table the clearance queries read and the corner links the
+    planner's roadmap reads (the planner fills them in on first use)."""
+
+    obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
+    corner_links: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -211,9 +231,8 @@ def _point_in_convex(px: float, py: float, verts) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _obstacle_geom(spec: ObstacleSpec):
-    """(kind, payload, bbox) cache; bbox = (minx, miny, maxx, maxy)."""
+    """(kind, payload, bbox); bbox = (minx, miny, maxx, maxy)."""
     s = spec.shape
     if isinstance(s, Circle):
         c, r = s.center, s.radius
@@ -238,9 +257,7 @@ def _bbox_seg_gap(bbox, a, b) -> float:
     return math.hypot(dx, dy)
 
 
-def obstacle_distance(p: Point, spec: ObstacleSpec) -> float:
-    """Euclidean distance from a point to one obstacle (0 inside)."""
-    kind, payload, _ = _obstacle_geom(spec)
+def _point_distance(p, kind: str, payload) -> float:
     if kind == "circle":
         cx, cy, r = payload
         return max(0.0, math.hypot(p[0] - cx, p[1] - cy) - r)
@@ -254,9 +271,7 @@ def obstacle_distance(p: Point, spec: ObstacleSpec) -> float:
     )
 
 
-def segment_obstacle_distance(a: Point, b: Point, spec: ObstacleSpec) -> float:
-    """Minimum distance from segment ab to one obstacle (0 on overlap)."""
-    kind, payload, _ = _obstacle_geom(spec)
+def _segment_distance(a, b, kind: str, payload) -> float:
     if kind == "circle":
         cx, cy, r = payload
         return max(0.0, _pt_seg_dist(cx, cy, a[0], a[1], b[0], b[1]) - r)
@@ -267,14 +282,25 @@ def segment_obstacle_distance(a: Point, b: Point, spec: ObstacleSpec) -> float:
     return min(_seg_seg_dist(a, b, verts[i], verts[(i + 1) % n]) for i in range(n))
 
 
+def obstacle_distance(p: Point, spec: ObstacleSpec) -> float:
+    """Euclidean distance from a point to one obstacle (0 inside)."""
+    kind, payload, _ = _obstacle_geom(spec)
+    return _point_distance(p, kind, payload)
+
+
+def segment_obstacle_distance(a: Point, b: Point, spec: ObstacleSpec) -> float:
+    """Minimum distance from segment ab to one obstacle (0 on overlap)."""
+    kind, payload, _ = _obstacle_geom(spec)
+    return _segment_distance(a, b, kind, payload)
+
+
 def min_clearance(p: Point, scene: Scene) -> float:
     """Minimum distance from p to any obstacle boundary/interior (0 inside)."""
     best = math.inf
-    for spec in scene.obstacles:
-        _, _, bbox = _obstacle_geom(spec)
+    for kind, payload, bbox in scene.compiled.obstacles:
         if _bbox_pt_gap(bbox, p[0], p[1]) >= best:
             continue
-        d = obstacle_distance(p, spec)
+        d = _point_distance(p, kind, payload)
         if d < best:
             best = d
     return best
@@ -282,11 +308,10 @@ def min_clearance(p: Point, scene: Scene) -> float:
 
 def segment_min_clearance(a: Point, b: Point, scene: Scene) -> float:
     best = math.inf
-    for spec in scene.obstacles:
-        _, _, bbox = _obstacle_geom(spec)
+    for kind, payload, bbox in scene.compiled.obstacles:
         if _bbox_seg_gap(bbox, a, b) >= best:
             continue
-        d = segment_obstacle_distance(a, b, spec)
+        d = _segment_distance(a, b, kind, payload)
         if d < best:
             best = d
     return best
@@ -296,11 +321,10 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     """True iff every point of segment pq keeps at least the scene clearance
     (within CLEARANCE_EPS) from every obstacle."""
     limit = scene.clearance - CLEARANCE_EPS
-    for spec in scene.obstacles:
-        _, _, bbox = _obstacle_geom(spec)
+    for kind, payload, bbox in scene.compiled.obstacles:
         if _bbox_seg_gap(bbox, p, q) >= limit:
             continue
-        if segment_obstacle_distance(p, q, spec) < limit:
+        if _segment_distance(p, q, kind, payload) < limit:
             return False
     return True
 
@@ -309,7 +333,9 @@ def blocking_obstacles(p: Point, q: Point, scene: Scene) -> tuple[int, ...]:
     """Ids of obstacles that put segment pq below the required clearance."""
     limit = scene.clearance - CLEARANCE_EPS
     return tuple(
-        spec.id for spec in scene.obstacles if segment_obstacle_distance(p, q, spec) < limit
+        spec.id
+        for spec, (kind, payload, _) in zip(scene.obstacles, scene.compiled.obstacles)
+        if _segment_distance(p, q, kind, payload) < limit
     )
 
 

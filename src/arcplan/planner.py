@@ -8,6 +8,11 @@ direction the polyline bends in, chain the smooth path and validate it.
 Reported lengths always come from the chain.  A colony proposal that fails is
 no infeasibility verdict: the exact engine answers it.
 
+The corner-to-corner part of the roadmap does not depend on the query: each
+Scene object computes its corner links once, on first use, and keeps them
+for as long as it lives; a query tests only the pairs that hold its start or
+its goal.  Reuse one Scene object across queries to pay for them once.
+
 Roadmap weights are center-to-center distances, and a sequence's roadmap cost
 never exceeds its chained length: a tangent leg falls short of its hop by no
 more than the arcs at its two ends add.  The exact engine walks Yen's
@@ -145,6 +150,32 @@ def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene
     return False
 
 
+@dataclass(frozen=True)
+class _CornerLinks:
+    """A scene's corners in `corner_candidates` order, their CW and CCW
+    turning circles, and the (i, j), i < j, pairs `_connected` joins."""
+
+    corners: tuple[Point, ...]
+    circles: tuple[tuple[TurningCircle, TurningCircle], ...]
+    pairs: frozenset[tuple[int, int]]
+
+
+def _corner_links(scene: Scene) -> _CornerLinks:
+    """The scene's corner links, computed once per Scene object."""
+    compiled = scene.compiled
+    if compiled.corner_links is None:
+        r = scene.clearance
+        corners = corner_candidates(scene)
+        circles = tuple((TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corners)
+        pairs = frozenset(
+            (i, j)
+            for i, j in itertools.combinations(range(len(corners)), 2)
+            if _connected(circles[i], circles[j], scene)
+        )
+        compiled.corner_links = _CornerLinks(corners, circles, pairs)
+    return compiled.corner_links
+
+
 def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     """Weighted roadmap over start, goal and all corner candidates.
 
@@ -155,24 +186,34 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     between an endpoint and a corner the two turn pairs give the two tangents
     (either turn of an endpoint reaches both; the start's CCW and the goal's
     CW only fix which is tried first).  Its weight is the plain Euclidean
-    anchor distance.  The endpoints are not checked here: the planning entry
-    points check them first.
+    anchor distance.  Corner-to-corner edges come from the scene's compiled
+    corner links, so a query tests only the pairs that hold an endpoint.
+    Nodes run start, corners by distance from the start, goal.  The endpoints
+    are not checked here: the planning entry points check them first.
     """
     start, goal = Point(*start), Point(*goal)
-    r = scene.clearance
-    corners = sorted(corner_candidates(scene), key=lambda v: (math.dist(start, v), v.x, v.y))
-    anchors = (start, *corners, goal)
+    links = _corner_links(scene)
+    order = sorted(range(len(links.corners)), key=lambda i: (math.dist(start, links.corners[i]), *links.corners[i]))
+    anchors = (start, *(links.corners[i] for i in order), goal)
     circles = [
         (TurningCircle(start, 0.0, Turn.CCW),),
-        *((TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corners),
+        *(links.circles[i] for i in order),
         (TurningCircle(goal, 0.0, Turn.CW),),
     ]
+    last = len(anchors) - 1
+
+    def linked(i: int, j: int) -> bool:
+        if i == 0 or j == last:
+            return _connected(circles[i], circles[j], scene)
+        a, b = order[i - 1], order[j - 1]
+        return (min(a, b), max(a, b)) in links.pairs
+
     edges = [
         (i + 1, j + 1, math.dist(anchors[i], anchors[j]))
         for i, j in itertools.combinations(range(len(anchors)), 2)
-        if _connected(circles[i], circles[j], scene)
+        if linked(i, j)
     ]
-    return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, r)
+    return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, scene.clearance)
 
 
 def _directed_corners(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[TurningCircle, ...]:

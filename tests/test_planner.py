@@ -1,9 +1,12 @@
 """Scene-level planning: roadmap construction, both engines, enumeration."""
 
+import gc
 import importlib
 import itertools
 import math
 import random
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,11 +19,13 @@ from arcplan.geometry import (
     ObstacleSpec,
     Point,
     Scene,
+    builtin_scene,
     min_clearance,
     obstacle_vertices,
     segment_clear,
 )
-from arcplan.paths import ChainingError, Turn, validate_path
+from arcplan import planner
+from arcplan.paths import ChainingError, Turn, TurningCircle, validate_path
 from arcplan.planner import (
     _FALLBACK_TRIES,
     KNOWN_TARGETS,
@@ -29,6 +34,7 @@ from arcplan.planner import (
     RouteInfeasible,
     RouteRequest,
     _chain_for,
+    _connected,
     _result,
     build_roadmap,
     corner_candidates,
@@ -125,9 +131,80 @@ def shared_vertex_scene() -> Scene:
 
 
 def test_roadmap_edges_match_tangent_oracle(scene):
+    # One Scene object of each kind, queried in turn: a stale corner table or
+    # one shared across scenes would give edges the oracle does not.
+    shared = shared_vertex_scene()
+    shared_queries = itertools.cycle([(Point(60, 300), Point(300, 60)), (Point(300, 60), Point(60, 300)),
+                                      (Point(20, 20), Point(380, 380))])
     for start, goal in [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 3):
         rm = build_roadmap(scene, start, goal)
         assert roadmap_edges(rm) == oracle_edges(rm, scene), (start, goal)
+        s, g = next(shared_queries)
+        rm = build_roadmap(shared, s, g)
+        assert rm.anchors.count(Point(200, 200)) == 2
+        assert roadmap_edges(rm) == oracle_edges(rm, shared), (s, g)
+
+
+def perfbench_module(name: str):
+    """A module of perfbench/, imported without writing bytecode there."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, path)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+
+
+def test_connected_is_symmetric():
+    # The scene's corner table tests each corner pair in one order only.
+    inputs = perfbench_module("inputs")
+    scenes = [builtin_scene()] + [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 8)]
+    pairs = 0
+    for sc in scenes:
+        r = sc.clearance
+        circles = [(TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corner_candidates(sc)]
+        for a, b in itertools.combinations(circles, 2):
+            assert _connected(a, b, sc) == _connected(b, a, sc), (a[0].center, b[0].center)
+            pairs += 1
+    assert pairs > 5000
+
+
+def test_scene_compiles_corner_links_once(monkeypatch):
+    scene = builtin_scene()
+    calls = 0
+
+    def counted(p, q, sc):
+        nonlocal calls
+        calls += 1
+        return segment_clear(p, q, sc)
+
+    monkeypatch.setattr(planner, "segment_clear", counted)
+    first = build_roadmap(scene, O, C)
+    compiled = calls
+    calls = 0
+    again = build_roadmap(scene, O, C)
+    corners = len(corner_candidates(scene))
+    # per query: the straight start-goal segment and, for each endpoint and
+    # corner, the tangents to the corner's CW and CCW circles
+    assert calls <= 4 * corners + 1 < compiled
+    assert roadmap_edges(again) == roadmap_edges(first)
+    # an equal Scene object gives the same weighted edges
+    other = build_roadmap(builtin_scene(), O, C)
+    assert other.anchors == first.anchors
+    assert [list(other.graph.neighbors(i)) for i in range(1, other.graph.node_count + 1)] == [
+        list(first.graph.neighbors(i)) for i in range(1, first.graph.node_count + 1)
+    ]
+
+
+def test_compiled_scene_dies_with_its_scene():
+    scene = builtin_scene()
+    plan_route(RouteRequest(O, B, scene))
+    ref = weakref.ref(scene)
+    del scene
+    gc.collect()
+    assert ref() is None
 
 
 def test_shared_vertex_scene_plans():
