@@ -10,13 +10,13 @@ k-shortest search runs, lives alongside.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
 import time
 from dataclasses import dataclass, field
-from statistics import fmean
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 NO_EDGE = 1000.0  # sentinel weight used by the builtin graph
 
@@ -40,12 +40,17 @@ class WeightedGraph:
         w = self.weights[i - 1][j - 1]
         return w < self.no_edge and math.isfinite(w)
 
-    def neighbors(self, i: int):
-        row = self.weights[i - 1]
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Row i - 1 holds node i's (neighbor, weight) pairs, neighbors ascending."""
         ne = self.no_edge
-        for j, w in enumerate(row, start=1):
-            if j != i and w < ne and math.isfinite(w):
-                yield j, w
+        return tuple(
+            tuple((j, w) for j, w in enumerate(row, start=1) if j != i and w < ne and math.isfinite(w))
+            for i, row in enumerate(self.weights, start=1)
+        )
+
+    def neighbors(self, i: int):
+        return iter(self.adjacency[i - 1])
 
 
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int, float]], no_edge: float = NO_EDGE) -> WeightedGraph:
@@ -203,7 +208,7 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
             best_cost = gen_best
             best_bits = tuple(colony[costs.index(gen_best)])
         best_curve.append(best_cost)
-        mean_curve.append(fmean(costs))
+        mean_curve.append(math.fsum(costs) / len(costs))  # statistics.fmean(costs), whose import slows every start-up
 
     nodes, cost = decode_and_cost(best_bits, g)
     return AcoResult(
@@ -229,26 +234,121 @@ def dijkstra_shortest(
     `banned_edges` (listed in either direction), as Yen's spur searches need.
     Returns ((), inf) when dst is unreachable.
     """
-    dist = {src: 0.0}
-    prev: dict[int, int] = {}
+    return bounded_shortest(g, src, dst, banned_nodes, banned_edges, None)
+
+
+def _slack(d: float) -> float:
+    """More than the float rounding of a route sum near d."""
+    return 1e-9 * (1.0 + d)
+
+
+def _search(g, src, dst, banned=None, cut=None, floor=None, bound=math.inf):
+    """Dijkstra from src, stopping once dst (0: none) is settled.  Returns
+    (dist, prev, settled) by node id.  `banned` and `cut` (node -> nodes it
+    may not step to) are the bans; with `floor`, a lower bound on each node's
+    distance to dst, a node whose distance plus floor exceeds `bound` or the
+    best route to dst found so far, plus slack, is neither entered nor
+    expanded (see bounded_shortest)."""
+    adjacency = g.adjacency
+    n = len(adjacency)
+    inf = math.inf
+    dist = [inf] * (n + 1)
+    dist[src] = 0.0
+    prev = [0] * (n + 1)
+    seen = [False] * (n + 1)
     heap = [(0.0, src)]
-    seen = set()
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
-        if u in seen:
+        d, u = pop(heap)
+        if seen[u]:
             continue
-        seen.add(u)
+        seen[u] = True
         if u == dst:
             break
-        for v, w in g.neighbors(u):
-            if v in banned_nodes or (u, v) in banned_edges or (v, u) in banned_edges:
+        if floor is not None and d + floor[u] > bound:
+            continue
+        skip = cut.get(u, ()) if cut else ()
+        for v, w in adjacency[u - 1]:
+            if (banned and banned[v]) or v in skip:
                 continue
             nd = d + w
-            if nd < dist.get(v, math.inf):
+            if nd < dist[v]:
+                if floor is not None:
+                    if nd + floor[v] > bound:
+                        continue
+                    if v == dst:
+                        bound = min(bound, nd + _slack(nd))
                 dist[v] = nd
                 prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    if dst not in seen:
+                push(heap, (nd, v))
+    return dist, prev, seen
+
+
+def shortest_tree(g: WeightedGraph, dst: int) -> tuple[list[float], list[int], list[bool]]:
+    """Shortest routes of every node to dst, for an undirected graph with
+    non-negative weights: per node id, its distance (inf when unreachable),
+    the next node on its route (0 when none), and whether every other
+    neighbour leads to dst by more than the slack longer (its route then
+    leaves it one way only)."""
+    dist, toward, _ = _search(g, dst, 0)
+    strict = [
+        u != 0 and all(v == toward[u] or w + dist[v] > dist[u] + _slack(dist[u]) for v, w in g.adjacency[u - 1])
+        for u in range(len(dist))
+    ]
+    return dist, toward, strict
+
+
+def bounded_shortest(
+    g: WeightedGraph,
+    src: int,
+    dst: int,
+    banned_nodes: Iterable[int],
+    banned_edges: Iterable[tuple[int, int]],
+    tree: Optional[tuple[Sequence[float], Sequence[int], Sequence[bool]]],
+) -> tuple[tuple[int, ...], float]:
+    """`dijkstra_shortest`, which passes tree None, sped up for many searches
+    toward one dst on a graph with non-negative weights; `tree` is
+    `shortest_tree(g, dst)`.  The same route and cost come back, ties
+    included:
+
+    - The tree's distances bound each node's distance to dst from below.
+      When the bans leave open the tree route from src's cheapest first hop,
+      and that hop and every node after it beat each alternative by more
+      than the slack, that route is the only shortest one: it is returned
+      without a search.
+    - Otherwise the search runs, bounded above by the best open tree route
+      found.  A node whose distance plus its lower bound exceeds the bound
+      cannot lie on the route the search returns, so it is neither entered
+      nor expanded; every other step is the plain search's.
+    """
+    banned = [False] * (g.node_count + 1)
+    for v in banned_nodes:
+        banned[v] = True
+    cut: dict[int, set[int]] = {}
+    for a, b in banned_edges:
+        cut.setdefault(a, set()).add(b)
+        cut.setdefault(b, set()).add(a)
+    bound, floor = math.inf, None
+    if tree is not None and src != dst:
+        floor, toward, strict = tree
+        blocked = cut.get(src, ())
+        hops = sorted((w + floor[x], x, w) for x, w in g.adjacency[src - 1] if not banned[x] and x not in blocked)
+        for rank, (low, x, w) in enumerate(hops):
+            d, u, route, unique = w, x, [src, x], rank == 0 and (len(hops) == 1 or hops[1][0] > low + _slack(low))
+            while u != dst:
+                v = toward[u]
+                if not v or banned[v] or (cut and v in cut.get(u, ())):
+                    break
+                unique = unique and strict[u] and v != src
+                d, u = d + g.weights[u - 1][v - 1], v
+                route.append(u)
+            if u == dst:
+                if unique:
+                    return tuple(route), d
+                bound = d + _slack(d)
+                break
+    dist, prev, seen = _search(g, src, dst, banned, cut, floor, bound)
+    if not seen[dst]:
         return (), math.inf
     path = [dst]
     while path[-1] != src:

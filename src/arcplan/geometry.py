@@ -9,7 +9,8 @@ clearance around each vertex.  Taut shortest paths run along these envelopes.
 
 Each Scene object compiles itself on first use and keeps the result for as
 long as it lives: the clearance queries read its per-obstacle table (kind,
-vertex or circle payload, bounding box).
+vertex or circle payload, bounding box), and arc checks read the free window
+of each lone polygon corner.
 """
 
 from __future__ import annotations
@@ -82,16 +83,19 @@ class Scene:
     @cached_property
     def compiled(self) -> CompiledScene:
         """What this Scene object derives once, built on first use."""
-        return CompiledScene(tuple(_obstacle_geom(spec) for spec in self.obstacles))
+        obstacles = tuple(_obstacle_geom(spec) for spec in self.obstacles)
+        return CompiledScene(obstacles, _free_windows(obstacles, self.clearance))
 
 
 @dataclass
 class CompiledScene:
     """What one Scene object derives once and keeps for as long as it lives:
-    the obstacle table the clearance queries read and the corner links the
-    planner's roadmap reads (the planner fills them in on first use)."""
+    the obstacle table the clearance queries read, the free windows of the
+    corner circles, and the corner links the planner's roadmap reads (the
+    planner fills them in on first use)."""
 
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
+    free_windows: dict[Point, tuple[float, float]]  # see _free_windows
     corner_links: Optional[object] = None
 
 
@@ -243,6 +247,27 @@ def _obstacle_geom(spec: ObstacleSpec):
     return "poly", verts, (min(xs), min(ys), max(xs), max(ys))
 
 
+def _free_windows(obstacles, r: float) -> dict[Point, tuple[float, float]]:
+    """Polygon vertex -> (start, span): the directions, counter-clockwise from
+    angle `start` through `span`, in which the circle of radius r around the
+    vertex keeps distance r from every obstacle.  Only a vertex whose
+    obstacle is alone within 2r of it gets a window, which is then the
+    vertex's normal cone: there the vertex is its polygon's nearest point."""
+    out = {}
+    for k, (kind, verts, _) in enumerate(obstacles):
+        if kind != "poly":
+            continue
+        for i, v in enumerate(verts):
+            if any(j != k and _bbox_pt_gap(bbox, v.x, v.y) < 2.0 * r for j, (_, _, bbox) in enumerate(obstacles)):
+                continue
+            a, b = verts[i - 1], verts[(i + 1) % len(verts)]
+            # outward normals of the edges into and out of v (CCW: interior on the left)
+            start = math.atan2(a.x - v.x, v.y - a.y)
+            end = math.atan2(v.x - b.x, b.y - v.y)
+            out[v] = (start, (end - start) % (2.0 * math.pi))
+    return out
+
+
 def _bbox_pt_gap(bbox, px, py) -> float:
     dx = max(bbox[0] - px, 0.0, px - bbox[2])
     dy = max(bbox[1] - py, 0.0, py - bbox[3])
@@ -320,7 +345,13 @@ def segment_min_clearance(a: Point, b: Point, scene: Scene) -> float:
 def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     """True iff every point of segment pq keeps at least the scene clearance
     (within CLEARANCE_EPS) from every obstacle."""
-    limit = scene.clearance - CLEARANCE_EPS
+    return segment_keeps(p, q, scene.clearance - CLEARANCE_EPS, scene)
+
+
+def segment_keeps(p: Point, q: Point, limit: float, scene: Scene) -> bool:
+    """True iff every point of segment pq is at least `limit` from every
+    obstacle: segment_min_clearance(p, q, scene) >= limit, stopping at the
+    first obstacle that comes closer."""
     for kind, payload, bbox in scene.compiled.obstacles:
         if _bbox_seg_gap(bbox, p, q) >= limit:
             continue

@@ -16,11 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .geometry import Point, Scene, min_clearance, segment_min_clearance
+from .geometry import Point, Scene, min_clearance, segment_keeps, segment_min_clearance
 
 TAU = 2.0 * math.pi
 MIN_TURN_RADIUS = 10.0
 V0_DEFAULT = 5.0
+ARC_SPACING = 0.5  # largest gap between the arc samples validation checks
 
 
 class Turn(enum.Enum):
@@ -282,39 +283,93 @@ def _sample_arc(arc: Arc, spacing: float):
         yield arc.point_at(k / n)
 
 
-def validate_path(p: SmoothPath, scene: Scene, spacing: float = 0.5) -> PathDiagnostics:
+def _junction_violation(i: int, a: PathSegment, b: PathSegment) -> Optional[Violation]:
+    """Where segment i (a) meets segment i + 1 (b): a gap, or a kink."""
+    gap = math.hypot(a.end.x - b.start.x, a.end.y - b.start.y)
+    if gap > 1e-6:
+        return Violation("continuity", a.end, f"segments {i} and {i + 1} meet with gap {gap:g}")
+    d1 = a.tangent_at(a.end_angle) if isinstance(a, Arc) else a.direction()
+    d2 = b.tangent_at(b.start_angle) if isinstance(b, Arc) else b.direction()
+    dot = d1.x * d2.x + d1.y * d2.y
+    if dot < 1.0 - 1e-9:
+        return Violation("tangency", a.end, f"junction {i}/{i + 1} tangent dot {dot!r}")
+    return None
+
+
+def _radius_violation(seg: PathSegment) -> Optional[Violation]:
+    if isinstance(seg, Arc) and seg.circle.radius < MIN_TURN_RADIUS - 1e-12:
+        return Violation("radius", seg.start, f"arc radius {seg.circle.radius} below {MIN_TURN_RADIUS}")
+    return None
+
+
+def _clearance_violation(i: int, seg: PathSegment, scene: Scene, spacing: float) -> Optional[Violation]:
+    """The clearance violation of segment i, if any: exact on a line, the
+    first bad sample on an arc."""
+    limit = scene.clearance - 1e-6
+    if isinstance(seg, Line):
+        worst = segment_min_clearance(seg.a, seg.b, scene)
+        if worst < limit:
+            return Violation("clearance", seg.a, f"line segment {i} clearance {worst:.9f}")
+        return None
+    for q in _sample_arc(seg, spacing):
+        d = min_clearance(q, scene)
+        if d < limit:
+            return Violation("clearance", q, f"arc segment {i} clearance {d:.9f} at {tuple(q)}")
+    return None
+
+
+def validate_path(p: SmoothPath, scene: Scene, spacing: float = ARC_SPACING) -> PathDiagnostics:
     """Check tangency continuity, clearance and minimum turn radius.
 
     Clearance on straight segments is checked exactly (segment-to-obstacle
     distance); arcs are sampled at most `spacing` units apart.  Empty
     diagnostics mean the path is legal.
     """
-    out: list[Violation] = []
     segs = p.segments
-    limit = scene.clearance - 1e-6
+    out = []
     for i, seg in enumerate(segs):
-        if isinstance(seg, Arc) and seg.circle.radius < MIN_TURN_RADIUS - 1e-12:
-            out.append(Violation("radius", seg.start, f"arc radius {seg.circle.radius} below {MIN_TURN_RADIUS}"))
+        out.append(_radius_violation(seg))
         if i + 1 < len(segs):
-            a, b = segs[i], segs[i + 1]
-            gap = math.hypot(a.end.x - b.start.x, a.end.y - b.start.y)
-            if gap > 1e-6:
-                out.append(Violation("continuity", a.end, f"segments {i} and {i + 1} meet with gap {gap:g}"))
-            else:
-                d1 = a.tangent_at(a.end_angle) if isinstance(a, Arc) else a.direction()
-                d2 = b.tangent_at(b.start_angle) if isinstance(b, Arc) else b.direction()
-                dot = d1.x * d2.x + d1.y * d2.y
-                if dot < 1.0 - 1e-9:
-                    out.append(Violation("tangency", a.end, f"junction {i}/{i + 1} tangent dot {dot!r}"))
-    for i, seg in enumerate(segs):
-        if isinstance(seg, Line):
-            worst = segment_min_clearance(seg.a, seg.b, scene)
-            if worst < limit:
-                out.append(Violation("clearance", seg.a, f"line segment {i} clearance {worst:.9f}"))
-        else:
-            for q in _sample_arc(seg, spacing):
-                d = min_clearance(q, scene)
-                if d < limit:
-                    out.append(Violation("clearance", q, f"arc segment {i} clearance {d:.9f} at {tuple(q)}"))
-                    break
-    return PathDiagnostics(tuple(out))
+            out.append(_junction_violation(i, seg, segs[i + 1]))
+    out += [_clearance_violation(i, seg, scene, spacing) for i, seg in enumerate(segs)]
+    return PathDiagnostics(tuple(v for v in out if v is not None))
+
+
+# The pieces of a chain, checked one by one: what chain_path builds and
+# validate_path checks, for callers that test many chains sharing pieces.
+
+WINDOW_SLACK = 1e-9  # radians an arc may overrun a free window: r(1 - cos) of it is far below the 1e-6 limit slack
+
+
+def tangent_leg(c: TurningCircle, nxt: TurningCircle) -> Optional[tuple[float, float, Line]]:
+    """chain_path's leg from c to nxt: (angle out of c, angle into nxt, the
+    tangent line), or None where chain_path raises ChainingError."""
+    try:
+        a_out, a_next = pair_tangent(c, nxt)
+    except ChainingError:
+        return None
+    return a_out, a_next, Line(c.at(a_out), nxt.at(a_next))
+
+
+def line_clear(line: Line, scene: Scene) -> bool:
+    """validate_path's clearance verdict on one line."""
+    return segment_keeps(line.a, line.b, scene.clearance - 1e-6, scene)
+
+
+def corner_clear(
+    into: tuple[float, float, Line], c: TurningCircle, out: tuple[float, float, Line], scene: Scene
+) -> bool:
+    """validate_path's verdict on the arc chain_path puts on c between the
+    legs `into` and `out`: its radius, both junctions and its clearance.  An
+    arc inside the free window of its corner (see geometry) keeps clearance
+    at every sample, so it passes without sampling."""
+    arc = Arc(c, into[1], out[0])
+    if _radius_violation(arc) or _junction_violation(0, into[2], arc) or _junction_violation(0, arc, out[2]):
+        return False
+    window = scene.compiled.free_windows.get(c.center) if c.radius == scene.clearance else None
+    if window is not None:
+        start, span = window
+        low = arc.start_angle if c.turn is Turn.CCW else arc.end_angle
+        if (low - start + WINDOW_SLACK) % TAU + arc.sweep <= span + 2.0 * WINDOW_SLACK:
+            return True
+    return _clearance_violation(0, arc, scene, ARC_SPACING) is None

@@ -19,6 +19,8 @@ more than the arcs at its two ends add.  The exact engine walks Yen's
 sequences in ascending roadmap cost and stops once it holds k valid plans and
 the next sequence costs at least the k-th plan's length; no later sequence can
 be shorter.  Otherwise it gives up after max(_FALLBACK_TRIES, 8k) sequences.
+A query checks each leg and each corner arc of its sequences once
+(`_ChainScreen`) and chains only the sequences that pass.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, dijkstra_shortest, graph_from_edges
+from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, bounded_shortest, graph_from_edges, shortest_tree
 from .geometry import (
     CLEARANCE_EPS,
     Circle,
@@ -48,7 +50,10 @@ from .paths import (
     Turn,
     TurningCircle,
     chain_path,
+    corner_clear,
+    line_clear,
     pair_tangent,
+    tangent_leg,
     travel_time,
     validate_path,
 )
@@ -216,51 +221,55 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, scene.clearance)
 
 
+def _bends_ccw(rm: Roadmap, node_seq: tuple[int, ...]) -> list[bool]:
+    """Per interior corner: whether the roadmap polyline bends counter-clockwise there."""
+    pts = [rm.anchors[k - 1] for k in node_seq]
+    return [(b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) > 0 for a, b, c in zip(pts, pts[1:], pts[2:])]
+
+
 def _directed_corners(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[TurningCircle, ...]:
     """Turn per interior corner: the side the roadmap polyline bends toward."""
-    pts = [rm.anchors[k - 1] for k in node_seq]
-    circles = []
-    for t in range(1, len(pts) - 1):
-        ax, ay = pts[t].x - pts[t - 1].x, pts[t].y - pts[t - 1].y
-        bx, by = pts[t + 1].x - pts[t].x, pts[t + 1].y - pts[t].y
-        cross = ax * by - ay * bx
-        turn = Turn.CCW if cross > 0 else Turn.CW
-        circles.append(rm.circle_for(node_seq[t], turn))
-    return tuple(circles)
+    return tuple(
+        rm.circle_for(node, Turn.CCW if ccw else Turn.CW) for node, ccw in zip(node_seq[1:-1], _bends_ccw(rm, node_seq))
+    )
 
 
 def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Loopless shortest roadmap routes in ascending cost order (Yen)."""
-    best = dijkstra_shortest(g, src, dst)
+    """Loopless shortest roadmap routes in ascending cost order (Yen).  The
+    spur searches are dijkstra_shortest's, bounded by the distances to dst."""
+    tree = shortest_tree(g, dst)
+    best = bounded_shortest(g, src, dst, (), (), tree)
     if not best[0]:
         return
     yield best
-    accepted = [best]
+    branches: dict[tuple[int, ...], set[int]] = {}  # route prefix -> the next node of each route yielded through it
     pool: list[tuple[float, tuple[int, ...]]] = []
     pooled: set[tuple[int, ...]] = set()
+    path = best[0]
     while True:
-        prev_path = accepted[-1][0]
-        for i in range(len(prev_path) - 1):
-            spur = prev_path[i]
-            root = prev_path[: i + 1]
-            banned_edges = set()
-            for p, _ in accepted:
-                if len(p) > i and p[: i + 1] == root:
-                    banned_edges.add((p[i], p[i + 1]))
-            banned_nodes = frozenset(root[:-1])
-            tail, tail_cost = dijkstra_shortest(g, spur, dst, banned_nodes, frozenset(banned_edges))
+        # A spur whose next edge an earlier route already took has the bans it
+        # had on that route's turn, so its search would repeat a pooled
+        # candidate (Lawler): start where path leaves every earlier route.
+        shared = 1
+        while shared < len(path) - 1 and path[shared] in branches.get(path[:shared], ()):
+            shared += 1
+        for i in range(len(path) - 1):
+            branches.setdefault(path[: i + 1], set()).add(path[i + 1])
+        root_costs = list(itertools.accumulate((g.weight(a, b) for a, b in zip(path, path[1:])), initial=0))
+        for i in range(shared - 1, len(path) - 1):
+            spur, root = path[i], path[: i + 1]
+            banned_edges = [(spur, nxt) for nxt in branches[root]]
+            tail, tail_cost = bounded_shortest(g, spur, dst, root[:-1], banned_edges, tree)
             if not tail:
                 continue
             candidate = root[:-1] + tail
             if candidate in pooled:
                 continue
-            root_cost = sum(g.weight(a, b) for a, b in zip(root, root[1:]))
-            heapq.heappush(pool, (root_cost + tail_cost, candidate))
+            heapq.heappush(pool, (root_costs[i] + tail_cost, candidate))
             pooled.add(candidate)
         if not pool:
             return
         cost, path = heapq.heappop(pool)
-        accepted.append((path, cost))
         yield path, cost
 
 
@@ -270,13 +279,9 @@ def _chain_for(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[tuple[TurningCir
     return circles, path
 
 
-def _result(rm, scene, node_seq, roadmap_cost, engine, aco=None) -> Optional[PlanResult]:
-    try:
-        circles, path = _chain_for(rm, node_seq)
-    except ChainingError:
-        return None
-    if not validate_path(path, scene).ok:
-        return None
+def _plan(rm: Roadmap, node_seq: tuple[int, ...], roadmap_cost: float, engine: str, aco=None) -> PlanResult:
+    """The plan along node_seq, unchecked; raises ChainingError."""
+    circles, path = _chain_for(rm, node_seq)
     return PlanResult(
         corners=circles,
         path=path,
@@ -289,6 +294,62 @@ def _result(rm, scene, node_seq, roadmap_cost, engine, aco=None) -> Optional[Pla
     )
 
 
+def _result(rm, scene, node_seq, roadmap_cost, engine, aco=None) -> Optional[PlanResult]:
+    """The plan along node_seq, or None when it does not chain or fails validate_path."""
+    try:
+        plan = _plan(rm, node_seq, roadmap_cost, engine, aco)
+    except ChainingError:
+        return None
+    return plan if validate_path(plan.path, scene).ok else None
+
+
+class _ChainScreen:
+    """Whether the chain of a node sequence of one roadmap chains and passes
+    validate_path, for the many sequences of one query.
+
+    The sequences share most of their pieces, so each leg (the tangent of
+    two consecutive turning circles) and each corner (a circle's arc between
+    the legs into and out of it) is built and checked once, keyed by node
+    ids and turns; a sequence is rejected at its first failing piece, known
+    ones first.  The pieces are those chain_path builds, so for a start and
+    a goal apart the verdict is validate_path's on the chained path.
+    """
+
+    def __init__(self, rm: Roadmap, scene: Scene):
+        self.rm = rm
+        self.scene = scene
+        # a circle is (node, bends ccw), None at an endpoint; a leg is a pair
+        # of circles, a corner a triple
+        self.legs: dict[tuple, Optional[tuple[float, float, Line]]] = {}
+        self.clear: dict[tuple, bool] = {}
+        self.corners: dict[tuple, bool] = {}
+
+    def _circle(self, node: int, ccw: Optional[bool]) -> TurningCircle:
+        if ccw is None:  # an endpoint: chain_path's circle of radius 0
+            return TurningCircle(self.rm.anchors[node - 1], 0.0)
+        return self.rm.circle_for(node, Turn.CCW if ccw else Turn.CW)
+
+    def ok(self, seq: tuple[int, ...]) -> bool:
+        circles = list(zip(seq, [None, *_bends_ccw(self.rm, seq), None]))
+        legs = list(zip(circles, circles[1:]))
+        corners = list(zip(circles, circles[1:], circles[2:]))
+        leg_verdicts = list(map(self.clear.get, legs))
+        corner_verdicts = list(map(self.corners.get, corners))
+        if False in leg_verdicts or False in corner_verdicts:
+            return False
+        for leg, verdict in zip(legs, leg_verdicts):
+            if verdict is None:
+                piece = self.legs[leg] = tangent_leg(self._circle(*leg[0]), self._circle(*leg[1]))
+                if not self.clear.setdefault(leg, piece is not None and line_clear(piece[2], self.scene)):
+                    return False
+        for into, out, corner, verdict in zip(legs, legs[1:], corners, corner_verdicts):
+            if verdict is None:
+                piece = corner_clear(self.legs[into], self._circle(*corner[1]), self.legs[out], self.scene)
+                if not self.corners.setdefault(corner, piece):
+                    return False
+        return True
+
+
 def _ranked_plans(rm: Roadmap, scene: Scene, k: int) -> list[PlanResult]:
     """The k shortest validated plans, sorted by chained length.
 
@@ -298,12 +359,13 @@ def _ranked_plans(rm: Roadmap, scene: Scene, k: int) -> list[PlanResult]:
     max(_FALLBACK_TRIES, 8k) sequences.
     """
     found: list[PlanResult] = []
+    screen = _ChainScreen(rm, scene)
     routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count)
     for seq, cost in itertools.islice(routes, max(_FALLBACK_TRIES, 8 * k)):
         if len(found) == k and cost >= found[-1].length:
             break
-        plan = _result(rm, scene, seq, cost, "exact")
-        if plan is not None:
+        if screen.ok(seq):
+            plan = _plan(rm, seq, cost, "exact")
             found = sorted([*found, plan], key=lambda p: (p.length, p.node_sequence))[:k]
     return found
 

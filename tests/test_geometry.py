@@ -14,6 +14,7 @@ from arcplan.geometry import (
     ObstacleSpec,
     Parallelogram,
     Point,
+    Scene,
     ShapeKindError,
     Triangle,
     _pt_seg_dist,
@@ -26,6 +27,7 @@ from arcplan.geometry import (
     obstacle_vertices,
     parallelogram_from,
     segment_clear,
+    segment_keeps,
     segment_min_clearance,
 )
 
@@ -209,6 +211,34 @@ def test_segment_clearance_margins(scene):
     assert blocking_obstacles(Point(60, 55), Point(250, 55), scene) == (5,)
     # exactly at the clearance counts as clear
     assert segment_clear(Point(60, 50), Point(250, 50), scene)
+
+
+def test_segment_keeps_is_the_min_clearance_test(scene):
+    rng = random.Random(3)
+    for _ in range(300):
+        a, b = (Point(rng.uniform(0, 800), rng.uniform(0, 800)) for _ in range(2))
+        worst = segment_min_clearance(a, b, scene)
+        for limit in (5.0, 10.0 - 1e-6, 10.0, 40.0, worst):
+            assert segment_keeps(a, b, limit, scene) == (worst >= limit), (a, b, limit)
+
+
+def test_free_windows_are_the_clear_arcs_of_lone_corners(scene):
+    r = scene.clearance
+    windows = scene.compiled.free_windows
+    assert windows and set(windows) <= {v for spec in scene.obstacles if not isinstance(spec.shape, Circle)
+                                         for v in obstacle_vertices(spec)}
+    for v, (start, span) in windows.items():
+        assert 0.0 < span < math.pi
+        def clearance_at(angle):
+            return min_clearance(Point(v.x + r * math.cos(angle), v.y + r * math.sin(angle)), scene)
+        assert all(clearance_at(start + span * k / 40) >= r - 1e-9 for k in range(41)), v
+        # just past either side the vertex's own polygon comes closer
+        assert clearance_at(start - 0.05) < r - 1e-3 and clearance_at(start + span + 0.05) < r - 1e-3, v
+    # two squares meeting at (200, 200): that corner has a neighbour within 2r
+    squares = Scene((400.0, 400.0), (ObstacleSpec(1, AxisRect(Point(100, 100), 100, 100)),
+                                     ObstacleSpec(2, AxisRect(Point(200, 200), 100, 100))), 10.0)
+    assert Point(200, 200) not in squares.compiled.free_windows
+    assert Point(100, 100) in squares.compiled.free_windows
 
 
 def test_scene_contains():

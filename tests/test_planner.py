@@ -1,6 +1,7 @@
 """Scene-level planning: roadmap construction, both engines, enumeration."""
 
 import gc
+import heapq
 import importlib
 import itertools
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from arcplan.aco import AcoParams
+from arcplan.aco import AcoParams, dijkstra_shortest
 from arcplan.geometry import (
     AxisRect,
     Circle,
@@ -35,6 +36,7 @@ from arcplan.planner import (
     RouteRequest,
     _chain_for,
     _connected,
+    _ChainScreen,
     _result,
     build_roadmap,
     corner_candidates,
@@ -331,6 +333,38 @@ def test_k_shortest_routes_match_exhaustive_on_builtin(graph):
         assert (cost, nodes) in exhaustive  # a real 1 -> 15 route at its own cost
 
 
+def textbook_yen(g, src, dst):
+    """Yen's algorithm as written: every spur of every route, plain searches."""
+    best = dijkstra_shortest(g, src, dst)
+    if not best[0]:
+        return
+    yield best
+    accepted, pool, pooled = [best], [], set()
+    while True:
+        prev = accepted[-1][0]
+        for i in range(len(prev) - 1):
+            root = prev[: i + 1]
+            banned = frozenset((p[i], p[i + 1]) for p, _ in accepted if p[: i + 1] == root)
+            tail, tail_cost = dijkstra_shortest(g, prev[i], dst, frozenset(root[:-1]), banned)
+            candidate = root[:-1] + tail
+            if tail and candidate not in pooled:
+                pooled.add(candidate)
+                heapq.heappush(pool, (sum(g.weight(a, b) for a, b in zip(root, root[1:])) + tail_cost, candidate))
+        if not pool:
+            return
+        accepted.append(heapq.heappop(pool)[::-1])
+        yield accepted[-1]
+
+
+def test_k_shortest_routes_match_textbook_yen(scene):
+    # Lawler's skipped spurs and the bounded spur searches change no route,
+    # no cost and no order, ties included.
+    for start, goal in [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 6):
+        g = build_roadmap(scene, start, goal).graph
+        got = list(itertools.islice(k_shortest_routes(g, 1, g.node_count), 80))
+        assert got == list(itertools.islice(textbook_yen(g, 1, g.node_count), 80)), (start, goal)
+
+
 def test_enumerate_rejects_bad_k(scene):
     with pytest.raises(ValueError):
         enumerate_candidates(scene, O, A, k=0)
@@ -479,6 +513,18 @@ def test_stopping_rule_matches_brute_force_ranking(yen_scans):
             valid.sort(key=lambda p: (p.length, p.node_sequence))
             assert got == valid[:k], (start, goal, k)
     assert solved >= 10
+
+
+def test_chain_screen_matches_validate_path(yen_scans):
+    # one screen per query, as the exact engine keeps it, over 150 sequences
+    checked = accepted = 0
+    for scene, start, goal, rows in yen_scans:
+        screen = _ChainScreen(build_roadmap(scene, start, goal), scene)
+        for rank, seq, _, _, plan in rows:
+            assert screen.ok(seq) == (plan is not None), (start, goal, rank, seq)
+            checked += 1
+            accepted += plan is not None
+    assert checked > 1000 and accepted > 30
 
 
 def test_trace_wrap_points_resolve():
