@@ -16,7 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 NO_EDGE = 1000.0  # sentinel weight used by the builtin graph
 
@@ -225,8 +225,8 @@ def dijkstra_shortest(
     g: WeightedGraph,
     src: int,
     dst: int,
-    banned_nodes: frozenset[int] = frozenset(),
-    banned_edges: frozenset[tuple[int, int]] = frozenset(),
+    banned_nodes: Iterable[int] = (),
+    banned_edges: Iterable[tuple[int, int]] = (),
 ) -> tuple[tuple[int, ...], float]:
     """Exact shortest path treating sentinel/no-edge weights as absent.
 
@@ -234,25 +234,14 @@ def dijkstra_shortest(
     `banned_edges` (listed in either direction), as Yen's spur searches need.
     Returns ((), inf) when dst is unreachable.
     """
-    return bounded_shortest(g, src, dst, banned_nodes, banned_edges, None)
-
-
-def _slack(d: float) -> float:
-    """More than the float rounding of a route sum near d."""
-    return 1e-9 * (1.0 + d)
-
-
-def _search(g, src, dst, banned=None, cut=None, floor=None, bound=math.inf):
-    """Dijkstra from src, stopping once dst (0: none) is settled.  Returns
-    (dist, prev, settled) by node id.  `banned` and `cut` (node -> nodes it
-    may not step to) are the bans; with `floor`, a lower bound on each node's
-    distance to dst, a node whose distance plus floor exceeds `bound` or the
-    best route to dst found so far, plus slack, is neither entered nor
-    expanded (see bounded_shortest)."""
+    n = g.node_count
+    banned = set(banned_nodes)
+    cut: dict[int, set[int]] = {}
+    for a, b in banned_edges:
+        cut.setdefault(a, set()).add(b)
+        cut.setdefault(b, set()).add(a)
     adjacency = g.adjacency
-    n = len(adjacency)
-    inf = math.inf
-    dist = [inf] * (n + 1)
+    dist = [math.inf] * (n + 1)
     dist[src] = 0.0
     prev = [0] * (n + 1)
     seen = [False] * (n + 1)
@@ -265,89 +254,15 @@ def _search(g, src, dst, banned=None, cut=None, floor=None, bound=math.inf):
         seen[u] = True
         if u == dst:
             break
-        if floor is not None and d + floor[u] > bound:
-            continue
-        skip = cut.get(u, ()) if cut else ()
+        skip = cut.get(u, ())
         for v, w in adjacency[u - 1]:
-            if (banned and banned[v]) or v in skip:
+            if v in banned or v in skip:
                 continue
             nd = d + w
             if nd < dist[v]:
-                if floor is not None:
-                    if nd + floor[v] > bound:
-                        continue
-                    if v == dst:
-                        bound = min(bound, nd + _slack(nd))
                 dist[v] = nd
                 prev[v] = u
                 push(heap, (nd, v))
-    return dist, prev, seen
-
-
-def shortest_tree(g: WeightedGraph, dst: int) -> tuple[list[float], list[int], list[bool]]:
-    """Shortest routes of every node to dst, for an undirected graph with
-    non-negative weights: per node id, its distance (inf when unreachable),
-    the next node on its route (0 when none), and whether every other
-    neighbour leads to dst by more than the slack longer (its route then
-    leaves it one way only)."""
-    dist, toward, _ = _search(g, dst, 0)
-    strict = [
-        u != 0 and all(v == toward[u] or w + dist[v] > dist[u] + _slack(dist[u]) for v, w in g.adjacency[u - 1])
-        for u in range(len(dist))
-    ]
-    return dist, toward, strict
-
-
-def bounded_shortest(
-    g: WeightedGraph,
-    src: int,
-    dst: int,
-    banned_nodes: Iterable[int],
-    banned_edges: Iterable[tuple[int, int]],
-    tree: Optional[tuple[Sequence[float], Sequence[int], Sequence[bool]]],
-) -> tuple[tuple[int, ...], float]:
-    """`dijkstra_shortest`, which passes tree None, sped up for many searches
-    toward one dst on a graph with non-negative weights; `tree` is
-    `shortest_tree(g, dst)`.  The same route and cost come back, ties
-    included:
-
-    - The tree's distances bound each node's distance to dst from below.
-      When the bans leave open the tree route from src's cheapest first hop,
-      and that hop and every node after it beat each alternative by more
-      than the slack, that route is the only shortest one: it is returned
-      without a search.
-    - Otherwise the search runs, bounded above by the best open tree route
-      found.  A node whose distance plus its lower bound exceeds the bound
-      cannot lie on the route the search returns, so it is neither entered
-      nor expanded; every other step is the plain search's.
-    """
-    banned = [False] * (g.node_count + 1)
-    for v in banned_nodes:
-        banned[v] = True
-    cut: dict[int, set[int]] = {}
-    for a, b in banned_edges:
-        cut.setdefault(a, set()).add(b)
-        cut.setdefault(b, set()).add(a)
-    bound, floor = math.inf, None
-    if tree is not None and src != dst:
-        floor, toward, strict = tree
-        blocked = cut.get(src, ())
-        hops = sorted((w + floor[x], x, w) for x, w in g.adjacency[src - 1] if not banned[x] and x not in blocked)
-        for rank, (low, x, w) in enumerate(hops):
-            d, u, route, unique = w, x, [src, x], rank == 0 and (len(hops) == 1 or hops[1][0] > low + _slack(low))
-            while u != dst:
-                v = toward[u]
-                if not v or banned[v] or (cut and v in cut.get(u, ())):
-                    break
-                unique = unique and strict[u] and v != src
-                d, u = d + g.weights[u - 1][v - 1], v
-                route.append(u)
-            if u == dst:
-                if unique:
-                    return tuple(route), d
-                bound = d + _slack(d)
-                break
-    dist, prev, seen = _search(g, src, dst, banned, cut, floor, bound)
     if not seen[dst]:
         return (), math.inf
     path = [dst]

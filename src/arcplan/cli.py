@@ -11,6 +11,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -43,17 +44,29 @@ def _parse_point(text: str) -> Point:
     return Point(x, y)
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
+def _at_least(minimum: int, kind=int):
+    """An argparse type: a finite int (or float) no less than minimum."""
+    noun = "an integer" if kind is int else "a finite number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        if not minimum <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {noun} >= {minimum}, got {value}")
         return value
 
     return parse
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """A failure to write the output file `path` is a bad request (exit 2)."""
+    try:
+        yield
+    except OSError as e:
+        raise RequestError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _load_scene(arg: Optional[str]) -> Scene:
@@ -72,8 +85,8 @@ def _add_route_args(p: argparse.ArgumentParser) -> None:
 
 def _add_colony_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--ants", type=_int_at_least(1), default=50)
-    p.add_argument("--gens", type=_int_at_least(0), default=100)
+    p.add_argument("--ants", type=_at_least(1), default=50)
+    p.add_argument("--gens", type=_at_least(0), default=100)
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
@@ -109,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_aco.add_argument("--out", metavar="FILE", help="write the convergence curve (gen best mean)")
 
     p_ver = sub.add_parser("verify", help="check this build against stored benchmark results")
-    p_ver.add_argument("--tolerance", type=float, default=None,
+    p_ver.add_argument("--tolerance", type=_at_least(0, float), default=None,
                        help="override every check tolerance (units)")
 
     p_svg = sub.add_parser("export-svg", help="draw scene + envelope + route")
@@ -119,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="ranked alternative routes")
     _add_route_args(p_enum)
-    p_enum.add_argument("--top", type=_int_at_least(1), default=3, metavar="K")
+    p_enum.add_argument("--top", type=_at_least(1), default=3, metavar="K")
 
     return parser
 
@@ -135,11 +148,12 @@ def _cmd_plan(args, stdout) -> int:
     plan = plan_route(req)
     stdout.write(sceneio.format_plan_report(_label(args), plan))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             json.dump(sceneio.plan_to_dict(_label(args), plan), fh, indent=2)
             fh.write("\n")
     if args.svg:
-        sceneio.write_svg(req.scene, plan.path, args.svg)
+        with _writing(args.svg):
+            sceneio.write_svg(req.scene, plan.path, args.svg)
     return 0
 
 
@@ -152,7 +166,8 @@ def _cmd_aco(args, stdout) -> int:
     stdout.write(f"  route: {route}\n")
     stdout.write(f"  cost: {res.cost:.4f}\n")
     if args.out:
-        sceneio.write_curve(res, args.out)
+        with _writing(args.out):
+            sceneio.write_curve(res, args.out)
         stdout.write(f"  curve written to {args.out}\n")
     return 0
 
@@ -160,7 +175,8 @@ def _cmd_aco(args, stdout) -> int:
 def _cmd_export_svg(args, stdout) -> int:
     req = _make_request(args)
     plan = plan_route(req)
-    sceneio.write_svg(req.scene, plan.path, args.out)
+    with _writing(args.out):
+        sceneio.write_svg(req.scene, plan.path, args.out)
     stdout.write(f"wrote {args.out} ({_label(args)}, length {plan.length:.4f})\n")
     return 0
 

@@ -9,8 +9,8 @@ clearance around each vertex.  Taut shortest paths run along these envelopes.
 
 Each Scene object compiles itself on first use and keeps the result for as
 long as it lives: the clearance queries read its per-obstacle table (kind,
-vertex or circle payload, bounding box), and arc checks read the free window
-of each lone polygon corner.
+vertex or circle payload, bounding box).  The clearance of a point, a segment
+and a circular arc is computed in closed form, never by sampling.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 CLEARANCE_EPS = 1e-9  # tolerance when comparing distances against the clearance
+TAU = 2.0 * math.pi
 
 
 class Point(NamedTuple):
@@ -83,19 +84,16 @@ class Scene:
     @cached_property
     def compiled(self) -> CompiledScene:
         """What this Scene object derives once, built on first use."""
-        obstacles = tuple(_obstacle_geom(spec) for spec in self.obstacles)
-        return CompiledScene(obstacles, _free_windows(obstacles, self.clearance))
+        return CompiledScene(tuple(_obstacle_geom(spec) for spec in self.obstacles))
 
 
 @dataclass
 class CompiledScene:
     """What one Scene object derives once and keeps for as long as it lives:
-    the obstacle table the clearance queries read, the free windows of the
-    corner circles, and the corner links the planner's roadmap reads (the
-    planner fills them in on first use)."""
+    the obstacle table the clearance queries read and the corner links the
+    planner's roadmap reads (the planner fills them in on first use)."""
 
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
-    free_windows: dict[Point, tuple[float, float]]  # see _free_windows
     corner_links: Optional[object] = None
 
 
@@ -247,27 +245,6 @@ def _obstacle_geom(spec: ObstacleSpec):
     return "poly", verts, (min(xs), min(ys), max(xs), max(ys))
 
 
-def _free_windows(obstacles, r: float) -> dict[Point, tuple[float, float]]:
-    """Polygon vertex -> (start, span): the directions, counter-clockwise from
-    angle `start` through `span`, in which the circle of radius r around the
-    vertex keeps distance r from every obstacle.  Only a vertex whose
-    obstacle is alone within 2r of it gets a window, which is then the
-    vertex's normal cone: there the vertex is its polygon's nearest point."""
-    out = {}
-    for k, (kind, verts, _) in enumerate(obstacles):
-        if kind != "poly":
-            continue
-        for i, v in enumerate(verts):
-            if any(j != k and _bbox_pt_gap(bbox, v.x, v.y) < 2.0 * r for j, (_, _, bbox) in enumerate(obstacles)):
-                continue
-            a, b = verts[i - 1], verts[(i + 1) % len(verts)]
-            # outward normals of the edges into and out of v (CCW: interior on the left)
-            start = math.atan2(a.x - v.x, v.y - a.y)
-            end = math.atan2(v.x - b.x, b.y - v.y)
-            out[v] = (start, (end - start) % (2.0 * math.pi))
-    return out
-
-
 def _bbox_pt_gap(bbox, px, py) -> float:
     dx = max(bbox[0] - px, 0.0, px - bbox[2])
     dy = max(bbox[1] - py, 0.0, py - bbox[3])
@@ -305,6 +282,73 @@ def _segment_distance(a, b, kind: str, payload) -> float:
         return 0.0
     n = len(verts)
     return min(_seg_seg_dist(a, b, verts[i], verts[(i + 1) % n]) for i in range(n))
+
+
+def _arc_ends(center, radius: float, start: float, sweep: float):
+    """(cx, cy, r, start, sweep, first end, last end) of the arc of the circle
+    (center, radius) swept counter-clockwise from angle start through sweep."""
+    cx, cy = center
+    end = start + sweep
+    return (
+        cx, cy, radius, start, sweep,
+        (cx + radius * math.cos(start), cy + radius * math.sin(start)),
+        (cx + radius * math.cos(end), cy + radius * math.sin(end)),
+    )
+
+
+def _radial_gap(arc, qx: float, qy: float) -> float:
+    """Distance from q to the arc along the ray from the center through q;
+    inf when that ray misses the arc."""
+    cx, cy, r, start, sweep = arc[:5]
+    dx, dy = qx - cx, qy - cy
+    h = math.hypot(dx, dy)
+    if h == 0.0:
+        return r  # the center has no direction, and every arc point is r from it
+    if (math.atan2(dy, dx) - start) % TAU > sweep:
+        return math.inf
+    return abs(h - r)
+
+
+def _arc_seg_dist(arc, a, b) -> float:
+    """Exact distance between an arc (see _arc_ends) and segment ab.  The
+    closest pair is a crossing (0), an arc end against the segment, a segment
+    end against the arc, or the foot of the center on the segment against the
+    arc point on the ray through it."""
+    cx, cy, r, _, _, p0, p1 = arc
+    ax, ay = a
+    bx, by = b
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    best = min(
+        _pt_seg_dist(p0[0], p0[1], ax, ay, bx, by),
+        _pt_seg_dist(p1[0], p1[1], ax, ay, bx, by),
+        _radial_gap(arc, ax, ay),
+        _radial_gap(arc, bx, by),
+    )
+    if L2 == 0.0:
+        return best
+    t = ((cx - ax) * dx + (cy - ay) * dy) / L2  # the center's foot on the line
+    fx, fy = ax + t * dx - cx, ay + t * dy - cy
+    if 0.0 < t < 1.0:
+        best = min(best, _radial_gap(arc, cx + fx, cy + fy))
+    h2 = (r * r - fx * fx - fy * fy) / L2  # the line meets the circle at t -+ sqrt(h2)
+    if h2 >= 0.0:
+        h = math.sqrt(h2)
+        if any(0.0 <= u <= 1.0 and _radial_gap(arc, ax + u * dx, ay + u * dy) < math.inf for u in (t - h, t + h)):
+            return 0.0
+    return best
+
+
+def _arc_distance(arc, kind: str, payload) -> float:
+    p0, p1 = arc[5], arc[6]
+    if kind == "circle":
+        qx, qy, R = payload
+        d = min(math.hypot(p0[0] - qx, p0[1] - qy), math.hypot(p1[0] - qx, p1[1] - qy), _radial_gap(arc, qx, qy))
+        return max(0.0, d - R)
+    verts = payload
+    if _point_in_convex(p0[0], p0[1], verts):
+        return 0.0
+    return min(_arc_seg_dist(arc, verts[i - 1], verts[i]) for i in range(len(verts)))
 
 
 def obstacle_distance(p: Point, spec: ObstacleSpec) -> float:
@@ -356,6 +400,33 @@ def segment_keeps(p: Point, q: Point, limit: float, scene: Scene) -> bool:
         if _bbox_seg_gap(bbox, p, q) >= limit:
             continue
         if _segment_distance(p, q, kind, payload) < limit:
+            return False
+    return True
+
+
+def arc_min_clearance(center: Point, radius: float, start: float, sweep: float, scene: Scene) -> float:
+    """Minimum distance from the arc of the circle (center, radius) swept
+    counter-clockwise from angle start through sweep to any obstacle (0 on
+    overlap), in closed form."""
+    arc = _arc_ends(center, radius, start, sweep)
+    best = math.inf
+    for kind, payload, bbox in scene.compiled.obstacles:
+        if _bbox_pt_gap(bbox, arc[0], arc[1]) - radius >= best:
+            continue
+        d = _arc_distance(arc, kind, payload)
+        if d < best:
+            best = d
+    return best
+
+
+def arc_keeps(center: Point, radius: float, start: float, sweep: float, limit: float, scene: Scene) -> bool:
+    """arc_min_clearance(center, radius, start, sweep, scene) >= limit,
+    stopping at the first obstacle that comes closer."""
+    arc = _arc_ends(center, radius, start, sweep)
+    for kind, payload, bbox in scene.compiled.obstacles:
+        if _bbox_pt_gap(bbox, arc[0], arc[1]) - radius >= limit:
+            continue
+        if _arc_distance(arc, kind, payload) < limit:
             return False
     return True
 

@@ -1,5 +1,6 @@
 """Line-and-arc smooth paths: directed tangents between turning circles, the
-single-corner optimization, multi-corner chains, lengths and travel times.
+single-corner optimization, multi-corner chains, lengths and travel times,
+and their validation, whose clearance check is exact on lines and arcs alike.
 
 A smooth path alternates straight lines with circular arcs of radius >= 10
 (the robot's minimum turning radius).  Each line is the common tangent of two
@@ -16,12 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .geometry import Point, Scene, min_clearance, segment_keeps, segment_min_clearance
+from .geometry import TAU, Point, Scene, arc_keeps, arc_min_clearance, segment_keeps, segment_min_clearance
 
-TAU = 2.0 * math.pi
 MIN_TURN_RADIUS = 10.0
 V0_DEFAULT = 5.0
-ARC_SPACING = 0.5  # largest gap between the arc samples validation checks
 
 
 class Turn(enum.Enum):
@@ -103,9 +102,10 @@ class Arc:
         s = self.circle.turn.sign
         return Point(-s * math.sin(angle), s * math.cos(angle))
 
-    def point_at(self, fraction: float) -> Point:
-        a = self.start_angle + self.circle.turn.sign * self.sweep * fraction
-        return self.circle.at(a)
+    @property
+    def ccw_start(self) -> float:
+        """The angle the arc starts from when swept counter-clockwise."""
+        return self.start_angle if self.circle.turn is Turn.CCW else self.end_angle
 
 
 PathSegment = Union[Line, Arc]
@@ -277,22 +277,21 @@ class PathDiagnostics:
         return not self.violations
 
 
-def _sample_arc(arc: Arc, spacing: float):
-    n = max(2, int(math.ceil(arc.length / spacing)) + 1)
-    for k in range(n + 1):
-        yield arc.point_at(k / n)
-
-
-def _junction_violation(i: int, a: PathSegment, b: PathSegment) -> Optional[Violation]:
-    """Where segment i (a) meets segment i + 1 (b): a gap, or a kink."""
+def _gap_violation(i: int, a: PathSegment, b: PathSegment) -> Optional[Violation]:
+    """Where segment i (a) meets segment i + 1 (b): a gap."""
     gap = math.hypot(a.end.x - b.start.x, a.end.y - b.start.y)
     if gap > 1e-6:
         return Violation("continuity", a.end, f"segments {i} and {i + 1} meet with gap {gap:g}")
+    return None
+
+
+def _kink_violation(i: int, j: int, a: PathSegment, b: PathSegment) -> Optional[Violation]:
+    """Where segment i (a) hands over to segment j (b): a kink."""
     d1 = a.tangent_at(a.end_angle) if isinstance(a, Arc) else a.direction()
     d2 = b.tangent_at(b.start_angle) if isinstance(b, Arc) else b.direction()
     dot = d1.x * d2.x + d1.y * d2.y
     if dot < 1.0 - 1e-9:
-        return Violation("tangency", a.end, f"junction {i}/{i + 1} tangent dot {dot!r}")
+        return Violation("tangency", a.end, f"junction {i}/{j} tangent dot {dot!r}")
     return None
 
 
@@ -302,43 +301,40 @@ def _radius_violation(seg: PathSegment) -> Optional[Violation]:
     return None
 
 
-def _clearance_violation(i: int, seg: PathSegment, scene: Scene, spacing: float) -> Optional[Violation]:
-    """The clearance violation of segment i, if any: exact on a line, the
-    first bad sample on an arc."""
-    limit = scene.clearance - 1e-6
+def _clearance_violation(i: int, seg: PathSegment, scene: Scene) -> Optional[Violation]:
+    """The clearance violation of segment i, if any."""
     if isinstance(seg, Line):
-        worst = segment_min_clearance(seg.a, seg.b, scene)
-        if worst < limit:
-            return Violation("clearance", seg.a, f"line segment {i} clearance {worst:.9f}")
-        return None
-    for q in _sample_arc(seg, spacing):
-        d = min_clearance(q, scene)
-        if d < limit:
-            return Violation("clearance", q, f"arc segment {i} clearance {d:.9f} at {tuple(q)}")
+        worst, kind = segment_min_clearance(seg.a, seg.b, scene), "line"
+    else:
+        c = seg.circle
+        worst, kind = arc_min_clearance(c.center, c.radius, seg.ccw_start, seg.sweep, scene), "arc"
+    if worst < scene.clearance - 1e-6:
+        return Violation("clearance", seg.start, f"{kind} segment {i} clearance {worst:.9f}")
     return None
 
 
-def validate_path(p: SmoothPath, scene: Scene, spacing: float = ARC_SPACING) -> PathDiagnostics:
+def validate_path(p: SmoothPath, scene: Scene) -> PathDiagnostics:
     """Check tangency continuity, clearance and minimum turn radius.
 
-    Clearance on straight segments is checked exactly (segment-to-obstacle
-    distance); arcs are sampled at most `spacing` units apart.  Empty
-    diagnostics mean the path is legal.
+    Clearance is exact on lines and arcs alike (the closed-form distances of
+    geometry).  A line of length 0 has no direction, so the tangency check
+    spans it and compares the segments on either side.  Empty diagnostics
+    mean the path is legal.
     """
     segs = p.segments
+    steered = [i for i, seg in enumerate(segs) if not (isinstance(seg, Line) and seg.length == 0.0)]
+    kinks = {i: _kink_violation(i, j, segs[i], segs[j]) for i, j in zip(steered, steered[1:])}
     out = []
     for i, seg in enumerate(segs):
         out.append(_radius_violation(seg))
         if i + 1 < len(segs):
-            out.append(_junction_violation(i, seg, segs[i + 1]))
-    out += [_clearance_violation(i, seg, scene, spacing) for i, seg in enumerate(segs)]
+            out.append(_gap_violation(i, seg, segs[i + 1]) or kinks.get(i))
+    out += [_clearance_violation(i, seg, scene) for i, seg in enumerate(segs)]
     return PathDiagnostics(tuple(v for v in out if v is not None))
 
 
 # The pieces of a chain, checked one by one: what chain_path builds and
 # validate_path checks, for callers that test many chains sharing pieces.
-
-WINDOW_SLACK = 1e-9  # radians an arc may overrun a free window: r(1 - cos) of it is far below the 1e-6 limit slack
 
 
 def tangent_leg(c: TurningCircle, nxt: TurningCircle) -> Optional[tuple[float, float, Line]]:
@@ -360,16 +356,9 @@ def corner_clear(
     into: tuple[float, float, Line], c: TurningCircle, out: tuple[float, float, Line], scene: Scene
 ) -> bool:
     """validate_path's verdict on the arc chain_path puts on c between the
-    legs `into` and `out`: its radius, both junctions and its clearance.  An
-    arc inside the free window of its corner (see geometry) keeps clearance
-    at every sample, so it passes without sampling."""
+    legs `into` and `out`: its radius, both junctions and its clearance."""
     arc = Arc(c, into[1], out[0])
-    if _radius_violation(arc) or _junction_violation(0, into[2], arc) or _junction_violation(0, arc, out[2]):
+    joints = ((into[2], arc), (arc, out[2]))
+    if _radius_violation(arc) or any(_gap_violation(0, a, b) or _kink_violation(0, 1, a, b) for a, b in joints):
         return False
-    window = scene.compiled.free_windows.get(c.center) if c.radius == scene.clearance else None
-    if window is not None:
-        start, span = window
-        low = arc.start_angle if c.turn is Turn.CCW else arc.end_angle
-        if (low - start + WINDOW_SLACK) % TAU + arc.sweep <= span + 2.0 * WINDOW_SLACK:
-            return True
-    return _clearance_violation(0, arc, scene, ARC_SPACING) is None
+    return arc_keeps(c.center, c.radius, arc.ccw_start, arc.sweep, scene.clearance - 1e-6, scene)

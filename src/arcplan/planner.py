@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, bounded_shortest, graph_from_edges, shortest_tree
+from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, dijkstra_shortest, graph_from_edges
 from .geometry import (
     CLEARANCE_EPS,
     Circle,
@@ -235,10 +235,9 @@ def _directed_corners(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[TurningCi
 
 
 def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Loopless shortest roadmap routes in ascending cost order (Yen).  The
-    spur searches are dijkstra_shortest's, bounded by the distances to dst."""
-    tree = shortest_tree(g, dst)
-    best = bounded_shortest(g, src, dst, (), (), tree)
+    """Loopless shortest roadmap routes in ascending cost order (Yen); every
+    search is dijkstra_shortest's."""
+    best = dijkstra_shortest(g, src, dst)
     if not best[0]:
         return
     yield best
@@ -259,7 +258,7 @@ def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tu
         for i in range(shared - 1, len(path) - 1):
             spur, root = path[i], path[: i + 1]
             banned_edges = [(spur, nxt) for nxt in branches[root]]
-            tail, tail_cost = bounded_shortest(g, spur, dst, root[:-1], banned_edges, tree)
+            tail, tail_cost = dijkstra_shortest(g, spur, dst, root[:-1], banned_edges)
             if not tail:
                 continue
             candidate = root[:-1] + tail
@@ -407,12 +406,15 @@ def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Option
 
 
 def plan_route(req: RouteRequest) -> PlanResult:
-    """Shortest validated line-and-arc route for the request.
+    """Shortest validated line-and-arc route for the request; RequestError
+    for an engine other than "exact" or "aco", or a bad endpoint.
 
     The colony engine runs the colony once.  When its proposal is unconnected
     or does not chain into a valid path, the exact engine answers instead: the
     plan says engine "exact" and keeps the colony's result as `aco`.
     """
+    if req.engine not in ("exact", "aco"):
+        raise RequestError(f"unknown engine {req.engine!r}: expected 'exact' or 'aco'")
     scene = req.scene
     start, goal = Point(*req.start), Point(*req.goal)
     direct = _direct_plan(scene, start, goal, req.engine)

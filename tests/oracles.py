@@ -463,3 +463,85 @@ def mc_area(inside, bbox, samples: int, seed: int) -> float:
         if inside(p):
             hits += 1
     return (xmax - xmin) * (ymax - ymin) * hits / samples
+
+
+# ---------------------------------------------------------------------------
+# sampled arcs and whole paths
+
+
+def scene_obstacles(scene):
+    """A scene's obstacles as ("poly", vertices) or ("circle", center,
+    radius), read from the fields of its shapes: a rectangle's anchor, width
+    and height, a circle's center and radius, and the vertices v1, v2, ...
+    of the others in the order given."""
+    out = []
+    for spec in scene.obstacles:
+        s = spec.shape
+        if hasattr(s, "radius"):
+            out.append(("circle", tuple(s.center), s.radius))
+        elif hasattr(s, "width"):
+            (x, y), w, h = s.anchor, s.width, s.height
+            out.append(("poly", [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]))
+        else:
+            out.append(("poly", [tuple(getattr(s, f"v{k}")) for k in range(1, 5) if hasattr(s, f"v{k}")]))
+    return out
+
+
+def point_clearance(p, obstacles) -> float:
+    """Least distance from p to obstacles given as ("poly", vertices) or
+    ("circle", center, radius); 0 inside one."""
+    return min(circle_dist(p, ob[1], ob[2]) if ob[0] == "circle" else poly_dist(p, ob[1]) for ob in obstacles)
+
+
+def arc_points(center, radius, start, sweep, spacing):
+    """Points of the arc swept counter-clockwise from angle `start` through
+    `sweep`, both ends included, at most `spacing` apart along it."""
+    steps = max(1, math.ceil(radius * sweep / spacing))
+    return [
+        (center[0] + radius * math.cos(start + sweep * k / steps), center[1] + radius * math.sin(start + sweep * k / steps))
+        for k in range(steps + 1)
+    ]
+
+
+def path_violation(segments, obstacles, clearance, spacing=0.5):
+    """The first fault of a line/arc chain, or None: a gap or a kink at a
+    joint, or a point closer than clearance - 1e-6 to an obstacle (lines
+    exactly, arcs at points `spacing` apart).  Reads only the plain fields of
+    the segments: a line's ends `a` and `b`; an arc's circle (center, radius,
+    turn "cw"/"ccw") and its start and end angles."""
+
+    def parts(seg):  # (start point, end point, direction in, direction out)
+        if hasattr(seg, "a"):
+            (ax, ay), (bx, by) = seg.a, seg.b
+            L = math.hypot(bx - ax, by - ay)
+            d = ((bx - ax) / L, (by - ay) / L) if L else None
+            return (ax, ay), (bx, by), d, d
+        (cx, cy), r = seg.circle.center, seg.circle.radius
+        s = 1.0 if seg.circle.turn.value == "ccw" else -1.0
+        a0, a1 = seg.start_angle, seg.end_angle
+        return (
+            (cx + r * math.cos(a0), cy + r * math.sin(a0)),
+            (cx + r * math.cos(a1), cy + r * math.sin(a1)),
+            (-s * math.sin(a0), s * math.cos(a0)),
+            (-s * math.sin(a1), s * math.cos(a1)),
+        )
+
+    pieces = [parts(seg) for seg in segments]
+    for i, (p, q) in enumerate(zip(pieces, pieces[1:])):
+        if math.dist(p[1], q[0]) > 1e-6:
+            return f"gap after segment {i}"
+        if p[3] and q[2] and p[3][0] * q[2][0] + p[3][1] * q[2][1] < 1.0 - 1e-7:
+            return f"kink after segment {i}"
+    limit = clearance - 1e-6
+    for i, seg in enumerate(segments):
+        if hasattr(seg, "a"):
+            d = segment_clearance(seg.a, seg.b, obstacles)
+        else:
+            c = seg.circle
+            s = 1.0 if c.turn.value == "ccw" else -1.0
+            sweep = (s * (seg.end_angle - seg.start_angle)) % TAU
+            low = seg.start_angle if s > 0 else seg.end_angle
+            d = min(point_clearance(p, obstacles) for p in arc_points(c.center, c.radius, low, sweep, spacing))
+        if d < limit:
+            return f"segment {i} has clearance {d:.9f}"
+    return None

@@ -14,11 +14,9 @@ from arcplan.aco import (
     bits_to_string,
     builtin_graph,
     decode_and_cost,
-    bounded_shortest,
     dijkstra_shortest,
     graph_from_edges,
     pheromone_init,
-    shortest_tree,
 )
 
 OPTIMUM_NODES = (1, 4, 8, 9, 11, 14, 15)
@@ -143,28 +141,6 @@ def test_dijkstra_matches_exhaustive_on_random_graphs():
                 assert (cost, nodes) in routes  # tie-safe: any cheapest route is fine
             else:
                 assert nodes == () and cost == math.inf
-
-
-def test_bounded_shortest_matches_dijkstra_with_ties():
-    # Small integer weights tie all the time: the bounded search, with or
-    # without its shortcut, must return the plain search's route and cost.
-    rng = random.Random(11)
-    searches = 0
-    for _ in range(300):
-        n = rng.randint(4, 12)
-        edges = [(i, j, float(rng.randint(1, 6)))
-                 for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5]
-        g = graph_from_edges(n, edges)
-        dst = rng.randint(1, n)
-        tree = shortest_tree(g, dst)
-        for _ in range(6):
-            src = rng.randint(1, n)
-            banned_nodes = frozenset(v for v in range(1, n + 1) if v not in (src, dst) and rng.random() < 0.2)
-            banned_edges = frozenset((src, j) for j, _ in g.neighbors(src) if rng.random() < 0.3)
-            got = bounded_shortest(g, src, dst, banned_nodes, banned_edges, tree)
-            assert got == dijkstra_shortest(g, src, dst, banned_nodes, banned_edges), (edges, src, dst)
-            searches += 1
-    assert searches == 1800
 
 
 def test_dijkstra_unreachable_and_trivial():

@@ -254,8 +254,11 @@ def test_unreadable_scene_file_exit_code(capsys, tmp_path, content, message):
         (("export-svg", "--ants", "0", "--out", "route.svg"), "expected an integer >= 1, got 0"),
         (("aco", "--ants", "0"), "expected an integer >= 1, got 0"),
         (("aco", "--gens", "-5"), "expected an integer >= 0, got -5"),
+        (("verify", "--tolerance", "-1"), "expected a finite number >= 0, got -1.0"),
+        (("verify", "--tolerance", "nan"), "expected a finite number >= 0, got nan"),
     ],
-    ids=["enumerate-top", "plan-ants", "export-svg-ants", "aco-ants", "aco-gens"],
+    ids=["enumerate-top", "plan-ants", "export-svg-ants", "aco-ants", "aco-gens", "verify-negative-tolerance",
+         "verify-nan-tolerance"],
 )
 def test_nonpositive_count_usage_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -263,6 +266,26 @@ def test_nonpositive_count_usage_error(capsys, tmp_path, monkeypatch, argv, mess
         main(list(argv))
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan", "--out", "{missing}"),
+        ("plan", "--svg", "{missing}"),
+        ("aco", "--gens", "2", "--out", "{missing}"),
+        ("export-svg", "--out", "{missing}"),
+        ("plan", "--out", "{directory}"),
+    ],
+    ids=["plan-out", "plan-svg", "aco-out", "export-svg-out", "plan-out-directory"],
+)
+def test_unwritable_output_file_exit_code(capsys, tmp_path, argv):
+    paths = {"missing": str(tmp_path / "no-such-dir" / "out.txt"), "directory": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in argv]
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {argv[-1]}: "), err
+    assert "Traceback" not in err
 
 
 def test_infeasible_exit_code(capsys, tmp_path):

@@ -19,6 +19,8 @@ from arcplan.geometry import (
     Triangle,
     _pt_seg_dist,
     _seg_seg_dist,
+    arc_keeps,
+    arc_min_clearance,
     blocking_obstacles,
     builtin_scene,
     inflate_scene,
@@ -222,23 +224,102 @@ def test_segment_keeps_is_the_min_clearance_test(scene):
             assert segment_keeps(a, b, limit, scene) == (worst >= limit), (a, b, limit)
 
 
-def test_free_windows_are_the_clear_arcs_of_lone_corners(scene):
+ARC_SCENE = Scene(
+    (300.0, 300.0),
+    (
+        ObstacleSpec(1, AxisRect(Point(40, 40), 60, 40)),
+        ObstacleSpec(2, Triangle(Point(160, 40), Point(240, 60), Point(190, 120))),
+        ObstacleSpec(3, parallelogram_from(Point(50, 170), 70, Point(80, 240))),
+        ObstacleSpec(4, Circle(Point(200, 200), 30)),
+    ),
+    10.0,
+)
+
+
+def _random_arcs(rng, count):
+    """(center, radius, start, sweep) arcs around ARC_SCENE: centered on a
+    polygon vertex, near an edge (most of these cross it), grazing an edge
+    from outside at a set gap, or around the circle obstacle; sweeps near 0,
+    near 2 pi or anywhere between."""
+    polys = [ob[1] for ob in oracles.scene_obstacles(ARC_SCENE) if ob[0] == "poly"]
+    out = []
+    for n in range(count):
+        kind = n % 4
+        poly = rng.choice(polys)
+        k = rng.randrange(len(poly))
+        (ax, ay), (bx, by) = poly[k], poly[(k + 1) % len(poly)]
+        sweep = rng.choice([rng.uniform(1e-7, 1e-3), TAU - rng.uniform(1e-7, 1e-3), rng.uniform(0.0, TAU)])
+        start = rng.uniform(-TAU, TAU)
+        if kind == 0:
+            out.append(((ax, ay), rng.uniform(2.0, 25.0), start, sweep))
+        elif kind == 1:
+            t = rng.uniform(0.0, 1.0)
+            center = (ax + t * (bx - ax) + rng.uniform(-15, 15), ay + t * (by - ay) + rng.uniform(-15, 15))
+            out.append((center, rng.uniform(2.0, 25.0), start, sweep))
+        elif kind == 2:
+            # the outward normal of edge ab, and a foot on it; the polygon may
+            # be listed either way round, so point away from its vertex mean
+            L = math.hypot(bx - ax, by - ay)
+            nx, ny = (by - ay) / L, (ax - bx) / L
+            mx, my = (sum(v[0] for v in poly) / len(poly), sum(v[1] for v in poly) / len(poly))
+            if nx * (mx - ax) + ny * (my - ay) > 0:
+                nx, ny = -nx, -ny
+            t = rng.uniform(0.1, 0.9)
+            gap = rng.choice([0.0, 1e-3, 10.0, rng.uniform(0.0, 12.0)])
+            r = rng.uniform(3.0, 25.0)
+            center = (ax + t * (bx - ax) + (r + gap) * nx, ay + t * (by - ay) + (r + gap) * ny)
+            sweep = rng.uniform(0.3, TAU - 1e-4)
+            out.append((center, r, math.atan2(-ny, -nx) - rng.uniform(0.1, sweep - 0.1), sweep))
+        else:
+            center = (200 + rng.uniform(-45, 45), 200 + rng.uniform(-45, 45))
+            out.append((center, rng.uniform(2.0, 25.0), start, sweep))
+    return out
+
+
+def test_arc_clearance_matches_sampled_oracle():
+    # Every sample lies on the arc, so the exact value is at most the sampled
+    # minimum; every arc point lies within the sagitta of the polyline through
+    # the samples, so the exact value is at least the polyline's minimum less
+    # the sagitta.
+    obstacles = oracles.scene_obstacles(ARC_SCENE)
+    for center, r, start, sweep in _random_arcs(random.Random(7), 160):
+        points = oracles.arc_points(center, r, start, sweep, 0.5)
+        sagitta = r * (1.0 - math.cos(sweep / (len(points) - 1) / 2.0))
+        sampled = min(oracles.point_clearance(p, obstacles) for p in points)
+        polyline = min(oracles.segment_clearance(p, q, obstacles) for p, q in zip(points, points[1:]))
+        exact = arc_min_clearance(Point(*center), r, start, sweep, ARC_SCENE)
+        case = (center, r, start, sweep)
+        assert polyline - sagitta - 1e-9 <= exact <= sampled + 1e-9, case
+        for limit in (exact, exact + 1e-6, 10.0 - 1e-6):
+            assert arc_keeps(Point(*center), r, start, sweep, limit, ARC_SCENE) == (exact >= limit), case
+
+
+def test_arc_clearance_of_lone_corners(scene):
+    # A vertex with no other obstacle within 2r: the arc of radius r through
+    # its normal cone keeps exactly r, and just past either side its own
+    # polygon comes closer.
     r = scene.clearance
-    windows = scene.compiled.free_windows
-    assert windows and set(windows) <= {v for spec in scene.obstacles if not isinstance(spec.shape, Circle)
-                                         for v in obstacle_vertices(spec)}
-    for v, (start, span) in windows.items():
-        assert 0.0 < span < math.pi
-        def clearance_at(angle):
-            return min_clearance(Point(v.x + r * math.cos(angle), v.y + r * math.sin(angle)), scene)
-        assert all(clearance_at(start + span * k / 40) >= r - 1e-9 for k in range(41)), v
-        # just past either side the vertex's own polygon comes closer
-        assert clearance_at(start - 0.05) < r - 1e-3 and clearance_at(start + span + 0.05) < r - 1e-3, v
-    # two squares meeting at (200, 200): that corner has a neighbour within 2r
+    lone = 0
+    for spec in scene.obstacles:
+        if isinstance(spec.shape, Circle):
+            continue
+        verts = obstacle_vertices(spec)
+        for i, v in enumerate(verts):
+            if any(other != spec and obstacle_distance(v, other) < 2.0 * r for other in scene.obstacles):
+                continue
+            a, b = verts[i - 1], verts[(i + 1) % len(verts)]
+            start = math.atan2(a.x - v.x, v.y - a.y)  # outward normals of the edges into and out of v
+            span = (math.atan2(v.x - b.x, b.y - v.y) - start) % TAU
+            assert arc_min_clearance(v, r, start, span, scene) == pytest.approx(r, abs=1e-9), v
+            assert arc_min_clearance(v, r, start - 0.05, span + 0.05, scene) < r - 1e-3, v
+            assert arc_min_clearance(v, r, start, span + 0.05, scene) < r - 1e-3, v
+            lone += 1
+    assert lone >= 20
+    # two squares meeting at (200, 200): the arc around that corner meets the other square
     squares = Scene((400.0, 400.0), (ObstacleSpec(1, AxisRect(Point(100, 100), 100, 100)),
                                      ObstacleSpec(2, AxisRect(Point(200, 200), 100, 100))), 10.0)
-    assert Point(200, 200) not in squares.compiled.free_windows
-    assert Point(100, 100) in squares.compiled.free_windows
+    assert arc_min_clearance(Point(200, 200), r, -math.pi / 2, math.pi / 2, squares) == 0.0
+    assert arc_min_clearance(Point(100, 100), r, math.pi, math.pi / 2, squares) == pytest.approx(r)
 
 
 def test_scene_contains():

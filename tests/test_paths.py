@@ -187,8 +187,8 @@ def test_arc_chord_identity_sample():
 def test_arc_endpoints_and_tangent():
     c = TurningCircle(Point(3, 4), 10.0, Turn.CW)
     arc = Arc(c, 1.0, 0.25)
-    assert arc.point_at(0.0) == arc.start
-    assert math.dist(arc.point_at(1.0), arc.end) == pytest.approx(0.0, abs=1e-12)
+    assert arc.start == Point(3 + 10 * math.cos(1.0), 4 + 10 * math.sin(1.0))
+    assert arc.end == Point(3 + 10 * math.cos(0.25), 4 + 10 * math.sin(0.25))
     t = arc.tangent_at(1.0)
     assert math.hypot(t.x, t.y) == pytest.approx(1.0)
     assert arc.length == pytest.approx(10.0 * 0.75)
@@ -410,3 +410,17 @@ def test_validate_flags_continuity_and_tangency(scene):
     assert any(v.kind == "continuity" for v in validate_path(gap, scene).violations)
     kink = SmoothPath((Line(Point(0, 0), Point(50, 0)), Line(Point(50, 0), Point(50, 40))))
     assert any(v.kind == "tangency" for v in validate_path(kink, scene).violations)
+
+
+def test_validate_checks_tangency_across_zero_length_line(scene):
+    # a line of length 0 has no direction: the segments on either side must agree
+    stop = Line(Point(50, 0), Point(50, 0))
+    straight = SmoothPath((Line(Point(0, 0), Point(50, 0)), stop, stop, Line(Point(50, 0), Point(70, 0))))
+    assert validate_path(straight, scene).ok
+    kinked = SmoothPath((Line(Point(0, 0), Point(50, 0)), stop, Line(Point(50, 0), Point(60, 10))))
+    assert [v.kind for v in validate_path(kinked, scene).violations] == ["tangency"]
+    turn = Arc(TurningCircle(Point(50, 10), 10.0, Turn.CCW), -math.pi / 2, 0.0)
+    pause = Line(turn.end, turn.end)
+    assert validate_path(SmoothPath((Line(Point(0, 0), Point(50, 0)), turn, pause, Line(turn.end, Point(60, 30)))), scene).ok
+    bent = SmoothPath((turn, pause, Line(turn.end, Point(80, 10))))
+    assert [v.kind for v in validate_path(bent, scene).violations] == ["tangency"]

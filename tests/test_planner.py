@@ -11,6 +11,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from arcplan.aco import AcoParams, dijkstra_shortest
@@ -20,9 +22,11 @@ from arcplan.geometry import (
     ObstacleSpec,
     Point,
     Scene,
+    Triangle,
     builtin_scene,
     min_clearance,
     obstacle_vertices,
+    parallelogram_from,
     segment_clear,
 )
 from arcplan import planner
@@ -390,6 +394,53 @@ def test_request_error_blocked_endpoint(scene):
     assert "(obstacles (1,))" in str(err.value)
 
 
+def test_request_error_unknown_engine(scene):
+    # a straight query too: the engine is checked before any planning
+    for goal in (A, Point(50, 10)):
+        with pytest.raises(RequestError, match="unknown engine 'ACO'"):
+            plan_route(RouteRequest(O, goal, scene, engine="ACO"))
+
+
+@st.composite
+def small_scenes(draw):
+    """A 300 x 300 scene of 2 to 6 obstacles of every kind, possibly
+    overlapping, between x = 40 and x = 260; triangles come in either vertex
+    order."""
+    obstacles = []
+    for oid in range(1, draw(st.integers(2, 6)) + 1):
+        kind = draw(st.sampled_from(("rect", "circle", "triangle", "parallelogram")))
+        x, y = draw(st.floats(40.0, 170.0)), draw(st.floats(20.0, 200.0))
+        w, h = draw(st.floats(15.0, 60.0)), draw(st.floats(15.0, 80.0))
+        slant = draw(st.floats(-0.5, 1.5)) if kind in ("triangle", "parallelogram") else 0.0
+        if kind == "rect":
+            shape = AxisRect(Point(x, y), w, h)
+        elif kind == "circle":
+            shape = Circle(Point(x + w / 2.0, y + w / 2.0), w / 2.0)
+        elif kind == "triangle":
+            verts = (Point(x, y), Point(x + w, y), Point(x + slant * w, y + h))
+            shape = Triangle(*(verts[::-1] if draw(st.booleans()) else verts))
+        else:
+            shape = parallelogram_from(Point(x, y), w, Point(x + slant * w, y + h))
+        obstacles.append(ObstacleSpec(oid, shape))
+    return Scene((300.0, 300.0), tuple(obstacles), 10.0)
+
+
+@settings(max_examples=200)
+@given(
+    scene=small_scenes(),
+    start=st.builds(Point, st.floats(0.0, 25.0), st.floats(0.0, 300.0)),
+    goal=st.builds(Point, st.floats(275.0, 300.0), st.floats(0.0, 300.0)),
+    engine=st.sampled_from(("exact", "aco")),
+)
+def test_random_scene_plans_pass_sampled_oracle(scene, start, goal, engine):
+    # every answer keeps clearance at half-unit arc samples and is tangent at every joint
+    try:
+        plan = plan_route(RouteRequest(start, goal, scene, engine, AcoParams(ants=8, generations=8)))
+    except (RequestError, RouteInfeasible):
+        return
+    assert oracles.path_violation(plan.path.segments, oracles.scene_obstacles(scene), scene.clearance) is None
+
+
 def test_route_infeasible_reports_blockers():
     scene = pocket_scene()
     start, goal = Point(20, 20), Point(100, 100)
@@ -525,6 +576,20 @@ def test_chain_screen_matches_validate_path(yen_scans):
             checked += 1
             accepted += plan is not None
     assert checked > 1000 and accepted > 30
+
+
+def test_chain_screen_rejects_a_sequence_on_its_corner_arc_alone():
+    # up the wall's left side, around its top corners and down its right
+    # side: the legs keep clearance, but the arc around (100, 200) passes 7
+    # from the disc beyond it
+    wall = ObstacleSpec(1, AxisRect(Point(100, 50), 10, 150))
+    disc = ObstacleSpec(2, Circle(Point(100 - 25 * math.sqrt(0.5), 200 + 25 * math.sqrt(0.5)), 8.0))
+    scene = Scene((300.0, 300.0), (wall, disc), 10.0)
+    rm = build_roadmap(scene, Point(80, 60), Point(130, 60))
+    over = (1, rm.anchors.index(Point(100, 200)) + 1, rm.anchors.index(Point(110, 200)) + 1, len(rm.anchors))
+    violations = validate_path(_chain_for(rm, over)[1], scene).violations
+    assert [(v.kind, v.detail[:14]) for v in violations] == [("clearance", "arc segment 1 ")]
+    assert not _ChainScreen(rm, scene).ok(over)
 
 
 def test_trace_wrap_points_resolve():
