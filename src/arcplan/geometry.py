@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
-CLEARANCE_EPS = 1e-9  # tolerance when comparing distances against the clearance
+CLEARANCE_EPS = 1e-9  # every clearance verdict keeps the clearance at >= clearance - CLEARANCE_EPS
 TAU = 2.0 * math.pi
 
 
@@ -387,15 +387,10 @@ def segment_min_clearance(a: Point, b: Point, scene: Scene) -> float:
 
 
 def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
-    """True iff every point of segment pq keeps at least the scene clearance
-    (within CLEARANCE_EPS) from every obstacle."""
-    return segment_keeps(p, q, scene.clearance - CLEARANCE_EPS, scene)
-
-
-def segment_keeps(p: Point, q: Point, limit: float, scene: Scene) -> bool:
-    """True iff every point of segment pq is at least `limit` from every
-    obstacle: segment_min_clearance(p, q, scene) >= limit, stopping at the
-    first obstacle that comes closer."""
+    """True iff every point of segment pq keeps the scene clearance (less
+    CLEARANCE_EPS) from every obstacle: segment_min_clearance's verdict,
+    stopping at the first obstacle that comes closer."""
+    limit = scene.clearance - CLEARANCE_EPS
     for kind, payload, bbox in scene.compiled.obstacles:
         if _bbox_seg_gap(bbox, p, q) >= limit:
             continue
@@ -419,9 +414,11 @@ def arc_min_clearance(center: Point, radius: float, start: float, sweep: float, 
     return best
 
 
-def arc_keeps(center: Point, radius: float, start: float, sweep: float, limit: float, scene: Scene) -> bool:
-    """arc_min_clearance(center, radius, start, sweep, scene) >= limit,
-    stopping at the first obstacle that comes closer."""
+def arc_clear(center: Point, radius: float, start: float, sweep: float, scene: Scene) -> bool:
+    """True iff every point of the arc (as in arc_min_clearance) keeps the
+    scene clearance (less CLEARANCE_EPS) from every obstacle, stopping at the
+    first obstacle that comes closer."""
+    limit = scene.clearance - CLEARANCE_EPS
     arc = _arc_ends(center, radius, start, sweep)
     for kind, payload, bbox in scene.compiled.obstacles:
         if _bbox_pt_gap(bbox, arc[0], arc[1]) - radius >= limit:

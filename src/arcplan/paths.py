@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .geometry import TAU, Point, Scene, arc_keeps, arc_min_clearance, segment_keeps, segment_min_clearance
+from .geometry import CLEARANCE_EPS, TAU, Point, Scene, arc_clear, arc_min_clearance, segment_min_clearance
 
 MIN_TURN_RADIUS = 10.0
 V0_DEFAULT = 5.0
@@ -308,7 +308,7 @@ def _clearance_violation(i: int, seg: PathSegment, scene: Scene) -> Optional[Vio
     else:
         c = seg.circle
         worst, kind = arc_min_clearance(c.center, c.radius, seg.ccw_start, seg.sweep, scene), "arc"
-    if worst < scene.clearance - 1e-6:
+    if worst < scene.clearance - CLEARANCE_EPS:
         return Violation("clearance", seg.start, f"{kind} segment {i} clearance {worst:.9f}")
     return None
 
@@ -334,7 +334,8 @@ def validate_path(p: SmoothPath, scene: Scene) -> PathDiagnostics:
 
 
 # The pieces of a chain, checked one by one: what chain_path builds and
-# validate_path checks, for callers that test many chains sharing pieces.
+# validate_path checks, for callers that test many chains sharing pieces.  A
+# leg's clearance is geometry.segment_clear, at validate_path's limit.
 
 
 def tangent_leg(c: TurningCircle, nxt: TurningCircle) -> Optional[tuple[float, float, Line]]:
@@ -347,11 +348,6 @@ def tangent_leg(c: TurningCircle, nxt: TurningCircle) -> Optional[tuple[float, f
     return a_out, a_next, Line(c.at(a_out), nxt.at(a_next))
 
 
-def line_clear(line: Line, scene: Scene) -> bool:
-    """validate_path's clearance verdict on one line."""
-    return segment_keeps(line.a, line.b, scene.clearance - 1e-6, scene)
-
-
 def corner_clear(
     into: tuple[float, float, Line], c: TurningCircle, out: tuple[float, float, Line], scene: Scene
 ) -> bool:
@@ -361,4 +357,4 @@ def corner_clear(
     joints = ((into[2], arc), (arc, out[2]))
     if _radius_violation(arc) or any(_gap_violation(0, a, b) or _kink_violation(0, 1, a, b) for a, b in joints):
         return False
-    return arc_keeps(c.center, c.radius, arc.ccw_start, arc.sweep, scene.clearance - 1e-6, scene)
+    return arc_clear(c.center, c.radius, arc.ccw_start, arc.sweep, scene)

@@ -39,11 +39,11 @@ from .geometry import (
     Scene,
     blocking_obstacles,
     min_clearance,
-    obstacle_distance,
     obstacle_vertices,
     segment_clear,
 )
 from .paths import (
+    MIN_TURN_RADIUS,
     ChainingError,
     Line,
     SmoothPath,
@@ -51,7 +51,6 @@ from .paths import (
     TurningCircle,
     chain_path,
     corner_clear,
-    line_clear,
     pair_tangent,
     tangent_leg,
     travel_time,
@@ -91,14 +90,13 @@ class RouteRequest:
 
 @dataclass(frozen=True)
 class Roadmap:
-    """Node 1 = start, node n = goal, interior nodes = corner circle centers."""
+    """Node 1 = start, node n = goal, interior nodes = corner circle centers.
+    circles[node - 1] holds chain_path's radius-0 circle at an endpoint and the
+    (CW, CCW) circles at a corner, so circles[node - 1][bends ccw] turns as bent."""
 
     graph: WeightedGraph
     anchors: tuple[Point, ...]
-    radius: float
-
-    def circle_for(self, node: int, turn: Turn) -> TurningCircle:
-        return TurningCircle(self.anchors[node - 1], self.radius, turn)
+    circles: tuple[tuple[TurningCircle, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -116,13 +114,10 @@ class PlanResult:
 def _check_endpoint(p: Point, scene: Scene, label: str) -> None:
     if not scene.contains(p):
         raise RequestError(f"{label} {tuple(p)} lies outside the scene bounds {scene.bounds}")
-    limit = scene.clearance - CLEARANCE_EPS
     d = min_clearance(p, scene)
-    if d < limit:
-        near = tuple(spec.id for spec in scene.obstacles if obstacle_distance(p, spec) < limit)
-        raise RequestError(
-            f"{label} {tuple(p)} has clearance {d:.4f} < {scene.clearance} (obstacles {near})"
-        )
+    if d < scene.clearance - CLEARANCE_EPS:
+        near = blocking_obstacles(p, p, scene)
+        raise RequestError(f"{label} {tuple(p)} has clearance {d:.4f} < {scene.clearance} (obstacles {near})")
 
 
 def corner_candidates(scene: Scene) -> tuple[Point, ...]:
@@ -143,9 +138,10 @@ def corner_candidates(scene: Scene) -> tuple[Point, ...]:
 
 
 def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene: Scene) -> bool:
-    """True iff the directed tangent of one turn pair, same turns first, keeps
-    clearance; a and b are two anchors' circles."""
-    for c1, c2 in sorted(itertools.product(a, b), key=lambda pair: pair[0].turn is not pair[1].turn):
+    """True iff the directed tangent of some turn pair keeps clearance; a and b
+    are two anchors' circles.  Any pair that clears will do, so the order the
+    pairs are tried in cannot change the answer."""
+    for c1, c2 in itertools.product(a, b):
         try:
             t1, t2 = pair_tangent(c1, c2)
         except ChainingError:
@@ -157,7 +153,7 @@ def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene
 
 @dataclass(frozen=True)
 class _CornerLinks:
-    """A scene's corners in `corner_candidates` order, their CW and CCW
+    """A scene's corners in `corner_candidates` order, their (CW, CCW)
     turning circles, and the (i, j), i < j, pairs `_connected` joins."""
 
     corners: tuple[Point, ...]
@@ -184,14 +180,14 @@ def _corner_links(scene: Scene) -> _CornerLinks:
 def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     """Weighted roadmap over start, goal and all corner candidates.
 
-    Every anchor has its turning circles: one of radius 0 for an endpoint, a
-    CW and a CCW one of radius clearance for a corner.  An edge exists iff the
-    directed tangent of some turn pair between two anchors' circles keeps
-    clearance.  Between the endpoints that tangent is the straight segment;
-    between an endpoint and a corner the two turn pairs give the two tangents
-    (either turn of an endpoint reaches both; the start's CCW and the goal's
-    CW only fix which is tried first).  Its weight is the plain Euclidean
-    anchor distance.  Corner-to-corner edges come from the scene's compiled
+    Every anchor has its turning circles (`Roadmap.circles`): chain_path's
+    one of radius 0 for an endpoint, a CW and a CCW one of radius clearance
+    for a corner.  An edge exists iff the directed tangent of some turn pair
+    between two anchors' circles keeps clearance (segment_clear, the limit
+    validate_path applies).  Between the endpoints that tangent is the
+    straight segment; between an endpoint and a corner the corner's two
+    turns give the two tangents.  Its weight is the plain Euclidean anchor
+    distance.  Corner-to-corner edges come from the scene's compiled
     corner links, so a query tests only the pairs that hold an endpoint.
     Nodes run start, corners by distance from the start, goal.  The endpoints
     are not checked here: the planning entry points check them first.
@@ -200,11 +196,7 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     links = _corner_links(scene)
     order = sorted(range(len(links.corners)), key=lambda i: (math.dist(start, links.corners[i]), *links.corners[i]))
     anchors = (start, *(links.corners[i] for i in order), goal)
-    circles = [
-        (TurningCircle(start, 0.0, Turn.CCW),),
-        *(links.circles[i] for i in order),
-        (TurningCircle(goal, 0.0, Turn.CW),),
-    ]
+    circles = ((TurningCircle(start, 0.0),), *(links.circles[i] for i in order), (TurningCircle(goal, 0.0),))
     last = len(anchors) - 1
 
     def linked(i: int, j: int) -> bool:
@@ -218,20 +210,13 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
         for i, j in itertools.combinations(range(len(anchors)), 2)
         if linked(i, j)
     ]
-    return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, scene.clearance)
+    return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, circles)
 
 
 def _bends_ccw(rm: Roadmap, node_seq: tuple[int, ...]) -> list[bool]:
     """Per interior corner: whether the roadmap polyline bends counter-clockwise there."""
     pts = [rm.anchors[k - 1] for k in node_seq]
     return [(b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) > 0 for a, b, c in zip(pts, pts[1:], pts[2:])]
-
-
-def _directed_corners(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[TurningCircle, ...]:
-    """Turn per interior corner: the side the roadmap polyline bends toward."""
-    return tuple(
-        rm.circle_for(node, Turn.CCW if ccw else Turn.CW) for node, ccw in zip(node_seq[1:-1], _bends_ccw(rm, node_seq))
-    )
 
 
 def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -273,9 +258,9 @@ def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tu
 
 
 def _chain_for(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[tuple[TurningCircle, ...], SmoothPath]:
-    circles = _directed_corners(rm, node_seq)
-    path = chain_path(rm.anchors[node_seq[0] - 1], circles, rm.anchors[node_seq[-1] - 1])
-    return circles, path
+    """The corners' circles, each turned the way the roadmap polyline bends, and their chain."""
+    circles = tuple(rm.circles[node - 1][ccw] for node, ccw in zip(node_seq[1:-1], _bends_ccw(rm, node_seq)))
+    return circles, chain_path(rm.anchors[node_seq[0] - 1], circles, rm.anchors[node_seq[-1] - 1])
 
 
 def _plan(rm: Roadmap, node_seq: tuple[int, ...], roadmap_cost: float, engine: str, aco=None) -> PlanResult:
@@ -310,26 +295,24 @@ class _ChainScreen:
     two consecutive turning circles) and each corner (a circle's arc between
     the legs into and out of it) is built and checked once, keyed by node
     ids and turns; a sequence is rejected at its first failing piece, known
-    ones first.  The pieces are those chain_path builds, so for a start and
+    ones first.  The pieces are those chain_path builds, on the roadmap's
+    circles, and each is judged at validate_path's one clearance limit
+    (segment_clear for a leg, corner_clear for a corner), so for a start and
     a goal apart the verdict is validate_path's on the chained path.
     """
 
     def __init__(self, rm: Roadmap, scene: Scene):
         self.rm = rm
         self.scene = scene
-        # a circle is (node, bends ccw), None at an endpoint; a leg is a pair
-        # of circles, a corner a triple
+        # a circle is (node, bends ccw), False at an endpoint, which has one
+        # circle; a leg is a pair of circles, a corner a triple
         self.legs: dict[tuple, Optional[tuple[float, float, Line]]] = {}
         self.clear: dict[tuple, bool] = {}
         self.corners: dict[tuple, bool] = {}
 
-    def _circle(self, node: int, ccw: Optional[bool]) -> TurningCircle:
-        if ccw is None:  # an endpoint: chain_path's circle of radius 0
-            return TurningCircle(self.rm.anchors[node - 1], 0.0)
-        return self.rm.circle_for(node, Turn.CCW if ccw else Turn.CW)
-
     def ok(self, seq: tuple[int, ...]) -> bool:
-        circles = list(zip(seq, [None, *_bends_ccw(self.rm, seq), None]))
+        circles = list(zip(seq, [False, *_bends_ccw(self.rm, seq), False]))
+        turning = self.rm.circles
         legs = list(zip(circles, circles[1:]))
         corners = list(zip(circles, circles[1:], circles[2:]))
         leg_verdicts = list(map(self.clear.get, legs))
@@ -338,13 +321,16 @@ class _ChainScreen:
             return False
         for leg, verdict in zip(legs, leg_verdicts):
             if verdict is None:
-                piece = self.legs[leg] = tangent_leg(self._circle(*leg[0]), self._circle(*leg[1]))
-                if not self.clear.setdefault(leg, piece is not None and line_clear(piece[2], self.scene)):
+                (n1, ccw1), (n2, ccw2) = leg
+                piece = self.legs[leg] = tangent_leg(turning[n1 - 1][ccw1], turning[n2 - 1][ccw2])
+                keeps = piece is not None and segment_clear(piece[2].a, piece[2].b, self.scene)
+                if not self.clear.setdefault(leg, keeps):
                     return False
         for into, out, corner, verdict in zip(legs, legs[1:], corners, corner_verdicts):
             if verdict is None:
-                piece = corner_clear(self.legs[into], self._circle(*corner[1]), self.legs[out], self.scene)
-                if not self.corners.setdefault(corner, piece):
+                node, ccw = corner[1]
+                keeps = corner_clear(self.legs[into], turning[node - 1][ccw], self.legs[out], self.scene)
+                if not self.corners.setdefault(corner, keeps):
                     return False
         return True
 
@@ -394,7 +380,8 @@ def _colony_subgraph(rm: Roadmap) -> Optional[tuple[WeightedGraph, tuple[int, ..
 
 
 def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Optional[PlanResult]:
-    """Check both endpoints; return the empty or straight plan when one fits."""
+    """Check both endpoints; return the empty or straight plan when one fits.
+    Other routes turn on arcs of radius clearance: RequestError below MIN_TURN_RADIUS."""
     _check_endpoint(start, scene, "start")
     _check_endpoint(goal, scene, "goal")
     if start == goal:
@@ -402,6 +389,9 @@ def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Option
     if segment_clear(start, goal, scene):
         path = SmoothPath((Line(start, goal),))
         return PlanResult((), path, path.length, travel_time(path), (1, 2), engine, path.length)
+    if scene.clearance < MIN_TURN_RADIUS:
+        raise RequestError(f"the route must turn, but the scene clearance {scene.clearance:g}, the radius of"
+                           f" its corner arcs, is below the minimum turning radius {MIN_TURN_RADIUS:g}")
     return None
 
 

@@ -47,6 +47,12 @@ def _num(value, name: str, positive: bool = False) -> float:
     return x
 
 
+def _no_unknown_keys(d: dict, known, what: str) -> None:
+    unknown = ", ".join(repr(key) for key in d if key not in known)
+    if unknown:
+        raise SceneFormatError(f"{what}: unknown key {unknown}")
+
+
 def _pt(v, name: str) -> Point:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise SceneFormatError(f"{name}: expected [x, y] pair, got {v!r}")
@@ -56,10 +62,12 @@ def _pt(v, name: str) -> Point:
 def scene_from_dict(d: dict) -> Scene:
     """Scene from its JSON form; every number must be finite and no boolean,
     the clearance, bounds and obstacle dimensions positive, the obstacle ids
-    distinct integers and no triangle or parallelogram of zero area."""
+    distinct integers and no triangle or parallelogram of zero area; a key it
+    does not define, at the top or for an obstacle's kind, is never ignored."""
     if not isinstance(d, dict):
         raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
+        _no_unknown_keys(d, ("bounds", "clearance", "obstacles"), "scene")
         raw = d.get("bounds", [800.0, 800.0])
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise SceneFormatError(f"bounds must be [width, height], got {raw!r}")
@@ -75,11 +83,14 @@ def scene_from_dict(d: dict) -> Scene:
                 raise SceneFormatError(f"obstacle id {oid} is used twice")
             kind = entry["kind"]
             at = f"obstacle {oid}"
+            read = {"id", "kind"}
 
             def pt(key: str) -> Point:
+                read.add(key)
                 return _pt(entry[key], f"{at} {key}")
 
             def size(key: str) -> float:
+                read.add(key)
                 return _num(entry[key], f"{at} {key}", positive=True)
 
             if kind == "rect":
@@ -98,6 +109,7 @@ def scene_from_dict(d: dict) -> Scene:
                     raise SceneFormatError(f"{at}: top_left is level with anchor (zero area)")
             else:
                 raise SceneFormatError(f"{at}: unknown kind {kind!r}")
+            _no_unknown_keys(entry, read, f"{at} ({kind})")
             obstacles.append(ObstacleSpec(oid, shape))
     except KeyError as e:
         raise SceneFormatError(f"scene entry missing field {e}") from None

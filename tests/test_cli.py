@@ -219,10 +219,20 @@ def _scene_with(obstacle: dict) -> str:
          "obstacle 1: left, lower_right and top are collinear (zero area)"),
         (_scene_with({"kind": "parallelogram", "anchor": [100, 100], "base": 50, "top_left": [130, 100]}),
          "obstacle 1: top_left is level with anchor (zero area)"),
+        ('{"clearence": 25}', "scene: unknown key 'clearence'"),
+        (_scene_with({"kind": "rect", "anchor": [10, 10], "width": 5, "height": 20, "radius": 3}),
+         "obstacle 1 (rect): unknown key 'radius'"),
+        (_scene_with({"kind": "circle", "center": [50, 50], "radius": 5, "width": 4, "height": 4}),
+         "obstacle 1 (circle): unknown key 'width', 'height'"),
+        (_scene_with({"kind": "triangle", "left": [0, 0], "lower_right": [9, 0], "top": [4, 9], "anchor": [0, 0]}),
+         "obstacle 1 (triangle): unknown key 'anchor'"),
+        (_scene_with({"kind": "parallelogram", "anchor": [0, 0], "base": 9, "top_left": [2, 9], "top": [4, 9]}),
+         "obstacle 1 (parallelogram): unknown key 'top'"),
     ],
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
          "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
-         "fractional-id", "boolean-id", "duplicate-id", "zero-area-triangle", "zero-area-parallelogram"],
+         "fractional-id", "boolean-id", "duplicate-id", "zero-area-triangle", "zero-area-parallelogram",
+         "misspelt-top-level-key", "rect-radius", "circle-width-height", "triangle-anchor", "parallelogram-top"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"
@@ -230,6 +240,25 @@ def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     rc, _, err = run_cli(capsys, "plan", "--scene", str(bad))
     assert rc == 2
     assert err.startswith("error:") and message in err
+
+
+def test_clearance_below_turning_radius_exit_code(capsys, tmp_path):
+    # corner arcs have radius = clearance, so at clearance 5 no turn is legal:
+    # a bad request (exit 2), not "no feasible route" (exit 3)
+    box = {"id": 1, "kind": "rect", "anchor": [80, 80], "width": 40, "height": 40}
+    for clearance, argv, rc_want, text in [
+        (5, ("plan",), 2, "scene clearance 5, the radius of its corner arcs, is below the minimum turning radius 10"),
+        (5, ("enumerate",), 2, "is below the minimum turning radius 10"),
+        (5, ("plan", "--engine", "aco"), 2, "is below the minimum turning radius 10"),
+        (10, ("plan",), 0, "total length 126.6628"),
+    ]:
+        path = tmp_path / f"scene{clearance}.json"
+        path.write_text(json.dumps({"bounds": [200, 200], "clearance": clearance, "obstacles": [box]}))
+        rc, out, err = run_cli(capsys, *argv, "--scene", str(path), "--from", "50,100", "--to", "150,100")
+        assert rc == rc_want and text in (out if rc == 0 else err), (clearance, argv, out, err)
+    # a straight route needs no turn, so it is still planned
+    rc, out, _ = run_cli(capsys, "plan", "--scene", str(tmp_path / "scene5.json"), "--from", "50,10", "--to", "150,10")
+    assert rc == 0 and "corners: none (straight segment)" in out
 
 
 @pytest.mark.parametrize(

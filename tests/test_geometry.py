@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from arcplan.geometry import (
+    CLEARANCE_EPS,
     AxisRect,
     Circle,
     ObstacleSpec,
@@ -19,7 +21,7 @@ from arcplan.geometry import (
     Triangle,
     _pt_seg_dist,
     _seg_seg_dist,
-    arc_keeps,
+    arc_clear,
     arc_min_clearance,
     blocking_obstacles,
     builtin_scene,
@@ -29,7 +31,6 @@ from arcplan.geometry import (
     obstacle_vertices,
     parallelogram_from,
     segment_clear,
-    segment_keeps,
     segment_min_clearance,
 )
 
@@ -215,13 +216,16 @@ def test_segment_clearance_margins(scene):
     assert segment_clear(Point(60, 50), Point(250, 50), scene)
 
 
-def test_segment_keeps_is_the_min_clearance_test(scene):
+def test_segment_clear_is_the_min_clearance_test(scene):
+    # one scene per clearance: the verdict is segment_min_clearance's at the
+    # scene's clearance less CLEARANCE_EPS, the boundary (limit = worst) included
     rng = random.Random(3)
     for _ in range(300):
         a, b = (Point(rng.uniform(0, 800), rng.uniform(0, 800)) for _ in range(2))
         worst = segment_min_clearance(a, b, scene)
         for limit in (5.0, 10.0 - 1e-6, 10.0, 40.0, worst):
-            assert segment_keeps(a, b, limit, scene) == (worst >= limit), (a, b, limit)
+            s = replace(scene, clearance=limit)
+            assert segment_clear(a, b, s) == (worst >= s.clearance - CLEARANCE_EPS), (a, b, limit)
 
 
 ARC_SCENE = Scene(
@@ -291,7 +295,8 @@ def test_arc_clearance_matches_sampled_oracle():
         case = (center, r, start, sweep)
         assert polyline - sagitta - 1e-9 <= exact <= sampled + 1e-9, case
         for limit in (exact, exact + 1e-6, 10.0 - 1e-6):
-            assert arc_keeps(Point(*center), r, start, sweep, limit, ARC_SCENE) == (exact >= limit), case
+            s = replace(ARC_SCENE, clearance=limit)
+            assert arc_clear(Point(*center), r, start, sweep, s) == (exact >= s.clearance - CLEARANCE_EPS), case
 
 
 def test_arc_clearance_of_lone_corners(scene):

@@ -30,7 +30,7 @@ from arcplan.geometry import (
     segment_clear,
 )
 from arcplan import planner
-from arcplan.paths import ChainingError, Turn, TurningCircle, validate_path
+from arcplan.paths import ChainingError, Line, SmoothPath, Turn, TurningCircle, validate_path
 from arcplan.planner import (
     _FALLBACK_TRIES,
     KNOWN_TARGETS,
@@ -83,7 +83,12 @@ def test_corner_candidates_skip_circles_and_border(scene):
 def test_build_roadmap_anchors_and_weights(scene):
     rm = build_roadmap(scene, O, A)
     assert rm.anchors[0] == O and rm.anchors[-1] == A
-    assert rm.radius == scene.clearance
+    # one circle per node and turn: chain_path's radius-0 circle at an
+    # endpoint, (CW, CCW) of radius clearance at a corner
+    start, *corners, goal = rm.circles
+    assert start == (TurningCircle(O, 0.0),) and goal == (TurningCircle(A, 0.0),)
+    for anchor, pair in zip(rm.anchors[1:-1], corners):
+        assert pair == (TurningCircle(anchor, scene.clearance, Turn.CW), TurningCircle(anchor, scene.clearance, Turn.CCW))
     assert Point(80.0, 210.0) in rm.anchors
     g = rm.graph
     assert g.no_edge == math.inf
@@ -124,7 +129,7 @@ def oracle_edges(rm, scene: Scene) -> set:
         else ("poly", [tuple(v) for v in obstacle_vertices(spec)])
         for spec in scene.obstacles
     ]
-    return oracles.tangent_roadmap_edges(rm.anchors, rm.radius, obstacles, scene.clearance - 1e-9)
+    return oracles.tangent_roadmap_edges(rm.anchors, scene.clearance, obstacles, scene.clearance - 1e-9)
 
 
 def shared_vertex_scene() -> Scene:
@@ -603,3 +608,18 @@ def test_trace_wrap_points_resolve():
         fn = getattr(importlib.import_module(f"arcplan.{module}"), attr, None)
         resolved[name] = resolved.get(name, False) or callable(fn)
     assert resolved and all(resolved.values()), [n for n, ok in resolved.items() if not ok]
+
+
+@pytest.mark.parametrize("delta", [5e-7, 5e-10, 0.0, -1e-7])
+def test_roadmap_and_validate_path_share_one_clearance_limit(delta):
+    # a 100 x 40 box whose top edge lies 10 - delta below the straight
+    # start-goal segment: plan_route takes the straight line exactly when
+    # validate_path accepts it, however close delta is to the tolerance
+    box = ObstacleSpec(1, AxisRect(Point(100, 50 + delta), 100, 40))
+    scene = Scene((300.0, 200.0), (box,), 10.0)
+    start, goal = Point(50, 100), Point(250, 100)
+    straight_ok = validate_path(SmoothPath((Line(start, goal),)), scene).ok
+    plan = plan_route(RouteRequest(start, goal, scene))
+    assert validate_path(plan.path, scene).ok
+    assert (plan.path.segments == (Line(start, goal),)) == straight_ok
+    assert straight_ok == (delta <= 5e-10)
