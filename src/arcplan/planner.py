@@ -397,7 +397,8 @@ def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Option
 
 def plan_route(req: RouteRequest) -> PlanResult:
     """Shortest validated line-and-arc route for the request; RequestError
-    for an engine other than "exact" or "aco", or a bad endpoint.
+    for an engine other than "exact" or "aco", a bad endpoint, or a route
+    that must turn where the clearance is below MIN_TURN_RADIUS.
 
     The colony engine runs the colony once.  When its proposal is unconnected
     or does not chain into a valid path, the exact engine answers instead: the
