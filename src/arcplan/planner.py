@@ -13,6 +13,13 @@ Scene object computes its corner links once, on first use, and keeps them
 for as long as it lives; a query tests only the pairs that hold its start or
 its goal.  Reuse one Scene object across queries to pay for them once.
 
+Every leg test (`_leg`: corner links, endpoint links and the chain screen)
+first rejects a leg whose end on a corner's circle lies closer than the
+clearance limit to an edge of that corner's own polygon: such a leg runs
+back into the polygon, and a few point-to-edge distances show it.  Only the
+legs left go on to segment_clear's scan of the scene.  The skip is exact,
+since segment_clear computes the same distance and rejects such a leg too.
+
 Roadmap weights are center-to-center distances, and a sequence's roadmap cost
 never exceeds its chained length: a tangent leg falls short of its hop by no
 more than the arcs at its two ends add.  The exact engine walks Yen's
@@ -38,6 +45,7 @@ from .geometry import (
     Point,
     Scene,
     blocking_obstacles,
+    end_blocked,
     min_clearance,
     obstacle_vertices,
     segment_clear,
@@ -51,7 +59,6 @@ from .paths import (
     TurningCircle,
     chain_path,
     corner_clear,
-    pair_tangent,
     tangent_leg,
     travel_time,
     validate_path,
@@ -137,18 +144,26 @@ def corner_candidates(scene: Scene) -> tuple[Point, ...]:
     return tuple(out)
 
 
+def _leg(c1: TurningCircle, c2: TurningCircle, scene: Scene) -> Optional[tuple[float, float, Line]]:
+    """chain_path's leg from c1 to c2 (tangent_leg) when it keeps clearance,
+    else None.  A leg that fails at its own corner at either end (end_blocked)
+    never reaches segment_clear's scan of the scene; segment_clear would
+    reject it too."""
+    leg = tangent_leg(c1, c2)
+    if leg is None:
+        return None
+    p, q = leg[2].a, leg[2].b
+    if end_blocked(p, q, c1.center, scene) or end_blocked(q, p, c2.center, scene):
+        return None
+    return leg if segment_clear(p, q, scene) else None
+
+
 def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene: Scene) -> bool:
-    """True iff the directed tangent of some turn pair keeps clearance; a and b
-    are two anchors' circles.  Any pair that clears will do, so the order the
-    pairs are tried in cannot change the answer."""
-    for c1, c2 in itertools.product(a, b):
-        try:
-            t1, t2 = pair_tangent(c1, c2)
-        except ChainingError:
-            continue
-        if segment_clear(c1.at(t1), c2.at(t2), scene):
-            return True
-    return False
+    """True iff the directed tangent of some turn pair keeps clearance (`_leg`,
+    which skips the legs that fail at their own corner); a and b are two
+    anchors' circles.  Any pair that clears will do, so the order the pairs
+    are tried in cannot change the answer."""
+    return any(_leg(c1, c2, scene) is not None for c1, c2 in itertools.product(a, b))
 
 
 @dataclass(frozen=True)
@@ -297,17 +312,19 @@ class _ChainScreen:
     ids and turns; a sequence is rejected at its first failing piece, known
     ones first.  The pieces are those chain_path builds, on the roadmap's
     circles, and each is judged at validate_path's one clearance limit
-    (segment_clear for a leg, corner_clear for a corner), so for a start and
-    a goal apart the verdict is validate_path's on the chained path.
+    (`_leg` for a leg, corner_clear for a corner), so for a start and a goal
+    apart the verdict is validate_path's on the chained path.  A leg that
+    fails at its own corner is rejected before segment_clear scans the
+    scene, exactly as `_connected` rejects it.
     """
 
     def __init__(self, rm: Roadmap, scene: Scene):
         self.rm = rm
         self.scene = scene
         # a circle is (node, bends ccw), False at an endpoint, which has one
-        # circle; a leg is a pair of circles, a corner a triple
+        # circle; a leg is a pair of circles, a corner a triple; a leg maps to
+        # its piece, or to None when it does not chain or keep clearance
         self.legs: dict[tuple, Optional[tuple[float, float, Line]]] = {}
-        self.clear: dict[tuple, bool] = {}
         self.corners: dict[tuple, bool] = {}
 
     def ok(self, seq: tuple[int, ...]) -> bool:
@@ -315,16 +332,13 @@ class _ChainScreen:
         turning = self.rm.circles
         legs = list(zip(circles, circles[1:]))
         corners = list(zip(circles, circles[1:], circles[2:]))
-        leg_verdicts = list(map(self.clear.get, legs))
         corner_verdicts = list(map(self.corners.get, corners))
-        if False in leg_verdicts or False in corner_verdicts:
+        if any(self.legs.get(leg, True) is None for leg in legs) or False in corner_verdicts:
             return False
-        for leg, verdict in zip(legs, leg_verdicts):
-            if verdict is None:
+        for leg in legs:
+            if leg not in self.legs:
                 (n1, ccw1), (n2, ccw2) = leg
-                piece = self.legs[leg] = tangent_leg(turning[n1 - 1][ccw1], turning[n2 - 1][ccw2])
-                keeps = piece is not None and segment_clear(piece[2].a, piece[2].b, self.scene)
-                if not self.clear.setdefault(leg, keeps):
+                if self.legs.setdefault(leg, _leg(turning[n1 - 1][ccw1], turning[n2 - 1][ccw2], self.scene)) is None:
                     return False
         for into, out, corner, verdict in zip(legs, legs[1:], corners, corner_verdicts):
             if verdict is None:

@@ -25,6 +25,7 @@ from arcplan.geometry import (
     arc_min_clearance,
     blocking_obstacles,
     builtin_scene,
+    end_blocked,
     inflate_scene,
     min_clearance,
     obstacle_distance,
@@ -226,6 +227,41 @@ def test_segment_clear_is_the_min_clearance_test(scene):
         for limit in (5.0, 10.0 - 1e-6, 10.0, 40.0, worst):
             s = replace(scene, clearance=limit)
             assert segment_clear(a, b, s) == (worst >= s.clearance - CLEARANCE_EPS), (a, b, limit)
+
+
+def test_end_blocked_implies_segment_clear_fails(scene):
+    # Segments from a point near a polygon vertex, at clearances that put the
+    # point's distance to the scene at the limit or either side of it:
+    # whenever end_blocked rejects a segment, segment_clear rejects it too.
+    rng = random.Random(5)
+    polygons = [obstacle_vertices(spec) for spec in scene.obstacles if not isinstance(spec.shape, Circle)]
+    blocked = passed = 0
+    for _ in range(400):
+        v = rng.choice(rng.choice(polygons))
+        angle, r = rng.uniform(0.0, TAU), rng.uniform(5.0, 15.0)
+        p = Point(v.x + r * math.cos(angle), v.y + r * math.sin(angle))
+        q = Point(rng.uniform(0, 800), rng.uniform(0, 800))
+        for clearance in (5.0, 10.0, min_clearance(p, scene) + CLEARANCE_EPS):
+            s = replace(scene, clearance=clearance)
+            if end_blocked(p, q, v, s):
+                assert not segment_clear(p, q, s), (p, q, v, clearance)
+                blocked += 1
+            else:
+                passed += 1
+    assert blocked > 100 and passed > 100
+
+
+def test_end_blocked_reads_every_polygon_at_a_vertex():
+    # (200, 200) is a vertex of both squares; the point 10 from it lies inside
+    # the upper square, 10 from the lower one
+    squares = (ObstacleSpec(1, AxisRect(Point(100, 100), 100, 100)), ObstacleSpec(2, AxisRect(Point(200, 200), 100, 100)))
+    scene = Scene((400.0, 400.0), squares, 10.0)
+    v = Point(200.0, 200.0)
+    assert len(scene.compiled.polygons_at[v]) == 2
+    p, q = Point(200 + 10 * math.sqrt(0.5), 200 + 10 * math.sqrt(0.5)), Point(380.0, 220.0)
+    assert end_blocked(p, q, v, scene)
+    assert not end_blocked(p, q, v, Scene((400.0, 400.0), squares[:1], 10.0))
+    assert not end_blocked(p, q, Point(250.0, 150.0), scene)  # not a vertex of either square
 
 
 ARC_SCENE = Scene(

@@ -24,13 +24,14 @@ from arcplan.geometry import (
     Scene,
     Triangle,
     builtin_scene,
+    end_blocked,
     min_clearance,
     obstacle_vertices,
     parallelogram_from,
     segment_clear,
 )
 from arcplan import planner
-from arcplan.paths import ChainingError, Line, SmoothPath, Turn, TurningCircle, validate_path
+from arcplan.paths import ChainingError, Line, SmoothPath, Turn, TurningCircle, pair_tangent, validate_path
 from arcplan.planner import (
     _FALLBACK_TRIES,
     KNOWN_TARGETS,
@@ -154,6 +155,13 @@ def test_roadmap_edges_match_tangent_oracle(scene):
         rm = build_roadmap(shared, s, g)
         assert rm.anchors.count(Point(200, 200)) == 2
         assert roadmap_edges(rm) == oracle_edges(rm, shared), (s, g)
+    # generated scenes of 12 and 6 obstacles: triangles and parallelograms
+    # given in either vertex order, and circles, each with its own query
+    for req in perfbench_module("inputs").cold_scenes(1, 8):
+        if len(req["scene_dict"]["obstacles"]) <= 12:
+            sc = scene_from_dict(req["scene_dict"])
+            rm = build_roadmap(sc, Point(*req["from"]), Point(*req["to"]))
+            assert roadmap_edges(rm) == oracle_edges(rm, sc), (req["from"], req["to"])
 
 
 def perfbench_module(name: str):
@@ -169,17 +177,32 @@ def perfbench_module(name: str):
 
 
 def test_connected_is_symmetric():
-    # The scene's corner table tests each corner pair in one order only.
+    # The scene's corner table tests each corner pair in one order only.  And
+    # the skip of legs that fail at their own corner is exact: _connected is
+    # segment_clear's verdict on every turn pair's tangent, and every tangent
+    # the skip rejects fails segment_clear.
     inputs = perfbench_module("inputs")
     scenes = [builtin_scene()] + [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 8)]
-    pairs = 0
+    pairs = skipped = 0
     for sc in scenes:
         r = sc.clearance
         circles = [(TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corner_candidates(sc)]
         for a, b in itertools.combinations(circles, 2):
-            assert _connected(a, b, sc) == _connected(b, a, sc), (a[0].center, b[0].center)
+            reference = False
+            for c1, c2 in itertools.product(a, b):
+                try:
+                    t1, t2 = pair_tangent(c1, c2)
+                except ChainingError:
+                    continue
+                p, q = c1.at(t1), c2.at(t2)
+                clear = segment_clear(p, q, sc)
+                if end_blocked(p, q, c1.center, sc) or end_blocked(q, p, c2.center, sc):
+                    assert not clear, (p, q)
+                    skipped += 1
+                reference = reference or clear
+            assert _connected(a, b, sc) == _connected(b, a, sc) == reference, (a[0].center, b[0].center)
             pairs += 1
-    assert pairs > 5000
+    assert pairs > 5000 and skipped > 10000
 
 
 def test_scene_compiles_corner_links_once(monkeypatch):
@@ -207,6 +230,33 @@ def test_scene_compiles_corner_links_once(monkeypatch):
     assert [list(other.graph.neighbors(i)) for i in range(1, other.graph.node_count + 1)] == [
         list(first.graph.neighbors(i)) for i in range(1, first.graph.node_count + 1)
     ]
+
+
+def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch):
+    # A leg end on a corner's circle that lies closer than the clearance
+    # limit to an edge of that corner's polygon runs back into the polygon:
+    # neither the corner links, the endpoint links nor the chain screen may
+    # hand such a leg to segment_clear.
+    scene = builtin_scene()
+    limit = scene.clearance - 1e-9
+    polygons = [ob[1] for ob in oracles.scene_obstacles(scene) if ob[0] == "poly"]
+    calls = []
+
+    def recorded(p, q, sc):
+        calls.append((p, q))
+        return segment_clear(p, q, sc)
+
+    def own_edge_gap(end):
+        own = [poly for poly in polygons
+               if any(abs(math.dist(end, v) - scene.clearance) < 1e-9 for v in poly)]
+        edges = [(poly[i - 1], poly[i]) for poly in own for i in range(len(poly))]
+        return min((oracles.seg_dist(end, a, b) for a, b in edges), default=math.inf)
+
+    monkeypatch.setattr(planner, "segment_clear", recorded)
+    plan_route(RouteRequest(O, C, scene))
+    gaps = [gap for call in calls for gap in map(own_edge_gap, call) if gap < math.inf]  # ends on a corner circle
+    assert len(gaps) > 200
+    assert min(gaps) >= limit
 
 
 def test_compiled_scene_dies_with_its_scene():
