@@ -10,8 +10,10 @@ clearance around each vertex.  Taut shortest paths run along these envelopes.
 Each Scene object compiles itself on first use and keeps the result for as
 long as it lives: the clearance queries read its per-obstacle table (kind,
 vertex or circle payload, bounding box), and `end_blocked` the edges of the
-polygons that hold each vertex.  The clearance of a point, a segment and a
-circular arc is computed in closed form, never by sampling.
+polygons that hold each vertex.  The clearance of a segment and of a circular
+arc is computed in closed form, never by sampling.  A point is a zero-length
+segment: one segment-obstacle routine serves both, with one separating-axis
+pass over a polygon's edges.
 """
 
 from __future__ import annotations
@@ -193,45 +195,6 @@ def _pt_seg_dist(px: float, py: float, ax: float, ay: float, bx: float, by: floa
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _on_seg(ax, ay, bx, by, px, py) -> bool:
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    d1 = _orient(q1[0], q1[1], q2[0], q2[1], p1[0], p1[1])
-    d2 = _orient(q1[0], q1[1], q2[0], q2[1], p2[0], p2[1])
-    d3 = _orient(p1[0], p1[1], p2[0], p2[1], q1[0], q1[1])
-    d4 = _orient(p1[0], p1[1], p2[0], p2[1], q2[0], q2[1])
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-    if d1 == 0 and _on_seg(q1[0], q1[1], q2[0], q2[1], p1[0], p1[1]):
-        return True
-    if d2 == 0 and _on_seg(q1[0], q1[1], q2[0], q2[1], p2[0], p2[1]):
-        return True
-    if d3 == 0 and _on_seg(p1[0], p1[1], p2[0], p2[1], q1[0], q1[1]):
-        return True
-    if d4 == 0 and _on_seg(p1[0], p1[1], p2[0], p2[1], q2[0], q2[1]):
-        return True
-    return False
-
-
-def _seg_seg_dist(p1, p2, q1, q2) -> float:
-    # Exact for 2D segments: zero when they intersect, otherwise the minimum
-    # is attained at an endpoint of one of them.
-    if _segments_intersect(p1, p2, q1, q2):
-        return 0.0
-    return min(
-        _pt_seg_dist(p1[0], p1[1], q1[0], q1[1], q2[0], q2[1]),
-        _pt_seg_dist(p2[0], p2[1], q1[0], q1[1], q2[0], q2[1]),
-        _pt_seg_dist(q1[0], q1[1], p1[0], p1[1], p2[0], p2[1]),
-        _pt_seg_dist(q2[0], q2[1], p1[0], p1[1], p2[0], p2[1]),
-    )
-
-
 def _point_in_convex(px: float, py: float, verts) -> bool:
     # CCW polygon: inside (or on boundary) iff the point is left of every edge
     n = len(verts)
@@ -250,15 +213,8 @@ def _obstacle_geom(spec: ObstacleSpec):
         c, r = s.center, s.radius
         return "circle", (c.x, c.y, r), (c.x - r, c.y - r, c.x + r, c.y + r)
     verts = obstacle_vertices(spec)
-    xs = [v.x for v in verts]
-    ys = [v.y for v in verts]
+    xs, ys = zip(*verts)
     return "poly", verts, (min(xs), min(ys), max(xs), max(ys))
-
-
-def _bbox_pt_gap(bbox, px, py) -> float:
-    dx = max(bbox[0] - px, 0.0, px - bbox[2])
-    dy = max(bbox[1] - py, 0.0, py - bbox[3])
-    return math.hypot(dx, dy)
 
 
 def _bbox_seg_gap(bbox, a, b) -> float:
@@ -269,29 +225,35 @@ def _bbox_seg_gap(bbox, a, b) -> float:
     return math.hypot(dx, dy)
 
 
-def _point_distance(p, kind: str, payload) -> float:
-    if kind == "circle":
-        cx, cy, r = payload
-        return max(0.0, math.hypot(p[0] - cx, p[1] - cy) - r)
-    verts = payload
-    if _point_in_convex(p[0], p[1], verts):
-        return 0.0
-    n = len(verts)
-    return min(
-        _pt_seg_dist(p[0], p[1], verts[i][0], verts[i][1], verts[(i + 1) % n][0], verts[(i + 1) % n][1])
-        for i in range(n)
-    )
-
-
 def _segment_distance(a, b, kind: str, payload) -> float:
+    """Distance from segment ab (a point if a == b) to one obstacle, 0 on
+    contact.  A convex polygon is apart from ab iff an axis separates them:
+    both ends lie strictly outside one edge's line, or every vertex strictly
+    on one side of line ab.  Then the least end-edge or vertex-ab distance."""
+    ax, ay = a
+    bx, by = b
     if kind == "circle":
         cx, cy, r = payload
-        return max(0.0, _pt_seg_dist(cx, cy, a[0], a[1], b[0], b[1]) - r)
+        return max(0.0, _pt_seg_dist(cx, cy, ax, ay, bx, by) - r)
     verts = payload
-    if _point_in_convex(a[0], a[1], verts) or _point_in_convex(b[0], b[1], verts):
-        return 0.0
-    n = len(verts)
-    return min(_seg_seg_dist(a, b, verts[i], verts[(i + 1) % n]) for i in range(n))
+    ux, uy = verts[-1]
+    for vx, vy in verts:
+        ex, ey = vx - ux, vy - uy
+        if ex * (ay - uy) - ey * (ax - ux) < 0.0 and ex * (by - uy) - ey * (bx - ux) < 0.0:
+            break  # both ends strictly outside this edge's line
+        ux, uy = vx, vy
+    else:
+        dx, dy = bx - ax, by - ay
+        sides = [dx * (vy - ay) - dy * (vx - ax) for vx, vy in verts]
+        if min(sides) <= 0.0 <= max(sides):
+            return 0.0  # the vertices straddle or touch line ab: no axis separates
+    best = math.inf
+    ux, uy = verts[-1]
+    for vx, vy in verts:
+        best = min(best, _pt_seg_dist(ax, ay, ux, uy, vx, vy), _pt_seg_dist(bx, by, ux, uy, vx, vy),
+                   _pt_seg_dist(vx, vy, ax, ay, bx, by))
+        ux, uy = vx, vy
+    return best
 
 
 def _arc_ends(center, radius: float, start: float, sweep: float):
@@ -361,12 +323,6 @@ def _arc_distance(arc, kind: str, payload) -> float:
     return min(_arc_seg_dist(arc, verts[i - 1], verts[i]) for i in range(len(verts)))
 
 
-def obstacle_distance(p: Point, spec: ObstacleSpec) -> float:
-    """Euclidean distance from a point to one obstacle (0 inside)."""
-    kind, payload, _ = _obstacle_geom(spec)
-    return _point_distance(p, kind, payload)
-
-
 def segment_obstacle_distance(a: Point, b: Point, spec: ObstacleSpec) -> float:
     """Minimum distance from segment ab to one obstacle (0 on overlap)."""
     kind, payload, _ = _obstacle_geom(spec)
@@ -374,15 +330,9 @@ def segment_obstacle_distance(a: Point, b: Point, spec: ObstacleSpec) -> float:
 
 
 def min_clearance(p: Point, scene: Scene) -> float:
-    """Minimum distance from p to any obstacle boundary/interior (0 inside)."""
-    best = math.inf
-    for kind, payload, bbox in scene.compiled.obstacles:
-        if _bbox_pt_gap(bbox, p[0], p[1]) >= best:
-            continue
-        d = _point_distance(p, kind, payload)
-        if d < best:
-            best = d
-    return best
+    """Minimum distance from p to any obstacle boundary/interior (0 inside):
+    the clearance of the zero-length segment pp."""
+    return segment_min_clearance(p, p, scene)
 
 
 def segment_min_clearance(a: Point, b: Point, scene: Scene) -> float:
@@ -434,7 +384,7 @@ def arc_min_clearance(center: Point, radius: float, start: float, sweep: float, 
     arc = _arc_ends(center, radius, start, sweep)
     best = math.inf
     for kind, payload, bbox in scene.compiled.obstacles:
-        if _bbox_pt_gap(bbox, arc[0], arc[1]) - radius >= best:
+        if _bbox_seg_gap(bbox, center, center) - radius >= best:
             continue
         d = _arc_distance(arc, kind, payload)
         if d < best:
@@ -449,7 +399,7 @@ def arc_clear(center: Point, radius: float, start: float, sweep: float, scene: S
     limit = scene.clearance - CLEARANCE_EPS
     arc = _arc_ends(center, radius, start, sweep)
     for kind, payload, bbox in scene.compiled.obstacles:
-        if _bbox_pt_gap(bbox, arc[0], arc[1]) - radius >= limit:
+        if _bbox_seg_gap(bbox, center, center) - radius >= limit:
             continue
         if _arc_distance(arc, kind, payload) < limit:
             return False

@@ -40,6 +40,8 @@ class SceneFormatError(ValueError):
 def _num(value, name: str, positive: bool = False) -> float:
     try:
         x = math.nan if isinstance(value, bool) else float(value)
+    except OverflowError:
+        raise SceneFormatError(f"{name} must be a finite number, got an integer too large for a float") from None
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x) or (positive and x <= 0.0):
@@ -156,6 +158,10 @@ def load_scene(path: str) -> Scene:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SceneFormatError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer of more digits than int() converts
+        raise SceneFormatError(f"{path}: invalid JSON: a number has too many digits") from None
+    except RecursionError:
+        raise SceneFormatError(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
     return scene_from_dict(data)
 
 

@@ -6,12 +6,15 @@ Imports arcplan from DIR/src and the seeded query generators from
 DIR/perfbench (DIR defaults to the checkout holding this script).  The
 queries: O->A/B/C on the builtin scene, 69 random pairs on it for each of
 seeds 1-3, the 80 cold scenes of each of seeds 1-2 with their one query each
-(the exact engine throughout), and colony-engine plans O->A/B/C for colony
-seeds 1-3: 379 answers.  Each answer is its verdict (the plan, RouteInfeasible
-with its blockers, or RequestError with its message), repr(length), the node
-sequence and the format_plan_report text.  Prints the answer count and a
-SHA-256 digest of OUT; two checkouts give the same answers iff the files are
-equal.  Times nothing, and pytest does not collect it.
+(the exact engine throughout), colony-engine plans O->A/B/C for colony
+seeds 1-3, and exact queries from O to 40 goals drawn uniformly over the
+builtin field by random.Random(4) with no clearance filter, so that the
+endpoint check's rejections are among them: 419 answers.  Each answer is its
+verdict (the plan, RouteInfeasible with its blockers, or RequestError with
+its message), repr(length), the node sequence and the format_plan_report
+text.  Prints the answer count and a SHA-256 digest of OUT; two checkouts
+give the same answers iff the files are equal.  Times nothing, and pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import sys
 
 
@@ -63,6 +67,9 @@ def collect(repo: str) -> list[dict]:
             out.append(answer(arc, arc.sceneio.scene_from_dict(req["scene_dict"]), req["from"], req["to"]))
     for seed in (1, 2, 3):
         out += [answer(arc, scene, named["O"], named[t], "aco", seed) for t in "ABC"]
+    rng = random.Random(4)
+    w, h = scene.bounds
+    out += [answer(arc, scene, named["O"], (rng.uniform(0, w), rng.uniform(0, h))) for _ in range(40)]
     return out
 
 

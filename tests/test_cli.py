@@ -228,11 +228,17 @@ def _scene_with(obstacle: dict) -> str:
          "obstacle 1 (triangle): unknown key 'anchor'"),
         (_scene_with({"kind": "parallelogram", "anchor": [0, 0], "base": 9, "top_left": [2, 9], "top": [4, 9]}),
          "obstacle 1 (parallelogram): unknown key 'top'"),
+        ('{"clearance": 1' + "0" * 400 + "}", "clearance must be a finite number, got an integer too large for a float"),
+        (_scene_with({"kind": "rect", "anchor": [10**400, 10], "width": 5, "height": 20}),
+         "obstacle 1 anchor must be a finite number, got an integer too large for a float"),
+        (_scene_with({"id": -(10**400), "kind": "circle", "center": [50, 50], "radius": 5}),
+         "obstacle id must be a finite number, got an integer too large for a float"),
     ],
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
          "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
          "fractional-id", "boolean-id", "duplicate-id", "zero-area-triangle", "zero-area-parallelogram",
-         "misspelt-top-level-key", "rect-radius", "circle-width-height", "triangle-anchor", "parallelogram-top"],
+         "misspelt-top-level-key", "rect-radius", "circle-width-height", "triangle-anchor", "parallelogram-top",
+         "float-overflow-clearance", "float-overflow-coordinate", "float-overflow-id"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"
@@ -240,6 +246,7 @@ def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     rc, _, err = run_cli(capsys, "plan", "--scene", str(bad))
     assert rc == 2
     assert err.startswith("error:") and message in err
+    assert "0" * 40 not in err  # a huge number is named, not echoed
 
 
 def test_clearance_below_turning_radius_exit_code(capsys, tmp_path):
@@ -263,8 +270,13 @@ def test_clearance_below_turning_radius_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "content, message",
-    [(None, "cannot read scene file"), (b"\xff\xfe{}", "not UTF-8 text")],
-    ids=["missing", "not-utf8"],
+    [
+        (None, "cannot read scene file"),
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (b'{"clearance": 1' + b"0" * 5000 + b"}", "invalid JSON: a number has too many digits"),
+        (b"[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
+    ],
+    ids=["missing", "not-utf8", "too-many-digits", "nested-too-deeply"],
 )
 def test_unreadable_scene_file_exit_code(capsys, tmp_path, content, message):
     path = tmp_path / "scene.json"
@@ -273,6 +285,7 @@ def test_unreadable_scene_file_exit_code(capsys, tmp_path, content, message):
     rc, _, err = run_cli(capsys, "plan", "--scene", str(path))
     assert rc == 2
     assert err.startswith("error:") and message in err
+    assert "0" * 40 not in err
 
 
 @pytest.mark.parametrize(

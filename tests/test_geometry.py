@@ -20,7 +20,6 @@ from arcplan.geometry import (
     ShapeKindError,
     Triangle,
     _pt_seg_dist,
-    _seg_seg_dist,
     arc_clear,
     arc_min_clearance,
     blocking_obstacles,
@@ -28,12 +27,14 @@ from arcplan.geometry import (
     end_blocked,
     inflate_scene,
     min_clearance,
-    obstacle_distance,
     obstacle_vertices,
     parallelogram_from,
     segment_clear,
     segment_min_clearance,
+    segment_obstacle_distance,
 )
+from arcplan.sceneio import scene_from_dict
+from test_planner import perfbench_module
 
 TAU = 2.0 * math.pi
 coord = st.floats(min_value=-500.0, max_value=1500.0, allow_nan=False, allow_infinity=False)
@@ -132,8 +133,8 @@ def test_clockwise_polygons_read_as_ccw():
         for _ in range(400):
             p = Point(rng.uniform(50, 750), rng.uniform(50, 750))
             inside = oracles.point_in_poly(tuple(p), [tuple(v) for v in given])
-            assert (obstacle_distance(p, spec) == 0.0) == inside, f"obstacle {oid} at {p}"
-            assert obstacle_distance(p, spec) == pytest.approx(oracles.poly_dist(tuple(p), given), abs=1e-9)
+            assert (segment_obstacle_distance(p, p, spec) == 0.0) == inside, f"obstacle {oid} at {p}"
+            assert segment_obstacle_distance(p, p, spec) == pytest.approx(oracles.poly_dist(tuple(p), given), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +150,44 @@ def test_point_segment_distance_matches_oracle(px, py, ax, ay, bx, by):
     assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_segment_segment_distance():
-    assert _seg_seg_dist((0, 0), (10, 10), (0, 10), (10, 0)) == 0.0  # crossing
-    assert _seg_seg_dist((0, 0), (10, 0), (0, 3), (10, 3)) == pytest.approx(3.0)
-    assert _seg_seg_dist((0, 0), (10, 0), (10, 0), (20, 5)) == 0.0  # shared endpoint
-    assert _seg_seg_dist((0, 0), (10, 0), (14, 3), (20, 3)) == pytest.approx(5.0)
+def test_segment_distance_matches_oracle(scene):
+    # The one segment-obstacle kernel, per obstacle and over a scene, against
+    # the oracle: random segments (one in five a point) over the builtin scene
+    # and generated scenes of 12 and 6 obstacles, then fixed cases against a
+    # thin rectangle (-10, 0)-(10, 1) and inside the builtin scene.
+    scenes = [scene] + [
+        scene_from_dict(req["scene_dict"])
+        for req in perfbench_module("inputs").cold_scenes(1, 8)
+        if len(req["scene_dict"]["obstacles"]) <= 12
+    ]
+    rng = random.Random(11)
+    cases = []
+    for sc in scenes:
+        w, h = sc.bounds
+        for _ in range(600):
+            a = Point(rng.uniform(0, w), rng.uniform(0, h))
+            b = a if rng.random() < 0.2 else Point(rng.uniform(0, w), rng.uniform(0, h))
+            cases.append((sc, a, b, None))
+    thin = Scene((100.0, 100.0), (ObstacleSpec(1, AxisRect(Point(-10, 0), 20, 1)),), 10.0)
+    for a, b, want in [
+        ((0, -5), (5, 5), 0.0),  # crossing
+        ((-10, -3), (10, -3), 3.0),  # parallel, 3 apart
+        ((10, 1), (20, 6), 0.0),  # touching at a vertex
+        ((-14, -3), (-20, -3), 5.0),  # 5 apart, vertex against an end
+        ((-5, 1), (5, 1), 0.0),  # along an edge
+        ((0, 0.5), (0, 50), 0.0),  # an end inside
+    ]:
+        cases.append((thin, Point(*a), Point(*b), want))
+    cases.append((scene, Point(400, 500), Point(700, 20), 0.0))  # an end inside obstacle 1
+    for sc, a, b, want in cases:
+        obstacles = oracles.scene_obstacles(sc)
+        oracle = oracles.segment_clearance(a, b, obstacles)
+        if want is not None:
+            assert oracle == pytest.approx(want, abs=1e-9), (a, b)
+        assert segment_min_clearance(a, b, sc) == pytest.approx(oracle, abs=1e-9), (a, b)
+        for spec, ob in zip(sc.obstacles, obstacles):
+            assert segment_obstacle_distance(a, b, spec) == pytest.approx(
+                oracles.segment_clearance(a, b, [ob]), abs=1e-9), (a, b, spec.id)
 
 
 def test_obstacle_distance_matches_polygon_oracle(scene):
@@ -168,15 +202,19 @@ def test_obstacle_distance_matches_polygon_oracle(scene):
         p = Point(rng.uniform(-50, 850), rng.uniform(-50, 850))
         for oid, poly in polys.items():
             want = oracles.poly_dist(tuple(p), poly)
-            got = obstacle_distance(p, specs[oid])
+            got = segment_obstacle_distance(p, p, specs[oid])
             assert got == pytest.approx(want, abs=1e-9), f"obstacle {oid} at {p}"
 
 
 def test_circle_obstacle_distance(scene):
     circle = next(o for o in scene.obstacles if isinstance(o.shape, Circle))
-    assert obstacle_distance(Point(550, 450), circle) == 0.0
-    assert obstacle_distance(Point(550, 530), circle) == pytest.approx(10.0)
-    assert obstacle_distance(Point(550, 380), circle) == pytest.approx(0.0)
+
+    def dist(x, y):
+        return segment_obstacle_distance(Point(x, y), Point(x, y), circle)
+
+    assert dist(550, 450) == 0.0
+    assert dist(550, 530) == pytest.approx(10.0)
+    assert dist(550, 380) == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +384,7 @@ def test_arc_clearance_of_lone_corners(scene):
             continue
         verts = obstacle_vertices(spec)
         for i, v in enumerate(verts):
-            if any(other != spec and obstacle_distance(v, other) < 2.0 * r for other in scene.obstacles):
+            if any(other != spec and segment_obstacle_distance(v, v, other) < 2.0 * r for other in scene.obstacles):
                 continue
             a, b = verts[i - 1], verts[(i + 1) % len(verts)]
             start = math.atan2(a.x - v.x, v.y - a.y)  # outward normals of the edges into and out of v
