@@ -13,7 +13,7 @@ vertex or circle payload, bounding box), and `end_blocked` the edges of the
 polygons that hold each vertex.  The clearance of a segment and of a circular
 arc is computed in closed form, never by sampling.  A point is a zero-length
 segment: one segment-obstacle routine serves both, with one separating-axis
-pass over a polygon's edges.
+pass over a polygon's edges.  An arc gets one pass over those edges as well.
 """
 
 from __future__ import annotations
@@ -195,17 +195,6 @@ def _pt_seg_dist(px: float, py: float, ax: float, ay: float, bx: float, by: floa
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _point_in_convex(px: float, py: float, verts) -> bool:
-    # CCW polygon: inside (or on boundary) iff the point is left of every edge
-    n = len(verts)
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0.0:
-            return False
-    return True
-
-
 def _obstacle_geom(spec: ObstacleSpec):
     """(kind, payload, bbox); bbox = (minx, miny, maxx, maxy)."""
     s = spec.shape
@@ -281,46 +270,39 @@ def _radial_gap(arc, qx: float, qy: float) -> float:
     return abs(h - r)
 
 
-def _arc_seg_dist(arc, a, b) -> float:
-    """Exact distance between an arc (see _arc_ends) and segment ab.  The
-    closest pair is a crossing (0), an arc end against the segment, a segment
-    end against the arc, or the foot of the center on the segment against the
-    arc point on the ray through it."""
-    cx, cy, r, _, _, p0, p1 = arc
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    best = min(
-        _pt_seg_dist(p0[0], p0[1], ax, ay, bx, by),
-        _pt_seg_dist(p1[0], p1[1], ax, ay, bx, by),
-        _radial_gap(arc, ax, ay),
-        _radial_gap(arc, bx, by),
-    )
-    if L2 == 0.0:
-        return best
-    t = ((cx - ax) * dx + (cy - ay) * dy) / L2  # the center's foot on the line
-    fx, fy = ax + t * dx - cx, ay + t * dy - cy
-    if 0.0 < t < 1.0:
-        best = min(best, _radial_gap(arc, cx + fx, cy + fy))
-    h2 = (r * r - fx * fx - fy * fy) / L2  # the line meets the circle at t -+ sqrt(h2)
-    if h2 >= 0.0:
-        h = math.sqrt(h2)
-        if any(0.0 <= u <= 1.0 and _radial_gap(arc, ax + u * dx, ay + u * dy) < math.inf for u in (t - h, t + h)):
-            return 0.0
-    return best
-
-
 def _arc_distance(arc, kind: str, payload) -> float:
-    p0, p1 = arc[5], arc[6]
+    """Distance from an arc (see _arc_ends) to one obstacle, 0 on contact.
+    One pass over a polygon's edges uv: 0 on a crossing or when no edge puts
+    the first end outside; else the least of an end against uv, v against the
+    arc, and the center's foot on uv against the arc point on its ray."""
+    cx, cy, r, _, _, p0, p1 = arc
     if kind == "circle":
         qx, qy, R = payload
         d = min(math.hypot(p0[0] - qx, p0[1] - qy), math.hypot(p1[0] - qx, p1[1] - qy), _radial_gap(arc, qx, qy))
         return max(0.0, d - R)
-    verts = payload
-    if _point_in_convex(p0[0], p0[1], verts):
-        return 0.0
-    return min(_arc_seg_dist(arc, verts[i - 1], verts[i]) for i in range(len(verts)))
+    (x0, y0), (x1, y1) = p0, p1
+    outside = False
+    best = math.inf
+    ux, uy = payload[-1]
+    for vx, vy in payload:
+        dx, dy = vx - ux, vy - uy
+        if dx * (y0 - uy) - dy * (x0 - ux) < 0.0:
+            outside = True  # the first end lies strictly outside this edge's line
+        best = min(best, _pt_seg_dist(x0, y0, ux, uy, vx, vy), _pt_seg_dist(x1, y1, ux, uy, vx, vy),
+                   _radial_gap(arc, vx, vy))
+        L2 = dx * dx + dy * dy
+        if L2 > 0.0:
+            t = ((cx - ux) * dx + (cy - uy) * dy) / L2  # the center's foot on the edge's line
+            fx, fy = ux + t * dx - cx, uy + t * dy - cy
+            if 0.0 < t < 1.0:
+                best = min(best, _radial_gap(arc, cx + fx, cy + fy))
+            h2 = (r * r - fx * fx - fy * fy) / L2  # the line meets the circle at t -+ sqrt(h2)
+            if h2 >= 0.0:
+                h = math.sqrt(h2)
+                if any(0.0 <= s <= 1.0 and _radial_gap(arc, ux + s * dx, uy + s * dy) < math.inf for s in (t - h, t + h)):
+                    return 0.0
+        ux, uy = vx, vy
+    return best if outside else 0.0
 
 
 def segment_obstacle_distance(a: Point, b: Point, spec: ObstacleSpec) -> float:

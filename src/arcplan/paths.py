@@ -333,19 +333,9 @@ def validate_path(p: SmoothPath, scene: Scene) -> PathDiagnostics:
     return PathDiagnostics(tuple(v for v in out if v is not None))
 
 
-# The pieces of a chain, checked one by one: what chain_path builds and
-# validate_path checks, for callers that test many chains sharing pieces.  A
-# leg's clearance is geometry.segment_clear, at validate_path's limit.
-
-
-def tangent_leg(c: TurningCircle, nxt: TurningCircle) -> Optional[tuple[float, float, Line]]:
-    """chain_path's leg from c to nxt: (angle out of c, angle into nxt, the
-    tangent line), or None where chain_path raises ChainingError."""
-    try:
-        a_out, a_next = pair_tangent(c, nxt)
-    except ChainingError:
-        return None
-    return a_out, a_next, Line(c.at(a_out), nxt.at(a_next))
+# One corner of a chain, checked alone, for callers that test many chains
+# sharing corners.  Its legs are (angle out, angle in, Line) as chain_path
+# builds them from pair_tangent; a leg's check is segment_clear's.
 
 
 def corner_clear(

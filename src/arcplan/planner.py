@@ -59,7 +59,7 @@ from .paths import (
     TurningCircle,
     chain_path,
     corner_clear,
-    tangent_leg,
+    pair_tangent,
     travel_time,
     validate_path,
 )
@@ -145,17 +145,18 @@ def corner_candidates(scene: Scene) -> tuple[Point, ...]:
 
 
 def _leg(c1: TurningCircle, c2: TurningCircle, scene: Scene) -> Optional[tuple[float, float, Line]]:
-    """chain_path's leg from c1 to c2 (tangent_leg) when it keeps clearance,
-    else None.  A leg that fails at its own corner at either end (end_blocked)
-    never reaches segment_clear's scan of the scene; segment_clear would
-    reject it too."""
-    leg = tangent_leg(c1, c2)
-    if leg is None:
+    """chain_path's leg from c1 to c2, as (angle out of c1, angle into c2, the
+    tangent line), when it chains and keeps clearance, else None.  A leg that
+    fails at its own corner at either end (end_blocked) never reaches
+    segment_clear's scan of the scene; segment_clear would reject it too."""
+    try:
+        a_out, a_in = pair_tangent(c1, c2)
+    except ChainingError:
         return None
-    p, q = leg[2].a, leg[2].b
-    if end_blocked(p, q, c1.center, scene) or end_blocked(q, p, c2.center, scene):
+    p, q = c1.at(a_out), c2.at(a_in)
+    if end_blocked(p, q, c1.center, scene) or end_blocked(q, p, c2.center, scene) or not segment_clear(p, q, scene):
         return None
-    return leg if segment_clear(p, q, scene) else None
+    return a_out, a_in, Line(p, q)
 
 
 def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene: Scene) -> bool:

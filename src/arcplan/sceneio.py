@@ -38,15 +38,28 @@ class SceneFormatError(ValueError):
 
 
 def _num(value, name: str, positive: bool = False) -> float:
-    try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except OverflowError:
-        raise SceneFormatError(f"{name} must be a finite number, got an integer too large for a float") from None
-    except (TypeError, ValueError):
-        x = math.nan
+    """value as a float: a JSON number (an int or a float, never a bool or a
+    string), finite, and positive if asked."""
+    x = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            raise SceneFormatError(f"{name} must be a finite number, got an integer too large for a float") from None
     if not math.isfinite(x) or (positive and x <= 0.0):
         raise SceneFormatError(f"{name} must be a {'positive' if positive else 'finite'} number, got {value!r}")
     return x
+
+
+def _keys_once(pairs: list) -> dict:
+    """json.loads' object_pairs_hook: the object, or SceneFormatError when a
+    key appears twice in it (json would keep the last value silently)."""
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise SceneFormatError(f"key {repeated!r} appears more than once in one JSON object")
+    return d
 
 
 def _no_unknown_keys(d: dict, known, what: str) -> None:
@@ -62,10 +75,11 @@ def _pt(v, name: str) -> Point:
 
 
 def scene_from_dict(d: dict) -> Scene:
-    """Scene from its JSON form; every number must be finite and no boolean,
-    the clearance, bounds and obstacle dimensions positive, the obstacle ids
-    distinct integers and no triangle or parallelogram of zero area; a key it
-    does not define, at the top or for an obstacle's kind, is never ignored."""
+    """Scene from its JSON form; every number must be a finite JSON number
+    (no boolean or string), the clearance, bounds and obstacle dimensions
+    positive, the obstacle ids distinct integers and no triangle or
+    parallelogram of zero area; a key it does not define, at the top or for
+    an obstacle's kind, is never ignored."""
     if not isinstance(d, dict):
         raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
@@ -155,7 +169,9 @@ def load_scene(path: str) -> Scene:
     except UnicodeDecodeError as e:
         raise SceneFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_keys_once)
+    except SceneFormatError:
+        raise
     except json.JSONDecodeError as e:
         raise SceneFormatError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except ValueError:  # an integer of more digits than int() converts

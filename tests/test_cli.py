@@ -233,12 +233,23 @@ def _scene_with(obstacle: dict) -> str:
          "obstacle 1 anchor must be a finite number, got an integer too large for a float"),
         (_scene_with({"id": -(10**400), "kind": "circle", "center": [50, 50], "radius": 5}),
          "obstacle id must be a finite number, got an integer too large for a float"),
+        ('{"clearance": "1_0"}', "clearance must be a positive number, got '1_0'"),
+        (_scene_with({"kind": "circle", "center": ["50", 50], "radius": 5}),
+         "obstacle 1 center must be a finite number, got '50'"),
+        (_scene_with({"id": "5", "kind": "circle", "center": [50, 50], "radius": 5}),
+         "obstacle id must be a finite number, got '5'"),
+        (_scene_with({"kind": "rect", "anchor": [10, 10], "width": "1_000", "height": 20}),
+         "obstacle 1 width must be a positive number, got '1_000'"),
+        ('{"clearance": 10, "clearance": 40}', "key 'clearance' appears more than once in one JSON object"),
+        ('{"obstacles": [{"id": 1, "kind": "rect", "anchor": [10, 10], "width": 200, "width": 20, "height": 20}]}',
+         "key 'width' appears more than once in one JSON object"),
     ],
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
          "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
          "fractional-id", "boolean-id", "duplicate-id", "zero-area-triangle", "zero-area-parallelogram",
          "misspelt-top-level-key", "rect-radius", "circle-width-height", "triangle-anchor", "parallelogram-top",
-         "float-overflow-clearance", "float-overflow-coordinate", "float-overflow-id"],
+         "float-overflow-clearance", "float-overflow-coordinate", "float-overflow-id", "string-clearance",
+         "string-coordinate", "string-id", "string-width", "repeated-top-level-key", "repeated-obstacle-key"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"

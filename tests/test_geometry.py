@@ -233,8 +233,9 @@ def test_min_clearance_nonnegative(x, y):
 
 
 def test_degenerate_segment_equals_point_clearance(scene):
+    obstacles = oracles.scene_obstacles(scene)
     for p in (Point(0, 0), Point(50, 50), Point(777, 20)):
-        assert segment_min_clearance(p, p, scene) == min_clearance(p, scene)
+        assert min_clearance(p, scene) == pytest.approx(oracles.point_clearance(p, obstacles), abs=1e-9), p
 
 
 def test_straight_oa_is_blocked(scene):

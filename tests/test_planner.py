@@ -42,6 +42,7 @@ from arcplan.planner import (
     _chain_for,
     _connected,
     _ChainScreen,
+    _leg,
     _result,
     build_roadmap,
     corner_candidates,
@@ -257,6 +258,16 @@ def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch):
     gaps = [gap for call in calls for gap in map(own_edge_gap, call) if gap < math.inf]  # ends on a corner circle
     assert len(gaps) > 200
     assert min(gaps) >= limit
+
+
+def test_leg_is_the_plans_chain_line(scene):
+    # _leg builds its tangent itself, from the floats chain_path uses: on each
+    # pair of consecutive circles of a plan it gives the plan's line there.
+    for goal in (A, B, C):
+        plan = plan_route(RouteRequest(O, goal, scene))
+        circles = (TurningCircle(O, 0.0), *plan.corners, TurningCircle(goal, 0.0))
+        lines = [seg for seg in plan.path.segments if isinstance(seg, Line)]
+        assert [_leg(c1, c2, scene)[2] for c1, c2 in zip(circles, circles[1:])] == lines, goal
 
 
 def test_compiled_scene_dies_with_its_scene():
