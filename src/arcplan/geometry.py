@@ -1,11 +1,12 @@
-"""Planar scene model: convex obstacles, clearance queries, hazard envelopes.
+"""Planar scene model: convex obstacles and clearance queries.
 
 A scene is a rectangular field (``bounds``) holding any number of convex
 obstacles: axis-aligned rectangles, circles, triangles and parallelograms.
 A legal robot path must stay at least ``clearance`` units (default 10) away
 from every obstacle, so each obstacle is surrounded by a "hazard envelope":
 its edges offset outward by the clearance plus a circular arc of radius =
-clearance around each vertex.  Taut shortest paths run along these envelopes.
+clearance around each vertex.  Taut shortest paths run along these envelopes;
+`sceneio` draws them in the SVG.
 
 Each Scene object compiles itself on first use and keeps the result for as
 long as it lives: the clearance queries read its per-obstacle table (kind,
@@ -107,24 +108,6 @@ class CompiledScene:
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
     polygons_at: dict[Point, list]  # vertex -> [(edges (ax, ay, bx, by), bbox) of each polygon holding it]
     corner_links: Optional[object] = None
-
-
-@dataclass(frozen=True)
-class CornerArc:
-    """Arc of the envelope around one obstacle vertex; sweeps CCW start->end."""
-
-    center: Point
-    radius: float
-    start_angle: float
-    end_angle: float
-
-
-@dataclass(frozen=True)
-class EnvelopeRegion:
-    source: int
-    offset_edges: tuple[tuple[Point, Point], ...] = ()
-    corner_arcs: tuple[CornerArc, ...] = ()
-    inflated_circle: Optional[Circle] = None
 
 
 def parallelogram_from(anchor: Point, base: float, top_left: Point) -> Parallelogram:
@@ -396,40 +379,3 @@ def blocking_obstacles(p: Point, q: Point, scene: Scene) -> tuple[int, ...]:
         for spec, (kind, payload, _) in zip(scene.obstacles, scene.compiled.obstacles)
         if _segment_distance(p, q, kind, payload) < limit
     )
-
-
-def inflate_scene(scene: Scene) -> tuple[EnvelopeRegion, ...]:
-    """Hazard envelope of every obstacle: edges offset outward by the
-    clearance, vertices rounded with arcs of radius = clearance."""
-    c = scene.clearance
-    regions = []
-    for spec in scene.obstacles:
-        if isinstance(spec.shape, Circle):
-            cc = spec.shape
-            regions.append(
-                EnvelopeRegion(spec.id, inflated_circle=Circle(cc.center, cc.radius + c))
-            )
-            continue
-        verts = obstacle_vertices(spec)
-        n = len(verts)
-        edges = []
-        normals = []
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            dx, dy = b.x - a.x, b.y - a.y
-            L = math.hypot(dx, dy)
-            # CCW polygon: interior lies left of each edge, so outward is right
-            nx, ny = dy / L, -dx / L
-            normals.append((nx, ny))
-            edges.append((Point(a.x + c * nx, a.y + c * ny), Point(b.x + c * nx, b.y + c * ny)))
-        arcs = []
-        for i in range(n):
-            prev = normals[i - 1]
-            nxt = normals[i]
-            start = math.atan2(prev[1], prev[0])
-            end = math.atan2(nxt[1], nxt[0])
-            if end < start:
-                end += 2 * math.pi  # arc sweeps CCW by the exterior angle
-            arcs.append(CornerArc(verts[i], c, start, end))
-        regions.append(EnvelopeRegion(spec.id, tuple(edges), tuple(arcs)))
-    return tuple(regions)

@@ -1,10 +1,11 @@
 """End-to-end route planning over a corner roadmap.
 
-Pipeline: inflate the scene, take one turning-circle candidate per convex
-obstacle vertex and circles of radius 0 at the start and the goal, connect
-anchors whose directed tangents keep clearance, pick a node sequence (exact
-Dijkstra / k-shortest, or the ant colony), assign each corner the turn
-direction the polyline bends in, chain the smooth path and validate it.
+Pipeline: take one turning-circle candidate per convex obstacle vertex and
+circles of radius 0 at the start and the goal, join the corners the scene's
+compiled pairs join and the endpoint pairs whose directed tangents keep
+clearance, pick a node sequence (exact Dijkstra / k-shortest, or the ant
+colony), assign each corner the turn direction the polyline bends in, chain
+the smooth path and validate it.
 Reported lengths always come from the chain.  A colony proposal that fails is
 no infeasibility verdict: the exact engine answers it.
 
@@ -174,7 +175,7 @@ class _CornerLinks:
 
     corners: tuple[Point, ...]
     circles: tuple[tuple[TurningCircle, TurningCircle], ...]
-    pairs: frozenset[tuple[int, int]]
+    pairs: tuple[tuple[int, int], ...]
 
 
 def _corner_links(scene: Scene) -> _CornerLinks:
@@ -184,7 +185,7 @@ def _corner_links(scene: Scene) -> _CornerLinks:
         r = scene.clearance
         corners = corner_candidates(scene)
         circles = tuple((TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corners)
-        pairs = frozenset(
+        pairs = tuple(
             (i, j)
             for i, j in itertools.combinations(range(len(corners)), 2)
             if _connected(circles[i], circles[j], scene)
@@ -203,8 +204,9 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     validate_path applies).  Between the endpoints that tangent is the
     straight segment; between an endpoint and a corner the corner's two
     turns give the two tangents.  Its weight is the plain Euclidean anchor
-    distance.  Corner-to-corner edges come from the scene's compiled
-    corner links, so a query tests only the pairs that hold an endpoint.
+    distance.  A query tests only the pairs that hold an endpoint, the
+    start-goal pair included; it adds one corner-to-corner edge for each pair
+    the scene's compiled corner links joined.
     Nodes run start, corners by distance from the start, goal.  The endpoints
     are not checked here: the planning entry points check them first.
     """
@@ -214,18 +216,11 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     anchors = (start, *(links.corners[i] for i in order), goal)
     circles = ((TurningCircle(start, 0.0),), *(links.circles[i] for i in order), (TurningCircle(goal, 0.0),))
     last = len(anchors) - 1
-
-    def linked(i: int, j: int) -> bool:
-        if i == 0 or j == last:
-            return _connected(circles[i], circles[j], scene)
-        a, b = order[i - 1], order[j - 1]
-        return (min(a, b), max(a, b)) in links.pairs
-
-    edges = [
-        (i + 1, j + 1, math.dist(anchors[i], anchors[j]))
-        for i, j in itertools.combinations(range(len(anchors)), 2)
-        if linked(i, j)
-    ]
+    at = {corner: k for k, corner in enumerate(order, start=1)}  # corner index -> anchor index
+    ends = [(0, j) for j in range(1, last + 1)] + [(i, last) for i in range(1, last)]
+    pairs = [(i, j) for i, j in ends if _connected(circles[i], circles[j], scene)]
+    pairs += [(at[a], at[b]) for a, b in links.pairs]
+    edges = [(i + 1, j + 1, math.dist(anchors[i], anchors[j])) for i, j in pairs]
     return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, circles)
 
 

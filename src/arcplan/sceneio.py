@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from importlib import resources
 from typing import Optional
 
@@ -19,13 +20,12 @@ from .aco import AcoResult
 from .geometry import (
     AxisRect,
     Circle,
-    EnvelopeRegion,
     ObstacleSpec,
     Parallelogram,
     Point,
     Scene,
     Triangle,
-    inflate_scene,
+    obstacle_vertices,
     parallelogram_from,
 )
 from .paths import Arc, Line, SmoothPath, Turn
@@ -47,7 +47,7 @@ def _num(value, name: str, positive: bool = False) -> float:
         except OverflowError:
             raise SceneFormatError(f"{name} must be a finite number, got an integer too large for a float") from None
     if not math.isfinite(x) or (positive and x <= 0.0):
-        raise SceneFormatError(f"{name} must be a {'positive' if positive else 'finite'} number, got {value!r}")
+        raise SceneFormatError(f"{name} must be a {'positive' if positive else 'finite'} number, got {reprlib.repr(value)}")
     return x
 
 
@@ -58,19 +58,19 @@ def _keys_once(pairs: list) -> dict:
     if len(d) < len(pairs):
         keys = [key for key, _ in pairs]
         repeated = next(key for key in keys if keys.count(key) > 1)
-        raise SceneFormatError(f"key {repeated!r} appears more than once in one JSON object")
+        raise SceneFormatError(f"key {reprlib.repr(repeated)} appears more than once in one JSON object")
     return d
 
 
 def _no_unknown_keys(d: dict, known, what: str) -> None:
-    unknown = ", ".join(repr(key) for key in d if key not in known)
+    unknown = ", ".join(reprlib.repr(key) for key in d if key not in known)
     if unknown:
         raise SceneFormatError(f"{what}: unknown key {unknown}")
 
 
 def _pt(v, name: str) -> Point:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise SceneFormatError(f"{name}: expected [x, y] pair, got {v!r}")
+        raise SceneFormatError(f"{name}: expected [x, y] pair, got {reprlib.repr(v)}")
     return Point(_num(v[0], name), _num(v[1], name))
 
 
@@ -86,7 +86,7 @@ def scene_from_dict(d: dict) -> Scene:
         _no_unknown_keys(d, ("bounds", "clearance", "obstacles"), "scene")
         raw = d.get("bounds", [800.0, 800.0])
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-            raise SceneFormatError(f"bounds must be [width, height], got {raw!r}")
+            raise SceneFormatError(f"bounds must be [width, height], got {reprlib.repr(raw)}")
         bounds = (_num(raw[0], "bounds width", positive=True), _num(raw[1], "bounds height", positive=True))
         clearance = _num(d.get("clearance", 10.0), "clearance", positive=True)
         obstacles = []
@@ -124,7 +124,7 @@ def scene_from_dict(d: dict) -> Scene:
                 if shape.v4.y == shape.v1.y:
                     raise SceneFormatError(f"{at}: top_left is level with anchor (zero area)")
             else:
-                raise SceneFormatError(f"{at}: unknown kind {kind!r}")
+                raise SceneFormatError(f"{at}: unknown kind {reprlib.repr(kind)}")
             _no_unknown_keys(entry, read, f"{at} ({kind})")
             obstacles.append(ObstacleSpec(oid, shape))
     except KeyError as e:
@@ -314,18 +314,24 @@ def _svg_obstacle(spec: ObstacleSpec) -> str:
     return f'<polygon points="{pts}" class="obstacle"/>'
 
 
-def _svg_envelope(region: EnvelopeRegion) -> str:
-    if region.inflated_circle is not None:
-        c = region.inflated_circle
-        return f'<circle cx="{c.center.x:g}" cy="{c.center.y:g}" r="{c.radius:g}" class="envelope"/>'
-    edges, arcs = region.offset_edges, region.corner_arcs
-    n = len(edges)
-    d = [f"M {edges[0][0].x:.3f} {edges[0][0].y:.3f}"]
-    for i in range(n):
-        d.append(f"L {edges[i][1].x:.3f} {edges[i][1].y:.3f}")
-        nxt = edges[(i + 1) % n][0]
-        r = arcs[(i + 1) % n].radius
-        d.append(f"A {r:.3f} {r:.3f} 0 0 1 {nxt.x:.3f} {nxt.y:.3f}")
+def _svg_envelope(spec: ObstacleSpec, c: float) -> str:
+    """One obstacle's hazard envelope at clearance c: a circle grown by c, or
+    a polygon's edges offset outward by c joined by arcs of radius c."""
+    s = spec.shape
+    if isinstance(s, Circle):
+        return f'<circle cx="{s.center.x:g}" cy="{s.center.y:g}" r="{s.radius + c:g}" class="envelope"/>'
+    verts = obstacle_vertices(spec)
+    edges = []
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        dx, dy = b.x - a.x, b.y - a.y
+        L = math.hypot(dx, dy)
+        # CCW polygon: interior lies left of each edge, so outward is right
+        nx, ny = dy / L, -dx / L
+        edges.append((a.x + c * nx, a.y + c * ny, b.x + c * nx, b.y + c * ny))
+    d = [f"M {edges[0][0]:.3f} {edges[0][1]:.3f}"]
+    for (_, _, bx, by), (ax, ay, _, _) in zip(edges, edges[1:] + edges[:1]):
+        d.append(f"L {bx:.3f} {by:.3f}")
+        d.append(f"A {c:.3f} {c:.3f} 0 0 1 {ax:.3f} {ay:.3f}")
     d.append("Z")
     return f'<path d="{" ".join(d)}" class="envelope"/>'
 
@@ -368,8 +374,8 @@ def render_svg(scene: Scene, path: Optional[SmoothPath] = None) -> str:
         parts.append(_svg_obstacle(spec))
     parts.append("</g>")
     parts.append('<g id="envelope">')
-    for region in inflate_scene(scene):
-        parts.append(_svg_envelope(region))
+    for spec in scene.obstacles:
+        parts.append(_svg_envelope(spec, scene.clearance))
     parts.append("</g>")
     if path is not None and path.segments:
         parts.append('<g id="route">')

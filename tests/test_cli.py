@@ -243,13 +243,20 @@ def _scene_with(obstacle: dict) -> str:
         ('{"clearance": 10, "clearance": 40}', "key 'clearance' appears more than once in one JSON object"),
         ('{"obstacles": [{"id": 1, "kind": "rect", "anchor": [10, 10], "width": 200, "width": 20, "height": 20}]}',
          "key 'width' appears more than once in one JSON object"),
+        ('{"clearance": "1' + "0" * 5000 + '"}', "clearance must be a positive number, got '100000"),
+        (json.dumps({"bounds": [800] * 20_000}), "bounds must be [width, height], got [800, 800, "),
+        (_scene_with({"kind": "rect", "anchor": [10] * 20_000, "width": 5, "height": 20}),
+         "obstacle 1 anchor: expected [x, y] pair, got [10, 10, "),
+        (json.dumps({"k" * 20_000: 1}), "scene: unknown key 'kkkk"),
+        (_scene_with({"kind": "k" * 20_000}), "obstacle 1: unknown kind 'kkkk"),
     ],
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
          "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
          "fractional-id", "boolean-id", "duplicate-id", "zero-area-triangle", "zero-area-parallelogram",
          "misspelt-top-level-key", "rect-radius", "circle-width-height", "triangle-anchor", "parallelogram-top",
          "float-overflow-clearance", "float-overflow-coordinate", "float-overflow-id", "string-clearance",
-         "string-coordinate", "string-id", "string-width", "repeated-top-level-key", "repeated-obstacle-key"],
+         "string-coordinate", "string-id", "string-width", "repeated-top-level-key", "repeated-obstacle-key",
+         "long-string-clearance", "long-bounds", "long-anchor", "long-unknown-key", "long-kind"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"
@@ -258,6 +265,7 @@ def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     assert rc == 2
     assert err.startswith("error:") and message in err
     assert "0" * 40 not in err  # a huge number is named, not echoed
+    assert len(err.encode()) < 300  # a long value is quoted in part
 
 
 def test_clearance_below_turning_radius_exit_code(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,6 @@ from arcplan.geometry import (
     blocking_obstacles,
     builtin_scene,
     end_blocked,
-    inflate_scene,
     min_clearance,
     obstacle_vertices,
     parallelogram_from,
@@ -33,7 +33,7 @@ from arcplan.geometry import (
     segment_min_clearance,
     segment_obstacle_distance,
 )
-from arcplan.sceneio import scene_from_dict
+from arcplan.sceneio import render_svg, scene_from_dict
 from test_planner import perfbench_module
 
 TAU = 2.0 * math.pi
@@ -414,55 +414,75 @@ def test_scene_contains():
 # hazard envelope
 
 
+def _svg_envelope(scene):
+    """The shapes of render_svg's <g id="envelope"> group, in drawing order:
+    ("circle", [cx, cy, r]) or ("path", [(command letter, [numbers]), ...])."""
+    svg = render_svg(scene)
+    group = svg.split('<g id="envelope">\n', 1)[1].split("\n</g>", 1)[0]
+    shapes = []
+    for line in group.splitlines():
+        if line.startswith("<circle"):
+            shapes.append(("circle", [float(re.search(f' {a}="([^"]+)"', line)[1]) for a in ("cx", "cy", "r")]))
+        else:
+            d = re.search(' d="([^"]+)"', line)[1]
+            commands = re.findall(r"([MLAZ])([^MLAZ]*)", d)
+            shapes.append(("path", [(cmd, [float(x) for x in args.split()]) for cmd, args in commands]))
+    return shapes
+
+
+def _path_points(commands):
+    """(command letter, point, the point before it) of each drawn point of a path."""
+    out, last = [], None
+    for cmd, nums in commands:
+        if nums:
+            p = (nums[-2], nums[-1])
+            out.append((cmd, p, last))
+            last = p
+    return out
+
+
 def test_envelope_regions_structure(scene):
-    regions = inflate_scene(scene)
-    assert [r.source for r in regions] == list(range(1, 13))
-    by_id = {r.source: r for r in regions}
-    circle_region = by_id[2]
-    assert circle_region.inflated_circle == Circle(Point(550, 450), 80)
-    assert circle_region.offset_edges == () and circle_region.corner_arcs == ()
-    for spec in scene.obstacles:
+    shapes = _svg_envelope(scene)
+    assert len(shapes) == len(scene.obstacles) == 12
+    for spec, (kind, data) in zip(scene.obstacles, shapes):
         if isinstance(spec.shape, Circle):
+            assert kind == "circle" and data == [550.0, 450.0, 80.0]
             continue
         n = len(obstacle_vertices(spec))
-        region = by_id[spec.id]
-        assert len(region.offset_edges) == n
-        assert len(region.corner_arcs) == n
-        assert all(arc.radius == scene.clearance for arc in region.corner_arcs)
+        assert kind == "path" and [cmd for cmd, _ in data] == ["M", *["L", "A"] * n, "Z"]
+        joins = [nums for cmd, nums in data if cmd == "A"]
+        assert all(nums[:5] == [scene.clearance, scene.clearance, 0, 0, 1] for nums in joins)
 
 
 def test_envelope_boundary_sits_at_clearance(scene):
-    polys = {
-        spec.id: [tuple(v) for v in obstacle_vertices(spec)]
-        for spec in scene.obstacles
-        if not isinstance(spec.shape, Circle)
-    }
-    for region in inflate_scene(scene):
-        if region.inflated_circle is not None:
+    # the path's points are written with 3 decimals
+    for spec, (kind, data) in zip(scene.obstacles, _svg_envelope(scene)):
+        if kind == "circle":
             continue
-        poly = polys[region.source]
-        for a, b in region.offset_edges:
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-                p = (a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-                assert oracles.poly_dist(p, poly) == pytest.approx(10.0, abs=1e-9)
-        for arc in region.corner_arcs:
-            for t in (0.0, 0.5, 1.0):
-                ang = arc.start_angle + t * (arc.end_angle - arc.start_angle)
-                p = (
-                    arc.center.x + arc.radius * math.cos(ang),
-                    arc.center.y + arc.radius * math.sin(ang),
-                )
-                assert oracles.poly_dist(p, poly) == pytest.approx(10.0, abs=1e-9)
+        poly = [tuple(v) for v in obstacle_vertices(spec)]
+        for cmd, p, before in _path_points(data):
+            assert oracles.poly_dist(p, poly) == pytest.approx(10.0, abs=1e-3)
+            if cmd == "L":  # an offset edge: its midpoint sits at the clearance too
+                mid = ((p[0] + before[0]) / 2, (p[1] + before[1]) / 2)
+                assert oracles.poly_dist(mid, poly) == pytest.approx(10.0, abs=1e-3)
 
 
 def test_envelope_corner_arcs_sum_to_full_turn(scene):
     # exterior angles of a convex polygon always add up to one full turn
-    for region in inflate_scene(scene):
-        if region.inflated_circle is not None:
+    for spec, (kind, data) in zip(scene.obstacles, _svg_envelope(scene)):
+        if kind == "circle":
             continue
-        total = sum(arc.end_angle - arc.start_angle for arc in region.corner_arcs)
-        assert total == pytest.approx(TAU, abs=1e-9)
-        assert all(arc.end_angle >= arc.start_angle for arc in region.corner_arcs)
+        verts = obstacle_vertices(spec)
+        total = 0.0
+        for cmd, p, before in _path_points(data):
+            if cmd == "A":
+                v = min(verts, key=lambda w: math.dist(w, before))  # the vertex the join turns about
+                assert math.dist(v, before) == pytest.approx(10.0, abs=1e-3)
+                assert math.dist(v, p) == pytest.approx(10.0, abs=1e-3)
+                turn = (math.atan2(p[1] - v.y, p[0] - v.x) - math.atan2(before[1] - v.y, before[0] - v.x)) % TAU
+                assert 0.0 < turn < math.pi
+                total += turn
+        assert total == pytest.approx(TAU, abs=1e-2)
 
 
 def test_envelope_area_of_rectangle_monte_carlo(scene):
