@@ -22,6 +22,7 @@ from .geometry import Point, Scene, blocking_obstacles, builtin_scene
 from .paths import CornerProblem, Turn, TurningCircle, chain_path, solve_corner
 from .planner import (
     KNOWN_TARGETS,
+    PlanResult,
     RequestError,
     RouteInfeasible,
     RouteRequest,
@@ -95,13 +96,8 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
 
 
 def _label(args) -> str:
-    def name(p: Point) -> str:
-        for k, v in KNOWN_TARGETS.items():
-            if v == p:
-                return k
-        return f"({p.x:g},{p.y:g})"
-
-    return f"{name(args.src)} -> {name(args.dst)}"
+    names = {v: k for k, v in KNOWN_TARGETS.items()}
+    return " -> ".join(names.get(p, f"({p.x:g},{p.y:g})") for p in (args.src, args.dst))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,40 +108,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_plan = sub.add_parser("plan", help="compute the shortest route")
+    p_plan.set_defaults(run=_cmd_plan)
     _add_route_args(p_plan)
     _add_engine_args(p_plan)
     p_plan.add_argument("--out", metavar="FILE", help="write full-precision JSON result")
     p_plan.add_argument("--svg", metavar="FILE", help="write an SVG drawing")
 
     p_aco = sub.add_parser("aco", help="run the colony on the builtin 15-node graph")
+    p_aco.set_defaults(run=_cmd_aco)
     _add_colony_args(p_aco)
     p_aco.add_argument("--out", metavar="FILE", help="write the convergence curve (gen best mean)")
 
     p_ver = sub.add_parser("verify", help="check this build against stored benchmark results")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--tolerance", type=_at_least(0, float), default=None,
                        help="override every check tolerance (units)")
 
     p_svg = sub.add_parser("export-svg", help="draw scene + envelope + route")
+    p_svg.set_defaults(run=_cmd_export_svg)
     _add_route_args(p_svg)
     _add_engine_args(p_svg)
     p_svg.add_argument("--out", metavar="FILE", required=True)
 
     p_enum = sub.add_parser("enumerate", help="ranked alternative routes")
+    p_enum.set_defaults(run=_cmd_enumerate)
     _add_route_args(p_enum)
     p_enum.add_argument("--top", type=_at_least(1), default=3, metavar="K")
 
     return parser
 
 
-def _make_request(args) -> RouteRequest:
+def _plan(args) -> tuple[Scene, PlanResult]:
     scene = _load_scene(args.scene)
     params = AcoParams(ants=args.ants, generations=args.gens, seed=args.seed)
-    return RouteRequest(args.src, args.dst, scene, engine=args.engine, aco_params=params)
+    return scene, plan_route(RouteRequest(args.src, args.dst, scene, engine=args.engine, aco_params=params))
 
 
 def _cmd_plan(args, stdout) -> int:
-    req = _make_request(args)
-    plan = plan_route(req)
+    scene, plan = _plan(args)
     stdout.write(sceneio.format_plan_report(_label(args), plan))
     if args.out:
         with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
@@ -153,7 +153,7 @@ def _cmd_plan(args, stdout) -> int:
             fh.write("\n")
     if args.svg:
         with _writing(args.svg):
-            sceneio.write_svg(req.scene, plan.path, args.svg)
+            sceneio.write_svg(scene, plan.path, args.svg)
     return 0
 
 
@@ -173,10 +173,9 @@ def _cmd_aco(args, stdout) -> int:
 
 
 def _cmd_export_svg(args, stdout) -> int:
-    req = _make_request(args)
-    plan = plan_route(req)
+    scene, plan = _plan(args)
     with _writing(args.out):
-        sceneio.write_svg(req.scene, plan.path, args.out)
+        sceneio.write_svg(scene, plan.path, args.out)
     stdout.write(f"wrote {args.out} ({_label(args)}, length {plan.length:.4f})\n")
     return 0
 
@@ -203,44 +202,31 @@ def _cmd_verify(args, stdout) -> int:
 
     def check(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        stdout.write(f"{status} {name}: {detail}\n")
+        failures += not ok
+        stdout.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
 
-    def tol(default: float) -> float:
-        return args.tolerance if args.tolerance is not None else default
+    def tol(e: dict, key: str) -> float:
+        return e[key] if args.tolerance is None else args.tolerance
+
+    def near(name: str, got: float, e: dict, key: str, tol_key: str, places: int = 4) -> None:
+        t = tol(e, tol_key)
+        check(name, abs(got - e[key]) <= t, f"{got:.{places}f} vs {e[key]} (tol {t:g})")
 
     # corner benchmarks
     for key in ("corner_oa", "corner_ob3"):
         e = exp[key]
         sol = solve_corner(CornerProblem(Point(*e["start"]), Point(*e["end"]), Point(*e["center"]), e["radius"]))
-        t = tol(e["total_tol"])
-        check(
-            f"{key} total",
-            abs(sol.total_length - e["total"]) <= t,
-            f"{sol.total_length:.4f} vs {e['total']} (tol {t:g})",
-        )
-        te = tol(e["exact_tol"])
-        check(
-            f"{key} exact total",
-            abs(sol.total_length - e["exact_total"]) <= te,
-            f"{sol.total_length:.9f} vs {e['exact_total']} (tol {te:g})",
-        )
+        near(f"{key} total", sol.total_length, e, "total", "total_tol")
+        near(f"{key} exact total", sol.total_length, e, "exact_total", "exact_tol", 9)
         if "oracle_total" in e:
-            to = tol(e["oracle_tol"])
-            check(f"{key} oracle band", abs(sol.total_length - e["oracle_total"]) <= to,
-                  f"{sol.total_length:.4f} vs {e['oracle_total']} (tol {to:g})")
+            near(f"{key} oracle band", sol.total_length, e, "oracle_total", "oracle_tol")
         if "entry" in e:
-            pt = tol(e["point_tol"])
+            pt = tol(e, "point_tol")
             d1 = math.dist(sol.entry_tangent_point, e["entry"])
             d2 = math.dist(sol.exit_tangent_point, e["exit"])
             check(f"{key} tangent points", max(d1, d2) <= pt, f"offsets {d1:.5f}, {d2:.5f} (tol {pt:g})")
         if "first_line" in e:
-            ft = tol(e["first_line_tol"])
-            first = sol.path.segments[0].length
-            check(f"{key} first line", abs(first - e["first_line"]) <= ft,
-                  f"{first:.4f} vs {e['first_line']} (tol {ft:g})")
+            near(f"{key} first line", sol.path.segments[0].length, e, "first_line", "first_line_tol")
 
     # chained route benchmark
     e = exp["chain_ob"]
@@ -248,12 +234,8 @@ def _cmd_verify(args, stdout) -> int:
         TurningCircle(Point(*c), 10.0, Turn(t)) for c, t in zip(e["centers"], e["turns"])
     )
     path = chain_path(Point(*e["start"]), circles, Point(*e["end"]))
-    t = tol(e["total_tol"])
-    check("chain_ob total", abs(path.length - e["total"]) <= t,
-          f"{path.length:.4f} vs {e['total']} (tol {t:g})")
-    te = tol(e["exact_tol"])
-    check("chain_ob exact total", abs(path.length - e["exact_total"]) <= te,
-          f"{path.length:.9f} vs {e['exact_total']} (tol {te:g})")
+    near("chain_ob total", path.length, e, "total", "total_tol")
+    near("chain_ob exact total", path.length, e, "exact_total", "exact_tol", 9)
     plan = plan_route(RouteRequest(Point(*e["start"]), Point(*e["end"]), scene))
     got_centers = [[float(v) for v in c.center] for c in plan.corners]  # as expected.json stores them
     check("chain_ob corner centers", got_centers == e["centers"], f"{got_centers}")
@@ -261,9 +243,7 @@ def _cmd_verify(args, stdout) -> int:
     # planner benchmark: full O->A pipeline
     e = exp["corner_oa"]
     plan = plan_route(RouteRequest(Point(*e["start"]), Point(*e["end"]), scene))
-    t = tol(e["total_tol"])
-    check("plan O->A total", abs(plan.length - e["total"]) <= t,
-          f"{plan.length:.4f} vs {e['total']} (tol {t:g})")
+    near("plan O->A total", plan.length, e, "total", "total_tol")
 
     # graph benchmarks
     e = exp["graph_optimum"]
@@ -280,20 +260,9 @@ def _cmd_verify(args, stdout) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    stdout = sys.stdout
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "plan":
-            return _cmd_plan(args, stdout)
-        if args.command == "aco":
-            return _cmd_aco(args, stdout)
-        if args.command == "verify":
-            return _cmd_verify(args, stdout)
-        if args.command == "export-svg":
-            return _cmd_export_svg(args, stdout)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, stdout)
+        return args.run(args, sys.stdout)
     except (RequestError, sceneio.SceneFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -301,7 +270,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         blockers = f" (blocking obstacles: {', '.join(map(str, e.blockers))})" if e.blockers else ""
         print(f"infeasible: {e}{blockers}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import reprlib
+from collections import Counter
 from importlib import resources
 from typing import Optional
 
@@ -52,26 +53,45 @@ def _num(value, name: str, positive: bool = False) -> float:
 
 
 def _keys_once(pairs: list) -> dict:
-    """json.loads' object_pairs_hook: the object, or SceneFormatError when a
-    key appears twice in it (json would keep the last value silently)."""
+    """json.loads' object_pairs_hook: the object, or SceneFormatError naming the
+    first key in it that recurs later (json would keep the last value silently)."""
     d = dict(pairs)
     if len(d) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, _ in pairs if counts[key] > 1)
         raise SceneFormatError(f"key {reprlib.repr(repeated)} appears more than once in one JSON object")
     return d
 
 
 def _no_unknown_keys(d: dict, known, what: str) -> None:
-    unknown = ", ".join(reprlib.repr(key) for key in d if key not in known)
-    if unknown:
-        raise SceneFormatError(f"{what}: unknown key {unknown}")
+    unknown = [key for key in d if key not in known]
+    if unknown:  # reprlib names at most six keys, each quoted in part
+        raise SceneFormatError(f"{what}: unknown key {reprlib.repr(unknown)[1:-1]}")
 
 
 def _pt(v, name: str) -> Point:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise SceneFormatError(f"{name}: expected [x, y] pair, got {reprlib.repr(v)}")
     return Point(_num(v[0], name), _num(v[1], name))
+
+
+def _size(v, name: str) -> float:
+    return _num(v, name, positive=True)
+
+
+# Each obstacle kind: its shape class; the constructor that takes its file
+# fields; the fields in file order, each read as an [x, y] point (_pt) or a
+# positive number (_size); and a shape's values of those fields.
+_KINDS = {
+    "rect": (AxisRect, AxisRect, {"anchor": _pt, "width": _size, "height": _size},
+             lambda s: (s.anchor, s.width, s.height)),
+    "circle": (Circle, Circle, {"center": _pt, "radius": _size}, lambda s: (s.center, s.radius)),
+    # stored as (left, lower-right, top); either orientation reads as CCW
+    "triangle": (Triangle, Triangle, {"left": _pt, "lower_right": _pt, "top": _pt},
+                 lambda s: (s.v1, s.v2, s.v3)),
+    "parallelogram": (Parallelogram, parallelogram_from, {"anchor": _pt, "base": _size, "top_left": _pt},
+                      lambda s: (s.v1, s.v2.x - s.v1.x, s.v4)),
+}
 
 
 def scene_from_dict(d: dict) -> Scene:
@@ -87,45 +107,30 @@ def scene_from_dict(d: dict) -> Scene:
         raw = d.get("bounds", [800.0, 800.0])
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise SceneFormatError(f"bounds must be [width, height], got {reprlib.repr(raw)}")
-        bounds = (_num(raw[0], "bounds width", positive=True), _num(raw[1], "bounds height", positive=True))
-        clearance = _num(d.get("clearance", 10.0), "clearance", positive=True)
-        obstacles = []
+        bounds = (_size(raw[0], "bounds width"), _size(raw[1], "bounds height"))
+        clearance = _size(d.get("clearance", 10.0), "clearance")
+        obstacles, ids = [], set()
         for entry in d.get("obstacles", ()):
             oid = _num(entry["id"], "obstacle id")
             if not oid.is_integer():
                 raise SceneFormatError(f"obstacle id must be an integer, got {entry['id']!r}")
             oid = int(oid)
-            if any(spec.id == oid for spec in obstacles):
+            if oid in ids:
                 raise SceneFormatError(f"obstacle id {oid} is used twice")
+            ids.add(oid)
             kind = entry["kind"]
             at = f"obstacle {oid}"
-            read = {"id", "kind"}
-
-            def pt(key: str) -> Point:
-                read.add(key)
-                return _pt(entry[key], f"{at} {key}")
-
-            def size(key: str) -> float:
-                read.add(key)
-                return _num(entry[key], f"{at} {key}", positive=True)
-
-            if kind == "rect":
-                shape = AxisRect(pt("anchor"), size("width"), size("height"))
-            elif kind == "circle":
-                shape = Circle(pt("center"), size("radius"))
-            elif kind == "triangle":
-                # stored as (left, lower-right, top); either orientation reads as CCW
-                shape = Triangle(pt("left"), pt("lower_right"), pt("top"))
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise SceneFormatError(f"{at}: unknown kind {reprlib.repr(kind)}")
+            _, make, fields, _ = _KINDS[kind]
+            shape = make(*[read(entry[key], f"{at} {key}") for key, read in fields.items()])
+            if kind == "triangle":
                 (ax, ay), (bx, by), (cx, cy) = shape.v1, shape.v2, shape.v3
                 if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0.0:
                     raise SceneFormatError(f"{at}: left, lower_right and top are collinear (zero area)")
-            elif kind == "parallelogram":
-                shape = parallelogram_from(pt("anchor"), size("base"), pt("top_left"))
-                if shape.v4.y == shape.v1.y:
-                    raise SceneFormatError(f"{at}: top_left is level with anchor (zero area)")
-            else:
-                raise SceneFormatError(f"{at}: unknown kind {reprlib.repr(kind)}")
-            _no_unknown_keys(entry, read, f"{at} ({kind})")
+            elif kind == "parallelogram" and shape.v4.y == shape.v1.y:
+                raise SceneFormatError(f"{at}: top_left is level with anchor (zero area)")
+            _no_unknown_keys(entry, ("id", "kind", *fields), f"{at} ({kind})")
             obstacles.append(ObstacleSpec(oid, shape))
     except KeyError as e:
         raise SceneFormatError(f"scene entry missing field {e}") from None
@@ -139,37 +144,28 @@ def scene_from_dict(d: dict) -> Scene:
 def scene_to_dict(scene: Scene) -> dict:
     obstacles = []
     for spec in scene.obstacles:
-        s = spec.shape
-        if isinstance(s, AxisRect):
-            entry = {"id": spec.id, "kind": "rect", "anchor": list(s.anchor), "width": s.width, "height": s.height}
-        elif isinstance(s, Circle):
-            entry = {"id": spec.id, "kind": "circle", "center": list(s.center), "radius": s.radius}
-        elif isinstance(s, Triangle):
-            entry = {"id": spec.id, "kind": "triangle", "left": list(s.v1), "lower_right": list(s.v2), "top": list(s.v3)}
-        elif isinstance(s, Parallelogram):
-            entry = {
-                "id": spec.id,
-                "kind": "parallelogram",
-                "anchor": list(s.v1),
-                "base": s.v2.x - s.v1.x,
-                "top_left": list(s.v4),
-            }
-        else:
-            raise SceneFormatError(f"obstacle {spec.id}: unserializable shape {type(s).__name__}")
+        kind = next((k for k, (cls, *_) in _KINDS.items() if isinstance(spec.shape, cls)), None)
+        if kind is None:
+            raise SceneFormatError(f"obstacle {spec.id}: unserializable shape {type(spec.shape).__name__}")
+        _, _, fields, values = _KINDS[kind]
+        entry = {"id": spec.id, "kind": kind}
+        for (key, read), v in zip(fields.items(), values(spec.shape)):
+            entry[key] = list(v) if read is _pt else v
         obstacles.append(entry)
     return {"bounds": list(scene.bounds), "clearance": scene.clearance, "obstacles": obstacles}
 
 
-def load_scene(path: str) -> Scene:
+def _load_json(path: str, what: str):
+    """The JSON value in file `path` (a `what`), or SceneFormatError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        raise SceneFormatError(f"{path}: cannot read scene file: {e.strerror}") from None
+        raise SceneFormatError(f"{path}: cannot read {what}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise SceneFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     try:
-        data = json.loads(text, object_pairs_hook=_keys_once)
+        return json.loads(text, object_pairs_hook=_keys_once)
     except SceneFormatError:
         raise
     except json.JSONDecodeError as e:
@@ -178,7 +174,10 @@ def load_scene(path: str) -> Scene:
         raise SceneFormatError(f"{path}: invalid JSON: a number has too many digits") from None
     except RecursionError:
         raise SceneFormatError(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
-    return scene_from_dict(data)
+
+
+def load_scene(path: str) -> Scene:
+    return scene_from_dict(_load_json(path, "scene file"))
 
 
 def dump_scene(scene: Scene, path: str) -> None:
@@ -195,8 +194,7 @@ def fixture_dir() -> str:
 
 
 def load_expected() -> dict:
-    with open(os.path.join(fixture_dir(), "expected.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load_json(os.path.join(fixture_dir(), "expected.json"), "fixture file")
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +212,12 @@ def _segment_kind(seg) -> str:
     return f"arc center ({c.center.x:g}, {c.center.y:g}) {c.turn.value}"
 
 
-def segment_rows(path: SmoothPath) -> list[dict]:
-    rows = []
-    for i, seg in enumerate(path.segments, start=1):
-        rows.append(
-            {
-                "no": i,
-                "start": seg.start,
-                "end": seg.end,
-                "kind": _segment_kind(seg),
-                "length": seg.length,
-            }
-        )
-    return rows
-
-
 def format_segment_table(path: SmoothPath) -> str:
     lines = [f"  {'no':>2}  {'start':<24} {'end':<24} {'type':<34} {'length':>12}"]
-    for row in segment_rows(path):
+    for no, seg in enumerate(path.segments, start=1):
         lines.append(
-            f"  {row['no']:>2}  {format_point(row['start']):<24} {format_point(row['end']):<24} "
-            f"{row['kind']:<34} {row['length']:>12.4f}"
+            f"  {no:>2}  {format_point(seg.start):<24} {format_point(seg.end):<24} "
+            f"{_segment_kind(seg):<34} {seg.length:>12.4f}"
         )
     return "\n".join(lines)
 

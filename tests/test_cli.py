@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -249,6 +250,13 @@ def _scene_with(obstacle: dict) -> str:
          "obstacle 1 anchor: expected [x, y] pair, got [10, 10, "),
         (json.dumps({"k" * 20_000: 1}), "scene: unknown key 'kkkk"),
         (_scene_with({"kind": "k" * 20_000}), "obstacle 1: unknown kind 'kkkk"),
+        (json.dumps({f"k{i}": 1 for i in range(20_000)}), "scene: unknown key 'k0', 'k1', 'k2', 'k3', 'k4', 'k5', ...\n"),
+        ('{"a": 1, "b": 1, "b": 2, "a": 2}', "key 'a' appears more than once in one JSON object"),
+        (_scene_with({"kind": ["rect"], "anchor": [10, 10], "width": 5, "height": 20}), "obstacle 1: unknown kind ['rect']"),
+        (_scene_with({"kind": "triangle", "top": [0, 0], "left": "x", "lower_right": [0, 0], "zz": 1}),
+         "obstacle 1 left: expected [x, y] pair, got 'x'"),
+        (_scene_with({"kind": "triangle", "left": [0, 0], "lower_right": [5, 5], "top": [9, 9], "zz": 1}),
+         "obstacle 1: left, lower_right and top are collinear (zero area)"),
     ],
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
          "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
@@ -256,7 +264,8 @@ def _scene_with(obstacle: dict) -> str:
          "misspelt-top-level-key", "rect-radius", "circle-width-height", "triangle-anchor", "parallelogram-top",
          "float-overflow-clearance", "float-overflow-coordinate", "float-overflow-id", "string-clearance",
          "string-coordinate", "string-id", "string-width", "repeated-top-level-key", "repeated-obstacle-key",
-         "long-string-clearance", "long-bounds", "long-anchor", "long-unknown-key", "long-kind"],
+         "long-string-clearance", "long-bounds", "long-anchor", "long-unknown-key", "long-kind", "many-unknown-keys",
+         "first-repeated-key", "list-kind", "field-order", "zero-area-before-unknown-key"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"
@@ -305,6 +314,23 @@ def test_unreadable_scene_file_exit_code(capsys, tmp_path, content, message):
     assert rc == 2
     assert err.startswith("error:") and message in err
     assert "0" * 40 not in err
+
+
+def test_large_scene_files_load_in_linear_time(tmp_path):
+    # one object of 50,000 keys whose last key repeats, and a scene of 50,000
+    # obstacles: a scan of every earlier key or id takes tens of seconds
+    path = tmp_path / "scene.json"
+    path.write_text("{" + "".join(f'"k{i}": 1, ' for i in range(50_000)) + '"k49999": 2}')
+    start = time.perf_counter()
+    with pytest.raises(sceneio.SceneFormatError, match="key 'k49999' appears more than once"):
+        sceneio.load_scene(str(path))
+    assert time.perf_counter() - start < 5
+    circles = [{"id": i, "kind": "circle", "center": [i % 800, i // 800], "radius": 1} for i in range(50_000)]
+    path.write_text(json.dumps({"obstacles": circles}))
+    start = time.perf_counter()
+    scene = sceneio.load_scene(str(path))
+    assert time.perf_counter() - start < 5
+    assert [spec.id for spec in scene.obstacles] == list(range(50_000))
 
 
 @pytest.mark.parametrize(
@@ -388,6 +414,21 @@ def test_fixture_dir_env_override(capsys, tmp_path, monkeypatch):
     rc, out, _ = run_cli(capsys, "verify")
     assert rc == 1
     assert "FAIL graph optimum" in out
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read fixture file: "), ('{"corner_oa": ', "invalid JSON at line 1, column 15: ")],
+    ids=["missing", "invalid-json"],
+)
+def test_unreadable_fixture_exit_code(capsys, tmp_path, monkeypatch, content, message):
+    path = tmp_path / "expected.json"
+    if content is not None:
+        path.write_text(content)
+    monkeypatch.setenv(sceneio.FIXTURE_ENV, str(tmp_path))
+    rc, out, err = run_cli(capsys, "verify")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
 
 
 ROOT = Path(__file__).resolve().parent.parent
