@@ -10,21 +10,20 @@ k-shortest search runs, lives alongside.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 NO_EDGE = 1000.0  # sentinel weight used by the builtin graph
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(NamedTuple):
+    """Built by graph_from_edges; a weight at or above no_edge, or not finite, is no edge."""
+
     weights: tuple[tuple[float, ...], ...]
-    no_edge: float = NO_EDGE
+    no_edge: float
+    adjacency: tuple[tuple[tuple[int, float], ...], ...]  # row i - 1: node i's (neighbor, weight), ascending
 
     @property
     def node_count(self) -> int:
@@ -40,15 +39,6 @@ class WeightedGraph:
         w = self.weights[i - 1][j - 1]
         return w < self.no_edge and math.isfinite(w)
 
-    @functools.cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Row i - 1 holds node i's (neighbor, weight) pairs, neighbors ascending."""
-        ne = self.no_edge
-        return tuple(
-            tuple((j, w) for j, w in enumerate(row, start=1) if j != i and w < ne and math.isfinite(w))
-            for i, row in enumerate(self.weights, start=1)
-        )
-
     def neighbors(self, i: int):
         return iter(self.adjacency[i - 1])
 
@@ -58,7 +48,11 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int, float]], no_edge: f
     for i, j, w in edges:
         m[i - 1][j - 1] = w
         m[j - 1][i - 1] = w
-    return WeightedGraph(tuple(tuple(row) for row in m), no_edge)
+    adjacency = tuple(
+        tuple((j, w) for j, w in enumerate(row, start=1) if j != i and w < no_edge and math.isfinite(w))
+        for i, row in enumerate(m, start=1)
+    )
+    return WeightedGraph(tuple(tuple(row) for row in m), no_edge, adjacency)
 
 
 # The 15-node benchmark graph.  No edge between nodes 2 and 6: with one, the
@@ -106,9 +100,11 @@ def decode_and_cost(bits: Bits, g: WeightedGraph) -> tuple[tuple[int, ...], floa
     instead of a real weight.
     """
     nodes = tuple(i + 1 for i, b in enumerate(bits) if b)
+    weights, no_edge, low = g.weights, g.no_edge, -math.inf  # read once: a record field is slower than a local
     cost = 0.0
     for a, b in zip(nodes, nodes[1:]):
-        cost += g.weight(a, b) if g.has_edge(a, b) else g.no_edge
+        w = weights[a - 1][b - 1]
+        cost += w if low < w < no_edge else no_edge  # has_edge's test (the nodes ascend, so a != b)
     return nodes, cost
 
 
@@ -120,8 +116,7 @@ def pheromone_init(costs: Sequence[float]) -> list[float]:
     return [top - c for c in costs]
 
 
-@dataclass(frozen=True)
-class AcoParams:
+class AcoParams(NamedTuple):
     ants: int = 50
     generations: int = 100
     p0: float = 0.2   # global transfer factor
@@ -129,14 +124,12 @@ class AcoParams:
     seed: int = 1
 
 
-@dataclass(frozen=True)
-class AcoResult:
+class AcoResult(NamedTuple):
     bits: Bits
     nodes: tuple[int, ...]
     cost: float
     best_curve: tuple[float, ...]   # best-so-far after each generation
     mean_curve: tuple[float, ...]   # colony mean cost per generation
-    wall_time: float = field(compare=False, default=0.0)
 
     @property
     def chromosome(self) -> str:
@@ -162,7 +155,6 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
     A missing hop costs the graph's no-edge sentinel, so `g.no_edge` must be
     finite and dominate any real route cost.
     """
-    t_start = time.perf_counter()
     rng = random.Random(params.seed)
     n = g.node_count
     free = list(range(1, n - 1))
@@ -211,14 +203,7 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
         mean_curve.append(math.fsum(costs) / len(costs))  # statistics.fmean(costs), whose import slows every start-up
 
     nodes, cost = decode_and_cost(best_bits, g)
-    return AcoResult(
-        bits=best_bits,
-        nodes=nodes,
-        cost=cost,
-        best_curve=tuple(best_curve),
-        mean_curve=tuple(mean_curve),
-        wall_time=time.perf_counter() - t_start,
-    )
+    return AcoResult(best_bits, nodes, cost, tuple(best_curve), tuple(mean_curve))
 
 
 def dijkstra_shortest(

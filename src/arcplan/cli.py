@@ -200,59 +200,70 @@ def _cmd_verify(args, stdout) -> int:
     scene = builtin_scene()
     failures = 0
 
+    def read(e, key: str, kind=float):
+        """kind(e[key]); SceneFormatError naming the fixture file if that fails."""
+        try:
+            return kind(e[key])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise sceneio.SceneFormatError(f"{sceneio.expected_path()}: {key!r} is missing or malformed") from None
+
+    def pt(v) -> Point:
+        return Point(*map(float, v))
+
     def check(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
         failures += not ok
         stdout.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
 
     def tol(e: dict, key: str) -> float:
-        return e[key] if args.tolerance is None else args.tolerance
+        return read(e, key) if args.tolerance is None else args.tolerance
 
     def near(name: str, got: float, e: dict, key: str, tol_key: str, places: int = 4) -> None:
         t = tol(e, tol_key)
-        check(name, abs(got - e[key]) <= t, f"{got:.{places}f} vs {e[key]} (tol {t:g})")
+        check(name, abs(got - read(e, key)) <= t, f"{got:.{places}f} vs {e[key]} (tol {t:g})")
 
     # corner benchmarks
     for key in ("corner_oa", "corner_ob3"):
-        e = exp[key]
-        sol = solve_corner(CornerProblem(Point(*e["start"]), Point(*e["end"]), Point(*e["center"]), e["radius"]))
+        e = read(exp, key, dict)
+        sol = solve_corner(CornerProblem(*(read(e, k, pt) for k in ("start", "end", "center")), read(e, "radius")))
         near(f"{key} total", sol.total_length, e, "total", "total_tol")
         near(f"{key} exact total", sol.total_length, e, "exact_total", "exact_tol", 9)
         if "oracle_total" in e:
             near(f"{key} oracle band", sol.total_length, e, "oracle_total", "oracle_tol")
         if "entry" in e:
-            pt = tol(e, "point_tol")
-            d1 = math.dist(sol.entry_tangent_point, e["entry"])
-            d2 = math.dist(sol.exit_tangent_point, e["exit"])
-            check(f"{key} tangent points", max(d1, d2) <= pt, f"offsets {d1:.5f}, {d2:.5f} (tol {pt:g})")
+            pt_tol = tol(e, "point_tol")
+            d1 = math.dist(sol.entry_tangent_point, read(e, "entry", pt))
+            d2 = math.dist(sol.exit_tangent_point, read(e, "exit", pt))
+            check(f"{key} tangent points", max(d1, d2) <= pt_tol, f"offsets {d1:.5f}, {d2:.5f} (tol {pt_tol:g})")
         if "first_line" in e:
             near(f"{key} first line", sol.path.segments[0].length, e, "first_line", "first_line_tol")
 
     # chained route benchmark
-    e = exp["chain_ob"]
-    circles = tuple(
-        TurningCircle(Point(*c), 10.0, Turn(t)) for c, t in zip(e["centers"], e["turns"])
-    )
-    path = chain_path(Point(*e["start"]), circles, Point(*e["end"]))
+    e = read(exp, "chain_ob", dict)
+    centers, turns = read(e, "centers", lambda v: [pt(c) for c in v]), read(e, "turns", lambda v: [Turn(t) for t in v])
+    circles = tuple(TurningCircle(c, 10.0, t) for c, t in zip(centers, turns))
+    start, end = read(e, "start", pt), read(e, "end", pt)
+    path = chain_path(start, circles, end)
     near("chain_ob total", path.length, e, "total", "total_tol")
     near("chain_ob exact total", path.length, e, "exact_total", "exact_tol", 9)
-    plan = plan_route(RouteRequest(Point(*e["start"]), Point(*e["end"]), scene))
+    plan = plan_route(RouteRequest(start, end, scene))
     got_centers = [[float(v) for v in c.center] for c in plan.corners]  # as expected.json stores them
     check("chain_ob corner centers", got_centers == e["centers"], f"{got_centers}")
 
     # planner benchmark: full O->A pipeline
-    e = exp["corner_oa"]
-    plan = plan_route(RouteRequest(Point(*e["start"]), Point(*e["end"]), scene))
+    e = read(exp, "corner_oa", dict)
+    plan = plan_route(RouteRequest(read(e, "start", pt), read(e, "end", pt), scene))
     near("plan O->A total", plan.length, e, "total", "total_tol")
 
     # graph benchmarks
-    e = exp["graph_optimum"]
+    e = read(exp, "graph_optimum", dict)
     g = builtin_graph()
+    want_path, want_cost = read(e, "path", list), read(e, "cost")
     nodes, cost = dijkstra_shortest(g, 1, 15)
-    check("graph optimum", list(nodes) == e["path"] and cost == e["cost"],
+    check("graph optimum", list(nodes) == want_path and cost == want_cost,
           f"{'-'.join(map(str, nodes))} cost {cost:g}")
-    dn, dc = decode_and_cost(bits_from_string(e["chromosome"]), g)
-    check("chromosome decode", list(dn) == e["path"] and dc == e["cost"],
+    dn, dc = decode_and_cost(read(e, "chromosome", bits_from_string), g)
+    check("chromosome decode", list(dn) == want_path and dc == want_cost,
           f"{e['chromosome']} -> {'-'.join(map(str, dn))} cost {dc:g}")
 
     stdout.write(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failure(s)\n")

@@ -37,28 +37,24 @@ class ShapeKindError(TypeError):
     """An operation was applied to an obstacle shape it does not support."""
 
 
-@dataclass(frozen=True)
-class AxisRect:
+class AxisRect(NamedTuple):
     anchor: Point  # lower-left corner
     width: float
     height: float
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     center: Point
     radius: float
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     v1: Point
     v2: Point
     v3: Point
 
 
-@dataclass(frozen=True)
-class Parallelogram:
+class Parallelogram(NamedTuple):
     # vertices in CCW order; closure invariant v1 + v3 == v2 + v4
     v1: Point
     v2: Point
@@ -69,8 +65,7 @@ class Parallelogram:
 Shape = Union[AxisRect, Circle, Triangle, Parallelogram]
 
 
-@dataclass(frozen=True)
-class ObstacleSpec:
+class ObstacleSpec(NamedTuple):
     id: int
     shape: Shape
 

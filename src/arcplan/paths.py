@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .geometry import CLEARANCE_EPS, TAU, Point, Scene, arc_clear, arc_min_clearance, segment_min_clearance
 
@@ -32,25 +31,21 @@ class Turn(enum.Enum):
         return 1.0 if self is Turn.CCW else -1.0
 
 
-@dataclass(frozen=True)
-class TurningCircle:
+class TurningCircle(NamedTuple):
     center: Point
     radius: float
     turn: Turn = Turn.CCW
 
     def at(self, angle: float) -> Point:
-        return Point(
-            self.center.x + self.radius * math.cos(angle),
-            self.center.y + self.radius * math.sin(angle),
-        )
+        (x, y), r, _ = self  # one unpack costs less than four field reads
+        return Point(x + r * math.cos(angle), y + r * math.sin(angle))
 
 
 class ChainingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     a: Point
     b: Point
 
@@ -71,8 +66,7 @@ class Line:
         return Point((self.b.x - self.a.x) / L, (self.b.y - self.a.y) / L)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Circular arc from start_angle to end_angle in the circle's turn sense."""
 
     circle: TurningCircle
@@ -111,8 +105,7 @@ class Arc:
 PathSegment = Union[Line, Arc]
 
 
-@dataclass(frozen=True)
-class SmoothPath:
+class SmoothPath(NamedTuple):
     segments: tuple[PathSegment, ...]
 
     @property
@@ -128,16 +121,14 @@ class SmoothPath:
         return self.segments[-1].end
 
 
-@dataclass(frozen=True)
-class CornerProblem:
+class CornerProblem(NamedTuple):
     start: Point
     end: Point
     center: Point
     radius: float
 
 
-@dataclass(frozen=True)
-class CornerSolution:
+class CornerSolution(NamedTuple):
     entry_tangent_point: Point
     exit_tangent_point: Point
     half_angle: float  # half the arc sweep; sin(half_angle) = chord / (2r) when sweep <= pi
@@ -153,27 +144,29 @@ def pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
     circle of radius 0 is a point, where either turn gives the same tangent.
     Raises ChainingError where that tangent does not exist, which includes a
     point on or inside the other circle."""
-    dx, dy = c2.center.x - c1.center.x, c2.center.y - c1.center.y
+    (x1, y1), r1, turn1 = c1  # the leg test's hot path: unpacking costs less than field reads
+    (x2, y2), r2, turn2 = c2
+    dx, dy = x2 - x1, y2 - y1
     D = math.hypot(dx, dy)
     if D == 0.0:
         raise ChainingError(f"circles at {tuple(c1.center)} are concentric; no common tangent")
     beta = math.atan2(dy, dx)
-    if c1.turn is c2.turn:
-        k = (c1.radius - c2.radius) / D
+    if turn1 is turn2:
+        k = (r1 - r2) / D
         if abs(k) >= 1.0:
             raise ChainingError(
                 f"one of the circles at {tuple(c1.center)} and {tuple(c2.center)} contains the other; no outer tangent"
             )
         delta = math.acos(k)  # pi/2 for equal radii
-        th = beta - delta if c1.turn is Turn.CCW else beta + delta
+        th = beta - delta if turn1 is Turn.CCW else beta + delta
         return th, th
-    k = (c1.radius + c2.radius) / D
+    k = (r1 + r2) / D
     if k >= 1.0:
         raise ChainingError(
             f"circles at {tuple(c1.center)} and {tuple(c2.center)} overlap; no inner tangent for opposite turns"
         )
     delta = math.acos(k)
-    th = beta + delta if c1.turn is Turn.CW else beta - delta
+    th = beta + delta if turn1 is Turn.CW else beta - delta
     return th, th + math.pi
 
 
@@ -261,15 +254,13 @@ def chain_path(start: Point, circles: tuple[TurningCircle, ...], end: Point) -> 
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "tangency" | "clearance" | "radius" | "continuity"
+class Violation(NamedTuple):
+    kind: str  # "tangency" | "clearance" | "radius" | "continuity" | "field"
     where: Point
     detail: str
 
 
-@dataclass(frozen=True)
-class PathDiagnostics:
+class PathDiagnostics(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -301,6 +292,16 @@ def _radius_violation(seg: PathSegment) -> Optional[Violation]:
     return None
 
 
+def _field_violation(i: int, seg: PathSegment, scene: Scene) -> Optional[Violation]:
+    """Segment i leaves the field: an end of it, or an axis extreme its arc sweeps."""
+    points = [seg.start, seg.end]
+    if isinstance(seg, Arc):
+        extremes = (k * TAU / 4 for k in range(4))  # the angles of the circle's axis extremes
+        points += [seg.circle.at(a) for a in extremes if (a - seg.ccw_start) % TAU <= seg.sweep]
+    out = [p for p in points if not scene.contains(p)]
+    return Violation("field", out[0], f"segment {i} leaves the field at {tuple(out[0])}") if out else None
+
+
 def _clearance_violation(i: int, seg: PathSegment, scene: Scene) -> Optional[Violation]:
     """The clearance violation of segment i, if any."""
     if isinstance(seg, Line):
@@ -314,7 +315,8 @@ def _clearance_violation(i: int, seg: PathSegment, scene: Scene) -> Optional[Vio
 
 
 def validate_path(p: SmoothPath, scene: Scene) -> PathDiagnostics:
-    """Check tangency continuity, clearance and minimum turn radius.
+    """Check tangency continuity, clearance, minimum turn radius and that
+    the path stays inside the field.
 
     Clearance is exact on lines and arcs alike (the closed-form distances of
     geometry).  A line of length 0 has no direction, so the tangency check
@@ -326,7 +328,7 @@ def validate_path(p: SmoothPath, scene: Scene) -> PathDiagnostics:
     kinks = {i: _kink_violation(i, j, segs[i], segs[j]) for i, j in zip(steered, steered[1:])}
     out = []
     for i, seg in enumerate(segs):
-        out.append(_radius_violation(seg))
+        out += [_radius_violation(seg), _field_violation(i, seg, scene)]
         if i + 1 < len(segs):
             out.append(_gap_violation(i, seg, segs[i + 1]) or kinks.get(i))
     out += [_clearance_violation(i, seg, scene) for i, seg in enumerate(segs)]
@@ -342,9 +344,11 @@ def corner_clear(
     into: tuple[float, float, Line], c: TurningCircle, out: tuple[float, float, Line], scene: Scene
 ) -> bool:
     """validate_path's verdict on the arc chain_path puts on c between the
-    legs `into` and `out`: its radius, both junctions and its clearance."""
+    legs `into` and `out`: its radius, its field (a leg's other end is an
+    endpoint or another arc's end), both junctions and its clearance."""
     arc = Arc(c, into[1], out[0])
     joints = ((into[2], arc), (arc, out[2]))
-    if _radius_violation(arc) or any(_gap_violation(0, a, b) or _kink_violation(0, 1, a, b) for a, b in joints):
+    if _radius_violation(arc) or _field_violation(0, arc, scene):
         return False
-    return arc_clear(c.center, c.radius, arc.ccw_start, arc.sweep, scene)
+    kinked = any(_gap_violation(0, a, b) or _kink_violation(0, 1, a, b) for a, b in joints)
+    return not kinked and arc_clear(c.center, c.radius, arc.ccw_start, arc.sweep, scene)

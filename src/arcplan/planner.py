@@ -36,8 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, dijkstra_shortest, graph_from_edges
 from .geometry import (
@@ -87,8 +86,7 @@ class RouteInfeasible(RuntimeError):
         self.blockers = blockers
 
 
-@dataclass(frozen=True)
-class RouteRequest:
+class RouteRequest(NamedTuple):
     start: Point
     goal: Point
     scene: Scene
@@ -96,8 +94,7 @@ class RouteRequest:
     aco_params: Optional[AcoParams] = None
 
 
-@dataclass(frozen=True)
-class Roadmap:
+class Roadmap(NamedTuple):
     """Node 1 = start, node n = goal, interior nodes = corner circle centers.
     circles[node - 1] holds chain_path's radius-0 circle at an endpoint and the
     (CW, CCW) circles at a corner, so circles[node - 1][bends ccw] turns as bent."""
@@ -107,8 +104,7 @@ class Roadmap:
     circles: tuple[tuple[TurningCircle, ...], ...]
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     corners: tuple[TurningCircle, ...]
     path: SmoothPath
     length: float
@@ -168,8 +164,7 @@ def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene
     return any(_leg(c1, c2, scene) is not None for c1, c2 in itertools.product(a, b))
 
 
-@dataclass(frozen=True)
-class _CornerLinks:
+class _CornerLinks(NamedTuple):
     """A scene's corners in `corner_candidates` order, their (CW, CCW)
     turning circles, and the (i, j), i < j, pairs `_connected` joins."""
 
@@ -277,16 +272,7 @@ def _chain_for(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[tuple[TurningCir
 def _plan(rm: Roadmap, node_seq: tuple[int, ...], roadmap_cost: float, engine: str, aco=None) -> PlanResult:
     """The plan along node_seq, unchecked; raises ChainingError."""
     circles, path = _chain_for(rm, node_seq)
-    return PlanResult(
-        corners=circles,
-        path=path,
-        length=path.length,
-        travel_time=travel_time(path),
-        node_sequence=node_seq,
-        engine=engine,
-        roadmap_cost=roadmap_cost,
-        aco=aco,
-    )
+    return PlanResult(circles, path, path.length, travel_time(path), node_seq, engine, roadmap_cost, aco)
 
 
 def _result(rm, scene, node_seq, roadmap_cost, engine, aco=None) -> Optional[PlanResult]:
@@ -438,7 +424,7 @@ def plan_route(req: RouteRequest) -> PlanResult:
 
     plans = _ranked_plans(rm, scene, 1)
     if plans:
-        return replace(plans[0], aco=colony)
+        return plans[0]._replace(aco=colony)
     raise RouteInfeasible(
         f"no feasible route from {tuple(start)} to {tuple(goal)}",
         blockers=blocking_obstacles(start, goal, scene),

@@ -193,8 +193,12 @@ def fixture_dir() -> str:
     return str(resources.files("arcplan").joinpath("fixtures"))
 
 
+def expected_path() -> str:
+    return os.path.join(fixture_dir(), "expected.json")
+
+
 def load_expected() -> dict:
-    return _load_json(os.path.join(fixture_dir(), "expected.json"), "fixture file")
+    return _load_json(expected_path(), "fixture file")
 
 
 # ---------------------------------------------------------------------------

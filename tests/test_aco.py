@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from arcplan.aco import (
+    BUILTIN_EDGES,
     NO_EDGE,
     AcoParams,
     aco_run,
@@ -77,10 +78,24 @@ def test_decode_known_chromosome(graph):
     assert cost == OPTIMUM_COST
 
 
-def test_decode_charges_missing_edges(graph):
-    nodes, cost = decode_and_cost(bits_from_string("110000000000001"), graph)
-    assert nodes == (1, 2, 15)
-    assert cost == 70.0 + graph.no_edge
+@pytest.mark.parametrize(
+    "edges, no_edge, chromosome, nodes, cost",
+    [
+        (BUILTIN_EDGES, NO_EDGE, "110000000000001", (1, 2, 15), 70.0 + NO_EDGE),
+        ([(1, 2, 5.0), (2, 3, NO_EDGE)], NO_EDGE, "111", (1, 2, 3), 5.0 + NO_EDGE),
+        ([(1, 2, 5.0), (2, 3, 2 * NO_EDGE)], NO_EDGE, "111", (1, 2, 3), 5.0 + NO_EDGE),
+        ([(1, 2, 5.0), (2, 3, -math.inf)], NO_EDGE, "111", (1, 2, 3), 5.0 + NO_EDGE),
+        ([(1, 2, 5.0)], math.inf, "111", (1, 2, 3), math.inf),
+        ([(1, 2, 5.0), (2, 3, 7.0)], math.inf, "111", (1, 2, 3), 12.0),
+    ],
+    ids=["builtin", "at-sentinel", "above-sentinel", "not-finite", "inf-sentinel", "inf-sentinel-edges"],
+)
+def test_decode_charges_missing_edges(edges, no_edge, chromosome, nodes, cost):
+    # a hop without an edge (has_edge False) costs the sentinel, whatever the matrix holds
+    g = graph_from_edges(len(chromosome), edges, no_edge=no_edge)
+    assert decode_and_cost(bits_from_string(chromosome), g) == (nodes, cost)
+    hops = zip(nodes, nodes[1:])
+    assert cost == sum(g.weight(a, b) if g.has_edge(a, b) else g.no_edge for a, b in hops)
 
 
 def test_pheromone_init_peaks_at_best():
@@ -152,7 +167,7 @@ def test_dijkstra_unreachable_and_trivial():
 def test_aco_is_deterministic(graph):
     a = aco_run(graph, AcoParams(seed=9))
     b = aco_run(graph, AcoParams(seed=9))
-    assert a == b  # wall_time is excluded from equality
+    assert a == b  # every field: the route, its cost and both curves
     assert a.best_curve == b.best_curve and a.mean_curve == b.mean_curve
 
 

@@ -417,6 +417,18 @@ def test_fixture_dir_env_override(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "content, key", [("{}", "corner_oa"), ('{"corner_oa": {"start": "x"}}', "start")], ids=["empty", "bad-point"]
+)
+def test_fixture_of_the_wrong_shape_exit_code(capsys, tmp_path, monkeypatch, content, key):
+    path = tmp_path / "expected.json"
+    path.write_text(content)
+    monkeypatch.setenv(sceneio.FIXTURE_ENV, str(tmp_path))
+    rc, out, err = run_cli(capsys, "verify")
+    assert rc == 2 and out == ""
+    assert err == f"error: {path}: {key!r} is missing or malformed\n", err
+
+
+@pytest.mark.parametrize(
     "content, message",
     [(None, "cannot read fixture file: "), ('{"corner_oa": ', "invalid JSON at line 1, column 15: ")],
     ids=["missing", "invalid-json"],

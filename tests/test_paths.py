@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from arcplan.geometry import Point, builtin_scene
+from arcplan.geometry import Point, Scene, builtin_scene
 from arcplan.paths import (
     Arc,
     ChainingError,
@@ -18,6 +18,7 @@ from arcplan.paths import (
     Turn,
     TurningCircle,
     chain_path,
+    corner_clear,
     max_turn_speed,
     pair_tangent,
     solve_corner,
@@ -410,6 +411,21 @@ def test_validate_flags_continuity_and_tangency(scene):
     assert any(v.kind == "continuity" for v in validate_path(gap, scene).violations)
     kink = SmoothPath((Line(Point(0, 0), Point(50, 0)), Line(Point(50, 0), Point(50, 40))))
     assert any(v.kind == "tangency" for v in validate_path(kink, scene).violations)
+
+
+@pytest.mark.parametrize("turn", list(Turn))
+def test_validate_flags_arc_leaving_the_field(turn):
+    # either way round the circle at (50, 5) the arc reaches y = -5, below
+    # the field of an empty 100 x 100 scene, yet every line and arc keeps clearance
+    scene = Scene(bounds=(100.0, 100.0))
+    path = chain_path(Point(20, 30), (TurningCircle(Point(50, 5), 10.0, turn),), Point(80, 30))
+    violations = validate_path(path, scene).violations
+    assert violations and {v.kind for v in violations} == {"field"}
+    assert all(v.where.y < 0.0 for v in violations)
+    into, arc, out = path.segments
+    assert not corner_clear((None, arc.start_angle, into), arc.circle, (arc.end_angle, None, out), scene)
+    raised = chain_path(Point(20, 40), (TurningCircle(Point(50, 15), 10.0, turn),), Point(80, 40))
+    assert validate_path(raised, scene).ok  # 10 higher, the arc stays inside
 
 
 def test_validate_checks_tangency_across_zero_length_line(scene):

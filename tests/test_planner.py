@@ -658,6 +658,13 @@ def test_chain_screen_rejects_a_sequence_on_its_corner_arc_alone():
     assert not _ChainScreen(rm, scene).ok(over)
 
 
+def test_results_are_immutable(scene):
+    plan = plan_route(RouteRequest(O, A, scene, engine="aco", aco_params=AcoParams(generations=5)))
+    for record, field in ((plan, "length"), (plan.path.segments[0], "a"), (plan.aco, "cost")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+
+
 def test_trace_wrap_points_resolve():
     # the benchmark's per-layer metrics wrap arcplan functions by name
     # (read and run, not imported, so nothing is written under perfbench/)
