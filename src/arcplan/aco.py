@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 NO_EDGE = 1000.0  # sentinel weight used by the builtin graph
@@ -99,8 +100,10 @@ def decode_and_cost(bits: Bits, g: WeightedGraph) -> tuple[tuple[int, ...], floa
     Consecutive pairs without an edge contribute the graph's no-edge sentinel
     instead of a real weight.
     """
-    nodes = tuple(i + 1 for i, b in enumerate(bits) if b)
     weights, no_edge, low = g.weights, g.no_edge, -math.inf  # read once: a record field is slower than a local
+    if len(bits) != len(weights):
+        raise ValueError(f"chromosome has {len(bits)} bits for a graph of {len(weights)} nodes")
+    nodes = tuple(compress(range(1, len(bits) + 1), bits))
     cost = 0.0
     for a, b in zip(nodes, nodes[1:]):
         w = weights[a - 1][b - 1]
@@ -156,14 +159,17 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
     finite and dominate any real route cost.
     """
     rng = random.Random(params.seed)
+    getrandbits = rng.getrandbits  # a coin is randint(0, 1)'s own draw: getrandbits(2), redrawn while above 1
     n = g.node_count
     free = list(range(1, n - 1))
-    colony: list[list[int]] = []
-    for _ in range(params.ants):
-        bits = [rng.randint(0, 1) for _ in range(n)]
-        bits[0] = 1
-        bits[n - 1] = 1
-        colony.append(bits)
+    colony = [[1] * n for _ in range(params.ants)]
+    for bits in colony:
+        for idx in range(n):  # the ends are drawn too, then set
+            r = getrandbits(2)
+            while r > 1:
+                r = getrandbits(2)
+            bits[idx] = r
+        bits[0] = bits[n - 1] = 1
     costs = [decode_and_cost(tuple(b), g)[1] for b in colony]
     pher = pheromone_init(costs)
 
@@ -188,7 +194,10 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
                     cand[rng.choice(free)] ^= 1
             else:
                 for idx in free:
-                    cand[idx] = rng.randint(0, 1)
+                    r = getrandbits(2)
+                    while r > 1:
+                        r = getrandbits(2)
+                    cand[idx] = r
             c = decode_and_cost(tuple(cand), g)[1]
             if c < costs[j]:
                 colony[j] = cand

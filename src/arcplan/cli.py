@@ -225,7 +225,8 @@ def _cmd_verify(args, stdout) -> int:
     # corner benchmarks
     for key in ("corner_oa", "corner_ob3"):
         e = read(exp, key, dict)
-        sol = solve_corner(CornerProblem(*(read(e, k, pt) for k in ("start", "end", "center")), read(e, "radius")))
+        prob = CornerProblem(*(read(e, k, pt) for k in ("start", "end", "center")), read(e, "radius"))
+        sol = read(exp, key, lambda _: solve_corner(prob))  # ChainingError: an end lies inside the circle
         near(f"{key} total", sol.total_length, e, "total", "total_tol")
         near(f"{key} exact total", sol.total_length, e, "exact_total", "exact_tol", 9)
         if "oracle_total" in e:
@@ -243,7 +244,7 @@ def _cmd_verify(args, stdout) -> int:
     centers, turns = read(e, "centers", lambda v: [pt(c) for c in v]), read(e, "turns", lambda v: [Turn(t) for t in v])
     circles = tuple(TurningCircle(c, 10.0, t) for c, t in zip(centers, turns))
     start, end = read(e, "start", pt), read(e, "end", pt)
-    path = chain_path(start, circles, end)
+    path = read(exp, "chain_ob", lambda _: chain_path(start, circles, end))
     near("chain_ob total", path.length, e, "total", "total_tol")
     near("chain_ob exact total", path.length, e, "exact_total", "exact_tol", 9)
     plan = plan_route(RouteRequest(start, end, scene))
@@ -262,7 +263,7 @@ def _cmd_verify(args, stdout) -> int:
     nodes, cost = dijkstra_shortest(g, 1, 15)
     check("graph optimum", list(nodes) == want_path and cost == want_cost,
           f"{'-'.join(map(str, nodes))} cost {cost:g}")
-    dn, dc = decode_and_cost(read(e, "chromosome", bits_from_string), g)
+    dn, dc = read(e, "chromosome", lambda c: decode_and_cost(bits_from_string(c), g))
     check("chromosome decode", list(dn) == want_path and dc == want_cost,
           f"{e['chromosome']} -> {'-'.join(map(str, dn))} cost {dc:g}")
 

@@ -7,14 +7,17 @@ DIR/perfbench (DIR defaults to the checkout holding this script).  The
 queries: O->A/B/C on the builtin scene, 69 random pairs on it for each of
 seeds 1-3, the 80 cold scenes of each of seeds 1-2 with their one query each
 (the exact engine throughout), colony-engine plans O->A/B/C for colony
-seeds 1-3, and exact queries from O to 40 goals drawn uniformly over the
+seeds 1-3, exact queries from O to 40 goals drawn uniformly over the
 builtin field by random.Random(4) with no clearance filter, so that the
-endpoint check's rejections are among them: 419 answers.  Each answer is its
-verdict (the plan, RouteInfeasible with its blockers, or RequestError with
-its message), repr(length), the node sequence and the format_plan_report
-text.  Prints the answer count and a SHA-256 digest of OUT; two checkouts
-give the same answers iff the files are equal.  Times nothing, and pytest
-does not collect it.
+endpoint check's rejections are among them, and aco_run on the 15-node graph
+for colony seeds 1-3: 422 answers.  Each query answer is its verdict (the
+plan, RouteInfeasible with its blockers, or RequestError with its message),
+repr(length), the node sequence and the format_plan_report text.  A colony
+plan and each aco_run also record the colony's chromosome, repr(cost) and a
+SHA-256 of repr((best_curve, mean_curve)), so the random stream is compared
+too, not only the routes it leads to.  Prints the answer count and a SHA-256
+digest of OUT; two checkouts give the same answers iff the files are equal.
+Times nothing, and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ import random
 import sys
 
 
+def colony(res) -> dict:
+    curves = repr((res.best_curve, res.mean_curve)).encode()
+    return {"chromosome": res.chromosome, "cost": repr(res.cost), "curves_sha256": hashlib.sha256(curves).hexdigest()}
+
+
 def answer(arc, scene, start, goal, engine="exact", seed=1) -> dict:
     params = arc.aco.AcoParams(seed=seed) if engine == "aco" else None
     req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene, engine, params)
@@ -37,13 +45,16 @@ def answer(arc, scene, start, goal, engine="exact", seed=1) -> dict:
         return {**query, "verdict": "infeasible", "blockers": list(e.blockers)}
     except arc.planner.RequestError as e:
         return {**query, "verdict": "request error", "message": str(e)}
-    return {
+    out = {
         **query,
         "verdict": "plan",
         "length": repr(plan.length),
         "nodes": list(plan.node_sequence),
         "report": arc.sceneio.format_plan_report(f"{start} -> {goal}", plan),
     }
+    if engine == "aco":
+        out["aco"] = colony(plan.aco) if plan.aco is not None else None
+    return out
 
 
 def collect(repo: str) -> list[dict]:
@@ -70,6 +81,8 @@ def collect(repo: str) -> list[dict]:
     rng = random.Random(4)
     w, h = scene.bounds
     out += [answer(arc, scene, named["O"], (rng.uniform(0, w), rng.uniform(0, h))) for _ in range(40)]
+    graph = arc.aco.builtin_graph()
+    out += [{"graph": "builtin", "seed": s, "aco": colony(arc.aco.aco_run(graph, arc.aco.AcoParams(seed=s)))} for s in (1, 2, 3)]
     return out
 
 

@@ -429,6 +429,29 @@ def test_fixture_of_the_wrong_shape_exit_code(capsys, tmp_path, monkeypatch, con
 
 
 @pytest.mark.parametrize(
+    "entry, key, value",
+    [
+        ("graph_optimum", "chromosome", "1" * 20),  # 20 bits for the 15-node graph
+        ("graph_optimum", "chromosome", "1101"),  # would decode to 1-2-4, never reaching node 15
+        ("corner_oa", "start", [80, 205]),  # inside the corner's own circle: no tangent
+        ("corner_ob3", "start", [55, 300]),
+        ("chain_ob", "start", [60, 295]),  # overlaps the first turning circle
+    ],
+    ids=["long-chromosome", "short-chromosome", "corner-oa-start-inside", "corner-ob3-start-inside", "chain-ob-start"],
+)
+def test_fixture_that_cannot_be_used_exit_code(capsys, tmp_path, monkeypatch, entry, key, value):
+    expected = sceneio.load_expected()
+    expected[entry][key] = value
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(expected))
+    monkeypatch.setenv(sceneio.FIXTURE_ENV, str(tmp_path))
+    rc, _, err = run_cli(capsys, "verify")
+    name = key if entry == "graph_optimum" else entry
+    assert rc == 2
+    assert err == f"error: {path}: {name!r} is missing or malformed\n", err
+
+
+@pytest.mark.parametrize(
     "content, message",
     [(None, "cannot read fixture file: "), ('{"corner_oa": ', "invalid JSON at line 1, column 15: ")],
     ids=["missing", "invalid-json"],
