@@ -148,9 +148,9 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
       3. each generation, for each ant in index order, compute its transition
          probability (T_best - T_ant) / T_best against the current best
          pheromone; below p0 the ant does a small local search - every free
-         bit flips with probability lambda = 1/generation (at least one bit
-         always flips); otherwise it makes a global move, redrawing all free
-         bits uniformly.
+         bit flips with probability lambda = 1/generation (at least one
+         flips, if any is free); otherwise it makes a global move, redrawing
+         all free bits uniformly.
       4. a move is kept only if it lowers the ant's cost.
       5. evaporate and re-deposit: T <- (1 - P) * T + (max(cost) - cost).
       6. record best / mean cost curves; repeat from 3.
@@ -190,7 +190,7 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
                     if rng.random() < lam:
                         cand[idx] ^= 1
                         flipped = True
-                if not flipped:  # lambda shrinks; never allow a dead move
+                if not flipped and free:  # lambda shrinks; never allow a dead move
                     cand[rng.choice(free)] ^= 1
             else:
                 for idx in free:

@@ -10,11 +10,12 @@ clearance around each vertex.  Taut shortest paths run along these envelopes;
 
 Each Scene object compiles itself on first use and keeps the result for as
 long as it lives: the clearance queries read its per-obstacle table (kind,
-vertex or circle payload, bounding box), and `end_blocked` the edges of the
-polygons that hold each vertex.  The clearance of a segment and of a circular
-arc is computed in closed form, never by sampling.  A point is a zero-length
-segment: one segment-obstacle routine serves both, with one separating-axis
-pass over a polygon's edges.  An arc gets one pass over those edges as well.
+vertex or circle payload, bounding box), and `end_blocked` the two edges
+that meet at each polygon vertex.  The clearance of a segment and of a
+circular arc is computed in closed form, never by sampling.  A point is a
+zero-length segment: one segment-obstacle routine serves both, with one
+separating-axis pass over a polygon's edges.  An arc gets one pass over
+those edges as well.
 """
 
 from __future__ import annotations
@@ -84,24 +85,23 @@ class Scene:
     def compiled(self) -> CompiledScene:
         """What this Scene object derives once, built on first use."""
         obstacles = tuple(_obstacle_geom(spec) for spec in self.obstacles)
-        polygons_at: dict[Point, list] = {}
+        edges_at: dict[Point, list] = {}
         for kind, verts, bbox in obstacles:
             if kind == "poly":
-                edges = tuple((*a, *b) for a, b in zip(verts, verts[1:] + verts[:1]))
-                for k, v in enumerate(verts):  # the two edges at v first
-                    polygons_at.setdefault(v, []).append((edges[k - 1:] + edges[:k - 1], bbox))
-        return CompiledScene(obstacles, polygons_at)
+                for u, v, w in zip(verts[-1:] + verts[:-1], verts, verts[1:] + verts[:1]):
+                    edges_at.setdefault(v, []).extend(((*u, *v, bbox), (*v, *w, bbox)))
+        return CompiledScene(obstacles, edges_at)
 
 
 @dataclass
 class CompiledScene:
     """What one Scene object derives once and keeps for as long as it lives:
-    the obstacle table the clearance queries read, the polygons that hold
-    each vertex (`end_blocked` reads them) and the corner links the planner's
-    roadmap reads (the planner fills them in on first use)."""
+    the obstacle table the clearance queries read, the edges that meet at
+    each polygon vertex (`end_blocked` reads them) and the corner links the
+    planner's roadmap reads (the planner fills them in on first use)."""
 
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
-    polygons_at: dict[Point, list]  # vertex -> [(edges (ax, ay, bx, by), bbox) of each polygon holding it]
+    edges_at: dict[Point, list]  # vertex -> [(ax, ay, bx, by, bbox)]: each polygon's two edges at it
     corner_links: Optional[object] = None
 
 
@@ -322,18 +322,17 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
 def end_blocked(p: Point, q: Point, vertex: Point, scene: Scene) -> bool:
     """True when segment_clear(p, q, scene) is False for a reason found at
     the end p alone: p lies closer than the clearance (less CLEARANCE_EPS) to
-    an edge of a polygon that has `vertex` as a vertex.  Exact: segment_clear
-    computes the same point-to-edge distance and the same bbox gap for that
-    polygon, so it comes to the same verdict.  Costs a few point-to-edge
-    distances, not a scan of the scene."""
+    one of the polygon edges that meet at `vertex`.  A True always agrees with
+    segment_clear: for that edge's polygon it computes the same bbox gap, so
+    it scans the polygon, and the same point-to-edge distance, which bounds
+    the segment's distance from above.  The polygons are convex, so an end on
+    the vertex's turning circle that comes within the clearance of another
+    edge of the polygon is already that close to an edge at the vertex."""
     limit = scene.clearance - CLEARANCE_EPS
     px, py = p
-    for edges, bbox in scene.compiled.polygons_at.get(vertex, ()):
-        for ax, ay, bx, by in edges:
-            if _pt_seg_dist(px, py, ax, ay, bx, by) < limit:
-                if _bbox_seg_gap(bbox, p, q) < limit:
-                    return True
-                break
+    for ax, ay, bx, by, bbox in scene.compiled.edges_at.get(vertex, ()):
+        if _pt_seg_dist(px, py, ax, ay, bx, by) < limit and _bbox_seg_gap(bbox, p, q) < limit:
+            return True
     return False
 
 

@@ -16,7 +16,7 @@ its goal.  Reuse one Scene object across queries to pay for them once.
 
 Every leg test (`_leg`: corner links, endpoint links and the chain screen)
 first rejects a leg whose end on a corner's circle lies closer than the
-clearance limit to an edge of that corner's own polygon: such a leg runs
+clearance limit to one of the polygon edges at that corner: such a leg runs
 back into the polygon, and a few point-to-edge distances show it.  Only the
 legs left go on to segment_clear's scan of the scene.  The skip is exact,
 since segment_clear computes the same distance and rejects such a leg too.
@@ -41,13 +41,11 @@ from typing import Iterator, NamedTuple, Optional
 from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, dijkstra_shortest, graph_from_edges
 from .geometry import (
     CLEARANCE_EPS,
-    Circle,
     Point,
     Scene,
     blocking_obstacles,
     end_blocked,
     min_clearance,
-    obstacle_vertices,
     segment_clear,
 )
 from .paths import (
@@ -126,19 +124,13 @@ def _check_endpoint(p: Point, scene: Scene, label: str) -> None:
 
 def corner_candidates(scene: Scene) -> tuple[Point, ...]:
     """Turning-circle centers: convex obstacle vertices whose clearance-radius
-    circle fits inside the scene bounds (arcs may not leave the field)."""
+    circle fits inside the scene bounds (arcs may not leave the field).
+    Circle obstacles get no turning circle, so no route wraps one: a known
+    defect, listed in ROADMAP.md."""
     r = scene.clearance
     w, h = scene.bounds
-    out = []
-    for spec in scene.obstacles:
-        if isinstance(spec.shape, Circle):
-            # Circle obstacles get no turning circle, so no route wraps one:
-            # a known defect, listed in ROADMAP.md.
-            continue
-        for v in obstacle_vertices(spec):
-            if r <= v.x <= w - r and r <= v.y <= h - r:
-                out.append(v)
-    return tuple(out)
+    return tuple(v for kind, verts, _ in scene.compiled.obstacles if kind == "poly"
+                 for v in verts if r <= v.x <= w - r and r <= v.y <= h - r)
 
 
 def _leg(c1: TurningCircle, c2: TurningCircle, scene: Scene) -> Optional[tuple[float, float, Line]]:

@@ -3,8 +3,9 @@
 Everything in this module is derived from first principles - taut paths
 around clearance circles, kinematic tangency tests, exhaustive route
 enumeration - without calling into the package's own geometry helpers, so a
-shared bug cannot hide on both sides of an assertion.  scipy's derivative-free
-minimizers act as the numeric authority for the closed-form corner solver.
+shared bug cannot hide on both sides of an assertion.  A golden-section
+descent over the contact angles acts as the numeric authority for the
+closed-form corner solver.
 """
 
 from __future__ import annotations
@@ -59,88 +60,86 @@ def circle_dist(p, center, radius) -> float:
 
 
 # ---------------------------------------------------------------------------
-# numeric descent for the one-corner problem (entry angle + sweep variables)
+# numeric descent for the one-corner problem (the two contact-point angles)
+
+
+def _golden_min(f, lo: float, hi: float) -> float:
+    """Golden-section search: where on [lo, hi] a unimodal f is least.  80
+    steps shrink a quarter turn below the float spacing of an angle."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(80):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = f(x2)
+    return x1 if f1 <= f2 else x2
 
 
 def corner_descent(start, end, center, radius, grid: int = 8) -> float:
     """Shortest line-arc-line length around one circle by numeric descent.
 
-    Minimizes |start->P1| + r*sweep + |P2->end| over the two contact-point
-    angles for both turn directions, from a grid of starts; the tangency
-    conditions emerge at the optimum instead of being imposed.  Converged
-    runs are accepted only when both straight pieces are tangent to the arc
-    (mindot ~ 1): that keeps genuine wraps of any sweep and discards kinked
-    artifacts such as collapsed contacts or grazing-boundary stalls.
+    Minimizes |start->P1| + r*sweep + |P2->end| over the contact angles a of
+    P1 and b of P2 for both turn directions; the tangency conditions emerge
+    at the optimum instead of being imposed.  The sweep is direction*(b - a)
+    plus whole turns, so the length splits into a term in a and a term in b:
+    each angle gets its own golden-section search on each of `grid` equal
+    windows of the circle, and every pair of window minima is scored with
+    its true sweep.  A penalty keeps both straight pieces out of the disk;
+    without it the contact arc slips around the circle through secant
+    configurations.  Over the circle each term has one minimum and one
+    maximum, more than a quarter turn apart, so with grid >= 4 the window
+    holding a minimum is unimodal.  A pair is accepted only when both
+    straight pieces are tangent to the arc (mindot ~ 1): that keeps genuine
+    wraps of any sweep and discards kinked artifacts such as window-edge
+    stalls.
     """
-    from scipy.optimize import minimize
-
     cx, cy = center
 
-    def parts(v, direction):
-        a, b = v
+    def at(a):
+        return (cx + radius * math.cos(a), cy + radius * math.sin(a))
+
+    def cut(p, q):
+        return max(0.0, radius - seg_dist(center, p, q))
+
+    def parts(a, b, direction):
         sweep = (direction * (b - a)) % TAU
-        p1 = (cx + radius * math.cos(a), cy + radius * math.sin(a))
-        p2 = (cx + radius * math.cos(b), cy + radius * math.sin(b))
-        length = math.dist(start, p1) + radius * sweep + math.dist(p2, end)
-        # a real line-arc-line path has straight pieces outside the circle;
-        # without this term the contact arc slips around the circle through
-        # secant configurations and every start collapses into a kinked path
-        cut = max(0.0, radius - seg_dist(center, start, p1)) + max(
-            0.0, radius - seg_dist(center, p2, end)
-        )
-        # smoothness check: a converged run is only a genuine wrap if both
-        # straight pieces leave/join the arc along its velocity; anything
-        # kinked (including collapsed p1 == p2 artifacts) scores < 1
-        d1 = math.dist(start, p1)
-        d2 = math.dist(p2, end)
+        p1, p2 = at(a), at(b)
+        d1, d2 = math.dist(start, p1), math.dist(p2, end)
+        length = d1 + radius * sweep + d2
         if d1 == 0.0 or d2 == 0.0:
             mindot = -1.0
         else:
-            v1 = ((p1[0] - start[0]) / d1, (p1[1] - start[1]) / d1)
-            v2 = ((end[0] - p2[0]) / d2, (end[1] - p2[1]) / d2)
-            w1 = (-direction * math.sin(a), direction * math.cos(a))
-            w2 = (-direction * math.sin(b), direction * math.cos(b))
-            mindot = min(v1[0] * w1[0] + v1[1] * w1[1], v2[0] * w2[0] + v2[1] * w2[1])
-        return length, cut, mindot
+            # each straight piece against the arc's velocity at its contact
+            mindot = min(
+                ((p1[0] - start[0]) * -math.sin(a) + (p1[1] - start[1]) * math.cos(a)) * direction / d1,
+                ((end[0] - p2[0]) * -math.sin(b) + (end[1] - p2[1]) * math.cos(b)) * direction / d2,
+            )
+        return length, cut(start, p1) + cut(p2, end), mindot
 
-    def objective(v, direction, weight):
-        length, cut, _ = parts(v, direction)
-        return length + weight * cut
-
-    def accepted(cut, mindot):
-        return cut < 1e-9 and mindot >= 1.0 - 1e-7
-
+    windows = [(k * TAU / grid, (k + 1) * TAU / grid) for k in range(grid)]
     best = math.inf
     for direction in (1.0, -1.0):
-        for k in range(grid):
-            for j in range(grid):
-                res = minimize(
-                    objective,
-                    [k * TAU / grid, j * TAU / grid + 0.1],
-                    args=(direction, 1e4),
-                    method="Nelder-Mead",
-                    options=dict(xatol=1e-13, fatol=1e-13, maxiter=3000, maxfev=6000),
-                )
-                length, cut, mindot = parts(res.x, direction)
-                if not accepted(cut, mindot):
-                    continue
-                if length < best:
+        # the weight outgrows the length's slope beyond a tangent, yet keeps
+        # the cut's rounding (about 1e-14 each) from moving a flat minimum
+        def entry(a):
+            return math.dist(start, at(a)) - direction * radius * a + 1e2 * cut(start, at(a))
+
+        def exit_(b):
+            return math.dist(at(b), end) + direction * radius * b + 1e2 * cut(at(b), end)
+
+        entries = [_golden_min(entry, lo, hi) for lo, hi in windows]
+        exits = [_golden_min(exit_, lo, hi) for lo, hi in windows]
+        for a in entries:
+            for b in exits:
+                length, c, mindot = parts(a, b, direction)
+                if c < 1e-9 and mindot >= 1.0 - 1e-7 and length < best:
                     best = length
-                    # the soft weight parks the optimum a hair inside the
-                    # hinge; re-polish from the incumbent with a stiff one
-                    for _ in range(2):
-                        res = minimize(
-                            objective,
-                            res.x,
-                            args=(direction, 1e8),
-                            method="Nelder-Mead",
-                            options=dict(
-                                xatol=1e-13, fatol=1e-13, maxiter=3000, maxfev=6000
-                            ),
-                        )
-                    length, cut, mindot = parts(res.x, direction)
-                    if accepted(cut, mindot) and length < best:
-                        best = length
     return best
 
 

@@ -230,6 +230,17 @@ def test_aco_bits_are_pinned():
     assert digest.hexdigest() == "4763b2b5190a51644ca1efb1f06969a390423719f03e9baa5c376a95f4936702"
 
 
+@pytest.mark.parametrize("n, edges", [(1, []), (2, [(1, 2, 5.0)])], ids=["one-node", "two-node"])
+def test_aco_runs_on_a_graph_without_free_bits(n, edges):
+    # no bit lies between the first and the last, so a move has none to flip:
+    # a local move (p0=2.0) skips its forced flip, and a global move redraws nothing
+    cost = sum(w for _, _, w in edges)
+    for p0 in (0.0, 2.0):
+        res = aco_run(graph_from_edges(n, edges), AcoParams(ants=3, generations=2, p0=p0))
+        assert res.bits == (1,) * n and res.nodes == tuple(range(1, n + 1)) and res.cost == cost
+        assert res.best_curve == res.mean_curve == (cost, cost)
+
+
 def test_aco_scores_through_the_module_name(graph, monkeypatch):
     # perfbench counts aco.decode_and_cost calls by wrapping the module
     # attribute, so aco_run must call it there for every chromosome it scores

@@ -296,7 +296,7 @@ def test_end_blocked_reads_every_polygon_at_a_vertex():
     squares = (ObstacleSpec(1, AxisRect(Point(100, 100), 100, 100)), ObstacleSpec(2, AxisRect(Point(200, 200), 100, 100)))
     scene = Scene((400.0, 400.0), squares, 10.0)
     v = Point(200.0, 200.0)
-    assert len(scene.compiled.polygons_at[v]) == 2
+    assert len(scene.compiled.edges_at[v]) == 4
     p, q = Point(200 + 10 * math.sqrt(0.5), 200 + 10 * math.sqrt(0.5)), Point(380.0, 220.0)
     assert end_blocked(p, q, v, scene)
     assert not end_blocked(p, q, v, Scene((400.0, 400.0), squares[:1], 10.0))

@@ -233,12 +233,32 @@ def test_scene_compiles_corner_links_once(monkeypatch):
     ]
 
 
-def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch):
+def acute_scene() -> Scene:
+    """A triangle of 11.9 degrees at (300, 150) and a parallelogram of 6.8
+    degrees at (150, 250) and (350, 256), 6 units thick."""
+    shapes = (
+        ObstacleSpec(1, Triangle(Point(100, 150), Point(300, 150), Point(110, 190))),
+        ObstacleSpec(2, parallelogram_from(Point(150, 250), 150, Point(200, 256))),
+    )
+    return Scene(bounds=(400.0, 400.0), obstacles=shapes, clearance=10.0)
+
+
+@pytest.mark.parametrize(
+    "make_scene, start, goal, least",
+    [
+        (builtin_scene, O, C, 200),
+        (shared_vertex_scene, Point(60, 300), Point(300, 60), 10),  # the leg ends at (200, 200) lie on both squares
+        (acute_scene, Point(320, 120), Point(140, 268), 20),  # turns at (300, 150) and (150, 250)
+    ],
+    ids=["builtin", "shared-vertex", "acute"],
+)
+def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch, make_scene, start, goal, least):
     # A leg end on a corner's circle that lies closer than the clearance
     # limit to an edge of that corner's polygon runs back into the polygon:
     # neither the corner links, the endpoint links nor the chain screen may
-    # hand such a leg to segment_clear.
-    scene = builtin_scene()
+    # hand such a leg to segment_clear.  end_blocked reads only the two edges
+    # at the corner; every edge of the polygon is counted here.
+    scene = make_scene()
     limit = scene.clearance - 1e-9
     polygons = [ob[1] for ob in oracles.scene_obstacles(scene) if ob[0] == "poly"]
     calls = []
@@ -254,9 +274,9 @@ def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch):
         return min((oracles.seg_dist(end, a, b) for a, b in edges), default=math.inf)
 
     monkeypatch.setattr(planner, "segment_clear", recorded)
-    plan_route(RouteRequest(O, C, scene))
+    plan_route(RouteRequest(start, goal, scene))
     gaps = [gap for call in calls for gap in map(own_edge_gap, call) if gap < math.inf]  # ends on a corner circle
-    assert len(gaps) > 200
+    assert len(gaps) > least
     assert min(gaps) >= limit
 
 
