@@ -47,6 +47,8 @@ class WeightedGraph(NamedTuple):
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int, float]], no_edge: float = NO_EDGE) -> WeightedGraph:
     m = [[0.0 if i == j else no_edge for j in range(n)] for i in range(n)]
     for i, j, w in edges:
+        if not (1 <= i <= n and 1 <= j <= n):  # node 0 or -1 would index the last row
+            raise ValueError(f"edge {(i, j, w)!r} names a node outside 1..{n}")
         m[i - 1][j - 1] = w
         m[j - 1][i - 1] = w
     adjacency = tuple(
@@ -156,8 +158,21 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
       6. record best / mean cost curves; repeat from 3.
 
     A missing hop costs the graph's no-edge sentinel, so `g.no_edge` must be
-    finite and dominate any real route cost.
+    finite (ValueError otherwise) and dominate any real route cost.  A decode
+    is a pure function of the bits, so each distinct chromosome is decoded
+    once per run; the final decode of the best is the one repeat.
     """
+    if not math.isfinite(g.no_edge):
+        raise ValueError(f"aco_run needs a finite no-edge sentinel, got {g.no_edge!r}")
+    scored: dict[bytes, float] = {}  # chromosome -> cost; bytes keep the keys small
+
+    def score(bits: list[int]) -> float:
+        key = bytes(bits)
+        cost = scored.get(key)
+        if cost is None:
+            cost = scored[key] = decode_and_cost(tuple(bits), g)[1]
+        return cost
+
     rng = random.Random(params.seed)
     getrandbits = rng.getrandbits  # a coin is randint(0, 1)'s own draw: getrandbits(2), redrawn while above 1
     n = g.node_count
@@ -170,7 +185,7 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
                 r = getrandbits(2)
             bits[idx] = r
         bits[0] = bits[n - 1] = 1
-    costs = [decode_and_cost(tuple(b), g)[1] for b in colony]
+    costs = [score(b) for b in colony]
     pher = pheromone_init(costs)
 
     best_cost = min(costs)
@@ -198,7 +213,7 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
                     while r > 1:
                         r = getrandbits(2)
                     cand[idx] = r
-            c = decode_and_cost(tuple(cand), g)[1]
+            c = score(cand)
             if c < costs[j]:
                 colony[j] = cand
                 costs[j] = c

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
@@ -64,6 +65,13 @@ def test_graph_from_edges_symmetry():
     assert g.weight(1, 1) == 0.0
     assert not g.has_edge(1, 3)
     assert g.no_edge == 99.0
+
+
+@pytest.mark.parametrize("edge", [(0, 2, 5.0), (-1, 2, 5.0), (2, 4, 5.0)], ids=["zero", "negative", "above-n"])
+def test_graph_from_edges_rejects_a_node_outside_the_graph(edge):
+    # node 0 and -1 would index the last row from the end; 4 would raise a bare IndexError
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} names a node outside 1..3")):
+        graph_from_edges(3, [edge])
 
 
 def test_bits_string_roundtrip():
@@ -241,21 +249,30 @@ def test_aco_runs_on_a_graph_without_free_bits(n, edges):
         assert res.best_curve == res.mean_curve == (cost, cost)
 
 
+@pytest.mark.parametrize("no_edge", [math.inf, math.nan], ids=["inf", "nan"])
+def test_aco_rejects_a_sentinel_that_is_not_finite(no_edge):
+    # an infinite sentinel would start mean_curve at inf and turn the pheromones to nan
+    g = graph_from_edges(3, [(1, 2, 5.0)], no_edge=no_edge)
+    with pytest.raises(ValueError, match="aco_run needs a finite no-edge sentinel"):
+        aco_run(g, AcoParams(ants=3, generations=2))
+
+
 def test_aco_scores_through_the_module_name(graph, monkeypatch):
     # perfbench counts aco.decode_and_cost calls by wrapping the module
-    # attribute, so aco_run must call it there for every chromosome it scores
-    calls = 0
+    # attribute, so aco_run must call it there for every chromosome it decodes:
+    # each distinct one once, then the best once more for its nodes
+    calls: list[bytes] = []
 
     def counted(bits, g):
-        nonlocal calls
-        calls += 1
+        calls.append(bytes(bits))
         return decode_and_cost(bits, g)
 
     monkeypatch.setattr(arcplan.aco, "decode_and_cost", counted)
-    params = AcoParams()
-    aco_run(graph, params)
-    # the initial colony, one move per ant and generation, and the best once more
-    assert calls == params.ants * (params.generations + 1) + 1 == 5051
+    res = aco_run(graph, AcoParams())
+    assert len(set(calls[:-1])) == len(calls) - 1  # no chromosome decoded twice
+    assert calls[-1] == bytes(res.bits)
+    # the run scores 50 * (100 + 1) = 5,050 chromosomes, 3,076 of them distinct
+    assert len(calls) == 3076 + 1
 
 
 @pytest.mark.parametrize("chromosome", ["1" * 20, "1101"], ids=["too-long", "too-short"])

@@ -545,6 +545,24 @@ def test_colony_plan_smoke(scene):
     assert isinstance(plan, PlanResult)
 
 
+COLONY_PLANS = {  # target: (chromosome, repr(colony cost), repr(length)), the same for colony seeds 1-3
+    "A": ("11000000001", "462.4193370225366", "471.0372399836791"),
+    "B": ("10010101110001", "817.2517056650454", "853.7001258006783"),
+    "C": ("101010001111", "1065.3956380782147", "1101.3596304956586"),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("target", sorted(COLONY_PLANS))
+def test_colony_plans_are_pinned(scene, target, seed):
+    # The colony subgraphs weigh their hops in floats and charge a missing one
+    # the 1e6 penalty, so a wrong cost from aco_run's per-run decode memo
+    # shows here as another chromosome or cost.
+    plan = plan_route(RouteRequest(O, KNOWN_TARGETS[target], scene, engine="aco", aco_params=AcoParams(seed=seed)))
+    assert plan.engine == "aco"
+    assert (plan.aco.chromosome, repr(plan.aco.cost), repr(plan.length)) == COLONY_PLANS[target]
+
+
 def test_colony_miss_answered_by_exact_engine(scene):
     # On these two recipe queries the seed-1 colony proposes a route that does
     # not make a valid path; the exact engine answers, and the plan says so.
