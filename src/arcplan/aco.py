@@ -40,9 +40,6 @@ class WeightedGraph(NamedTuple):
         w = self.weights[i - 1][j - 1]
         return w < self.no_edge and math.isfinite(w)
 
-    def neighbors(self, i: int):
-        return iter(self.adjacency[i - 1])
-
 
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int, float]], no_edge: float = NO_EDGE) -> WeightedGraph:
     m = [[0.0 if i == j else no_edge for j in range(n)] for i in range(n)]

@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from .aco import AcoParams, aco_run, bits_from_string, builtin_graph, decode_and_cost, dijkstra_shortest
-from .geometry import Point, Scene, blocking_obstacles, builtin_scene
+from .geometry import Point, Scene, builtin_scene
 from .paths import CornerProblem, Turn, TurningCircle, chain_path, solve_corner
 from .planner import (
     KNOWN_TARGETS,
@@ -183,11 +183,6 @@ def _cmd_export_svg(args, stdout) -> int:
 def _cmd_enumerate(args, stdout) -> int:
     scene = _load_scene(args.scene)
     plans = enumerate_candidates(scene, args.src, args.dst, k=args.top)
-    if not plans:
-        raise RouteInfeasible(
-            f"no feasible route from {tuple(args.src)} to {tuple(args.dst)}",
-            blockers=blocking_obstacles(args.src, args.dst, scene),
-        )
     stdout.write(f"{len(plans)} route(s) {_label(args)}, shortest first:\n")
     for rank, plan in enumerate(plans, start=1):
         corners = ", ".join(f"({c.center.x:g},{c.center.y:g}){c.turn.value}" for c in plan.corners)

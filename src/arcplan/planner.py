@@ -107,9 +107,7 @@ class PlanResult(NamedTuple):
     path: SmoothPath
     length: float
     travel_time: float
-    node_sequence: tuple[int, ...]
     engine: str
-    roadmap_cost: float
     aco: Optional[AcoResult] = None
 
 
@@ -261,16 +259,16 @@ def _chain_for(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[tuple[TurningCir
     return circles, chain_path(rm.anchors[node_seq[0] - 1], circles, rm.anchors[node_seq[-1] - 1])
 
 
-def _plan(rm: Roadmap, node_seq: tuple[int, ...], roadmap_cost: float, engine: str, aco=None) -> PlanResult:
+def _plan(rm: Roadmap, node_seq: tuple[int, ...], engine: str, aco=None) -> PlanResult:
     """The plan along node_seq, unchecked; raises ChainingError."""
     circles, path = _chain_for(rm, node_seq)
-    return PlanResult(circles, path, path.length, travel_time(path), node_seq, engine, roadmap_cost, aco)
+    return PlanResult(circles, path, path.length, travel_time(path), engine, aco)
 
 
-def _result(rm, scene, node_seq, roadmap_cost, engine, aco=None) -> Optional[PlanResult]:
+def _result(rm, scene, node_seq, engine, aco=None) -> Optional[PlanResult]:
     """The plan along node_seq, or None when it does not chain or fails validate_path."""
     try:
-        plan = _plan(rm, node_seq, roadmap_cost, engine, aco)
+        plan = _plan(rm, node_seq, engine, aco)
     except ChainingError:
         return None
     return plan if validate_path(plan.path, scene).ok else None
@@ -324,7 +322,8 @@ class _ChainScreen:
 
 
 def _ranked_plans(rm: Roadmap, scene: Scene, k: int) -> list[PlanResult]:
-    """The k shortest validated plans, sorted by chained length.
+    """The k shortest validated plans, sorted by chained length, equal
+    lengths in the order the scan found them; RouteInfeasible when none.
 
     Sequences come in ascending roadmap cost, which never exceeds a chained
     length, so the scan stops once k plans are held and the next sequence
@@ -338,8 +337,11 @@ def _ranked_plans(rm: Roadmap, scene: Scene, k: int) -> list[PlanResult]:
         if len(found) == k and cost >= found[-1].length:
             break
         if screen.ok(seq):
-            plan = _plan(rm, seq, cost, "exact")
-            found = sorted([*found, plan], key=lambda p: (p.length, p.node_sequence))[:k]
+            found = sorted([*found, _plan(rm, seq, "exact")], key=lambda p: p.length)[:k]
+    if not found:
+        start, goal = rm.anchors[0], rm.anchors[-1]
+        raise RouteInfeasible(f"no feasible route from {tuple(start)} to {tuple(goal)}",
+                              blockers=blocking_obstacles(start, goal, scene))
     return found
 
 
@@ -373,10 +375,10 @@ def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Option
     _check_endpoint(start, scene, "start")
     _check_endpoint(goal, scene, "goal")
     if start == goal:
-        return PlanResult((), SmoothPath(()), 0.0, 0.0, (1, 1), engine, 0.0)
+        return PlanResult((), SmoothPath(()), 0.0, 0.0, engine)
     if segment_clear(start, goal, scene):
         path = SmoothPath((Line(start, goal),))
-        return PlanResult((), path, path.length, travel_time(path), (1, 2), engine, path.length)
+        return PlanResult((), path, path.length, travel_time(path), engine)
     if scene.clearance < MIN_TURN_RADIUS:
         raise RequestError(f"the route must turn, but the scene clearance {scene.clearance:g}, the radius of"
                            f" its corner arcs, is below the minimum turning radius {MIN_TURN_RADIUS:g}")
@@ -410,21 +412,15 @@ def plan_route(req: RouteRequest) -> PlanResult:
             picked = colony.nodes
             if all(sub.has_edge(a, b) for a, b in zip(picked, picked[1:])):
                 seq = tuple(keep[i - 1] for i in picked)
-                plan = _result(rm, scene, seq, colony.cost, "aco", aco=colony)
+                plan = _result(rm, scene, seq, "aco", aco=colony)
                 if plan is not None:
                     return plan
-
-    plans = _ranked_plans(rm, scene, 1)
-    if plans:
-        return plans[0]._replace(aco=colony)
-    raise RouteInfeasible(
-        f"no feasible route from {tuple(start)} to {tuple(goal)}",
-        blockers=blocking_obstacles(start, goal, scene),
-    )
+    return _ranked_plans(rm, scene, 1)[0]._replace(aco=colony)
 
 
 def enumerate_candidates(scene: Scene, start: Point, goal: Point, k: int = 3) -> list[PlanResult]:
-    """The k shortest validated chained paths over distinct corner sequences."""
+    """The k shortest validated chained paths over distinct corner sequences:
+    a non-empty list, or RouteInfeasible as plan_route raises it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     start, goal = Point(*start), Point(*goal)

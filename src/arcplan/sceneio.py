@@ -272,7 +272,6 @@ def plan_to_dict(label: str, plan) -> dict:
         "engine": plan.engine,
         "length": plan.length,
         "travel_time": plan.travel_time,
-        "roadmap_cost": plan.roadmap_cost,
         "segments": segs,
     }
 

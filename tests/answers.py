@@ -12,7 +12,7 @@ builtin field by random.Random(4) with no clearance filter, so that the
 endpoint check's rejections are among them, and aco_run on the 15-node graph
 for colony seeds 1-3: 422 answers.  Each query answer is its verdict (the
 plan, RouteInfeasible with its blockers, or RequestError with its message),
-repr(length), the node sequence and the format_plan_report text.  A colony
+repr(length), the corners and the format_plan_report text.  A colony
 plan and each aco_run also record the colony's chromosome, repr(cost) and a
 SHA-256 of repr((best_curve, mean_curve)), so the random stream is compared
 too, not only the routes it leads to.  Prints the answer count and a SHA-256
@@ -49,7 +49,7 @@ def answer(arc, scene, start, goal, engine="exact", seed=1) -> dict:
         **query,
         "verdict": "plan",
         "length": repr(plan.length),
-        "nodes": list(plan.node_sequence),
+        "corners": [[*c.center, c.radius, c.turn.value] for c in plan.corners],
         "report": arc.sceneio.format_plan_report(f"{start} -> {goal}", plan),
     }
     if engine == "aco":

@@ -54,8 +54,8 @@ def test_builtin_graph_spot_weights(graph):
 
 
 def test_builtin_graph_neighbors(graph):
-    assert dict(graph.neighbors(1)) == {2: 70.0, 4: 276.0, 5: 208.0}
-    assert dict(graph.neighbors(15)) == {13: 141.0, 14: 82.0}
+    assert dict(graph.adjacency[0]) == {2: 70.0, 4: 276.0, 5: 208.0}
+    assert dict(graph.adjacency[14]) == {13: 141.0, 14: 82.0}
     assert not graph.has_edge(1, 1)
 
 

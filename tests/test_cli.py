@@ -55,6 +55,7 @@ def test_plan_json_out(capsys, tmp_path):
     rc, _, _ = run_cli(capsys, "plan", "--out", str(out_file))
     assert rc == 0
     data = json.loads(out_file.read_text())
+    assert set(data) == {"route", "engine", "length", "travel_time", "segments"}
     assert data["route"] == "O -> A"
     assert data["engine"] == "exact"
     assert data["length"] == pytest.approx(471.037239984, abs=1e-6)
