@@ -19,7 +19,7 @@ from typing import Optional
 
 from .aco import AcoParams, aco_run, bits_from_string, builtin_graph, decode_and_cost, dijkstra_shortest
 from .geometry import Point, Scene, builtin_scene
-from .paths import CornerProblem, Turn, TurningCircle, chain_path, solve_corner
+from .paths import Turn, TurningCircle, chain_path, solve_corner
 from .planner import (
     KNOWN_TARGETS,
     PlanResult,
@@ -220,19 +220,19 @@ def _cmd_verify(args, stdout) -> int:
     # corner benchmarks
     for key in ("corner_oa", "corner_ob3"):
         e = read(exp, key, dict)
-        prob = CornerProblem(*(read(e, k, pt) for k in ("start", "end", "center")), read(e, "radius"))
-        sol = read(exp, key, lambda _: solve_corner(prob))  # ChainingError: an end lies inside the circle
-        near(f"{key} total", sol.total_length, e, "total", "total_tol")
-        near(f"{key} exact total", sol.total_length, e, "exact_total", "exact_tol", 9)
+        corner = (*(read(e, k, pt) for k in ("start", "end", "center")), read(e, "radius"))
+        sol = read(exp, key, lambda _: solve_corner(*corner))  # ChainingError: an end lies inside the circle
+        first, last = sol.segments[0], sol.segments[-1]
+        near(f"{key} total", sol.length, e, "total", "total_tol")
+        near(f"{key} exact total", sol.length, e, "exact_total", "exact_tol", 9)
         if "oracle_total" in e:
-            near(f"{key} oracle band", sol.total_length, e, "oracle_total", "oracle_tol")
+            near(f"{key} oracle band", sol.length, e, "oracle_total", "oracle_tol")
         if "entry" in e:
             pt_tol = tol(e, "point_tol")
-            d1 = math.dist(sol.entry_tangent_point, read(e, "entry", pt))
-            d2 = math.dist(sol.exit_tangent_point, read(e, "exit", pt))
+            d1, d2 = math.dist(first.b, read(e, "entry", pt)), math.dist(last.a, read(e, "exit", pt))
             check(f"{key} tangent points", max(d1, d2) <= pt_tol, f"offsets {d1:.5f}, {d2:.5f} (tol {pt_tol:g})")
         if "first_line" in e:
-            near(f"{key} first line", sol.path.segments[0].length, e, "first_line", "first_line_tol")
+            near(f"{key} first line", first.length, e, "first_line", "first_line_tol")
 
     # chained route benchmark
     e = read(exp, "chain_ob", dict)

@@ -1,13 +1,13 @@
-"""Line-and-arc smooth paths: directed tangents between turning circles, the
-single-corner optimization, multi-corner chains, lengths and travel times,
-and their validation, whose clearance check is exact on lines and arcs alike.
+"""Line-and-arc smooth paths: directed tangents between turning circles,
+multi-corner chains, lengths and travel times, and their validation, whose
+clearance check is exact on lines and arcs alike.
 
 A smooth path alternates straight lines with circular arcs of radius >= 10
 (the robot's minimum turning radius).  Each line is the common tangent of two
 turning circles that agrees with their turns; the start and the goal are
-circles of radius 0.  The shortest way around one convex corner is such a
-line-arc-line "taut rope" whose arc spans the angle left between the two
-tangency points in the chosen turn direction.
+circles of radius 0.  The shortest way around one convex corner (`solve_corner`)
+is the one-circle chain: a line-arc-line "taut rope" whose arc spans the angle
+left between the two tangency points in the chosen turn direction.
 """
 
 from __future__ import annotations
@@ -121,22 +121,6 @@ class SmoothPath(NamedTuple):
         return self.segments[-1].end
 
 
-class CornerProblem(NamedTuple):
-    start: Point
-    end: Point
-    center: Point
-    radius: float
-
-
-class CornerSolution(NamedTuple):
-    entry_tangent_point: Point
-    exit_tangent_point: Point
-    half_angle: float  # half the arc sweep; sin(half_angle) = chord / (2r) when sweep <= pi
-    path: SmoothPath
-    total_length: float
-    turn: Optional[Turn]
-
-
 def pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
     """Tangency angles (on c1, on c2) of the unique common tangent that leaves
     c1 and enters c2 consistently with their turn directions: the outer
@@ -179,51 +163,25 @@ def max_turn_speed(radius: float, v0: float = V0_DEFAULT) -> float:
 
 def travel_time(p: SmoothPath, v0: float = V0_DEFAULT) -> float:
     """Straights at v0, each arc at the max turn speed for its radius."""
-    t = 0.0
-    for seg in p.segments:
-        if isinstance(seg, Line):
-            t += seg.length / v0
-        else:
-            t += seg.length / max_turn_speed(seg.circle.radius, v0)
-    return t
+    times = (s.length / (v0 if isinstance(s, Line) else max_turn_speed(s.circle.radius, v0)) for s in p.segments)
+    return sum(times, 0.0)
 
 
-def solve_corner(prob: CornerProblem) -> CornerSolution:
+def solve_corner(start: Point, end: Point, center: Point, radius: float) -> SmoothPath:
     """Shortest line-arc-line path from start to end around one turning circle.
 
-    Closed form: each line is the point-to-circle tangent of length
-    sqrt(d^2 - r^2); the arc spans the angle left between the two tangency
-    points.  Both turn directions are chained and the shorter one returned
-    (ties break toward the smaller sweep).  The corner is wrapped only when it
-    actually sits across the route - when the center projects beyond either
-    endpoint of the segment, the straight line is already taut and the
-    degenerate zero-arc solution is returned.
+    Both one-circle chains (the circle turned either way) are built and the
+    shorter returned, ties going to the smaller sweep.  The corner is wrapped
+    only when it sits across the route: when the center projects onto the
+    segment at or beyond either end (or start == end), the straight line is
+    already taut and returned alone.
     """
-    c, r = prob.center, prob.radius
-    dx, dy = prob.end[0] - prob.start[0], prob.end[1] - prob.start[1]
-    L2 = dx * dx + dy * dy
-    t = 0.0 if L2 == 0.0 else ((c[0] - prob.start[0]) * dx + (c[1] - prob.start[1]) * dy) / L2
-    if t <= 0.0 or t >= 1.0:
-        line = Line(Point(*prob.start), Point(*prob.end))
-        grazing = _closest_circle_point(c, r, prob.start, prob.end)
-        path = SmoothPath((line,))
-        return CornerSolution(grazing, grazing, 0.0, path, line.length, None)
-
-    wraps = [chain_path(prob.start, (TurningCircle(Point(*c), r, turn),), prob.end) for turn in (Turn.CCW, Turn.CW)]
-    path = min(wraps, key=lambda w: (w.length, w.segments[1].sweep))
-    entry, arc, exit_ = path.segments
-    return CornerSolution(entry.b, exit_.a, arc.sweep / 2.0, path, path.length, arc.circle.turn)
-
-
-def _closest_circle_point(center, r, a, b) -> Point:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    L2 = dx * dx + dy * dy
-    t = 0.0 if L2 == 0 else max(0.0, min(1.0, ((center[0] - a[0]) * dx + (center[1] - a[1]) * dy) / L2))
-    qx, qy = a[0] + t * dx, a[1] + t * dy
-    d = math.hypot(qx - center[0], qy - center[1])
-    if d == 0.0:
-        return Point(center[0] + r, center[1])
-    return Point(center[0] + r * (qx - center[0]) / d, center[1] + r * (qy - center[1]) / d)
+    dx, dy = end[0] - start[0], end[1] - start[1]
+    along = (center[0] - start[0]) * dx + (center[1] - start[1]) * dy  # the projection, times |end - start|^2
+    if not 0.0 < along < dx * dx + dy * dy:
+        return chain_path(start, (), end)
+    wraps = [chain_path(start, (TurningCircle(Point(*center), radius, turn),), end) for turn in (Turn.CCW, Turn.CW)]
+    return min(wraps, key=lambda w: (w.length, w.segments[1].sweep))
 
 
 def chain_path(start: Point, circles: tuple[TurningCircle, ...], end: Point) -> SmoothPath:

@@ -95,11 +95,11 @@ _KINDS = {
 
 
 def scene_from_dict(d: dict) -> Scene:
-    """Scene from its JSON form; every number must be a finite JSON number
-    (no boolean or string), the clearance, bounds and obstacle dimensions
-    positive, the obstacle ids distinct integers and no triangle or
-    parallelogram of zero area; a key it does not define, at the top or for
-    an obstacle's kind, is never ignored."""
+    """Scene from its JSON form, an object with a list of obstacle objects;
+    every number must be a finite JSON number (no boolean or string), the
+    clearance, bounds and obstacle dimensions positive, the obstacle ids
+    distinct integers and no triangle or parallelogram of zero area; a key it
+    does not define, at the top or for an obstacle's kind, is never ignored."""
     if not isinstance(d, dict):
         raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
@@ -109,8 +109,13 @@ def scene_from_dict(d: dict) -> Scene:
             raise SceneFormatError(f"bounds must be [width, height], got {reprlib.repr(raw)}")
         bounds = (_size(raw[0], "bounds width"), _size(raw[1], "bounds height"))
         clearance = _size(d.get("clearance", 10.0), "clearance")
-        obstacles, ids = [], set()
-        for entry in d.get("obstacles", ()):
+        entries, obstacles, ids = d.get("obstacles", []), [], set()
+        if not isinstance(entries, (list, tuple)):
+            raise SceneFormatError(f"obstacles must be a list, got {reprlib.repr(entries)}")
+        for i, entry in enumerate(entries):
+            at = f"obstacle entry {i}"  # until its id is read
+            if not isinstance(entry, dict):
+                raise SceneFormatError(f"{at} must be an object, got {reprlib.repr(entry)}")
             oid = _num(entry["id"], "obstacle id")
             if not oid.is_integer():
                 raise SceneFormatError(f"obstacle id must be an integer, got {entry['id']!r}")
@@ -118,8 +123,8 @@ def scene_from_dict(d: dict) -> Scene:
             if oid in ids:
                 raise SceneFormatError(f"obstacle id {oid} is used twice")
             ids.add(oid)
-            kind = entry["kind"]
             at = f"obstacle {oid}"
+            kind = entry["kind"]
             if not isinstance(kind, str) or kind not in _KINDS:
                 raise SceneFormatError(f"{at}: unknown kind {reprlib.repr(kind)}")
             _, make, fields, _ = _KINDS[kind]
@@ -133,7 +138,7 @@ def scene_from_dict(d: dict) -> Scene:
             _no_unknown_keys(entry, ("id", "kind", *fields), f"{at} ({kind})")
             obstacles.append(ObstacleSpec(oid, shape))
     except KeyError as e:
-        raise SceneFormatError(f"scene entry missing field {e}") from None
+        raise SceneFormatError(f"{at}: missing field {e}") from None
     except (TypeError, ValueError) as e:
         if isinstance(e, SceneFormatError):
             raise

@@ -10,6 +10,7 @@ closed-form corner solver.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
@@ -544,3 +545,132 @@ def path_violation(segments, obstacles, clearance, spacing=0.5):
         if d < limit:
             return f"segment {i} has clearance {d:.9f}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# two-sided bounds on the shortest route: visibility-graph search among
+# polygons inside and around the clearance envelopes (Lozano-Perez & Wesley,
+# CACM 1979)
+
+
+def envelope_polygons(scene, step: float, outer: bool) -> list:
+    """Each obstacle's clearance envelope as a convex CCW polygon with a vertex
+    at least every `step` rad of each of its arcs: inscribed, its vertices on
+    the arcs, or if `outer` circumscribed, its edges tangent to the arcs and
+    its vertices at r / cos(delta / 2) for a split of delta rad."""
+    c = scene.clearance
+    polys = []
+    for ob in scene_obstacles(scene):
+        if ob[0] == "circle":
+            arcs, closed = [(ob[1], ob[2] + c, 0.0, TAU)], True
+        else:
+            poly = list(ob[1])
+            if sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(poly, poly[1:] + poly[:1])) < 0.0:
+                poly.reverse()
+            arcs, closed = [], False
+            for u, v, w in zip(poly[-1:] + poly[:-1], poly, poly[1:] + poly[:1]):
+                a_in = math.atan2(u[0] - v[0], v[1] - u[1])  # the outward normal of edge u-v
+                a_out = math.atan2(v[0] - w[0], w[1] - v[1])
+                arcs.append((v, c, a_in, (a_out - a_in) % TAU))
+        pts = []
+        for (cx, cy), r, start, sweep in arcs:
+            n = max(1, math.ceil(sweep / step))
+            d = sweep / n
+            if outer:
+                r, ks = r / math.cos(d / 2.0), [k + 0.5 for k in range(n)]
+            else:
+                ks = range(n if closed else n + 1)
+            pts += [(cx + r * math.cos(start + k * d), cy + r * math.sin(start + k * d)) for k in ks]
+        polys.append(pts)
+    return polys
+
+
+def _enters(p, q, planes, eps: float) -> bool:
+    """Whether segment pq goes more than eps deep into the convex polygon
+    whose inward edge half-planes (nx, ny, offset) are given (Cyrus-Beck)."""
+    lo, hi = 0.0, 1.0
+    for nx, ny, off in planes:
+        f0, f1 = nx * p[0] + ny * p[1] - off, nx * q[0] + ny * q[1] - off
+        if f0 <= eps and f1 <= eps:
+            return False
+        if f0 <= eps:
+            lo = max(lo, (eps - f0) / (f1 - f0))
+        elif f1 <= eps:
+            hi = min(hi, (eps - f0) / (f1 - f0))
+        if lo >= hi:
+            return False
+    return True
+
+
+def shortest_polyline(polys, start, goal, field, eps: float = 1e-9) -> float:
+    """Length of the shortest start-goal polyline inside the field (w, h)
+    that goes no more than eps deep into any of the convex CCW polygons,
+    math.inf if there is none.  A* over the polygon vertices inside the field,
+    where alone a taut path bends (where a polygon meets another or a field
+    edge, the free space has a notch), and whose legs are the segments that
+    support the polygon at each vertex end."""
+    (w, h), nodes = field, [(tuple(start), None), (tuple(goal), None)]
+    planes, boxes = [], []
+    for poly in polys:
+        for k, v in enumerate(poly):
+            if -eps <= v[0] <= w + eps and -eps <= v[1] <= h + eps:
+                nodes.append((v, (poly[k - 1], poly[(k + 1) % len(poly)])))
+        hp = []
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            L = math.dist(a, b)
+            nx, ny = (a[1] - b[1]) / L, (b[0] - a[0]) / L  # inward: left of a CCW edge
+            hp.append((nx, ny, nx * a[0] + ny * a[1]))
+        planes.append(hp)
+        xs, ys = [v[0] for v in poly], [v[1] for v in poly]
+        boxes.append((min(xs), min(ys), max(xs), max(ys)))
+
+    def supports(p, corner, q) -> bool:  # line pq leaves both neighbours of corner p on one side
+        if corner is None:
+            return True
+        u, w = corner
+        dx, dy, d = q[0] - p[0], q[1] - p[1], math.dist(p, q)
+        s1 = (dx * (u[1] - p[1]) - dy * (u[0] - p[0])) / (d * math.dist(p, u))  # sines of the angles to them
+        s2 = (dx * (w[1] - p[1]) - dy * (w[0] - p[0])) / (d * math.dist(p, w))
+        return not ((s1 > 1e-9 and s2 < -1e-9) or (s1 < -1e-9 and s2 > 1e-9))
+
+    def visible(p, q) -> bool:
+        x0, x1, y0, y1 = min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])
+        return not any(
+            b[0] < x1 and x0 < b[2] and b[1] < y1 and y0 < b[3] and _enters(p, q, hp, eps)
+            for hp, b in zip(planes, boxes)
+        )
+
+    goal = nodes[1][0]
+    best = [math.inf] * len(nodes)
+    best[0] = 0.0
+    heap = [(math.dist(nodes[0][0], goal), 0.0, 0)]
+    while heap:
+        _, g, i = heapq.heappop(heap)
+        if i == 1:
+            return g
+        if g > best[i]:
+            continue
+        p, pc = nodes[i]
+        for j, (q, qc) in enumerate(nodes):
+            if j == i or p == q:
+                continue
+            h = g + math.dist(p, q)
+            if h < best[j] and supports(p, pc, q) and supports(q, qc, p) and visible(p, q):
+                best[j] = h
+                heapq.heappush(heap, (h + math.dist(q, goal), h, j))
+    return math.inf
+
+
+def length_bounds(scene, start, goal, step: float) -> tuple[float, float]:
+    """(lower, upper) bounds on the length of the shortest start-goal path
+    that keeps the scene's clearance inside its field: the shortest polyline
+    around the polygons inscribed in the clearance envelopes, then around the
+    circumscribed ones, at most `step` rad of envelope arc apart.  The
+    shortest path bends only on envelope arcs, of radius clearance or circle
+    radius + clearance; when the clearance is at least the turning radius
+    these are turns the robot can make, so that path is the smooth model's
+    shortest.  Nothing here calls the package's tangent, clearance or arc
+    code."""
+    return tuple(
+        shortest_polyline(envelope_polygons(scene, step, outer), start, goal, scene.bounds) for outer in (False, True)
+    )

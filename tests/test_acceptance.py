@@ -17,7 +17,6 @@ from arcplan.cli import main
 from arcplan.geometry import Point, Scene, builtin_scene, min_clearance
 from arcplan.paths import (
     Arc,
-    CornerProblem,
     Line,
     TurningCircle,
     Turn,
@@ -103,21 +102,19 @@ def test_criterion_1_shortest_route_to_a(scene, expected):
 
 def test_criterion_2_first_corner_to_b(expected):
     want = expected["corner_ob3"]
-    sol = solve_corner(
-        CornerProblem(Point(*want["start"]), Point(*want["end"]), Point(*want["center"]), want["radius"])
-    )
+    sol = solve_corner(Point(*want["start"]), Point(*want["end"]), Point(*want["center"]), want["radius"])
     live = oracles.corner_descent(tuple(want["start"]), tuple(want["end"]), tuple(want["center"]), want["radius"], grid=8)
-    first = sol.path.segments[0].length
+    first = sol.segments[0].length
     ok = (
-        abs(sol.total_length - live) <= want["oracle_tol"]
-        and abs(sol.total_length - want["oracle_total"]) <= want["oracle_tol"]
-        and abs(sol.total_length - want["total"]) <= want["total_tol"]
+        abs(sol.length - live) <= want["oracle_tol"]
+        and abs(sol.length - want["oracle_total"]) <= want["oracle_tol"]
+        and abs(sol.length - want["total"]) <= want["total_tol"]
         and abs(first - want["first_line"]) <= want["first_line_tol"]
     )
     report(
         2,
         ok,
-        f"corner total {sol.total_length:.4f} vs descent {live:.4f} (tol {want['oracle_tol']}) "
+        f"corner total {sol.length:.4f} vs descent {live:.4f} (tol {want['oracle_tol']}) "
         f"and {want['total']}±{want['total_tol']}; first line {first:.4f} "
         f"(want {want['first_line']}±{want['first_line_tol']})",
     )
@@ -218,11 +215,11 @@ def test_criterion_7_property_suite(scene):
     # c) closed form equals numeric descent on 100 random corner problems
     worst_c = 0.0
     for s, e, c, r in oracles.random_corner_problems(100, seed=7):
-        sol = solve_corner(CornerProblem(Point(*s), Point(*e), Point(*c), r))
+        sol = solve_corner(Point(*s), Point(*e), Point(*c), r)
         num = oracles.corner_descent(s, e, c, r, grid=4)
-        if not math.isfinite(num) or abs(sol.total_length - num) > 1e-6:
+        if not math.isfinite(num) or abs(sol.length - num) > 1e-6:
             num = oracles.corner_descent(s, e, c, r, grid=8)
-        worst_c = max(worst_c, abs(sol.total_length - num))
+        worst_c = max(worst_c, abs(sol.length - num))
     ok_c = worst_c <= 1e-6
 
     # d) chord length identity on 1000 random arcs below a half turn

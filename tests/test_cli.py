@@ -258,6 +258,11 @@ def _scene_with(obstacle: dict) -> str:
          "obstacle 1 left: expected [x, y] pair, got 'x'"),
         (_scene_with({"kind": "triangle", "left": [0, 0], "lower_right": [5, 5], "top": [9, 9], "zz": 1}),
          "obstacle 1: left, lower_right and top are collinear (zero area)"),
+        ('{"obstacles": "ab"}', "obstacles must be a list, got 'ab'"),
+        ('{"obstacles": null}', "obstacles must be a list, got None"),
+        ('{"obstacles": [5]}', "obstacle entry 0 must be an object, got 5"),
+        (_scene_with({"kind": "rect", "anchor": [10, 10], "width": 5}), "obstacle 1: missing field 'height'"),
+        ('{"obstacles": [{"kind": "rect"}]}', "obstacle entry 0: missing field 'id'"),
     ],
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
          "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
@@ -266,7 +271,8 @@ def _scene_with(obstacle: dict) -> str:
          "float-overflow-clearance", "float-overflow-coordinate", "float-overflow-id", "string-clearance",
          "string-coordinate", "string-id", "string-width", "repeated-top-level-key", "repeated-obstacle-key",
          "long-string-clearance", "long-bounds", "long-anchor", "long-unknown-key", "long-kind", "many-unknown-keys",
-         "first-repeated-key", "list-kind", "field-order", "zero-area-before-unknown-key"],
+         "first-repeated-key", "list-kind", "field-order", "zero-area-before-unknown-key", "string-obstacles",
+         "null-obstacles", "number-obstacle", "missing-height", "missing-id"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"

@@ -342,6 +342,35 @@ def test_plan_length_matches_independent_chain_oracle(scene, expected):
     assert plan.length == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("goal", [A, B], ids=["A", "B"])
+def test_plan_lies_in_the_length_bounds(scene, goal):
+    # bounds from polygons inside and around the clearance envelopes, with no
+    # arcplan tangent, clearance or arc code: O->A and O->B are optimal
+    lower, upper = oracles.length_bounds(scene, O, goal, 0.1)
+    assert upper - lower < 0.1
+    assert lower <= plan_route(RouteRequest(O, goal, scene)).length <= upper
+
+
+def test_length_bounds_hold_the_shortest_o_to_c(scene):
+    # 1088.1952 is the shortest O->C; the engine's 1101.3596 lies above the bracket
+    lower, upper = oracles.length_bounds(scene, O, C, 0.1)
+    assert lower <= 1088.1952 <= upper < 1101.3596
+    assert upper - lower < 0.1
+
+
+def test_no_plan_is_shorter_than_the_lower_bound(scene):
+    # a route the engine returns keeps the clearance, so it is never shorter
+    # than the path around the inscribed envelope polygons
+    for a, b in recipe_pairs(scene, 20):
+        lower, upper = oracles.length_bounds(scene, a, b, 0.3)
+        assert lower <= upper
+        try:
+            length = plan_route(RouteRequest(a, b, scene)).length
+        except RouteInfeasible:
+            continue
+        assert length >= lower - 1e-9, (a, b)
+
+
 def test_plan_start_equals_goal(scene):
     plan = plan_route(RouteRequest(Point(20, 20), Point(20, 20), scene))
     assert plan.length == 0.0
