@@ -195,15 +195,16 @@ def _cmd_verify(args, stdout) -> int:
     scene = builtin_scene()
     failures = 0
 
-    def read(e, key: str, kind=float):
-        """kind(e[key]); SceneFormatError naming the fixture file if that fails."""
+    def read(e, key: str, kind=None):
+        """e[key] read by kind, as a scene file's number by default;
+        SceneFormatError naming the fixture file if that fails."""
         try:
-            return kind(e[key])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            return sceneio.read_number(e[key], key) if kind is None else kind(e[key])
+        except (KeyError, TypeError, ValueError):
             raise sceneio.SceneFormatError(f"{sceneio.expected_path()}: {key!r} is missing or malformed") from None
 
     def pt(v) -> Point:
-        return Point(*map(float, v))
+        return sceneio.read_point(v, "point")
 
     def check(name: str, ok: bool, detail: str) -> None:
         nonlocal failures

@@ -56,11 +56,9 @@ class Triangle(NamedTuple):
 
 
 class Parallelogram(NamedTuple):
-    # vertices in CCW order; closure invariant v1 + v3 == v2 + v4
-    v1: Point
-    v2: Point
-    v3: Point
-    v4: Point
+    anchor: Point  # lower-left vertex; the base runs from it along +x
+    base: float
+    top_left: Point  # the top edge is parallel to the base
 
 
 Shape = Union[AxisRect, Circle, Triangle, Parallelogram]
@@ -105,27 +103,17 @@ class CompiledScene:
     corner_links: Optional[object] = None
 
 
-def parallelogram_from(anchor: Point, base: float, top_left: Point) -> Parallelogram:
-    """Complete a parallelogram from its lower-left vertex, base length and
-    top-left vertex (the top edge is parallel to the base)."""
-    v1 = Point(*anchor)
-    v2 = Point(v1.x + base, v1.y)
-    v4 = Point(*top_left)
-    v3 = Point(v2.x + (v4.x - v1.x), v4.y)
-    return Parallelogram(v1, v2, v3, v4)
-
-
 def builtin_scene() -> Scene:
     """The built-in 12-obstacle benchmark scene (800x800, clearance 10)."""
     obstacles = (
         ObstacleSpec(1, AxisRect(Point(300, 400), 200, 200)),
         ObstacleSpec(2, Circle(Point(550, 450), 70)),
-        ObstacleSpec(3, parallelogram_from(Point(360, 240), 140, Point(400, 330))),
+        ObstacleSpec(3, Parallelogram(Point(360, 240), 140, Point(400, 330))),
         ObstacleSpec(4, Triangle(Point(280, 100), Point(410, 100), Point(345, 210))),
         ObstacleSpec(5, AxisRect(Point(80, 60), 150, 150)),
         ObstacleSpec(6, Triangle(Point(60, 300), Point(235, 300), Point(150, 435))),
         ObstacleSpec(7, AxisRect(Point(0, 470), 220, 60)),
-        ObstacleSpec(8, parallelogram_from(Point(150, 600), 90, Point(180, 680))),
+        ObstacleSpec(8, Parallelogram(Point(150, 600), 90, Point(180, 680))),
         ObstacleSpec(9, AxisRect(Point(370, 680), 60, 120)),
         ObstacleSpec(10, AxisRect(Point(540, 600), 130, 130)),
         ObstacleSpec(11, AxisRect(Point(640, 520), 80, 80)),
@@ -134,24 +122,26 @@ def builtin_scene() -> Scene:
     return Scene(bounds=(800.0, 800.0), obstacles=obstacles, clearance=10.0)
 
 
+def polygon_vertices(shape: Shape) -> tuple[Point, ...]:
+    """A polygonal shape's vertices in the order its fields give them: a
+    rectangle's counter-clockwise from its anchor, a triangle's as given, a
+    parallelogram's anchor, base end, top right and top left."""
+    if isinstance(shape, AxisRect):
+        (x, y), w, h = shape
+        return Point(x, y), Point(x + w, y), Point(x + w, y + h), Point(x, y + h)
+    if isinstance(shape, Parallelogram):
+        (x, y), base, (tx, ty) = shape
+        v2 = Point(x + base, y)
+        return Point(x, y), v2, Point(v2.x + (tx - x), ty), Point(tx, ty)
+    if isinstance(shape, Triangle):
+        return tuple(shape)
+    raise ShapeKindError(f"a {type(shape).__name__} has no polygon vertices")
+
+
 def obstacle_vertices(spec: ObstacleSpec) -> tuple[Point, ...]:
-    """CCW convex vertex list of a polygonal obstacle, whatever order a
-    triangle or parallelogram was given in."""
-    s = spec.shape
-    if isinstance(s, AxisRect):
-        a = s.anchor
-        return (
-            Point(a.x, a.y),
-            Point(a.x + s.width, a.y),
-            Point(a.x + s.width, a.y + s.height),
-            Point(a.x, a.y + s.height),
-        )
-    if isinstance(s, Triangle):
-        verts = (s.v1, s.v2, s.v3)
-    elif isinstance(s, Parallelogram):
-        verts = (s.v1, s.v2, s.v3, s.v4)
-    else:
-        raise ShapeKindError(f"obstacle {spec.id} has no polygon vertices ({type(s).__name__})")
+    """CCW convex vertex list of a polygonal obstacle: its polygon_vertices,
+    reversed when they run clockwise."""
+    verts = polygon_vertices(spec.shape)
     twice_area = sum(a.x * b.y - b.x * a.y for a, b in zip(verts, verts[1:] + verts[:1]))
     return verts[::-1] if twice_area < 0.0 else verts
 

@@ -110,7 +110,7 @@ class SmoothPath(NamedTuple):
 
     @property
     def length(self) -> float:
-        return sum(s.length for s in self.segments)
+        return sum((s.length for s in self.segments), 0.0)
 
     @property
     def start(self) -> Point:

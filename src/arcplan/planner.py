@@ -374,10 +374,8 @@ def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Option
     Other routes turn on arcs of radius clearance: RequestError below MIN_TURN_RADIUS."""
     _check_endpoint(start, scene, "start")
     _check_endpoint(goal, scene, "goal")
-    if start == goal:
-        return PlanResult((), SmoothPath(()), 0.0, 0.0, engine)
-    if segment_clear(start, goal, scene):
-        path = SmoothPath((Line(start, goal),))
+    if start == goal or segment_clear(start, goal, scene):
+        path = SmoothPath(() if start == goal else (Line(start, goal),))
         return PlanResult((), path, path.length, travel_time(path), engine)
     if scene.clearance < MIN_TURN_RADIUS:
         raise RequestError(f"the route must turn, but the scene clearance {scene.clearance:g}, the radius of"

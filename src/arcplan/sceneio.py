@@ -2,8 +2,9 @@
 SVG drawings.
 
 Scene files carry the obstacle parameters verbatim (anchor + dimensions, not
-derived vertex lists) so they stay human-editable; shapes are completed on
-load.  All report output is deterministic: identical inputs and seeds yield
+derived vertex lists) so they stay human-editable, and each shape record holds
+exactly its file fields, so a scene file read and written back is unchanged.
+All report output is deterministic: identical inputs and seeds yield
 byte-identical text.
 """
 
@@ -26,8 +27,7 @@ from .geometry import (
     Point,
     Scene,
     Triangle,
-    obstacle_vertices,
-    parallelogram_from,
+    polygon_vertices,
 )
 from .paths import Arc, Line, SmoothPath, Turn
 
@@ -38,7 +38,7 @@ class SceneFormatError(ValueError):
     pass
 
 
-def _num(value, name: str, positive: bool = False) -> float:
+def read_number(value, name: str, positive: bool = False) -> float:
     """value as a float: a JSON number (an int or a float, never a bool or a
     string), finite, and positive if asked."""
     x = math.nan
@@ -69,28 +69,25 @@ def _no_unknown_keys(d: dict, known, what: str) -> None:
         raise SceneFormatError(f"{what}: unknown key {reprlib.repr(unknown)[1:-1]}")
 
 
-def _pt(v, name: str) -> Point:
+def read_point(v, name: str) -> Point:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise SceneFormatError(f"{name}: expected [x, y] pair, got {reprlib.repr(v)}")
-    return Point(_num(v[0], name), _num(v[1], name))
+    return Point(read_number(v[0], name), read_number(v[1], name))
 
 
 def _size(v, name: str) -> float:
-    return _num(v, name, positive=True)
+    return read_number(v, name, positive=True)
 
 
-# Each obstacle kind: its shape class; the constructor that takes its file
-# fields; the fields in file order, each read as an [x, y] point (_pt) or a
-# positive number (_size); and a shape's values of those fields.
+# Each obstacle kind: its shape class, whose fields are the file's fields in
+# file order, and each field's reader: an [x, y] point (read_point) or a
+# positive number (_size).  A triangle is stored as (left, lower-right, top);
+# either orientation reads as CCW.
 _KINDS = {
-    "rect": (AxisRect, AxisRect, {"anchor": _pt, "width": _size, "height": _size},
-             lambda s: (s.anchor, s.width, s.height)),
-    "circle": (Circle, Circle, {"center": _pt, "radius": _size}, lambda s: (s.center, s.radius)),
-    # stored as (left, lower-right, top); either orientation reads as CCW
-    "triangle": (Triangle, Triangle, {"left": _pt, "lower_right": _pt, "top": _pt},
-                 lambda s: (s.v1, s.v2, s.v3)),
-    "parallelogram": (Parallelogram, parallelogram_from, {"anchor": _pt, "base": _size, "top_left": _pt},
-                      lambda s: (s.v1, s.v2.x - s.v1.x, s.v4)),
+    "rect": (AxisRect, {"anchor": read_point, "width": _size, "height": _size}),
+    "circle": (Circle, {"center": read_point, "radius": _size}),
+    "triangle": (Triangle, {"left": read_point, "lower_right": read_point, "top": read_point}),
+    "parallelogram": (Parallelogram, {"anchor": read_point, "base": _size, "top_left": read_point}),
 }
 
 
@@ -116,7 +113,7 @@ def scene_from_dict(d: dict) -> Scene:
             at = f"obstacle entry {i}"  # until its id is read
             if not isinstance(entry, dict):
                 raise SceneFormatError(f"{at} must be an object, got {reprlib.repr(entry)}")
-            oid = _num(entry["id"], "obstacle id")
+            oid = read_number(entry["id"], "obstacle id")
             if not oid.is_integer():
                 raise SceneFormatError(f"obstacle id must be an integer, got {entry['id']!r}")
             oid = int(oid)
@@ -127,13 +124,13 @@ def scene_from_dict(d: dict) -> Scene:
             kind = entry["kind"]
             if not isinstance(kind, str) or kind not in _KINDS:
                 raise SceneFormatError(f"{at}: unknown kind {reprlib.repr(kind)}")
-            _, make, fields, _ = _KINDS[kind]
-            shape = make(*[read(entry[key], f"{at} {key}") for key, read in fields.items()])
+            cls, fields = _KINDS[kind]
+            shape = cls(*[read(entry[key], f"{at} {key}") for key, read in fields.items()])
             if kind == "triangle":
-                (ax, ay), (bx, by), (cx, cy) = shape.v1, shape.v2, shape.v3
+                (ax, ay), (bx, by), (cx, cy) = shape
                 if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0.0:
                     raise SceneFormatError(f"{at}: left, lower_right and top are collinear (zero area)")
-            elif kind == "parallelogram" and shape.v4.y == shape.v1.y:
+            elif kind == "parallelogram" and shape.top_left.y == shape.anchor.y:
                 raise SceneFormatError(f"{at}: top_left is level with anchor (zero area)")
             _no_unknown_keys(entry, ("id", "kind", *fields), f"{at} ({kind})")
             obstacles.append(ObstacleSpec(oid, shape))
@@ -149,13 +146,12 @@ def scene_from_dict(d: dict) -> Scene:
 def scene_to_dict(scene: Scene) -> dict:
     obstacles = []
     for spec in scene.obstacles:
-        kind = next((k for k, (cls, *_) in _KINDS.items() if isinstance(spec.shape, cls)), None)
+        kind = next((k for k, (cls, _) in _KINDS.items() if isinstance(spec.shape, cls)), None)
         if kind is None:
             raise SceneFormatError(f"obstacle {spec.id}: unserializable shape {type(spec.shape).__name__}")
-        _, _, fields, values = _KINDS[kind]
         entry = {"id": spec.id, "kind": kind}
-        for (key, read), v in zip(fields.items(), values(spec.shape)):
-            entry[key] = list(v) if read is _pt else v
+        for (key, read), v in zip(_KINDS[kind][1].items(), spec.shape):
+            entry[key] = list(v) if read is read_point else v
         obstacles.append(entry)
     return {"bounds": list(scene.bounds), "clearance": scene.clearance, "obstacles": obstacles}
 
@@ -301,24 +297,23 @@ def _svg_obstacle(spec: ObstacleSpec) -> str:
             f'<rect x="{s.anchor.x:g}" y="{s.anchor.y:g}" width="{s.width:g}" '
             f'height="{s.height:g}" class="obstacle"/>'
         )
-    pts = " ".join(f"{v.x:g},{v.y:g}" for v in (s.v1, s.v2, s.v3) + ((s.v4,) if isinstance(s, Parallelogram) else ()))
+    pts = " ".join(f"{v.x:g},{v.y:g}" for v in polygon_vertices(s))
     return f'<polygon points="{pts}" class="obstacle"/>'
 
 
-def _svg_envelope(spec: ObstacleSpec, c: float) -> str:
-    """One obstacle's hazard envelope at clearance c: a circle grown by c, or
-    a polygon's edges offset outward by c joined by arcs of radius c."""
-    s = spec.shape
-    if isinstance(s, Circle):
-        return f'<circle cx="{s.center.x:g}" cy="{s.center.y:g}" r="{s.radius + c:g}" class="envelope"/>'
-    verts = obstacle_vertices(spec)
+def _svg_envelope(kind: str, payload, c: float) -> str:
+    """One compiled obstacle's hazard envelope at clearance c: a circle grown
+    by c, or a polygon's edges offset outward by c joined by arcs of radius c."""
+    if kind == "circle":
+        x, y, r = payload
+        return f'<circle cx="{x:g}" cy="{y:g}" r="{r + c:g}" class="envelope"/>'
     edges = []
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        dx, dy = b.x - a.x, b.y - a.y
+    for (ax, ay), (bx, by) in zip(payload, payload[1:] + payload[:1]):
+        dx, dy = bx - ax, by - ay
         L = math.hypot(dx, dy)
         # CCW polygon: interior lies left of each edge, so outward is right
         nx, ny = dy / L, -dx / L
-        edges.append((a.x + c * nx, a.y + c * ny, b.x + c * nx, b.y + c * ny))
+        edges.append((ax + c * nx, ay + c * ny, bx + c * nx, by + c * ny))
     d = [f"M {edges[0][0]:.3f} {edges[0][1]:.3f}"]
     for (_, _, bx, by), (ax, ay, _, _) in zip(edges, edges[1:] + edges[:1]):
         d.append(f"L {bx:.3f} {by:.3f}")
@@ -365,8 +360,8 @@ def render_svg(scene: Scene, path: Optional[SmoothPath] = None) -> str:
         parts.append(_svg_obstacle(spec))
     parts.append("</g>")
     parts.append('<g id="envelope">')
-    for spec in scene.obstacles:
-        parts.append(_svg_envelope(spec, scene.clearance))
+    for kind, payload, _ in scene.compiled.obstacles:
+        parts.append(_svg_envelope(kind, payload, scene.clearance))
     parts.append("</g>")
     if path is not None and path.segments:
         parts.append('<g id="route">')

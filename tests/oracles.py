@@ -472,8 +472,9 @@ def mc_area(inside, bbox, samples: int, seed: int) -> float:
 def scene_obstacles(scene):
     """A scene's obstacles as ("poly", vertices) or ("circle", center,
     radius), read from the fields of its shapes: a rectangle's anchor, width
-    and height, a circle's center and radius, and the vertices v1, v2, ...
-    of the others in the order given."""
+    and height, a circle's center and radius, a parallelogram's anchor, base
+    and top_left (its top edge parallel to the base), and a triangle's
+    vertices v1, v2, v3 in the order given."""
     out = []
     for spec in scene.obstacles:
         s = spec.shape
@@ -482,8 +483,11 @@ def scene_obstacles(scene):
         elif hasattr(s, "width"):
             (x, y), w, h = s.anchor, s.width, s.height
             out.append(("poly", [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]))
+        elif hasattr(s, "base"):
+            (x, y), base, (tx, ty) = s.anchor, s.base, s.top_left
+            out.append(("poly", [(x, y), (x + base, y), (tx + base, ty), (tx, ty)]))
         else:
-            out.append(("poly", [tuple(getattr(s, f"v{k}")) for k in range(1, 5) if hasattr(s, f"v{k}")]))
+            out.append(("poly", [tuple(s.v1), tuple(s.v2), tuple(s.v3)]))
     return out
 
 

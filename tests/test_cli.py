@@ -8,11 +8,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tempfile
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arcplan import sceneio
 from arcplan.cli import main
@@ -64,6 +67,14 @@ def test_plan_json_out(capsys, tmp_path):
     assert data["segments"][1]["center"] == [80.0, 210.0]
     total = sum(seg["length"] for seg in data["segments"])
     assert total == pytest.approx(data["length"], abs=1e-9)
+
+
+def test_plan_start_equals_goal_json_out(capsys, tmp_path):
+    out_file = tmp_path / "plan.json"
+    rc, out, _ = run_cli(capsys, "plan", "--from", "O", "--to", "O", "--out", str(out_file))
+    assert rc == 0 and "(empty path)" in out
+    assert '"length": 0.0,' in out_file.read_text()
+    assert json.loads(out_file.read_text())["segments"] == []
 
 
 def test_plan_svg_out(capsys, tmp_path):
@@ -398,6 +409,51 @@ def test_infeasible_exit_code(capsys, tmp_path):
     assert enum_err == err
 
 
+num3 = st.floats(-1000.0, 1000.0).map(lambda v: round(v, 3))  # as perfbench's scene generator draws them
+size3 = st.floats(0.001, 1000.0).map(lambda v: round(v, 3))
+point3 = st.lists(num3, min_size=2, max_size=2)
+KIND_FIELDS = {
+    "rect": {"anchor": point3, "width": size3, "height": size3},
+    "circle": {"center": point3, "radius": size3},
+    "triangle": {"left": point3, "lower_right": point3, "top": point3},
+    "parallelogram": {"anchor": point3, "base": size3, "top_left": point3},
+}
+
+
+def _has_area(ob: dict) -> bool:
+    if ob["kind"] == "triangle":
+        (ax, ay), (bx, by), (cx, cy) = ob["left"], ob["lower_right"], ob["top"]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) != 0.0
+    return ob["kind"] != "parallelogram" or ob["top_left"][1] != ob["anchor"][1]
+
+
+@st.composite
+def scene_dicts(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(KIND_FIELDS)), max_size=6))
+    obstacles = [
+        draw(st.fixed_dictionaries({"id": st.just(oid), "kind": st.just(kind), **KIND_FIELDS[kind]}).filter(_has_area))
+        for oid, kind in enumerate(kinds, start=1)
+    ]
+    return {"bounds": [draw(size3), draw(size3)], "clearance": draw(size3), "obstacles": obstacles}
+
+
+@given(scene_dicts())
+def test_scene_file_round_trip(d):
+    scene = sceneio.scene_from_dict(d)
+    assert sceneio.scene_to_dict(scene) == d
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "scene.json")
+        sceneio.dump_scene(scene, path)
+        assert sceneio.load_scene(path) == scene
+
+
+def test_parallelogram_base_written_back_as_read():
+    # (0.1 + 0.2) - 0.1 is 0.20000000000000004: the base is stored, not derived from vertices
+    d = {"bounds": [800.0, 800.0], "clearance": 10.0,
+         "obstacles": [{"id": 1, "kind": "parallelogram", "anchor": [0.1, 5.0], "base": 0.2, "top_left": [1.0, 6.0]}]}
+    assert sceneio.scene_to_dict(sceneio.scene_from_dict(d)) == d
+
+
 def test_clockwise_triangle_start_inside_exit_code(capsys, tmp_path):
     # vertices given clockwise; (300, 200) lies inside the triangle
     scene_file = tmp_path / "cw.json"
@@ -436,24 +492,28 @@ def test_fixture_of_the_wrong_shape_exit_code(capsys, tmp_path, monkeypatch, con
 
 
 @pytest.mark.parametrize(
-    "entry, key, value",
+    "entry, key, value, name",
     [
-        ("graph_optimum", "chromosome", "1" * 20),  # 20 bits for the 15-node graph
-        ("graph_optimum", "chromosome", "1101"),  # would decode to 1-2-4, never reaching node 15
-        ("corner_oa", "start", [80, 205]),  # inside the corner's own circle: no tangent
-        ("corner_ob3", "start", [55, 300]),
-        ("chain_ob", "start", [60, 295]),  # overlaps the first turning circle
+        ("graph_optimum", "chromosome", "1" * 20, "chromosome"),  # 20 bits for the 15-node graph
+        ("graph_optimum", "chromosome", "1101", "chromosome"),  # would decode to 1-2-4, never reaching node 15
+        ("corner_oa", "start", [80, 205], "corner_oa"),  # inside the corner's own circle: no tangent
+        ("corner_ob3", "start", [55, 300], "corner_ob3"),
+        ("chain_ob", "start", [60, 295], "chain_ob"),  # overlaps the first turning circle
+        # numbers and points are read as in a scene file: no boolean, no string
+        ("corner_oa", "radius", True, "radius"),
+        ("corner_oa", "total", "471.0372", "total"),
+        ("corner_oa", "start", [False, "0"], "start"),
     ],
-    ids=["long-chromosome", "short-chromosome", "corner-oa-start-inside", "corner-ob3-start-inside", "chain-ob-start"],
+    ids=["long-chromosome", "short-chromosome", "corner-oa-start-inside", "corner-ob3-start-inside", "chain-ob-start",
+         "boolean-radius", "string-total", "boolean-and-string-start"],
 )
-def test_fixture_that_cannot_be_used_exit_code(capsys, tmp_path, monkeypatch, entry, key, value):
+def test_fixture_that_cannot_be_used_exit_code(capsys, tmp_path, monkeypatch, entry, key, value, name):
     expected = sceneio.load_expected()
     expected[entry][key] = value
     path = tmp_path / "expected.json"
     path.write_text(json.dumps(expected))
     monkeypatch.setenv(sceneio.FIXTURE_ENV, str(tmp_path))
     rc, _, err = run_cli(capsys, "verify")
-    name = key if entry == "graph_optimum" else entry
     assert rc == 2
     assert err == f"error: {path}: {name!r} is missing or malformed\n", err
 

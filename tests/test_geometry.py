@@ -28,7 +28,7 @@ from arcplan.geometry import (
     end_blocked,
     min_clearance,
     obstacle_vertices,
-    parallelogram_from,
+    polygon_vertices,
     segment_clear,
     segment_min_clearance,
     segment_obstacle_distance,
@@ -81,23 +81,24 @@ def test_shape_parameters(scene):
 
 def test_parallelogram_completion(scene):
     by_id = {o.id: o.shape for o in scene.obstacles}
-    p3 = by_id[3]
-    assert (p3.v1, p3.v2, p3.v3, p3.v4) == (
+    assert by_id[3] == Parallelogram(Point(360, 240), 140, Point(400, 330))
+    assert polygon_vertices(by_id[3]) == (
         Point(360, 240),
         Point(500, 240),
         Point(540, 330),
         Point(400, 330),
     )
-    p8 = by_id[8]
-    assert (p8.v1, p8.v2, p8.v3, p8.v4) == (
+    assert by_id[8] == Parallelogram(Point(150, 600), 90, Point(180, 680))
+    assert polygon_vertices(by_id[8]) == (
         Point(150, 600),
         Point(240, 600),
         Point(270, 680),
         Point(180, 680),
     )
     # the fourth vertex always closes the figure: v3 = v2 + (v4 - v1)
-    p = parallelogram_from(Point(10, 20), 30, Point(25, 60))
-    assert p.v3 == Point(p.v2.x + (p.v4.x - p.v1.x), p.v4.y)
+    v1, v2, v3, v4 = polygon_vertices(Parallelogram(Point(10, 20), 30, Point(25, 60)))
+    assert (v1, v2, v4) == (Point(10, 20), Point(40, 20), Point(25, 60))
+    assert v3 == Point(v2.x + (v4.x - v1.x), v4.y)
 
 
 def test_obstacle_vertices_and_orientation(scene):
@@ -120,11 +121,12 @@ def test_clockwise_polygons_read_as_ccw():
     # a triangle and a parallelogram (top edge below the base) given clockwise
     shapes = (
         Triangle(Point(100, 100), Point(300, 500), Point(500, 100)),
-        parallelogram_from(Point(400, 600), 200, Point(450, 450)),
+        Parallelogram(Point(400, 600), 200, Point(450, 450)),
     )
+    assert polygon_vertices(shapes[1]) == (Point(400, 600), Point(600, 600), Point(650, 450), Point(450, 450))
     rng = random.Random(5)
     for oid, shape in enumerate(shapes, start=1):
-        given = (shape.v1, shape.v2, shape.v3) + ((shape.v4,) if isinstance(shape, Parallelogram) else ())
+        given = polygon_vertices(shape)
         spec = ObstacleSpec(oid, shape)
         verts = obstacle_vertices(spec)
         assert verts == given[::-1]
@@ -308,7 +310,7 @@ ARC_SCENE = Scene(
     (
         ObstacleSpec(1, AxisRect(Point(40, 40), 60, 40)),
         ObstacleSpec(2, Triangle(Point(160, 40), Point(240, 60), Point(190, 120))),
-        ObstacleSpec(3, parallelogram_from(Point(50, 170), 70, Point(80, 240))),
+        ObstacleSpec(3, Parallelogram(Point(50, 170), 70, Point(80, 240))),
         ObstacleSpec(4, Circle(Point(200, 200), 30)),
     ),
     10.0,

@@ -20,6 +20,7 @@ from arcplan.geometry import (
     AxisRect,
     Circle,
     ObstacleSpec,
+    Parallelogram,
     Point,
     Scene,
     Triangle,
@@ -27,7 +28,6 @@ from arcplan.geometry import (
     end_blocked,
     min_clearance,
     obstacle_vertices,
-    parallelogram_from,
     segment_clear,
 )
 from arcplan import planner
@@ -236,7 +236,7 @@ def acute_scene() -> Scene:
     degrees at (150, 250) and (350, 256), 6 units thick."""
     shapes = (
         ObstacleSpec(1, Triangle(Point(100, 150), Point(300, 150), Point(110, 190))),
-        ObstacleSpec(2, parallelogram_from(Point(150, 250), 150, Point(200, 256))),
+        ObstacleSpec(2, Parallelogram(Point(150, 250), 150, Point(200, 256))),
     )
     return Scene(bounds=(400.0, 400.0), obstacles=shapes, clearance=10.0)
 
@@ -373,7 +373,8 @@ def test_no_plan_is_shorter_than_the_lower_bound(scene):
 
 def test_plan_start_equals_goal(scene):
     plan = plan_route(RouteRequest(Point(20, 20), Point(20, 20), scene))
-    assert plan.length == 0.0
+    assert plan.length == 0.0 and type(plan.length) is float and type(plan.path.length) is float
+    assert plan.travel_time == 0.0
     assert plan.corners == ()
     assert plan.path.segments == ()
     # enumeration offers the same single plan, not loops back to the start
@@ -545,7 +546,7 @@ def small_scenes(draw):
             verts = (Point(x, y), Point(x + w, y), Point(x + slant * w, y + h))
             shape = Triangle(*(verts[::-1] if draw(st.booleans()) else verts))
         else:
-            shape = parallelogram_from(Point(x, y), w, Point(x + slant * w, y + h))
+            shape = Parallelogram(Point(x, y), w, Point(x + slant * w, y + h))
         obstacles.append(ObstacleSpec(oid, shape))
     return Scene((300.0, 300.0), tuple(obstacles), 10.0)
 
