@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -100,6 +101,7 @@ def _label(args) -> str:
     return " -> ".join(names.get(p, f"({p.x:g},{p.y:g})") for p in (args.src, args.dst))
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcplan",

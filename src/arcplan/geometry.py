@@ -299,28 +299,37 @@ def segment_min_clearance(a: Point, b: Point, scene: Scene) -> float:
 def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     """True iff every point of segment pq keeps the scene clearance (less
     CLEARANCE_EPS) from every obstacle: segment_min_clearance's verdict,
-    stopping at the first obstacle that comes closer."""
+    stopping at the first obstacle that comes closer.  An obstacle is skipped
+    as soon as one axis gap of its bbox to pq's reaches the limit: their
+    hypot, _bbox_seg_gap's bound, is never below either."""
     limit = scene.clearance - CLEARANCE_EPS
-    for kind, payload, bbox in scene.compiled.obstacles:
-        if _bbox_seg_gap(bbox, p, q) >= limit:
+    sx0, sx1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
+    sy0, sy1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
+    for kind, payload, (x0, y0, x1, y1) in scene.compiled.obstacles:
+        dx = max(x0 - sx1, 0.0, sx0 - x1)
+        if dx >= limit:
+            continue
+        dy = max(y0 - sy1, 0.0, sy0 - y1)
+        if dy >= limit or math.hypot(dx, dy) >= limit:
             continue
         if _segment_distance(p, q, kind, payload) < limit:
             return False
     return True
 
 
-def end_blocked(p: Point, q: Point, vertex: Point, scene: Scene) -> bool:
+def end_blocked(p: Point, q: Point, edges: list, scene: Scene) -> bool:
     """True when segment_clear(p, q, scene) is False for a reason found at
     the end p alone: p lies closer than the clearance (less CLEARANCE_EPS) to
-    one of the polygon edges that meet at `vertex`.  A True always agrees with
-    segment_clear: for that edge's polygon it computes the same bbox gap, so
-    it scans the polygon, and the same point-to-edge distance, which bounds
-    the segment's distance from above.  The polygons are convex, so an end on
-    the vertex's turning circle that comes within the clearance of another
-    edge of the polygon is already that close to an edge at the vertex."""
+    one of `edges`, the polygon edges that meet at a vertex (its entry in
+    `scene.compiled.edges_at`).  A True always agrees with segment_clear: for
+    that edge's polygon it computes the same bbox gap, so it scans the
+    polygon, and the same point-to-edge distance, which bounds the segment's
+    distance from above.  The polygons are convex, so an end on the vertex's
+    turning circle that comes within the clearance of another edge of the
+    polygon is already that close to an edge at the vertex."""
     limit = scene.clearance - CLEARANCE_EPS
     px, py = p
-    for ax, ay, bx, by, bbox in scene.compiled.edges_at.get(vertex, ()):
+    for ax, ay, bx, by, bbox in edges:
         if _pt_seg_dist(px, py, ax, ay, bx, by) < limit and _bbox_seg_gap(bbox, p, q) < limit:
             return True
     return False

@@ -13,8 +13,9 @@ left between the two tangency points in the chosen turn direction.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .geometry import CLEARANCE_EPS, TAU, Point, Scene, arc_clear, arc_min_clearance, segment_min_clearance
 
@@ -121,37 +122,39 @@ class SmoothPath(NamedTuple):
         return self.segments[-1].end
 
 
-def pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
-    """Tangency angles (on c1, on c2) of the unique common tangent that leaves
-    c1 and enters c2 consistently with their turn directions: the outer
-    tangent when the directions match, the inner one when they oppose.  A
-    circle of radius 0 is a point, where either turn gives the same tangent.
-    Raises ChainingError where that tangent does not exist, which includes a
-    point on or inside the other circle."""
-    (x1, y1), r1, turn1 = c1  # the leg test's hot path: unpacking costs less than field reads
-    (x2, y2), r2, turn2 = c2
+def pair_tangents(a: tuple[TurningCircle, ...],
+                  b: tuple[TurningCircle, ...]) -> Iterator[Optional[tuple[float, float]]]:
+    """Tangency angles (on c1, on c2) of the common tangent that leaves c1 and
+    enters c2 consistently with their turns, for each (c1, c2) of
+    itertools.product(a, b) in turn, or None where it does not exist (which
+    includes a point on or inside the other circle): the outer tangent when
+    the turns match, the inner one when they oppose.  a's circles share one
+    center and radius, and so do b's (an anchor's turning circles); a circle
+    of radius 0 is a point, where either turn gives the same tangent."""
+    (x1, y1), r1, _ = a[0]  # the leg test's hot path: unpacking costs less than field reads
+    (x2, y2), r2, _ = b[0]
     dx, dy = x2 - x1, y2 - y1
     D = math.hypot(dx, dy)
-    if D == 0.0:
-        raise ChainingError(f"circles at {tuple(c1.center)} are concentric; no common tangent")
     beta = math.atan2(dy, dx)
-    if turn1 is turn2:
-        k = (r1 - r2) / D
-        if abs(k) >= 1.0:
-            raise ChainingError(
-                f"one of the circles at {tuple(c1.center)} and {tuple(c2.center)} contains the other; no outer tangent"
-            )
-        delta = math.acos(k)  # pi/2 for equal radii
+    for (_, _, turn1), (_, _, turn2) in itertools.product(a, b):
+        same = turn1 is turn2
+        k = (r1 - r2 if same else r1 + r2) / D if D else math.inf  # inf: concentric circles
+        if (abs(k) if same else k) >= 1.0:
+            yield None
+            continue
+        delta = math.acos(k)  # pi/2 for equal radii and matching turns
         th = beta - delta if turn1 is Turn.CCW else beta + delta
-        return th, th
-    k = (r1 + r2) / D
-    if k >= 1.0:
-        raise ChainingError(
-            f"circles at {tuple(c1.center)} and {tuple(c2.center)} overlap; no inner tangent for opposite turns"
-        )
-    delta = math.acos(k)
-    th = beta + delta if turn1 is Turn.CW else beta - delta
-    return th, th + math.pi
+        yield (th, th) if same else (th, th + math.pi)
+
+
+def pair_tangent(c1: TurningCircle, c2: TurningCircle) -> tuple[float, float]:
+    """pair_tangents' angles for the one pair (c1, c2); ChainingError where
+    that tangent does not exist."""
+    angles = next(pair_tangents((c1,), (c2,)))
+    if angles is None:
+        raise ChainingError(f"circles at {tuple(c1.center)} and {tuple(c2.center)} share a center, or one contains"
+                            f" or overlaps the other: no {'outer' if c1.turn is c2.turn else 'inner'} tangent")
+    return angles
 
 
 def max_turn_speed(radius: float, v0: float = V0_DEFAULT) -> float:

@@ -14,12 +14,12 @@ Scene object computes its corner links once, on first use, and keeps them
 for as long as it lives; a query tests only the pairs that hold its start or
 its goal.  Reuse one Scene object across queries to pay for them once.
 
-Every leg test (`_leg`: corner links, endpoint links and the chain screen)
-first rejects a leg whose end on a corner's circle lies closer than the
-clearance limit to one of the polygon edges at that corner: such a leg runs
-back into the polygon, and a few point-to-edge distances show it.  Only the
-legs left go on to segment_clear's scan of the scene.  The skip is exact,
-since segment_clear computes the same distance and rejects such a leg too.
+The corner links, the endpoint links and the chain screen test legs in one
+pass per anchor pair (`_legs`): it works out the two anchors' center offset
+and edge lists once, then rejects each leg whose end on a corner's circle lies
+closer than the clearance limit to an edge at that corner (it runs back into
+the polygon) before segment_clear scans the scene for the rest.  The skip is
+exact: segment_clear computes the same distance and rejects such a leg too.
 
 Roadmap weights are center-to-center distances, and a sequence's roadmap cost
 never exceeds its chained length: a tangent leg falls short of its hop by no
@@ -57,7 +57,7 @@ from .paths import (
     TurningCircle,
     chain_path,
     corner_clear,
-    pair_tangent,
+    pair_tangents,
     travel_time,
     validate_path,
 )
@@ -131,27 +131,44 @@ def corner_candidates(scene: Scene) -> tuple[Point, ...]:
                  for v in verts if r <= v.x <= w - r and r <= v.y <= h - r)
 
 
+def _legs(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...],
+          scene: Scene) -> Iterator[Optional[tuple[float, float, Line]]]:
+    """chain_path's leg for each (c1, c2) of itertools.product(a, b), two
+    anchors' circles, in turn: (angle out of c1, angle into c2, the tangent
+    line) when it chains and keeps clearance, else None; pair_tangents' angles
+    and c1.at's and c2.at's floats.  A leg that fails at its own corner at
+    either end (end_blocked) never reaches segment_clear's scan of the scene;
+    segment_clear would reject it too."""
+    (x1, y1), r1, _ = a[0]
+    (x2, y2), r2, _ = b[0]
+    edges1, edges2 = (scene.compiled.edges_at.get(c[0].center, ()) for c in (a, b))
+    for angles in pair_tangents(a, b):
+        if angles is None:
+            yield None
+            continue
+        a_out, a_in = angles
+        cos_out, sin_out = math.cos(a_out), math.sin(a_out)
+        cos_in, sin_in = (cos_out, sin_out) if a_in == a_out else (math.cos(a_in), math.sin(a_in))
+        p = (x1 + r1 * cos_out, y1 + r1 * sin_out)
+        q = (x2 + r2 * cos_in, y2 + r2 * sin_in)
+        if end_blocked(p, q, edges1, scene) or end_blocked(q, p, edges2, scene):
+            yield None
+            continue
+        p, q = Point(*p), Point(*q)
+        yield (a_out, a_in, Line(p, q)) if segment_clear(p, q, scene) else None
+
+
 def _leg(c1: TurningCircle, c2: TurningCircle, scene: Scene) -> Optional[tuple[float, float, Line]]:
-    """chain_path's leg from c1 to c2, as (angle out of c1, angle into c2, the
-    tangent line), when it chains and keeps clearance, else None.  A leg that
-    fails at its own corner at either end (end_blocked) never reaches
-    segment_clear's scan of the scene; segment_clear would reject it too."""
-    try:
-        a_out, a_in = pair_tangent(c1, c2)
-    except ChainingError:
-        return None
-    p, q = c1.at(a_out), c2.at(a_in)
-    if end_blocked(p, q, c1.center, scene) or end_blocked(q, p, c2.center, scene) or not segment_clear(p, q, scene):
-        return None
-    return a_out, a_in, Line(p, q)
+    """`_legs`' leg from c1 to c2 alone."""
+    return next(_legs((c1,), (c2,), scene))
 
 
 def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene: Scene) -> bool:
-    """True iff the directed tangent of some turn pair keeps clearance (`_leg`,
-    which skips the legs that fail at their own corner); a and b are two
-    anchors' circles.  Any pair that clears will do, so the order the pairs
-    are tried in cannot change the answer."""
-    return any(_leg(c1, c2, scene) is not None for c1, c2 in itertools.product(a, b))
+    """True iff the directed tangent of some turn pair keeps clearance
+    (`_legs`, which skips the legs that fail at their own corner); a and b are
+    two anchors' circles.  Any pair that clears will do, so the order the
+    pairs are tried in cannot change the answer."""
+    return any(_legs(a, b, scene))
 
 
 class _CornerLinks(NamedTuple):
@@ -285,9 +302,7 @@ class _ChainScreen:
     ones first.  The pieces are those chain_path builds, on the roadmap's
     circles, and each is judged at validate_path's one clearance limit
     (`_leg` for a leg, corner_clear for a corner), so for a start and a goal
-    apart the verdict is validate_path's on the chained path.  A leg that
-    fails at its own corner is rejected before segment_clear scans the
-    scene, exactly as `_connected` rejects it.
+    apart the verdict is validate_path's on the chained path.
     """
 
     def __init__(self, rm: Roadmap, scene: Scene):

@@ -268,6 +268,25 @@ def test_segment_clear_is_the_min_clearance_test(scene):
         for limit in (5.0, 10.0 - 1e-6, 10.0, 40.0, worst):
             s = replace(scene, clearance=limit)
             assert segment_clear(a, b, s) == (worst >= s.clearance - CLEARANCE_EPS), (a, b, limit)
+    # the bbox test's boundary: a box whose gap to the segment on one axis is
+    # the limit or lies within 1e-12 of it, and a diagonal gap whose two
+    # components are each below the limit while their hypot reaches it or not
+    box = Scene((100.0, 100.0), (ObstacleSpec(1, AxisRect(Point(0, 0), 50, 50)),), 10.0)
+    limit = box.clearance - CLEARANCE_EPS
+    gaps = (limit, math.nextafter(limit, 0.0), math.nextafter(limit, 20.0), limit - 1e-12, limit + 1e-12)
+    diagonal = limit / math.sqrt(2.0)
+    while math.hypot(diagonal, diagonal) < limit:
+        diagonal = math.nextafter(diagonal, 20.0)
+    below = math.nextafter(diagonal, 0.0)
+    assert math.hypot(below, below) < limit <= math.hypot(diagonal, diagonal) and diagonal < limit
+    segments = [(Point(-g, -20.0), Point(-g, 70.0)) for g in gaps]  # the x gap is g exactly
+    segments += [(Point(-20.0, -g), Point(70.0, -g)) for g in gaps]  # the y gap
+    segments += [(Point(-d, -d), Point(-d - 40.0, -d - 10.0)) for d in (diagonal, below)]
+    verdicts = []
+    for a, b in segments:
+        verdicts.append(segment_clear(a, b, box))
+        assert verdicts[-1] == (segment_min_clearance(a, b, box) >= limit), (a, b)
+    assert verdicts == [True, False, True, False, True] * 2 + [True, False]
 
 
 def test_end_blocked_implies_segment_clear_fails(scene):
@@ -284,7 +303,7 @@ def test_end_blocked_implies_segment_clear_fails(scene):
         q = Point(rng.uniform(0, 800), rng.uniform(0, 800))
         for clearance in (5.0, 10.0, min_clearance(p, scene) + CLEARANCE_EPS):
             s = replace(scene, clearance=clearance)
-            if end_blocked(p, q, v, s):
+            if end_blocked(p, q, s.compiled.edges_at[v], s):
                 assert not segment_clear(p, q, s), (p, q, v, clearance)
                 blocked += 1
             else:
@@ -300,9 +319,10 @@ def test_end_blocked_reads_every_polygon_at_a_vertex():
     v = Point(200.0, 200.0)
     assert len(scene.compiled.edges_at[v]) == 4
     p, q = Point(200 + 10 * math.sqrt(0.5), 200 + 10 * math.sqrt(0.5)), Point(380.0, 220.0)
-    assert end_blocked(p, q, v, scene)
-    assert not end_blocked(p, q, v, Scene((400.0, 400.0), squares[:1], 10.0))
-    assert not end_blocked(p, q, Point(250.0, 150.0), scene)  # not a vertex of either square
+    assert end_blocked(p, q, scene.compiled.edges_at[v], scene)
+    lower = Scene((400.0, 400.0), squares[:1], 10.0)
+    assert not end_blocked(p, q, lower.compiled.edges_at[v], lower)
+    assert Point(250.0, 150.0) not in scene.compiled.edges_at  # not a vertex of either square
 
 
 ARC_SCENE = Scene(

@@ -177,19 +177,30 @@ def perfbench_module(name: str):
         sys.dont_write_bytecode, sys.path[:] = saved
 
 
-def test_connected_is_symmetric():
+def test_connected_is_symmetric(monkeypatch):
     # The scene's corner table tests each corner pair in one order only.  And
     # the skip of legs that fail at their own corner is exact: _connected is
     # segment_clear's verdict on every turn pair's tangent, and every tangent
-    # the skip rejects fails segment_clear.
+    # the skip rejects fails segment_clear.  The legs _connected hands
+    # segment_clear are, in order and float for float, those a per-leg
+    # reference builds with pair_tangent and TurningCircle.at up to the first
+    # that clears: for corner pairs, and for the radius-0 circle of a start
+    # or a goal against a corner (start -> corner and corner -> goal, the
+    # orders build_roadmap uses).
+    calls = []
+    monkeypatch.setattr(planner, "segment_clear", lambda p, q, sc: calls.append((p, q)) or segment_clear(p, q, sc))
     inputs = perfbench_module("inputs")
-    scenes = [builtin_scene()] + [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 8)]
-    pairs = skipped = 0
-    for sc in scenes:
-        r = sc.clearance
+    queries = [(builtin_scene(), O, C), (acute_scene(), Point(320, 120), Point(140, 268)),
+               (shared_vertex_scene(), Point(60, 300), Point(300, 60))]
+    queries += [(scene_from_dict(req["scene_dict"]), Point(*req["from"]), Point(*req["to"]))
+                for req in inputs.cold_scenes(1, 8)]
+    pairs = endpoint_pairs = skipped = legs = 0
+    for sc, start, goal in queries:
+        r, edges = sc.clearance, sc.compiled.edges_at
         circles = [(TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corner_candidates(sc)]
-        for a, b in itertools.combinations(circles, 2):
-            reference = False
+        ends = [((TurningCircle(start, 0.0),), c) for c in circles] + [(c, (TurningCircle(goal, 0.0),)) for c in circles]
+        for a, b in [*itertools.combinations(circles, 2), *ends]:
+            reference, expected = False, []
             for c1, c2 in itertools.product(a, b):
                 try:
                     t1, t2 = pair_tangent(c1, c2)
@@ -197,13 +208,21 @@ def test_connected_is_symmetric():
                     continue
                 p, q = c1.at(t1), c2.at(t2)
                 clear = segment_clear(p, q, sc)
-                if end_blocked(p, q, c1.center, sc) or end_blocked(q, p, c2.center, sc):
+                if end_blocked(p, q, edges.get(c1.center, ()), sc) or end_blocked(q, p, edges.get(c2.center, ()), sc):
                     assert not clear, (p, q)
                     skipped += 1
+                    continue
+                if not reference:
+                    expected.append((p, q))
                 reference = reference or clear
-            assert _connected(a, b, sc) == _connected(b, a, sc) == reference, (a[0].center, b[0].center)
+            calls.clear()
+            assert _connected(a, b, sc) == reference, (a[0].center, b[0].center)
+            assert calls == expected, (a[0].center, b[0].center)
+            assert _connected(b, a, sc) == reference, (a[0].center, b[0].center)
+            legs += len(expected)
             pairs += 1
-    assert pairs > 5000 and skipped > 10000
+            endpoint_pairs += len(a) == 1 or len(b) == 1
+    assert pairs > 5000 and endpoint_pairs > 500 and skipped > 10000 and legs > 2000
 
 
 def test_scene_compiles_corner_links_once(monkeypatch):
