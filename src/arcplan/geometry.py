@@ -10,12 +10,13 @@ clearance around each vertex.  Taut shortest paths run along these envelopes;
 
 Each Scene object compiles itself on first use and keeps the result for as
 long as it lives: the clearance queries read its per-obstacle table (kind,
-vertex or circle payload, bounding box), and `end_blocked` the two edges
-that meet at each polygon vertex.  The clearance of a segment and of a
-circular arc is computed in closed form, never by sampling.  A point is a
-zero-length segment: one segment-obstacle routine serves both, with one
-separating-axis pass over a polygon's edges.  An arc gets one pass over
-those edges as well.
+vertex or circle payload, bounding box), `end_blocked` the two edges that
+meet at each polygon vertex, and `in_cone` the directions in which those
+edges block a point on the vertex's clearance circle.  The clearance of a
+segment and of a circular arc is computed in closed form, never by sampling.
+A point is a zero-length segment: one segment-obstacle routine serves both,
+with one separating-axis pass over a polygon's edges.  An arc gets one pass
+over those edges as well.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ from typing import NamedTuple, Optional, Union
 
 CLEARANCE_EPS = 1e-9  # every clearance verdict keeps the clearance at >= clearance - CLEARANCE_EPS
 TAU = 2.0 * math.pi
+# A point on a vertex's circle of radius r (the clearance) whose direction lies within
+# pi/2 - CONE_MARGIN of an edge at least r long leaving the vertex is at most r*cos(CONE_MARGIN)
+# from it: below the limit by about r*CONE_MARGIN**2/2 (5e-6 at r = 10), far above rounding, so
+# any margin from about 2e-5 to just under pi/2 gives the same verdicts.  It is no tuning knob.
+CONE_MARGIN = 1e-3
+_CONE_WIDTH = math.pi - 2.0 * CONE_MARGIN
 
 
 class Point(NamedTuple):
@@ -83,23 +90,30 @@ class Scene:
     def compiled(self) -> CompiledScene:
         """What this Scene object derives once, built on first use."""
         obstacles = tuple(_obstacle_geom(spec) for spec in self.obstacles)
+        r = self.clearance
+        exact = r * (1.0 - math.cos(CONE_MARGIN)) > CLEARANCE_EPS  # else no window keeps end_blocked's verdict
         edges_at: dict[Point, list] = {}
+        cones: dict[Point, list] = {}
         for kind, verts, bbox in obstacles:
             if kind == "poly":
                 for u, v, w in zip(verts[-1:] + verts[:-1], verts, verts[1:] + verts[:1]):
                     edges_at.setdefault(v, []).extend(((*u, *v, bbox), (*v, *w, bbox)))
-        return CompiledScene(obstacles, edges_at)
+                    cones.setdefault(v, []).extend(math.atan2(e.y - v.y, e.x - v.x) - math.pi / 2 + CONE_MARGIN
+                                                   for e in (u, w) if exact and math.dist(v, e) >= r)
+        return CompiledScene(obstacles, edges_at, cones)
 
 
 @dataclass
 class CompiledScene:
     """What one Scene object derives once and keeps for as long as it lives:
     the obstacle table the clearance queries read, the edges that meet at
-    each polygon vertex (`end_blocked` reads them) and the corner links the
-    planner's roadmap reads (the planner fills them in on first use)."""
+    each polygon vertex (`end_blocked` reads them), the directions those
+    edges block at the vertex (`in_cone` reads them) and the corner links
+    the planner's roadmap reads (the planner fills them in on first use)."""
 
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
     edges_at: dict[Point, list]  # vertex -> [(ax, ay, bx, by, bbox)]: each polygon's two edges at it
+    cones: dict[Point, list]  # vertex -> the low end of each window in_cone tests at it
     corner_links: Optional[object] = None
 
 
@@ -331,6 +345,16 @@ def end_blocked(p: Point, q: Point, edges: list, scene: Scene) -> bool:
     px, py = p
     for ax, ay, bx, by, bbox in edges:
         if _pt_seg_dist(px, py, ax, ay, bx, by) < limit and _bbox_seg_gap(bbox, p, q) < limit:
+            return True
+    return False
+
+
+def in_cone(angle: float, cones: list) -> bool:
+    """True when the point at `angle` on a vertex's circle of radius clearance
+    lies in one of the vertex's blocked windows, its `scene.compiled.cones`
+    entry: then end_blocked rejects a segment from it (see CONE_MARGIN)."""
+    for lo in cones:
+        if (angle - lo) % TAU < _CONE_WIDTH:
             return True
     return False
 

@@ -15,11 +15,11 @@ for as long as it lives; a query tests only the pairs that hold its start or
 its goal.  Reuse one Scene object across queries to pay for them once.
 
 The corner links, the endpoint links and the chain screen test legs in one
-pass per anchor pair (`_legs`): it works out the two anchors' center offset
-and edge lists once, then rejects each leg whose end on a corner's circle lies
-closer than the clearance limit to an edge at that corner (it runs back into
-the polygon) before segment_clear scans the scene for the rest.  The skip is
-exact: segment_clear computes the same distance and rejects such a leg too.
+pass per anchor pair (`_legs`).  It rejects a leg whose end on a corner's
+circle lies closer than the clearance limit to an edge at that corner (it
+runs back into the polygon): from the tangent angle alone when the corner's
+edges block that direction (`in_cone`), else by end_blocked's distances.
+Only the rest reach segment_clear's scan, which would reject such legs too.
 
 Roadmap weights are center-to-center distances, and a sequence's roadmap cost
 never exceeds its chained length: a tangent leg falls short of its hop by no
@@ -45,6 +45,7 @@ from .geometry import (
     Scene,
     blocking_obstacles,
     end_blocked,
+    in_cone,
     min_clearance,
     segment_clear,
 )
@@ -137,16 +138,20 @@ def _legs(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...],
     anchors' circles, in turn: (angle out of c1, angle into c2, the tangent
     line) when it chains and keeps clearance, else None; pair_tangents' angles
     and c1.at's and c2.at's floats.  A leg that fails at its own corner at
-    either end (end_blocked) never reaches segment_clear's scan of the scene;
-    segment_clear would reject it too."""
-    (x1, y1), r1, _ = a[0]
-    (x2, y2), r2, _ = b[0]
-    edges1, edges2 = (scene.compiled.edges_at.get(c[0].center, ()) for c in (a, b))
+    either end (in_cone on its angle, else end_blocked) never reaches
+    segment_clear's scan of the scene; segment_clear would reject it too."""
+    (v1, r1, _), (v2, r2, _) = a[0], b[0]
+    (x1, y1), (x2, y2) = v1, v2
+    edges_at, cones = scene.compiled.edges_at, scene.compiled.cones
+    edges1, edges2, cones1, cones2 = edges_at.get(v1, ()), edges_at.get(v2, ()), cones.get(v1, ()), cones.get(v2, ())
     for angles in pair_tangents(a, b):
         if angles is None:
             yield None
             continue
         a_out, a_in = angles
+        if in_cone(a_out, cones1) or in_cone(a_in, cones2):
+            yield None
+            continue
         cos_out, sin_out = math.cos(a_out), math.sin(a_out)
         cos_in, sin_in = (cos_out, sin_out) if a_in == a_out else (math.cos(a_in), math.sin(a_in))
         p = (x1 + r1 * cos_out, y1 + r1 * sin_out)

@@ -1,0 +1,180 @@
+"""Measure how the cost of a plan grows with the scene, for diffing two checkouts.
+
+    python tests/scaling.py OUT.json [--repo DIR]
+
+Imports arcplan from DIR/src and the seeded scene recipe from DIR/perfbench
+(DIR defaults to the checkout holding this script; it needs `planner._legs`).
+For each size of 6, 12, 24, 48 and 96 obstacles, SCENES scenes drawn by
+random.Random(size): perfbench/inputs' obstacle recipe, one obstacle in each
+of `size` cells drawn from a grid of 160-unit cells, 5 x 5 (the cold scenes'
+800-unit field) up to 25 obstacles and 10 x 10 (1600 units) beyond.  Each
+scene gets one query by random_query's recipe, drawn over its whole field.
+
+Per size it records, summed over the scenes, the deterministic counts of a
+cold plan_route (a fresh Scene, so the corner-link compile is included):
+segment_clear calls, the exact obstacle distances they run, end_blocked calls
+and the legs `_legs` tests (turn pairs, whether they have a tangent or not).
+They are counted by wrapping the module attributes, as the tests do.  It also
+records the median time of a cold plan_route and of a warm one (the same
+query again on the same Scene), timed without the wrappers, and how many
+queries got no route.  The growth exponent of each figure is the
+least-squares slope of its logarithm over log(size).  Prints the table and
+writes OUT; two runs of one checkout give the same counts, so a count diff
+between checkouts is a same-work check.  pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+
+SIZES = (6, 12, 24, 48, 96)
+SCENES = 8  # per size
+COUNTS = ("segment_clear", "segment_distance", "end_blocked", "legs")
+
+
+def scene_dict(inputs, rng: random.Random, obstacles: int) -> dict:
+    cells = inputs.CELLS if obstacles <= inputs.CELLS ** 2 else 2 * inputs.CELLS
+    cell = inputs.FIELD / inputs.CELLS
+    size = cell - 2 * inputs.CELL_MARGIN
+    entries = [
+        inputs._obstacle(rng, oid, (c % cells) * cell + inputs.CELL_MARGIN, (c // cells) * cell + inputs.CELL_MARGIN, size)
+        for oid, c in enumerate(rng.sample(range(cells * cells), obstacles), start=1)
+    ]
+    return {"bounds": [cells * cell] * 2, "clearance": inputs.CLEARANCE, "obstacles": entries}
+
+
+def query(oracle, inputs, rng: random.Random, d: dict) -> tuple[tuple, tuple]:
+    """Endpoints with clearance >= 10.5 anywhere in the field and no straight route between them."""
+    shapes = oracle.scene_shapes(d)
+    w, h = d["bounds"]
+
+    def point():
+        while True:
+            p = (rng.uniform(0, w), rng.uniform(0, h))
+            if oracle.point_clearance(p, shapes) >= inputs.POINT_CLEARANCE:
+                return p
+
+    while True:
+        a, b = point(), point()
+        if oracle.segment_clearance(a, b, shapes) < d["clearance"] - 1e-9:
+            return a, b
+
+
+def plan(arc, d: dict, start, goal, scene=None):
+    """The Scene planned on (a fresh one unless given) and whether a route came back."""
+    scene = arc.sceneio.scene_from_dict(d) if scene is None else scene
+    req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene)
+    try:
+        arc.planner.plan_route(req)
+    except (arc.planner.RouteInfeasible, arc.planner.RequestError):
+        return scene, False
+    return scene, True
+
+
+def counted(arc, counts: dict):
+    """Wrap the counted module attributes; returns a function that undoes it."""
+    planner, geometry = arc.planner, arc.geometry
+    saved = [(planner, "segment_clear"), (geometry, "_segment_distance"), (planner, "end_blocked"), (planner, "_legs")]
+    saved = [(module, name, getattr(module, name)) for module, name in saved]
+    for (module, name, original), key in zip(saved[:3], COUNTS):
+        def call(*args, _original=original, _key=key):
+            counts[_key] += 1
+            return _original(*args)
+        setattr(module, name, call)
+    legs = saved[3][2]
+
+    def counted_legs(*args):
+        for leg in legs(*args):
+            counts["legs"] += 1
+            yield leg
+
+    planner._legs = counted_legs
+    return lambda: [setattr(module, name, original) for module, name, original in saved]
+
+
+def exponent(sizes, values) -> float | None:
+    points = [(math.log(n), math.log(v)) for n, v in zip(sizes, values) if v > 0]
+    if len(points) < 2:
+        return None
+    mx = statistics.fmean(x for x, _ in points)
+    my = statistics.fmean(y for _, y in points)
+    return sum((x - mx) * (y - my) for x, y in points) / sum((x - mx) ** 2 for x, _ in points)
+
+
+def machine() -> str:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return f"python {platform.python_version()}, nproc {os.cpu_count()}, cpu {cpu}"
+
+
+def collect(repo: str) -> dict:
+    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
+    sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
+    import arcplan.geometry
+    import arcplan.planner
+    import arcplan.sceneio
+    import inputs
+    import oracle
+
+    arc = arcplan
+    rows = []
+    for size in SIZES:
+        rng = random.Random(size)
+        scenes = []
+        for _ in range(SCENES):
+            d = scene_dict(inputs, rng, size)
+            scenes.append((d, *query(oracle, inputs, rng, d)))
+        counts = dict.fromkeys(COUNTS, 0)
+        undo = counted(arc, counts)
+        try:
+            routed = sum(plan(arc, d, start, goal)[1] for d, start, goal in scenes)
+        finally:
+            undo()
+        cold, warm = [], []
+        for d, start, goal in scenes:
+            t = time.perf_counter()
+            scene, _ = plan(arc, d, start, goal)
+            cold.append(1e3 * (time.perf_counter() - t))
+            t = time.perf_counter()
+            plan(arc, d, start, goal, scene)
+            warm.append(1e3 * (time.perf_counter() - t))
+        rows.append({"obstacles": size, "field": d["bounds"][0], "scenes": SCENES, **counts,
+                     "no_route": SCENES - routed, "cold_ms_p50": statistics.median(cold),
+                     "warm_ms_p50": statistics.median(warm)})
+    figures = (*COUNTS, "cold_ms_p50", "warm_ms_p50")
+    return {"machine": machine(), "sizes": rows,
+            "exponents": {k: exponent(SIZES, [row[k] for row in rows]) for k in figures}}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out")
+    ap.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    args = ap.parse_args()
+    record = collect(os.path.abspath(args.repo))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, indent=1) + "\n")
+    columns = ("obstacles", *COUNTS, "no_route", "cold_ms_p50", "warm_ms_p50")
+    print(" ".join(f"{c:>16}" for c in columns))
+    for row in record["sizes"]:
+        print(" ".join(f"{row[c]:>16.2f}" if isinstance(row[c], float) else f"{row[c]:>16}" for c in columns))
+    slopes = record["exponents"]
+    print(f"{'exponent':>16} " + " ".join(f"{'-':>16}" if slopes.get(c) is None else f"{slopes[c]:>16.2f}"
+                                          for c in columns[1:]))
+    print(record["machine"])
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from arcplan.geometry import (
     CLEARANCE_EPS,
+    CONE_MARGIN,
     AxisRect,
     Circle,
     ObstacleSpec,
@@ -26,6 +27,7 @@ from arcplan.geometry import (
     blocking_obstacles,
     builtin_scene,
     end_blocked,
+    in_cone,
     min_clearance,
     obstacle_vertices,
     polygon_vertices,
@@ -34,7 +36,7 @@ from arcplan.geometry import (
     segment_obstacle_distance,
 )
 from arcplan.sceneio import render_svg, scene_from_dict
-from test_planner import perfbench_module
+from test_planner import perfbench_module, shared_vertex_scene
 
 TAU = 2.0 * math.pi
 coord = st.floats(min_value=-500.0, max_value=1500.0, allow_nan=False, allow_infinity=False)
@@ -323,6 +325,65 @@ def test_end_blocked_reads_every_polygon_at_a_vertex():
     lower = Scene((400.0, 400.0), squares[:1], 10.0)
     assert not end_blocked(p, q, lower.compiled.edges_at[v], lower)
     assert Point(250.0, 150.0) not in scene.compiled.edges_at  # not a vertex of either square
+
+
+def window_edge_angles(scene: Scene, v: Point) -> list[float]:
+    """Angles on v's clearance circle at and beside the edges of each blocked
+    window in_cone may hold at v, worked out from the edges at v: pi/2 -
+    CONE_MARGIN either side of each edge's direction, then a few ulps, 1e-6
+    and CONE_MARGIN to either side of that, and the edge's direction itself."""
+    angles = []
+    for ax, ay, bx, by, _ in scene.compiled.edges_at[v]:
+        ox, oy = (bx, by) if (ax, ay) == v else (ax, ay)
+        phi = math.atan2(oy - v.y, ox - v.x)
+        angles.append(phi)
+        for edge in (phi - math.pi / 2 + CONE_MARGIN, phi + math.pi / 2 - CONE_MARGIN):
+            steps = [k * math.ulp(edge) for k in (1, 2, 3)] + [1e-6, CONE_MARGIN]
+            angles += [edge, *(edge + s for s in steps), *(edge - s for s in steps)]
+    return angles
+
+
+def cone_agrees_with_end_blocked(scene: Scene) -> int:
+    """Assert that every end the vertex windows rule out at some vertex of the
+    scene is one end_blocked rejects there; return how many were ruled out.
+    The segment is the end alone, which end_blocked rejects least readily."""
+    r, ruled_out = scene.clearance, 0
+    for v, edges in scene.compiled.edges_at.items():
+        for a in window_edge_angles(scene, v):
+            p = Point(v.x + r * math.cos(a), v.y + r * math.sin(a))
+            if in_cone(a, scene.compiled.cones[v]):
+                assert end_blocked(p, p, edges, scene), (v, a, p)
+                ruled_out += 1
+    return ruled_out
+
+
+@given(
+    short=st.sampled_from(("1e-7", "1", "r/2", "r", "2r", "100")),
+    turn=st.floats(0.0, TAU),
+    spread=st.floats(0.05, math.pi - 0.05),
+    clearance=st.sampled_from((10.0, 1e-3)),
+)
+def test_in_cone_rules_out_only_ends_end_blocked_rejects(short, turn, spread, clearance):
+    # A triangle with one edge of the given length at (400, 400): whenever
+    # in_cone rules out a point on a vertex's clearance circle, at a window's
+    # edge or a hair to either side of it, end_blocked rejects that point at
+    # the vertex's edges.  Windows cover only edges at least the clearance
+    # long, and only a clearance whose margin r*(1 - cos(CONE_MARGIN)) exceeds
+    # CLEARANCE_EPS: a 1e-7 edge or a clearance of 1e-3 would break the rule.
+    r = clearance
+    length = {"1e-7": 1e-7, "1": 1.0, "r/2": r / 2, "r": r, "2r": 2 * r, "100": 100.0}[short]
+    v = Point(400.0, 400.0)
+    u = Point(v.x + length * math.cos(turn), v.y + length * math.sin(turn))
+    w = Point(v.x + 60.0 * math.cos(turn + spread), v.y + 60.0 * math.sin(turn + spread))
+    scene = Scene((800.0, 800.0), (ObstacleSpec(1, Triangle(v, u, w)),), r)
+    ruled_out = cone_agrees_with_end_blocked(scene)
+    assert ruled_out > 0 or clearance < 1.0  # the far edge is 60 long
+
+
+def test_in_cone_at_a_vertex_of_two_polygons():
+    scene = shared_vertex_scene()
+    assert len(scene.compiled.cones[Point(200.0, 200.0)]) == 4  # both squares' two edges
+    assert cone_agrees_with_end_blocked(scene) > 100
 
 
 ARC_SCENE = Scene(

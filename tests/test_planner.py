@@ -297,6 +297,29 @@ def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch, mak
     assert min(gaps) >= limit
 
 
+def test_in_cone_rules_out_most_legs_that_fail_at_their_own_corner(monkeypatch):
+    # The vertex windows must not go blind: of the legs of a corner-link
+    # compile that fail at their own corner, in_cone rules out nearly all
+    # from their angles, and end_blocked measures only the rest.  Each test
+    # rules a leg out once at most, so the True verdicts count legs.
+    inputs = perfbench_module("inputs")
+    counts = {planner.in_cone: 0, planner.end_blocked: 0}
+
+    def counted(test):
+        def call(*args):
+            verdict = test(*args)
+            counts[test] += verdict
+            return verdict
+        return call
+
+    monkeypatch.setattr(planner, "in_cone", counted(planner.in_cone))
+    monkeypatch.setattr(planner, "end_blocked", counted(planner.end_blocked))
+    for sc in [acute_scene()] + [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 4)]:
+        planner._corner_links(sc)
+    by_cone, by_distance = counts.values()
+    assert by_cone >= 0.95 * (by_cone + by_distance) and by_cone > 5000, counts
+
+
 def test_leg_is_the_plans_chain_line(scene):
     # _leg builds its tangent itself, from the floats chain_path uses: on each
     # pair of consecutive circles of a plan it gives the plan's line there.
