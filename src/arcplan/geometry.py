@@ -10,13 +10,12 @@ clearance around each vertex.  Taut shortest paths run along these envelopes;
 
 Each Scene object compiles itself on first use and keeps the result for as
 long as it lives: the clearance queries read its per-obstacle table (kind,
-vertex or circle payload, bounding box), `end_blocked` the two edges that
-meet at each polygon vertex, and `in_cone` the directions in which those
-edges block a point on the vertex's clearance circle.  The clearance of a
-segment and of a circular arc is computed in closed form, never by sampling.
-A point is a zero-length segment: one segment-obstacle routine serves both,
-with one separating-axis pass over a polygon's edges.  An arc gets one pass
-over those edges as well.
+vertex or circle payload, bounding box), and `in_cone` the directions in
+which the edges that meet at each polygon vertex block a point on the
+vertex's clearance circle.  The clearance of a segment and of a circular arc
+is computed in closed form, never by sampling.  A point is a zero-length
+segment: one segment-obstacle routine serves both, with one separating-axis
+pass over a polygon's edges.  An arc gets one pass over those edges as well.
 """
 
 from __future__ import annotations
@@ -91,28 +90,25 @@ class Scene:
         """What this Scene object derives once, built on first use."""
         obstacles = tuple(_obstacle_geom(spec) for spec in self.obstacles)
         r = self.clearance
-        exact = r * (1.0 - math.cos(CONE_MARGIN)) > CLEARANCE_EPS  # else no window keeps end_blocked's verdict
-        edges_at: dict[Point, list] = {}
+        exact = r * (1.0 - math.cos(CONE_MARGIN)) > CLEARANCE_EPS  # else no window keeps segment_clear's verdict
         cones: dict[Point, list] = {}
-        for kind, verts, bbox in obstacles:
+        for kind, verts, _ in obstacles:
             if kind == "poly":
                 for u, v, w in zip(verts[-1:] + verts[:-1], verts, verts[1:] + verts[:1]):
-                    edges_at.setdefault(v, []).extend(((*u, *v, bbox), (*v, *w, bbox)))
                     cones.setdefault(v, []).extend(math.atan2(e.y - v.y, e.x - v.x) - math.pi / 2 + CONE_MARGIN
                                                    for e in (u, w) if exact and math.dist(v, e) >= r)
-        return CompiledScene(obstacles, edges_at, cones)
+        return CompiledScene(obstacles, cones)
 
 
 @dataclass
 class CompiledScene:
     """What one Scene object derives once and keeps for as long as it lives:
-    the obstacle table the clearance queries read, the edges that meet at
-    each polygon vertex (`end_blocked` reads them), the directions those
-    edges block at the vertex (`in_cone` reads them) and the corner links
-    the planner's roadmap reads (the planner fills them in on first use)."""
+    the obstacle table the clearance queries read, the directions the edges
+    that meet at each polygon vertex block there (`in_cone` reads them) and
+    the corner links the planner's roadmap reads (the planner fills them in
+    on first use)."""
 
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
-    edges_at: dict[Point, list]  # vertex -> [(ax, ay, bx, by, bbox)]: each polygon's two edges at it
     cones: dict[Point, list]  # vertex -> the low end of each window in_cone tests at it
     corner_links: Optional[object] = None
 
@@ -331,28 +327,10 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     return True
 
 
-def end_blocked(p: Point, q: Point, edges: list, scene: Scene) -> bool:
-    """True when segment_clear(p, q, scene) is False for a reason found at
-    the end p alone: p lies closer than the clearance (less CLEARANCE_EPS) to
-    one of `edges`, the polygon edges that meet at a vertex (its entry in
-    `scene.compiled.edges_at`).  A True always agrees with segment_clear: for
-    that edge's polygon it computes the same bbox gap, so it scans the
-    polygon, and the same point-to-edge distance, which bounds the segment's
-    distance from above.  The polygons are convex, so an end on the vertex's
-    turning circle that comes within the clearance of another edge of the
-    polygon is already that close to an edge at the vertex."""
-    limit = scene.clearance - CLEARANCE_EPS
-    px, py = p
-    for ax, ay, bx, by, bbox in edges:
-        if _pt_seg_dist(px, py, ax, ay, bx, by) < limit and _bbox_seg_gap(bbox, p, q) < limit:
-            return True
-    return False
-
-
 def in_cone(angle: float, cones: list) -> bool:
     """True when the point at `angle` on a vertex's circle of radius clearance
     lies in one of the vertex's blocked windows, its `scene.compiled.cones`
-    entry: then end_blocked rejects a segment from it (see CONE_MARGIN)."""
+    entry: then segment_clear rejects any segment from it (see CONE_MARGIN)."""
     for lo in cones:
         if (angle - lo) % TAU < _CONE_WIDTH:
             return True

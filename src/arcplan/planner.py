@@ -15,11 +15,10 @@ for as long as it lives; a query tests only the pairs that hold its start or
 its goal.  Reuse one Scene object across queries to pay for them once.
 
 The corner links, the endpoint links and the chain screen test legs in one
-pass per anchor pair (`_legs`).  It rejects a leg whose end on a corner's
-circle lies closer than the clearance limit to an edge at that corner (it
-runs back into the polygon): from the tangent angle alone when the corner's
-edges block that direction (`in_cone`), else by end_blocked's distances.
-Only the rest reach segment_clear's scan, which would reject such legs too.
+pass per anchor pair (`_legs`).  It rejects a leg that leaves a corner's
+circle back into the corner's own polygon from the tangent angle alone, when
+an edge at the corner blocks that direction (`in_cone`); segment_clear's scan
+judges the rest, and would reject such legs too.
 
 Roadmap weights are center-to-center distances, and a sequence's roadmap cost
 never exceeds its chained length: a tangent leg falls short of its hop by no
@@ -44,7 +43,6 @@ from .geometry import (
     Point,
     Scene,
     blocking_obstacles,
-    end_blocked,
     in_cone,
     min_clearance,
     segment_clear,
@@ -137,13 +135,13 @@ def _legs(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...],
     """chain_path's leg for each (c1, c2) of itertools.product(a, b), two
     anchors' circles, in turn: (angle out of c1, angle into c2, the tangent
     line) when it chains and keeps clearance, else None; pair_tangents' angles
-    and c1.at's and c2.at's floats.  A leg that fails at its own corner at
-    either end (in_cone on its angle, else end_blocked) never reaches
-    segment_clear's scan of the scene; segment_clear would reject it too."""
+    and c1.at's and c2.at's floats.  A leg whose angle at either end lies in
+    a window its corner's edges block (in_cone) never reaches segment_clear's
+    scan of the scene; segment_clear would reject it too."""
     (v1, r1, _), (v2, r2, _) = a[0], b[0]
     (x1, y1), (x2, y2) = v1, v2
-    edges_at, cones = scene.compiled.edges_at, scene.compiled.cones
-    edges1, edges2, cones1, cones2 = edges_at.get(v1, ()), edges_at.get(v2, ()), cones.get(v1, ()), cones.get(v2, ())
+    cones = scene.compiled.cones
+    cones1, cones2 = cones.get(v1, ()), cones.get(v2, ())
     for angles in pair_tangents(a, b):
         if angles is None:
             yield None
@@ -154,12 +152,8 @@ def _legs(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...],
             continue
         cos_out, sin_out = math.cos(a_out), math.sin(a_out)
         cos_in, sin_in = (cos_out, sin_out) if a_in == a_out else (math.cos(a_in), math.sin(a_in))
-        p = (x1 + r1 * cos_out, y1 + r1 * sin_out)
-        q = (x2 + r2 * cos_in, y2 + r2 * sin_in)
-        if end_blocked(p, q, edges1, scene) or end_blocked(q, p, edges2, scene):
-            yield None
-            continue
-        p, q = Point(*p), Point(*q)
+        p = Point(x1 + r1 * cos_out, y1 + r1 * sin_out)
+        q = Point(x2 + r2 * cos_in, y2 + r2 * sin_in)
         yield (a_out, a_in, Line(p, q)) if segment_clear(p, q, scene) else None
 
 
@@ -170,9 +164,8 @@ def _leg(c1: TurningCircle, c2: TurningCircle, scene: Scene) -> Optional[tuple[f
 
 def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene: Scene) -> bool:
     """True iff the directed tangent of some turn pair keeps clearance
-    (`_legs`, which skips the legs that fail at their own corner); a and b are
-    two anchors' circles.  Any pair that clears will do, so the order the
-    pairs are tried in cannot change the answer."""
+    (`_legs`); a and b are two anchors' circles.  Any pair that clears will
+    do, so the order the pairs are tried in cannot change the answer."""
     return any(_legs(a, b, scene))
 
 

@@ -95,8 +95,9 @@ def scene_from_dict(d: dict) -> Scene:
     """Scene from its JSON form, an object with a list of obstacle objects;
     every number must be a finite JSON number (no boolean or string), the
     clearance, bounds and obstacle dimensions positive, the obstacle ids
-    distinct integers and no triangle or parallelogram of zero area; a key it
-    does not define, at the top or for an obstacle's kind, is never ignored."""
+    distinct integers, no triangle or parallelogram of zero area and no two
+    corners of a rect or parallelogram at one point; a key it does not
+    define, at the top or for an obstacle's kind, is never ignored."""
     if not isinstance(d, dict):
         raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
@@ -132,6 +133,8 @@ def scene_from_dict(d: dict) -> Scene:
                     raise SceneFormatError(f"{at}: left, lower_right and top are collinear (zero area)")
             elif kind == "parallelogram" and shape.top_left.y == shape.anchor.y:
                 raise SceneFormatError(f"{at}: top_left is level with anchor (zero area)")
+            elif kind != "circle" and len(set(polygon_vertices(shape))) < 4:
+                raise SceneFormatError(f"{at}: two corners coincide (a side is below the float spacing)")
             _no_unknown_keys(entry, ("id", "kind", *fields), f"{at} ({kind})")
             obstacles.append(ObstacleSpec(oid, shape))
     except KeyError as e:

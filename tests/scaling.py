@@ -12,9 +12,9 @@ scene gets one query by random_query's recipe, drawn over its whole field.
 
 Per size it records, summed over the scenes, the deterministic counts of a
 cold plan_route (a fresh Scene, so the corner-link compile is included):
-segment_clear calls, the exact obstacle distances they run, end_blocked calls
-and the legs `_legs` tests (turn pairs, whether they have a tangent or not).
-They are counted by wrapping the module attributes, as the tests do.  It also
+segment_clear calls, the exact obstacle distances they run and the legs
+`_legs` tests (turn pairs, whether they have a tangent or not).  They are
+counted by wrapping the module attributes, as the tests do.  It also
 records the median time of a cold plan_route and of a warm one (the same
 query again on the same Scene), timed without the wrappers, and how many
 queries got no route.  The growth exponent of each figure is the
@@ -37,7 +37,7 @@ import time
 
 SIZES = (6, 12, 24, 48, 96)
 SCENES = 8  # per size
-COUNTS = ("segment_clear", "segment_distance", "end_blocked", "legs")
+COUNTS = ("segment_clear", "segment_distance", "legs")
 
 
 def scene_dict(inputs, rng: random.Random, obstacles: int) -> dict:
@@ -82,14 +82,14 @@ def plan(arc, d: dict, start, goal, scene=None):
 def counted(arc, counts: dict):
     """Wrap the counted module attributes; returns a function that undoes it."""
     planner, geometry = arc.planner, arc.geometry
-    saved = [(planner, "segment_clear"), (geometry, "_segment_distance"), (planner, "end_blocked"), (planner, "_legs")]
+    saved = [(planner, "segment_clear"), (geometry, "_segment_distance"), (planner, "_legs")]
     saved = [(module, name, getattr(module, name)) for module, name in saved]
-    for (module, name, original), key in zip(saved[:3], COUNTS):
+    for (module, name, original), key in zip(saved[:2], COUNTS):
         def call(*args, _original=original, _key=key):
             counts[_key] += 1
             return _original(*args)
         setattr(module, name, call)
-    legs = saved[3][2]
+    legs = saved[2][2]
 
     def counted_legs(*args):
         for leg in legs(*args):

@@ -232,6 +232,10 @@ def _scene_with(obstacle: dict) -> str:
          "obstacle 1: left, lower_right and top are collinear (zero area)"),
         (_scene_with({"kind": "parallelogram", "anchor": [100, 100], "base": 50, "top_left": [130, 100]}),
          "obstacle 1: top_left is level with anchor (zero area)"),
+        (_scene_with({"kind": "rect", "anchor": [300, 400], "width": 1e-300, "height": 100}),
+         "obstacle 1: two corners coincide (a side is below the float spacing)"),  # 300 + 1e-300 == 300
+        (_scene_with({"kind": "parallelogram", "anchor": [300, 400], "base": 1e-300, "top_left": [320, 500]}),
+         "obstacle 1: two corners coincide (a side is below the float spacing)"),
         ('{"clearence": 25}', "scene: unknown key 'clearence'"),
         (_scene_with({"kind": "rect", "anchor": [10, 10], "width": 5, "height": 20, "radius": 3}),
          "obstacle 1 (rect): unknown key 'radius'"),
@@ -278,6 +282,7 @@ def _scene_with(obstacle: dict) -> str:
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
          "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
          "fractional-id", "boolean-id", "duplicate-id", "zero-area-triangle", "zero-area-parallelogram",
+         "rect-corners-coincide", "parallelogram-corners-coincide",
          "misspelt-top-level-key", "rect-radius", "circle-width-height", "triangle-anchor", "parallelogram-top",
          "float-overflow-clearance", "float-overflow-coordinate", "float-overflow-id", "string-clearance",
          "string-coordinate", "string-id", "string-width", "repeated-top-level-key", "repeated-obstacle-key",

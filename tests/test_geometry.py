@@ -26,7 +26,6 @@ from arcplan.geometry import (
     arc_min_clearance,
     blocking_obstacles,
     builtin_scene,
-    end_blocked,
     in_cone,
     min_clearance,
     obstacle_vertices,
@@ -291,68 +290,40 @@ def test_segment_clear_is_the_min_clearance_test(scene):
     assert verdicts == [True, False, True, False, True] * 2 + [True, False]
 
 
-def test_end_blocked_implies_segment_clear_fails(scene):
-    # Segments from a point near a polygon vertex, at clearances that put the
-    # point's distance to the scene at the limit or either side of it:
-    # whenever end_blocked rejects a segment, segment_clear rejects it too.
-    rng = random.Random(5)
-    polygons = [obstacle_vertices(spec) for spec in scene.obstacles if not isinstance(spec.shape, Circle)]
-    blocked = passed = 0
-    for _ in range(400):
-        v = rng.choice(rng.choice(polygons))
-        angle, r = rng.uniform(0.0, TAU), rng.uniform(5.0, 15.0)
-        p = Point(v.x + r * math.cos(angle), v.y + r * math.sin(angle))
-        q = Point(rng.uniform(0, 800), rng.uniform(0, 800))
-        for clearance in (5.0, 10.0, min_clearance(p, scene) + CLEARANCE_EPS):
-            s = replace(scene, clearance=clearance)
-            if end_blocked(p, q, s.compiled.edges_at[v], s):
-                assert not segment_clear(p, q, s), (p, q, v, clearance)
-                blocked += 1
-            else:
-                passed += 1
-    assert blocked > 100 and passed > 100
-
-
-def test_end_blocked_reads_every_polygon_at_a_vertex():
-    # (200, 200) is a vertex of both squares; the point 10 from it lies inside
-    # the upper square, 10 from the lower one
-    squares = (ObstacleSpec(1, AxisRect(Point(100, 100), 100, 100)), ObstacleSpec(2, AxisRect(Point(200, 200), 100, 100)))
-    scene = Scene((400.0, 400.0), squares, 10.0)
-    v = Point(200.0, 200.0)
-    assert len(scene.compiled.edges_at[v]) == 4
-    p, q = Point(200 + 10 * math.sqrt(0.5), 200 + 10 * math.sqrt(0.5)), Point(380.0, 220.0)
-    assert end_blocked(p, q, scene.compiled.edges_at[v], scene)
-    lower = Scene((400.0, 400.0), squares[:1], 10.0)
-    assert not end_blocked(p, q, lower.compiled.edges_at[v], lower)
-    assert Point(250.0, 150.0) not in scene.compiled.edges_at  # not a vertex of either square
-
-
 def window_edge_angles(scene: Scene, v: Point) -> list[float]:
     """Angles on v's clearance circle at and beside the edges of each blocked
-    window in_cone may hold at v, worked out from the edges at v: pi/2 -
-    CONE_MARGIN either side of each edge's direction, then a few ulps, 1e-6
-    and CONE_MARGIN to either side of that, and the edge's direction itself."""
+    window in_cone may hold at v, worked out from the edges at v of each
+    polygon with a vertex there (obstacle_vertices): pi/2 - CONE_MARGIN
+    either side of each edge's direction, then a few ulps, 1e-6 and
+    CONE_MARGIN to either side of that, and the edge's direction itself."""
     angles = []
-    for ax, ay, bx, by, _ in scene.compiled.edges_at[v]:
-        ox, oy = (bx, by) if (ax, ay) == v else (ax, ay)
-        phi = math.atan2(oy - v.y, ox - v.x)
-        angles.append(phi)
-        for edge in (phi - math.pi / 2 + CONE_MARGIN, phi + math.pi / 2 - CONE_MARGIN):
-            steps = [k * math.ulp(edge) for k in (1, 2, 3)] + [1e-6, CONE_MARGIN]
-            angles += [edge, *(edge + s for s in steps), *(edge - s for s in steps)]
+    for spec in scene.obstacles:
+        if isinstance(spec.shape, Circle) or v not in (verts := obstacle_vertices(spec)):
+            continue
+        i = verts.index(v)
+        for other in (verts[i - 1], verts[(i + 1) % len(verts)]):
+            phi = math.atan2(other.y - v.y, other.x - v.x)
+            angles.append(phi)
+            for edge in (phi - math.pi / 2 + CONE_MARGIN, phi + math.pi / 2 - CONE_MARGIN):
+                steps = [k * math.ulp(edge) for k in (1, 2, 3)] + [1e-6, CONE_MARGIN]
+                angles += [edge, *(edge + s for s in steps), *(edge - s for s in steps)]
     return angles
 
 
-def cone_agrees_with_end_blocked(scene: Scene) -> int:
+def cone_agrees_with_oracle(scene: Scene) -> int:
     """Assert that every end the vertex windows rule out at some vertex of the
-    scene is one end_blocked rejects there; return how many were ruled out.
-    The segment is the end alone, which end_blocked rejects least readily."""
+    scene lies closer than the clearance limit to the scene by the oracle's
+    distances, and that segment_clear rejects it; return how many were ruled
+    out.  The segment is the end alone, which segment_clear rejects least
+    readily."""
     r, ruled_out = scene.clearance, 0
-    for v, edges in scene.compiled.edges_at.items():
+    obstacles = oracles.scene_obstacles(scene)
+    for v, cones in scene.compiled.cones.items():
         for a in window_edge_angles(scene, v):
             p = Point(v.x + r * math.cos(a), v.y + r * math.sin(a))
-            if in_cone(a, scene.compiled.cones[v]):
-                assert end_blocked(p, p, edges, scene), (v, a, p)
+            if in_cone(a, cones):
+                assert oracles.point_clearance(p, obstacles) < r - CLEARANCE_EPS, (v, a, p)
+                assert not segment_clear(p, p, scene), (v, a, p)
                 ruled_out += 1
     return ruled_out
 
@@ -363,27 +334,28 @@ def cone_agrees_with_end_blocked(scene: Scene) -> int:
     spread=st.floats(0.05, math.pi - 0.05),
     clearance=st.sampled_from((10.0, 1e-3)),
 )
-def test_in_cone_rules_out_only_ends_end_blocked_rejects(short, turn, spread, clearance):
+def test_in_cone_rules_out_only_ends_below_the_clearance(short, turn, spread, clearance):
     # A triangle with one edge of the given length at (400, 400): whenever
     # in_cone rules out a point on a vertex's clearance circle, at a window's
-    # edge or a hair to either side of it, end_blocked rejects that point at
-    # the vertex's edges.  Windows cover only edges at least the clearance
-    # long, and only a clearance whose margin r*(1 - cos(CONE_MARGIN)) exceeds
-    # CLEARANCE_EPS: a 1e-7 edge or a clearance of 1e-3 would break the rule.
+    # edge or a hair to either side of it, that point lies closer than the
+    # clearance limit to the triangle, and segment_clear rejects it.  Windows
+    # cover only edges at least the clearance long, and only a clearance
+    # whose margin r*(1 - cos(CONE_MARGIN)) exceeds CLEARANCE_EPS: a 1e-7
+    # edge or a clearance of 1e-3 would break the rule.
     r = clearance
     length = {"1e-7": 1e-7, "1": 1.0, "r/2": r / 2, "r": r, "2r": 2 * r, "100": 100.0}[short]
     v = Point(400.0, 400.0)
     u = Point(v.x + length * math.cos(turn), v.y + length * math.sin(turn))
     w = Point(v.x + 60.0 * math.cos(turn + spread), v.y + 60.0 * math.sin(turn + spread))
     scene = Scene((800.0, 800.0), (ObstacleSpec(1, Triangle(v, u, w)),), r)
-    ruled_out = cone_agrees_with_end_blocked(scene)
+    ruled_out = cone_agrees_with_oracle(scene)
     assert ruled_out > 0 or clearance < 1.0  # the far edge is 60 long
 
 
 def test_in_cone_at_a_vertex_of_two_polygons():
     scene = shared_vertex_scene()
     assert len(scene.compiled.cones[Point(200.0, 200.0)]) == 4  # both squares' two edges
-    assert cone_agrees_with_end_blocked(scene) > 100
+    assert cone_agrees_with_oracle(scene) > 100
 
 
 ARC_SCENE = Scene(

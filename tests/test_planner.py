@@ -25,7 +25,7 @@ from arcplan.geometry import (
     Scene,
     Triangle,
     builtin_scene,
-    end_blocked,
+    in_cone,
     min_clearance,
     obstacle_vertices,
     segment_clear,
@@ -179,9 +179,9 @@ def perfbench_module(name: str):
 
 def test_connected_is_symmetric(monkeypatch):
     # The scene's corner table tests each corner pair in one order only.  And
-    # the skip of legs that fail at their own corner is exact: _connected is
-    # segment_clear's verdict on every turn pair's tangent, and every tangent
-    # the skip rejects fails segment_clear.  The legs _connected hands
+    # the skip of legs that in_cone rules out at their own corner is exact:
+    # _connected is segment_clear's verdict on every turn pair's tangent, and
+    # every tangent the skip rejects fails segment_clear.  The legs _connected hands
     # segment_clear are, in order and float for float, those a per-leg
     # reference builds with pair_tangent and TurningCircle.at up to the first
     # that clears: for corner pairs, and for the radius-0 circle of a start
@@ -196,7 +196,7 @@ def test_connected_is_symmetric(monkeypatch):
                 for req in inputs.cold_scenes(1, 8)]
     pairs = endpoint_pairs = skipped = legs = 0
     for sc, start, goal in queries:
-        r, edges = sc.clearance, sc.compiled.edges_at
+        r, cones = sc.clearance, sc.compiled.cones
         circles = [(TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corner_candidates(sc)]
         ends = [((TurningCircle(start, 0.0),), c) for c in circles] + [(c, (TurningCircle(goal, 0.0),)) for c in circles]
         for a, b in [*itertools.combinations(circles, 2), *ends]:
@@ -208,7 +208,7 @@ def test_connected_is_symmetric(monkeypatch):
                     continue
                 p, q = c1.at(t1), c2.at(t2)
                 clear = segment_clear(p, q, sc)
-                if end_blocked(p, q, edges.get(c1.center, ()), sc) or end_blocked(q, p, edges.get(c2.center, ()), sc):
+                if in_cone(t1, cones.get(c1.center, ())) or in_cone(t2, cones.get(c2.center, ())):
                     assert not clear, (p, q)
                     skipped += 1
                     continue
@@ -273,8 +273,8 @@ def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch, mak
     # A leg end on a corner's circle that lies closer than the clearance
     # limit to an edge of that corner's polygon runs back into the polygon:
     # neither the corner links, the endpoint links nor the chain screen may
-    # hand such a leg to segment_clear.  end_blocked reads only the two edges
-    # at the corner; every edge of the polygon is counted here.
+    # hand such a leg to segment_clear.  in_cone reads only the edges at the
+    # corner; every edge of the polygon is counted here.
     scene = make_scene()
     limit = scene.clearance - 1e-9
     polygons = [ob[1] for ob in oracles.scene_obstacles(scene) if ob[0] == "poly"]
@@ -284,40 +284,48 @@ def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch, mak
         calls.append((p, q))
         return segment_clear(p, q, sc)
 
-    def own_edge_gap(end):
-        own = [poly for poly in polygons
-               if any(abs(math.dist(end, v) - scene.clearance) < 1e-9 for v in poly)]
-        edges = [(poly[i - 1], poly[i]) for poly in own for i in range(len(poly))]
-        return min((oracles.seg_dist(end, a, b) for a, b in edges), default=math.inf)
-
     monkeypatch.setattr(planner, "segment_clear", recorded)
     plan_route(RouteRequest(start, goal, scene))
-    gaps = [gap for call in calls for gap in map(own_edge_gap, call) if gap < math.inf]  # ends on a corner circle
+    gaps = [gap for call in calls for gap in (own_edge_gap(polygons, scene.clearance, end) for end in call)
+            if gap < math.inf]  # ends on a corner circle
     assert len(gaps) > least
     assert min(gaps) >= limit
+
+
+def own_edge_gap(polygons: list, r: float, end) -> float:
+    """The oracle's distance from a leg end to the nearest edge of the
+    polygons with a vertex r from it (the end's own corner's), inf when
+    the end lies on no corner circle."""
+    own = [poly for poly in polygons if any(abs(math.dist(end, v) - r) < 1e-9 for v in poly)]
+    edges = [(poly[i - 1], poly[i]) for poly in own for i in range(len(poly))]
+    return min((oracles.seg_dist(end, a, b) for a, b in edges), default=math.inf)
 
 
 def test_in_cone_rules_out_most_legs_that_fail_at_their_own_corner(monkeypatch):
     # The vertex windows must not go blind: of the legs of a corner-link
     # compile that fail at their own corner, in_cone rules out nearly all
-    # from their angles, and end_blocked measures only the rest.  Each test
-    # rules a leg out once at most, so the True verdicts count legs.
+    # from their angles, and only the rest reach segment_clear.  in_cone
+    # rules a leg out once at most, so its True verdicts count legs.
     inputs = perfbench_module("inputs")
-    counts = {planner.in_cone: 0, planner.end_blocked: 0}
+    by_cone = by_scan = 0
 
-    def counted(test):
-        def call(*args):
-            verdict = test(*args)
-            counts[test] += verdict
-            return verdict
-        return call
+    def cone(*args):
+        nonlocal by_cone
+        verdict = in_cone(*args)
+        by_cone += verdict
+        return verdict
 
-    monkeypatch.setattr(planner, "in_cone", counted(planner.in_cone))
-    monkeypatch.setattr(planner, "end_blocked", counted(planner.end_blocked))
+    def scan(p, q, sc):
+        nonlocal by_scan
+        polygons = [ob[1] for ob in oracles.scene_obstacles(sc) if ob[0] == "poly"]
+        by_scan += min(own_edge_gap(polygons, sc.clearance, end) for end in (p, q)) < sc.clearance - 1e-9
+        return segment_clear(p, q, sc)
+
+    monkeypatch.setattr(planner, "in_cone", cone)
+    monkeypatch.setattr(planner, "segment_clear", scan)
     for sc in [acute_scene()] + [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 4)]:
         planner._corner_links(sc)
-    by_cone, by_distance = counts.values()
-    assert by_cone >= 0.95 * (by_cone + by_distance) and by_cone > 5000, counts
+    assert by_cone >= 0.95 * (by_cone + by_scan) and by_cone > 5000, (by_cone, by_scan)
 
 
 def test_leg_is_the_plans_chain_line(scene):
