@@ -15,7 +15,8 @@ which the edges that meet at each polygon vertex block a point on the
 vertex's clearance circle.  The clearance of a segment and of a circular arc
 is computed in closed form, never by sampling.  A point is a zero-length
 segment: one segment-obstacle routine serves both, with one separating-axis
-pass over a polygon's edges.  An arc gets one pass over those edges as well.
+pass over a polygon's edges; `segment_clear` skips it for a polygon wholly to
+one side of pq's line, about the clearance or more off.  Arcs get one pass too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ TAU = 2.0 * math.pi
 # any margin from about 2e-5 to just under pi/2 gives the same verdicts.  It is no tuning knob.
 CONE_MARGIN = 1e-3
 _CONE_WIDTH = math.pi - 2.0 * CONE_MARGIN
+_SIDE_REACH = CLEARANCE_EPS * 2.0**47  # about 1.4e5: segment_clear's side test keeps its verdict up to here
 
 
 class Point(NamedTuple):
@@ -97,19 +99,21 @@ class Scene:
                 for u, v, w in zip(verts[-1:] + verts[:-1], verts, verts[1:] + verts[:1]):
                     cones.setdefault(v, []).extend(math.atan2(e.y - v.y, e.x - v.x) - math.pi / 2 + CONE_MARGIN
                                                    for e in (u, w) if exact and math.dist(v, e) >= r)
-        return CompiledScene(obstacles, cones)
+        near = all(abs(c) + r <= _SIDE_REACH for *_, bbox in obstacles for c in bbox)
+        return CompiledScene(obstacles, cones, _SIDE_REACH - r if near else -1.0)
 
 
 @dataclass
 class CompiledScene:
     """What one Scene object derives once and keeps for as long as it lives:
     the obstacle table the clearance queries read, the directions the edges
-    that meet at each polygon vertex block there (`in_cone` reads them) and
-    the corner links the planner's roadmap reads (the planner fills them in
-    on first use)."""
+    that meet at each polygon vertex block there (`in_cone` reads them), the
+    reach of segment_clear's side test, and the corner links the planner's
+    roadmap reads (the planner fills them in on first use)."""
 
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
     cones: dict[Point, list]  # vertex -> the low end of each window in_cone tests at it
+    reach: float  # the side test runs while pq's coordinates are within it (-1: an obstacle is beyond)
     corner_links: Optional[object] = None
 
 
@@ -307,14 +311,21 @@ def segment_min_clearance(a: Point, b: Point, scene: Scene) -> float:
 
 
 def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
-    """True iff every point of segment pq keeps the scene clearance (less
-    CLEARANCE_EPS) from every obstacle: segment_min_clearance's verdict,
-    stopping at the first obstacle that comes closer.  An obstacle is skipped
-    as soon as one axis gap of its bbox to pq's reaches the limit: their
-    hypot, _bbox_seg_gap's bound, is never below either."""
+    """True iff every point of segment pq keeps the scene clearance r (less
+    CLEARANCE_EPS = e) from every obstacle (segment_min_clearance's verdict),
+    stopping at the first obstacle closer.  It skips an obstacle when an axis
+    gap of its bbox to pq's reaches the limit (their hypot, _bbox_seg_gap, is
+    never less), and a polygon when c = (q - p) x (v - p) has one sign and
+    |c| >= (r - e/2)|pq| at each vertex v.  With u = 2**-53 and coordinates
+    within M, c rounds by u|c| + 8.5uM|pq|, the bound by 5ur|pq| and
+    _segment_distance by 2ur + 7.1uM: under 16u(M + r) <= e/4 while M + r <=
+    _SIDE_REACH (Scene.compiled.reach, pq's bbox) and |pq| is a normal float."""
     limit = scene.clearance - CLEARANCE_EPS
+    px, py, ux, uy = p[0], p[1], q[0] - p[0], q[1] - p[1]
     sx0, sx1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
     sy0, sy1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
+    near = max(sx1, sy1, -sx0, -sy0) <= scene.compiled.reach and (length := math.hypot(ux, uy)) >= 2.0**-1022
+    gap = (scene.clearance - CLEARANCE_EPS / 2) * length if near else math.inf  # inf: the side test skips nothing
     for kind, payload, (x0, y0, x1, y1) in scene.compiled.obstacles:
         dx = max(x0 - sx1, 0.0, sx0 - x1)
         if dx >= limit:
@@ -322,6 +333,10 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
         dy = max(y0 - sy1, 0.0, sy0 - y1)
         if dy >= limit or math.hypot(dx, dy) >= limit:
             continue
+        if kind == "poly":
+            sides = [ux * (vy - py) - uy * (vx - px) for vx, vy in payload]
+            if min(sides) >= gap or max(sides) <= -gap:
+                continue
         if _segment_distance(p, q, kind, payload) < limit:
             return False
     return True

@@ -290,6 +290,75 @@ def test_segment_clear_is_the_min_clearance_test(scene):
     assert verdicts == [True, False, True, False, True] * 2 + [True, False]
 
 
+def around(r: float) -> list[float]:
+    """r, 1 ulp, 1e-12, 1e-10, 1e-9 and 2e-9 either side of it."""
+    return [r, math.nextafter(r, math.inf), math.nextafter(r, 0.0)] + [
+        r + sign * e for e in (1e-12, 1e-10, 1e-9, 2e-9) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+def test_segment_clear_side_test_keeps_the_verdict_at_every_scale(scale):
+    # segment_clear skips a polygon that lies about the clearance or more to
+    # one side of pq's line.  Segments square to a normal through a polygon's
+    # extreme vertex, at the clearance, 1 ulp, 1e-12, 1e-10, 1e-9 and 2e-9
+    # either side of it, keep segment_min_clearance's verdict with the
+    # polygon at every coordinate scale, below the side test's reach and
+    # beyond it.
+    shapes = (
+        Triangle(Point(scale, scale), Point(scale + 130.0, scale + 10.0), Point(scale + 40.0, scale + 110.0)),
+        AxisRect(Point(scale, -scale), 90.0, 35.0),
+        Parallelogram(Point(-scale, scale), 80.0, Point(-scale + 25.0, scale + 60.0)),
+    )
+    r = 10.0
+    checked = 0
+    for shape in shapes:
+        scene = Scene((1e13, 1e13), (ObstacleSpec(1, shape),), r)
+        verts = polygon_vertices(shape)
+        for k in range(24):
+            phi = (k + 0.37) * TAU / 24
+            nx, ny = math.cos(phi), math.sin(phi)
+            v = max(verts, key=lambda w: nx * w.x + ny * w.y)
+            for d in around(r):
+                cx, cy = v.x + d * nx, v.y + d * ny
+                for back, ahead in ((5.0, 30.0), (200.0, 50.0), (0.5, 1000.0)):
+                    p, q = Point(cx + back * ny, cy - back * nx), Point(cx - ahead * ny, cy + ahead * nx)
+                    for a, b in ((p, q), (q, p)):
+                        expected = segment_min_clearance(a, b, scene) >= r - CLEARANCE_EPS
+                        assert segment_clear(a, b, scene) == expected, (scale, shape, phi, d, a, b)
+                        checked += 1
+    assert checked == 3 * 24 * 11 * 3 * 2
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e8, 1e10, 1e12])
+def test_segment_clear_side_test_reads_the_scene_extent(scale):
+    # A short segment near the origin, parallel to a triangle's edge that runs
+    # from near it out to `scale`: the far vertex's cross product rounds by
+    # about scale * 2**-53 of the segment's length, so the scene's extent, not
+    # the segment's, must turn the side test off.
+    r = 10.0
+    for k in range(24):
+        beta = (k + 0.37) * TAU / 24
+        ex, ey = math.cos(beta), math.sin(beta)
+        v1 = Point(3.0, 4.0)
+        v2 = Point(v1.x + scale * ex, v1.y + scale * ey)
+        v3 = Point(v2.x + 50.0 * ey, v2.y - 50.0 * ex)
+        scene = Scene((100.0, 100.0), (ObstacleSpec(1, Triangle(v1, v2, v3)),), r)
+        for d in around(r):
+            p = Point(v1.x - d * ey - 5.0 * ex, v1.y + d * ex - 5.0 * ey)
+            q = Point(p.x + 60.0 * ex, p.y + 60.0 * ey)
+            for a, b in ((p, q), (q, p)):
+                expected = segment_min_clearance(a, b, scene) >= r - CLEARANCE_EPS
+                assert segment_clear(a, b, scene) == expected, (scale, beta, d, a, b)
+
+
+def test_segment_clear_side_test_skips_nothing_for_a_subnormal_length():
+    # pq too short for a normal length: its cross products underflow, and a
+    # polygon 9.7 from it would pass a side test that read them
+    scene = Scene((100.0, 100.0), (ObstacleSpec(1, AxisRect(Point(-50.0, 9.7), 100.0, 20.0)),), 10.0)
+    for q in (Point(5e-324, 0.0), Point(0.0, 5e-324), Point(1e-310, 1e-310)):
+        assert not segment_clear(Point(0.0, 0.0), q, scene), q
+
+
 def window_edge_angles(scene: Scene, v: Point) -> list[float]:
     """Angles on v's clearance circle at and beside the edges of each blocked
     window in_cone may hold at v, worked out from the edges at v of each

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from arcplan.aco import AcoParams, dijkstra_shortest
 from arcplan.geometry import (
+    CLEARANCE_EPS,
     AxisRect,
     Circle,
     ObstacleSpec,
@@ -30,7 +31,7 @@ from arcplan.geometry import (
     obstacle_vertices,
     segment_clear,
 )
-from arcplan import planner
+from arcplan import geometry, planner
 from arcplan.paths import ChainingError, Line, SmoothPath, Turn, TurningCircle, pair_tangent, validate_path
 from arcplan.planner import (
     _FALLBACK_TRIES,
@@ -326,6 +327,31 @@ def test_in_cone_rules_out_most_legs_that_fail_at_their_own_corner(monkeypatch):
     for sc in [acute_scene()] + [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 4)]:
         planner._corner_links(sc)
     assert by_cone >= 0.95 * (by_cone + by_scan) and by_cone > 5000, (by_cone, by_scan)
+
+
+def test_segment_clear_runs_few_polygon_distances_that_clear(monkeypatch):
+    # The side test must not go blind: of the exact polygon distances that
+    # segment_clear still runs in a corner-link compile, few come out at or
+    # beyond the limit.  Without the side test about 84% do: the bbox of a
+    # long diagonal leg admits mostly polygons that the leg clears.
+    scenes = [scene_from_dict(req["scene_dict"]) for req in perfbench_module("inputs").cold_scenes(1, 4)]
+    limit = scenes[0].clearance - CLEARANCE_EPS
+    assert all(sc.clearance == scenes[0].clearance for sc in scenes)
+    distance = geometry._segment_distance
+    near = far = 0
+
+    def counted(a, b, kind, payload):
+        nonlocal near, far
+        d = distance(a, b, kind, payload)
+        if kind == "poly":
+            far += d >= limit
+            near += d < limit
+        return d
+
+    monkeypatch.setattr(geometry, "_segment_distance", counted)
+    for sc in scenes:
+        planner._corner_links(sc)
+    assert far < 0.05 * (near + far) and near > 200, (near, far)
 
 
 def test_leg_is_the_plans_chain_line(scene):
