@@ -4,8 +4,8 @@ Routes are encoded as node-inclusion bit strings: bit i says whether node i+1
 is on the route, and a chromosome decodes by visiting its set nodes in
 ascending index order.  Missing edges between consecutive visited nodes cost
 the graph's no-edge penalty, so infeasible routes are merely expensive, never
-invalid.  The exact Dijkstra that checks the colony, and that the planner's
-k-shortest search runs, lives alongside.
+invalid.  One best-first search lives alongside: the exact Dijkstra that checks
+the colony and every search of the planner's k-shortest routes run it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import heapq
 import math
 import random
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 NO_EDGE = 1000.0  # sentinel weight used by the builtin graph
 
@@ -227,6 +227,45 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
     return AcoResult(best_bits, nodes, cost, tuple(best_curve), tuple(mean_curve))
 
 
+def best_first(
+    sources: Iterable[tuple[float, Any]],
+    goal: Any,
+    successors: Mapping[Any, Iterable[tuple[Any, float]]],
+    closed: Iterable[Any] = (),
+) -> tuple[tuple, float]:
+    """Dijkstra's best-first search from several start states to `goal`.
+
+    `sources` holds (cost, state) pairs, as from a super-source;
+    `successors[state]` holds the state's (next, cost) pairs, costs
+    nonnegative; no state of `closed` is entered.  Returns the path, from its
+    source to goal, and its cost; ((), inf) when goal cannot be reached.
+    """
+    dist: dict = dict.fromkeys(closed, -math.inf)  # no cost improves on a closed state, so none is pushed
+    prev: dict = {}
+    heap = []
+    pop, push, get, inf = heapq.heappop, heapq.heappush, dist.get, math.inf  # bound once, read per relaxation
+    for cost, state in sources:
+        if cost < get(state, inf):
+            dist[state], prev[state] = cost, None
+            heap.append((cost, state))
+    heapq.heapify(heap)
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:  # a stale entry: u was pushed again at a lower cost
+            continue
+        if u == goal:
+            path = [u]
+            while (u := prev[u]) is not None:
+                path.append(u)
+            return tuple(reversed(path)), d
+        for v, w in successors[u]:
+            nd = d + w
+            if nd < get(v, inf):
+                dist[v], prev[v] = nd, u
+                push(heap, (nd, v))
+    return (), inf
+
+
 def dijkstra_shortest(
     g: WeightedGraph,
     src: int,
@@ -234,45 +273,10 @@ def dijkstra_shortest(
     banned_nodes: Iterable[int] = (),
     banned_edges: Iterable[tuple[int, int]] = (),
 ) -> tuple[tuple[int, ...], float]:
-    """Exact shortest path treating sentinel/no-edge weights as absent.
-
-    The search never enters a node of `banned_nodes` nor uses an edge of
-    `banned_edges` (listed in either direction), as Yen's spur searches need.
-    Returns ((), inf) when dst is unreachable.
-    """
-    n = g.node_count
-    banned = set(banned_nodes)
-    cut: dict[int, set[int]] = {}
-    for a, b in banned_edges:
-        cut.setdefault(a, set()).add(b)
-        cut.setdefault(b, set()).add(a)
-    adjacency = g.adjacency
-    dist = [math.inf] * (n + 1)
-    dist[src] = 0.0
-    prev = [0] * (n + 1)
-    seen = [False] * (n + 1)
-    heap = [(0.0, src)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, u = pop(heap)
-        if seen[u]:
-            continue
-        seen[u] = True
-        if u == dst:
-            break
-        skip = cut.get(u, ())
-        for v, w in adjacency[u - 1]:
-            if v in banned or v in skip:
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                push(heap, (nd, v))
-    if not seen[dst]:
-        return (), math.inf
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return tuple(path), dist[dst]
+    """Exact shortest path treating sentinel/no-edge weights as absent, by
+    best_first over g.adjacency; ((), inf) when dst is unreachable.  The search
+    never enters a node of `banned_nodes` other than src, nor uses an edge of
+    `banned_edges` (listed in either direction)."""
+    banned = set(map(frozenset, banned_edges))
+    successors = {u: [(v, w) for v, w in row if frozenset((u, v)) not in banned] for u, row in enumerate(g.adjacency, 1)}
+    return best_first([(0.0, src)], dst, successors, set(banned_nodes) - {src})

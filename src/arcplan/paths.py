@@ -306,10 +306,12 @@ def corner_clear(
 ) -> bool:
     """validate_path's verdict on the arc chain_path puts on c between the
     legs `into` and `out`: its radius, its field (a leg's other end is an
-    endpoint or another arc's end), both junctions and its clearance."""
+    endpoint or another arc's end), both junctions and its clearance.  An arc
+    that sweeps within 1e-9 of 0 or 2pi fails too: the route does not turn
+    there, and leaving the corner out gives the same curve, or a loop shorter."""
     arc = Arc(c, into[1], out[0])
     joints = ((into[2], arc), (arc, out[2]))
-    if _radius_violation(arc) or _field_violation(0, arc, scene):
+    if not 1e-9 < arc.sweep < TAU - 1e-9 or _radius_violation(arc) or _field_violation(0, arc, scene):
         return False
     kinked = any(_gap_violation(0, a, b) or _kink_violation(0, 1, a, b) for a, b in joints)
     return not kinked and arc_clear(c.center, c.radius, arc.ccw_start, arc.sweep, scene)

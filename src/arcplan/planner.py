@@ -37,7 +37,7 @@ import itertools
 import math
 from typing import Iterator, NamedTuple, Optional
 
-from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, dijkstra_shortest, graph_from_edges
+from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, best_first, graph_from_edges
 from .geometry import (
     CLEARANCE_EPS,
     Point,
@@ -231,17 +231,17 @@ def _bends_ccw(rm: Roadmap, node_seq: tuple[int, ...]) -> list[bool]:
 
 
 def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Loopless shortest roadmap routes in ascending cost order (Yen); every
-    search is dijkstra_shortest's."""
-    best = dijkstra_shortest(g, src, dst)
-    if not best[0]:
-        return
-    yield best
-    branches: dict[tuple[int, ...], set[int]] = {}  # route prefix -> the next node of each route yielded through it
-    pool: list[tuple[float, tuple[int, ...]]] = []
+    """Loopless shortest roadmap routes in ascending cost order (Yen).  Every
+    search is best_first's; a spur's starts from the spur's first hops that no
+    earlier route through its root took, and never enters the root."""
+    successors = dict(enumerate(g.adjacency, 1))
+    path, cost = best_first([(0.0, src)], dst, successors)
+    pool = [(cost, path)] if path else []  # (cost, route) of the candidates not yet yielded
     pooled: set[tuple[int, ...]] = set()
-    path = best[0]
-    while True:
+    branches: dict[tuple[int, ...], set[int]] = {}  # route prefix -> the next node of each route yielded through it
+    while pool:
+        cost, path = heapq.heappop(pool)
+        yield path, cost
         # A spur whose next edge an earlier route already took has the bans it
         # had on that route's turn, so its search would repeat a pooled
         # candidate (Lawler): start where path leaves every earlier route.
@@ -253,19 +253,12 @@ def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tu
         root_costs = list(itertools.accumulate((g.weight(a, b) for a, b in zip(path, path[1:])), initial=0))
         for i in range(shared - 1, len(path) - 1):
             spur, root = path[i], path[: i + 1]
-            banned_edges = [(spur, nxt) for nxt in branches[root]]
-            tail, tail_cost = dijkstra_shortest(g, spur, dst, root[:-1], banned_edges)
-            if not tail:
-                continue
-            candidate = root[:-1] + tail
-            if candidate in pooled:
-                continue
-            heapq.heappush(pool, (root_costs[i] + tail_cost, candidate))
-            pooled.add(candidate)
-        if not pool:
-            return
-        cost, path = heapq.heappop(pool)
-        yield path, cost
+            taken = branches[root]
+            tail, tail_cost = best_first([(w, v) for v, w in successors[spur] if v not in taken], dst, successors, root)
+            candidate = root + tail
+            if tail and candidate not in pooled:
+                heapq.heappush(pool, (root_costs[i] + tail_cost, candidate))
+                pooled.add(candidate)
 
 
 def _chain_for(rm: Roadmap, node_seq: tuple[int, ...]) -> tuple[tuple[TurningCircle, ...], SmoothPath]:
@@ -299,8 +292,9 @@ class _ChainScreen:
     ids and turns; a sequence is rejected at its first failing piece, known
     ones first.  The pieces are those chain_path builds, on the roadmap's
     circles, and each is judged at validate_path's one clearance limit
-    (`_leg` for a leg, corner_clear for a corner), so for a start and a goal
-    apart the verdict is validate_path's on the chained path.
+    (`_leg` for a leg, corner_clear for a corner): for a start and a goal
+    apart the verdict is validate_path's on the chained path, but a corner
+    the path does not turn on fails.
     """
 
     def __init__(self, rm: Roadmap, scene: Scene):

@@ -14,6 +14,7 @@ from arcplan.aco import (
     NO_EDGE,
     AcoParams,
     aco_run,
+    best_first,
     bits_from_string,
     bits_to_string,
     builtin_graph,
@@ -172,6 +173,54 @@ def test_dijkstra_unreachable_and_trivial():
     g = graph_from_edges(4, [(1, 2, 3.0)])
     assert dijkstra_shortest(g, 1, 4) == ((), math.inf)
     assert dijkstra_shortest(g, 3, 3) == ((3,), 0.0)
+
+
+def test_dijkstra_starts_from_a_banned_src(graph):
+    # Yen's root holds the spur, so a banned src is where the search starts
+    assert dijkstra_shortest(graph, 1, 15, banned_nodes={1}) == (OPTIMUM_NODES, OPTIMUM_COST)
+
+
+def test_best_first_matches_exhaustive_on_random_graphs():
+    # The sources, each with its own starting cost, are one super-source:
+    # node n + 1 of the oracle's graph, joined to each source at that cost.
+    # The oracle's graph leaves out the closed nodes; the goal is node n.
+    rng = random.Random(7)
+    seen = {"reached": 0, "unreachable": 0, "source is goal": 0, "closed source": 0}
+    for _ in range(40):
+        n = rng.randint(5, 8)
+        edges = [
+            (i, j, float(rng.randint(1, 99)))
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if rng.random() < 0.4
+        ]
+        sources = [(float(rng.randint(0, 80)), v) for v in rng.sample(range(1, n + 1), rng.randint(1, 3))]
+        closed = {v for v in range(1, n) if rng.random() < 0.2}
+        kept = [(i, j, w) for i, j, w in edges if i not in closed and j not in closed]
+        kept += [(n + 1, v, cost) for cost, v in sources if v not in closed]
+        oracle_graph = graph_from_edges(n + 1, kept)
+        routes = oracles.exhaustive_routes([list(r) for r in oracle_graph.weights], NO_EDGE, n + 1, n)
+        successors = dict(enumerate(graph_from_edges(n, edges).adjacency, 1))
+        path, cost = best_first(sources, n, successors, closed)
+        if routes:
+            assert cost == routes[0][0]
+            assert (cost, (n + 1, *path)) in routes  # tie-safe: any cheapest route is fine
+            seen["reached"] += 1
+            seen["source is goal"] += path == (n,)
+        else:
+            assert (path, cost) == ((), math.inf)
+            seen["unreachable"] += 1
+        seen["closed source"] += any(v in closed for _, v in sources)
+    assert min(seen.values()) > 0, seen
+
+
+def test_best_first_sources_compete():
+    successors = dict(enumerate(graph_from_edges(4, [(1, 2, 3.0), (2, 3, 3.0)]).adjacency, 1))
+    assert best_first([(5.0, 3), (0.0, 1)], 3, successors) == ((3,), 5.0)  # a source that is the goal
+    assert best_first([(5.0, 3), (0.0, 2)], 3, successors) == ((2, 3), 3.0)
+    assert best_first([(0.0, 1)], 4, successors) == ((), math.inf)
+    assert best_first([(0.0, 1)], 3, successors, closed={2}) == ((), math.inf)
+    assert best_first([(0.0, 1), (1.0, 2)], 3, successors, closed={2}) == ((), math.inf)  # a closed source
 
 
 def test_aco_is_deterministic(graph):

@@ -429,6 +429,22 @@ def test_validate_flags_arc_leaving_the_field(turn):
     assert validate_path(raised, scene).ok  # 10 higher, the arc stays inside
 
 
+@pytest.mark.parametrize("turn, cy", [(Turn.CW, 30), (Turn.CCW, 50)])
+@pytest.mark.parametrize("rise", [0.0, 1e-12, -1e-12])
+def test_corner_clear_rejects_a_corner_the_path_does_not_turn_on(turn, cy, rise):
+    # the line y = 40 touches the circle, so the arc on it sweeps 0, or 2pi
+    # less a rounding error, as the goal rises or sinks by 1e-12: validate_path
+    # passes the chain, but the route does not turn there
+    scene = Scene(bounds=(100.0, 100.0))
+    into, arc, out = chain_path(Point(20, 40), (TurningCircle(Point(50, cy), 10.0, turn),), Point(80, 40 + rise)).segments
+    assert min(arc.sweep, TAU - arc.sweep) < 1e-9
+    assert validate_path(SmoothPath((into, arc, out)), scene).ok
+    assert not corner_clear((None, arc.start_angle, into), arc.circle, (arc.end_angle, None, out), scene)
+    # halfway into the line, the route bends round the circle
+    into, arc, out = chain_path(Point(20, 40), (TurningCircle(Point(50, (cy + 40) / 2), 10.0, turn),), Point(80, 40)).segments
+    assert corner_clear((None, arc.start_angle, into), arc.circle, (arc.end_angle, None, out), scene)
+
+
 def test_validate_checks_tangency_across_zero_length_line(scene):
     # a line of length 0 has no direction: the segments on either side must agree
     stop = Line(Point(50, 0), Point(50, 0))

@@ -514,17 +514,18 @@ def test_enumerate_candidates_ascending(scene):
         assert validate_path(plan.path, scene).ok
 
 
-def test_equal_lengths_keep_scan_order(scene):
+def test_enumerate_lists_each_curve_once(scene):
     # random pair 15 of seed 2 in perfbench/inputs.py: the route that adds a
-    # 0.0000-long arc at (230, 210) is as long, and the scan finds it second
+    # 0.0000-long arc at (230, 210) is the same curve, so the second candidate
+    # is the next different one
     start, goal = Point(16.91589577852053, 204.55204324595408), Point(650.6835099218207, 125.69463094941993)
     plan = plan_route(RouteRequest(start, goal, scene))
     turns = ((80, 210, Turn.CW), (345, 210, Turn.CW), (500, 140, Turn.CCW))
     assert plan.corners == tuple(TurningCircle(Point(x, y), scene.clearance, t) for x, y, t in turns)
     assert repr(plan.length) == "660.4513728183134"
     first, second = enumerate_candidates(scene, start, goal, k=2)
-    assert first == plan and second.length == plan.length
-    assert [c.center for c in second.corners] == [Point(80, 210), Point(230, 210), Point(345, 210), Point(500, 140)]
+    assert first == plan and repr(second.length) == "733.6658435880508"
+    assert [c.center for c in second.corners] == [Point(80, 210), Point(230, 210), Point(280, 100), Point(410, 100)]
 
 
 def test_k_shortest_routes_match_exhaustive_on_builtin(graph):
