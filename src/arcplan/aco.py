@@ -4,8 +4,10 @@ Routes are encoded as node-inclusion bit strings: bit i says whether node i+1
 is on the route, and a chromosome decodes by visiting its set nodes in
 ascending index order.  Missing edges between consecutive visited nodes cost
 the graph's no-edge penalty, so infeasible routes are merely expensive, never
-invalid.  One best-first search lives alongside: the exact Dijkstra that checks
-the colony and every search of the planner's k-shortest routes run it.
+invalid.  One best-first search lives alongside, with one contract: it starts
+from several sources at their own costs and never enters a closed state.  The
+exact Dijkstra that checks the colony (one source, nothing closed) and every
+search of the planner's k-shortest routes run it.
 """
 
 from __future__ import annotations
@@ -266,17 +268,7 @@ def best_first(
     return (), inf
 
 
-def dijkstra_shortest(
-    g: WeightedGraph,
-    src: int,
-    dst: int,
-    banned_nodes: Iterable[int] = (),
-    banned_edges: Iterable[tuple[int, int]] = (),
-) -> tuple[tuple[int, ...], float]:
+def dijkstra_shortest(g: WeightedGraph, src: int, dst: int) -> tuple[tuple[int, ...], float]:
     """Exact shortest path treating sentinel/no-edge weights as absent, by
-    best_first over g.adjacency; ((), inf) when dst is unreachable.  The search
-    never enters a node of `banned_nodes` other than src, nor uses an edge of
-    `banned_edges` (listed in either direction)."""
-    banned = set(map(frozenset, banned_edges))
-    successors = {u: [(v, w) for v, w in row if frozenset((u, v)) not in banned] for u, row in enumerate(g.adjacency, 1)}
-    return best_first([(0.0, src)], dst, successors, set(banned_nodes) - {src})
+    best_first over g.adjacency; ((), inf) when dst is unreachable."""
+    return best_first([(0.0, src)], dst, dict(enumerate(g.adjacency, 1)))

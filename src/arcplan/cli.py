@@ -193,78 +193,69 @@ def _cmd_enumerate(args, stdout) -> int:
 
 
 def _cmd_verify(args, stdout) -> int:
-    exp = sceneio.load_expected()
-    scene = builtin_scene()
-    failures = 0
+    exp, scene, g = sceneio.load_expected(), builtin_scene(), builtin_graph()
+    checks = []  # (name, ok, detail): none is written before every entry is read and computed
 
-    def read(e, key: str, kind=None):
-        """e[key] read by kind, as a scene file's number by default;
-        SceneFormatError naming the fixture file if that fails."""
+    def read(entry, key: str, convert=sceneio.read_number):
+        """convert(entry[key], key), a scene file's number by default;
+        SceneFormatError naming the fixture file and key if that fails."""
         try:
-            return sceneio.read_number(e[key], key) if kind is None else kind(e[key])
+            return convert(entry[key], key)
         except (KeyError, TypeError, ValueError):
             raise sceneio.SceneFormatError(f"{sceneio.expected_path()}: {key!r} is missing or malformed") from None
 
-    def pt(v) -> Point:
-        return sceneio.read_point(v, "point")
-
-    def check(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        failures += not ok
-        stdout.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
-
-    def tol(e: dict, key: str) -> float:
-        return read(e, key) if args.tolerance is None else args.tolerance
-
     def near(name: str, got: float, e: dict, key: str, tol_key: str, places: int = 4) -> None:
-        t = tol(e, tol_key)
-        check(name, abs(got - read(e, key)) <= t, f"{got:.{places}f} vs {e[key]} (tol {t:g})")
+        t = read(e, tol_key) if args.tolerance is None else args.tolerance
+        checks.append((name, abs(got - read(e, key)) <= t, f"{got:.{places}f} vs {e[key]} (tol {t:g})"))
 
     # corner benchmarks
     for key in ("corner_oa", "corner_ob3"):
-        e = read(exp, key, dict)
-        corner = (*(read(e, k, pt) for k in ("start", "end", "center")), read(e, "radius"))
-        sol = read(exp, key, lambda _: solve_corner(*corner))  # ChainingError: an end lies inside the circle
+        e = read(exp, key, lambda v, _: dict(v))
+        corner = (*(read(e, k, sceneio.read_point) for k in ("start", "end", "center")), read(e, "radius"))
+        sol = read(exp, key, lambda *_: solve_corner(*corner))  # ChainingError: an end lies inside the circle
         first, last = sol.segments[0], sol.segments[-1]
         near(f"{key} total", sol.length, e, "total", "total_tol")
         near(f"{key} exact total", sol.length, e, "exact_total", "exact_tol", 9)
         if "oracle_total" in e:
             near(f"{key} oracle band", sol.length, e, "oracle_total", "oracle_tol")
         if "entry" in e:
-            pt_tol = tol(e, "point_tol")
-            d1, d2 = math.dist(first.b, read(e, "entry", pt)), math.dist(last.a, read(e, "exit", pt))
-            check(f"{key} tangent points", max(d1, d2) <= pt_tol, f"offsets {d1:.5f}, {d2:.5f} (tol {pt_tol:g})")
+            t = read(e, "point_tol") if args.tolerance is None else args.tolerance
+            d1 = math.dist(first.b, read(e, "entry", sceneio.read_point))
+            d2 = math.dist(last.a, read(e, "exit", sceneio.read_point))
+            checks.append((f"{key} tangent points", max(d1, d2) <= t, f"offsets {d1:.5f}, {d2:.5f} (tol {t:g})"))
         if "first_line" in e:
             near(f"{key} first line", first.length, e, "first_line", "first_line_tol")
 
     # chained route benchmark
-    e = read(exp, "chain_ob", dict)
-    centers, turns = read(e, "centers", lambda v: [pt(c) for c in v]), read(e, "turns", lambda v: [Turn(t) for t in v])
+    e = read(exp, "chain_ob", lambda v, _: dict(v))
+    centers = read(e, "centers", lambda v, name: [sceneio.read_point(c, name) for c in v])
+    turns = read(e, "turns", lambda v, _: [Turn(t) for t in v])
     circles = tuple(TurningCircle(c, 10.0, t) for c, t in zip(centers, turns))
-    start, end = read(e, "start", pt), read(e, "end", pt)
-    path = read(exp, "chain_ob", lambda _: chain_path(start, circles, end))
+    start, end = read(e, "start", sceneio.read_point), read(e, "end", sceneio.read_point)
+    path = read(exp, "chain_ob", lambda *_: chain_path(start, circles, end))
     near("chain_ob total", path.length, e, "total", "total_tol")
     near("chain_ob exact total", path.length, e, "exact_total", "exact_tol", 9)
     plan = plan_route(RouteRequest(start, end, scene))
     got_centers = [[float(v) for v in c.center] for c in plan.corners]  # as expected.json stores them
-    check("chain_ob corner centers", got_centers == e["centers"], f"{got_centers}")
+    checks.append(("chain_ob corner centers", got_centers == e["centers"], f"{got_centers}"))
 
     # planner benchmark: full O->A pipeline
-    e = read(exp, "corner_oa", dict)
-    plan = plan_route(RouteRequest(read(e, "start", pt), read(e, "end", pt), scene))
+    e = read(exp, "corner_oa", lambda v, _: dict(v))
+    plan = plan_route(RouteRequest(read(e, "start", sceneio.read_point), read(e, "end", sceneio.read_point), scene))
     near("plan O->A total", plan.length, e, "total", "total_tol")
 
     # graph benchmarks
-    e = read(exp, "graph_optimum", dict)
-    g = builtin_graph()
-    want_path, want_cost = read(e, "path", list), read(e, "cost")
+    e = read(exp, "graph_optimum", lambda v, _: dict(v))
+    want_path, want_cost = read(e, "path", lambda v, _: list(v)), read(e, "cost")
     nodes, cost = dijkstra_shortest(g, 1, 15)
-    check("graph optimum", list(nodes) == want_path and cost == want_cost,
-          f"{'-'.join(map(str, nodes))} cost {cost:g}")
-    dn, dc = read(e, "chromosome", lambda c: decode_and_cost(bits_from_string(c), g))
-    check("chromosome decode", list(dn) == want_path and dc == want_cost,
-          f"{e['chromosome']} -> {'-'.join(map(str, dn))} cost {dc:g}")
+    checks.append(("graph optimum", list(nodes) == want_path and cost == want_cost,
+                   f"{'-'.join(map(str, nodes))} cost {cost:g}"))
+    dn, dc = read(e, "chromosome", lambda v, _: decode_and_cost(bits_from_string(v), g))
+    checks.append(("chromosome decode", list(dn) == want_path and dc == want_cost,
+                   f"{e['chromosome']} -> {'-'.join(map(str, dn))} cost {dc:g}"))
 
+    failures = sum(not ok for _, ok, _ in checks)
+    stdout.writelines(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n" for name, ok, detail in checks)
     stdout.write(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failure(s)\n")
     return 0 if failures == 0 else 1
 

@@ -17,7 +17,8 @@ plan and each aco_run also record the colony's chromosome, repr(cost) and a
 SHA-256 of repr((best_curve, mean_curve)), so the random stream is compared
 too, not only the routes it leads to.  Prints the answer count and a SHA-256
 digest of OUT; two checkouts give the same answers iff the files are equal.
-Times nothing, and pytest does not collect it.
+Times nothing, and pytest does not collect it.  tests/bounds.py brackets the
+same exact queries (exact_queries).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import json
 import os
 import random
 import sys
+
+GOALS = 40  # exact queries from O to goals drawn uniformly over the builtin field
 
 
 def colony(res) -> dict:
@@ -57,6 +60,24 @@ def answer(arc, scene, start, goal, engine="exact", seed=1) -> dict:
     return out
 
 
+def exact_queries(arc, inputs) -> list[tuple]:
+    """(scene, start, goal) of the 410 exact queries: O->A/B/C, the random
+    pairs of seeds 1-3, the cold scenes of seeds 1-2 and, last, O to the
+    GOALS goals."""
+    scene = arc.geometry.builtin_scene()
+    builtin = arc.sceneio.scene_to_dict(scene)
+    origin = tuple(arc.planner.KNOWN_TARGETS["O"])
+    queries = [(scene, origin, tuple(arc.planner.KNOWN_TARGETS[t])) for t in "ABC"]
+    for seed in (1, 2, 3):
+        queries += [(scene, a, b) for a, b in inputs.random_pairs(builtin, seed, 69)]
+    for seed in (1, 2):
+        for req in inputs.cold_scenes(seed, 80):
+            queries.append((arc.sceneio.scene_from_dict(req["scene_dict"]), req["from"], req["to"]))
+    rng = random.Random(4)
+    w, h = scene.bounds
+    return queries + [(scene, origin, (rng.uniform(0, w), rng.uniform(0, h))) for _ in range(GOALS)]
+
+
 def collect(repo: str) -> list[dict]:
     sys.dont_write_bytecode = True  # leave no __pycache__ in either checkout
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
@@ -67,20 +88,12 @@ def collect(repo: str) -> list[dict]:
     import inputs
 
     arc = arcplan
-    scene = arc.geometry.builtin_scene()
-    builtin = arc.sceneio.scene_to_dict(scene)
-    named = {t: tuple(arc.planner.KNOWN_TARGETS[t]) for t in "OABC"}
-    out = [answer(arc, scene, named["O"], named[t]) for t in "ABC"]
+    queries = exact_queries(arc, inputs)
+    scene, origin, _ = queries[0]
+    out = [answer(arc, *q) for q in queries[:-GOALS]]
     for seed in (1, 2, 3):
-        out += [answer(arc, scene, a, b) for a, b in inputs.random_pairs(builtin, seed, 69)]
-    for seed in (1, 2):
-        for req in inputs.cold_scenes(seed, 80):
-            out.append(answer(arc, arc.sceneio.scene_from_dict(req["scene_dict"]), req["from"], req["to"]))
-    for seed in (1, 2, 3):
-        out += [answer(arc, scene, named["O"], named[t], "aco", seed) for t in "ABC"]
-    rng = random.Random(4)
-    w, h = scene.bounds
-    out += [answer(arc, scene, named["O"], (rng.uniform(0, w), rng.uniform(0, h))) for _ in range(40)]
+        out += [answer(arc, scene, origin, tuple(arc.planner.KNOWN_TARGETS[t]), "aco", seed) for t in "ABC"]
+    out += [answer(arc, *q) for q in queries[-GOALS:]]
     graph = arc.aco.builtin_graph()
     out += [{"graph": "builtin", "seed": s, "aco": colony(arc.aco.aco_run(graph, arc.aco.AcoParams(seed=s)))} for s in (1, 2, 3)]
     return out

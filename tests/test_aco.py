@@ -135,7 +135,6 @@ def test_dijkstra_matches_exhaustive_on_builtin(graph):
 
 def test_dijkstra_matches_exhaustive_on_random_graphs():
     rng = random.Random(5)
-    ban_rng = random.Random(6)
     for _ in range(8):
         n = rng.randint(5, 8)
         edges = [
@@ -145,39 +144,19 @@ def test_dijkstra_matches_exhaustive_on_random_graphs():
             if rng.random() < 0.45
         ]
         g = graph_from_edges(n, edges)
-        # The same search again with random interior nodes and edges banned,
-        # plus one edge of the unbanned optimum listed backwards: a ban holds
-        # in either direction.  The oracle sees the graph without them.
-        best, _ = dijkstra_shortest(g, 1, n)
-        banned_nodes = frozenset(v for v in range(2, n) if ban_rng.random() < 0.25)
-        banned_edges = {(i, j) if ban_rng.random() < 0.5 else (j, i) for i, j, _ in edges if ban_rng.random() < 0.25}
-        if best:
-            k = ban_rng.randrange(len(best) - 1)
-            banned_edges.add((best[k + 1], best[k]))
-        pruned = graph_from_edges(n, [
-            (i, j, w) for i, j, w in edges
-            if i not in banned_nodes and j not in banned_nodes
-            and (i, j) not in banned_edges and (j, i) not in banned_edges
-        ])
-        for oracle_graph, bans in ((g, ()), (pruned, (banned_nodes, frozenset(banned_edges)))):
-            routes = oracles.exhaustive_routes([list(r) for r in oracle_graph.weights], g.no_edge, 1, n)
-            nodes, cost = dijkstra_shortest(g, 1, n, *bans)
-            if routes:
-                assert cost == routes[0][0]
-                assert (cost, nodes) in routes  # tie-safe: any cheapest route is fine
-            else:
-                assert nodes == () and cost == math.inf
+        routes = oracles.exhaustive_routes([list(r) for r in g.weights], g.no_edge, 1, n)
+        nodes, cost = dijkstra_shortest(g, 1, n)
+        if routes:
+            assert cost == routes[0][0]
+            assert (cost, nodes) in routes  # tie-safe: any cheapest route is fine
+        else:
+            assert nodes == () and cost == math.inf
 
 
 def test_dijkstra_unreachable_and_trivial():
     g = graph_from_edges(4, [(1, 2, 3.0)])
     assert dijkstra_shortest(g, 1, 4) == ((), math.inf)
     assert dijkstra_shortest(g, 3, 3) == ((3,), 0.0)
-
-
-def test_dijkstra_starts_from_a_banned_src(graph):
-    # Yen's root holds the spur, so a banned src is where the search starts
-    assert dijkstra_shortest(graph, 1, 15, banned_nodes={1}) == (OPTIMUM_NODES, OPTIMUM_COST)
 
 
 def test_best_first_matches_exhaustive_on_random_graphs():

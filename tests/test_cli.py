@@ -518,8 +518,8 @@ def test_fixture_that_cannot_be_used_exit_code(capsys, tmp_path, monkeypatch, en
     path = tmp_path / "expected.json"
     path.write_text(json.dumps(expected))
     monkeypatch.setenv(sceneio.FIXTURE_ENV, str(tmp_path))
-    rc, _, err = run_cli(capsys, "verify")
-    assert rc == 2
+    rc, out, err = run_cli(capsys, "verify")
+    assert rc == 2 and out == ""  # no check is written before every entry has been read
     assert err == f"error: {path}: {name!r} is missing or malformed\n", err
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from arcplan.aco import AcoParams, dijkstra_shortest
+from arcplan.aco import AcoParams, best_first, dijkstra_shortest
 from arcplan.geometry import (
     CLEARANCE_EPS,
     AxisRect,
@@ -427,6 +427,37 @@ def test_plan_lies_in_the_length_bounds(scene, goal):
     assert lower <= plan_route(RouteRequest(O, goal, scene)).length <= upper
 
 
+def wall_triangle_scene() -> Scene:
+    """A 200 x 200 field with a flat triangle on its bottom wall, so that the
+    turning circle of each of its vertices leaves the field."""
+    shapes = (ObstacleSpec(1, Triangle(Point(50, 0.5), Point(150, 0.5), Point(100, 8))),)
+    return Scene(bounds=(200.0, 200.0), obstacles=shapes, clearance=10.0)
+
+
+@pytest.mark.parametrize(
+    "make_scene, start, goal",
+    [
+        pytest.param(builtin_scene, O, C, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+        pytest.param(builtin_scene, Point(704.7242457978864, 784.5086054746716),
+                     Point(247.7360427810712, 61.57656376432952),  # perfbench seed 3
+                     marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
+        pytest.param(builtin_scene, Point(550, 360), Point(550, 545),  # around a circle obstacle
+                     marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+        pytest.param(wall_triangle_scene, Point(30, 15), Point(170, 15),
+                     marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
+        pytest.param(acute_scene, Point(330, 140), Point(120, 258),
+                     marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
+    ],
+    ids=["o-to-c", "seed-3-pair", "circle-wrap", "wall-triangle", "acute"],
+)
+def test_known_defect_lies_in_the_length_bounds(make_scene, start, goal):
+    # the known defects of the exact engine: a route longer than the upper
+    # bound, or none where the bound holds one; each marker goes with its fix
+    scene = make_scene()
+    lower, upper = oracles.length_bounds(scene, start, goal, 0.1)
+    assert lower <= plan_route(RouteRequest(start, goal, scene)).length <= upper
+
+
 def test_length_bounds_hold_the_shortest_o_to_c(scene):
     # 1088.1952 is the shortest O->C; the engine's 1101.3596 lies above the bracket
     lower, upper = oracles.length_bounds(scene, O, C, 0.1)
@@ -541,7 +572,11 @@ def test_k_shortest_routes_match_exhaustive_on_builtin(graph):
 
 
 def textbook_yen(g, src, dst):
-    """Yen's algorithm as written: every spur of every route, plain searches."""
+    """Yen's algorithm as written: every spur of every route, plain searches.
+    A spur search runs on the graph without the edges that earlier routes
+    through the same root took out of the spur, and never enters the root's
+    other nodes."""
+    adjacency = dict(enumerate(g.adjacency, 1))
     best = dijkstra_shortest(g, src, dst)
     if not best[0]:
         return
@@ -551,8 +586,9 @@ def textbook_yen(g, src, dst):
         prev = accepted[-1][0]
         for i in range(len(prev) - 1):
             root = prev[: i + 1]
-            banned = frozenset((p[i], p[i + 1]) for p, _ in accepted if p[: i + 1] == root)
-            tail, tail_cost = dijkstra_shortest(g, prev[i], dst, frozenset(root[:-1]), banned)
+            banned = {frozenset((p[i], p[i + 1])) for p, _ in accepted if p[: i + 1] == root}
+            successors = {u: [(v, w) for v, w in row if frozenset((u, v)) not in banned] for u, row in adjacency.items()}
+            tail, tail_cost = best_first([(0.0, prev[i])], dst, successors, root[:-1])
             candidate = root[:-1] + tail
             if tail and candidate not in pooled:
                 pooled.add(candidate)
