@@ -10,13 +10,14 @@ clearance around each vertex.  Taut shortest paths run along these envelopes;
 
 Each Scene object compiles itself on first use and keeps the result for as
 long as it lives: the clearance queries read its per-obstacle table (kind,
-vertex or circle payload, bounding box), and `in_cone` the directions in
-which the edges that meet at each polygon vertex block a point on the
-vertex's clearance circle.  The clearance of a segment and of a circular arc
-is computed in closed form, never by sampling.  A point is a zero-length
-segment: one segment-obstacle routine serves both, with one separating-axis
-pass over a polygon's edges; `segment_clear` skips it for a polygon wholly to
-one side of pq's line, about the clearance or more off.  Arcs get one pass too.
+vertex or circle payload, bounding box), `in_cone` the directions in which
+the edges that meet at each polygon vertex block a point on the vertex's
+clearance circle, and the planner the one arc of directions they leave
+free.  The clearance of a segment and of a circular arc is computed in
+closed form, never by sampling.  A point is a zero-length segment: one
+segment-obstacle routine serves both, with one separating-axis pass over a
+polygon's edges; `segment_clear` skips it for a polygon wholly to one side
+of pq's line, about the clearance or more off.  Arcs get one pass too.
 """
 
 from __future__ import annotations
@@ -100,19 +101,22 @@ class Scene:
                     cones.setdefault(v, []).extend(math.atan2(e.y - v.y, e.x - v.x) - math.pi / 2 + CONE_MARGIN
                                                    for e in (u, w) if exact and math.dist(v, e) >= r)
         near = all(abs(c) + r <= _SIDE_REACH for *_, bbox in obstacles for c in bbox)
-        return CompiledScene(obstacles, cones, _SIDE_REACH - r if near else -1.0)
+        free = {v: _free_arc(lows) for v, lows in cones.items()}
+        return CompiledScene(obstacles, cones, free, _SIDE_REACH - r if near else -1.0)
 
 
 @dataclass
 class CompiledScene:
     """What one Scene object derives once and keeps for as long as it lives:
     the obstacle table the clearance queries read, the directions the edges
-    that meet at each polygon vertex block there (`in_cone` reads them), the
-    reach of segment_clear's side test, and the corner links the planner's
-    roadmap reads (the planner fills them in on first use)."""
+    that meet at each polygon vertex block there (`in_cone` reads them) and
+    the one arc of directions they leave free, the reach of segment_clear's
+    side test, and the corner links the planner's roadmap reads (the planner
+    fills them in on first use, skipping corner pairs by their free arcs)."""
 
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
     cones: dict[Point, list]  # vertex -> the low end of each window in_cone tests at it
+    free: dict[Point, Optional[tuple[float, float]]]  # vertex -> its _free_arc
     reach: float  # the side test runs while pq's coordinates are within it (-1: an obstacle is beyond)
     corner_links: Optional[object] = None
 
@@ -314,12 +318,13 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     """True iff every point of segment pq keeps the scene clearance r (less
     CLEARANCE_EPS = e) from every obstacle (segment_min_clearance's verdict),
     stopping at the first obstacle closer.  It skips an obstacle when an axis
-    gap of its bbox to pq's reaches the limit (their hypot, _bbox_seg_gap, is
-    never less), and a polygon when c = (q - p) x (v - p) has one sign and
-    |c| >= (r - e/2)|pq| at each vertex v.  With u = 2**-53 and coordinates
-    within M, c rounds by u|c| + 8.5uM|pq|, the bound by 5ur|pq| and
-    _segment_distance by 2ur + 7.1uM: under 16u(M + r) <= e/4 while M + r <=
-    _SIDE_REACH (Scene.compiled.reach, pq's bbox) and |pq| is a normal float."""
+    gap of its bbox to pq's, or the hypot of two positive ones, reaches the
+    limit (_bbox_seg_gap is never less), and a polygon when c = (q - p) x
+    (v - p) has one sign and |c| >= (r - e/2)|pq| at each vertex v.  With
+    u = 2**-53 and coordinates within M, c rounds by u|c| + 8.5uM|pq|, the
+    bound by 5ur|pq| and _segment_distance by 2ur + 7.1uM: under 16u(M + r)
+    <= e/4 while M + r <= _SIDE_REACH (Scene.compiled.reach, pq's bbox) and
+    |pq| is a normal float."""
     limit = scene.clearance - CLEARANCE_EPS
     px, py, ux, uy = p[0], p[1], q[0] - p[0], q[1] - p[1]
     sx0, sx1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
@@ -327,11 +332,10 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     near = max(sx1, sy1, -sx0, -sy0) <= scene.compiled.reach and (length := math.hypot(ux, uy)) >= 2.0**-1022
     gap = (scene.clearance - CLEARANCE_EPS / 2) * length if near else math.inf  # inf: the side test skips nothing
     for kind, payload, (x0, y0, x1, y1) in scene.compiled.obstacles:
-        dx = max(x0 - sx1, 0.0, sx0 - x1)
-        if dx >= limit:
+        dx, ex, dy, ey = x0 - sx1, sx0 - x1, y0 - sy1, sy0 - y1  # an axis gap is the positive one of a pair
+        if dx >= limit or ex >= limit or dy >= limit or ey >= limit:
             continue
-        dy = max(y0 - sy1, 0.0, sy0 - y1)
-        if dy >= limit or math.hypot(dx, dy) >= limit:
+        if (dx > 0.0 or ex > 0.0) and (dy > 0.0 or ey > 0.0) and math.hypot(max(dx, ex), max(dy, ey)) >= limit:
             continue
         if kind == "poly":
             sides = [ux * (vy - py) - uy * (vx - px) for vx, vy in payload]
@@ -340,6 +344,19 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
         if _segment_distance(p, q, kind, payload) < limit:
             return False
     return True
+
+
+def _free_arc(lows: list) -> Optional[tuple[float, float]]:
+    """(start, width) of the directions at a vertex that none of its windows
+    (lows, its `cones` entry) blocks, widened by 1e-9 rad at each end so that
+    it holds every angle in_cone passes there; None, ruling nothing out,
+    unless the vertex has exactly two windows and they overlap."""
+    if len(lows) == 2:
+        for a, b in (lows, lows[::-1]):
+            gap = (b - a) % TAU
+            if gap < _CONE_WIDTH:  # b's window starts in a's: together they block [a, b + _CONE_WIDTH)
+                return b + _CONE_WIDTH - 1e-9, TAU - gap - _CONE_WIDTH + 2e-9
+    return None
 
 
 def in_cone(angle: float, cones: list) -> bool:

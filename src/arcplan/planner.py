@@ -18,7 +18,10 @@ The corner links, the endpoint links and the chain screen test legs in one
 pass per anchor pair (`_legs`).  It rejects a leg that leaves a corner's
 circle back into the corner's own polygon from the tangent angle alone, when
 an edge at the corner blocks that direction (`in_cone`); segment_clear's scan
-judges the rest, and would reject such legs too.
+judges the rest, and would reject such legs too.  The corner links first
+skip, from the direction between the centers alone, each corner pair none
+of whose tangents leaves and enters within the corners' free arcs (`_faces`):
+the pass would reject every leg of it.
 
 Roadmap weights are center-to-center distances, and a sequence's roadmap cost
 never exceeds its chained length: a tangent leg falls short of its hop by no
@@ -40,6 +43,7 @@ from typing import Iterator, NamedTuple, Optional
 from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, best_first, graph_from_edges
 from .geometry import (
     CLEARANCE_EPS,
+    TAU,
     Point,
     Scene,
     blocking_obstacles,
@@ -178,6 +182,18 @@ class _CornerLinks(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
+def _faces(arc: Optional[tuple[float, float]], beta: float, delta: float) -> bool:
+    """Whether a corner's free arc (start, width), or None, meets [beta -
+    pi/2, beta - delta] or [beta + delta, beta + pi/2]: tangents to a corner
+    at direction beta leave at beta -+ pi/2 (same turns) and beta -+
+    acos(2r / D) (opposite turns), and enter it at those angles + pi."""
+    if arc is None:
+        return True
+    u = (arc[0] - beta + math.pi / 2) % TAU  # the arc is [u, end] from beta - pi/2, and the ranges lie in [0, pi]
+    end = u + arc[1]
+    return (u <= math.pi or end >= TAU) and (u <= math.pi / 2 - delta or end >= math.pi / 2 + delta)
+
+
 def _corner_links(scene: Scene) -> _CornerLinks:
     """The scene's corner links, computed once per Scene object."""
     compiled = scene.compiled
@@ -185,12 +201,16 @@ def _corner_links(scene: Scene) -> _CornerLinks:
         r = scene.clearance
         corners = corner_candidates(scene)
         circles = tuple((TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corners)
-        pairs = tuple(
-            (i, j)
-            for i, j in itertools.combinations(range(len(corners)), 2)
-            if _connected(circles[i], circles[j], scene)
-        )
-        compiled.corner_links = _CornerLinks(corners, circles, pairs)
+        arcs = [compiled.free[v] for v in corners]
+        pairs = []
+        for i, ((x1, y1), arc) in enumerate(zip(corners, arcs)):
+            for j, (x2, y2) in enumerate(corners[i + 1:], i + 1):
+                beta, d = math.atan2(y2 - y1, x2 - x1), math.hypot(x2 - x1, y2 - y1)
+                delta = math.acos(2.0 * r / d) - 1e-9 if d > 2.0 * r else 0.0
+                if (_faces(arc, beta, delta) and _faces(arcs[j], beta + math.pi, delta)
+                        and _connected(circles[i], circles[j], scene)):
+                    pairs.append((i, j))
+        compiled.corner_links = _CornerLinks(corners, circles, tuple(pairs))
     return compiled.corner_links
 
 

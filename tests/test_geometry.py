@@ -261,12 +261,13 @@ def test_segment_clearance_margins(scene):
 
 def test_segment_clear_is_the_min_clearance_test(scene):
     # one scene per clearance: the verdict is segment_min_clearance's at the
-    # scene's clearance less CLEARANCE_EPS, the boundary (limit = worst) included
+    # scene's clearance less CLEARANCE_EPS, the boundary (limit = worst)
+    # included, and so is a clearance at or below CLEARANCE_EPS (limit <= 0)
     rng = random.Random(3)
     for _ in range(300):
         a, b = (Point(rng.uniform(0, 800), rng.uniform(0, 800)) for _ in range(2))
         worst = segment_min_clearance(a, b, scene)
-        for limit in (5.0, 10.0 - 1e-6, 10.0, 40.0, worst):
+        for limit in (5.0, 10.0 - 1e-6, 10.0, 40.0, worst, CLEARANCE_EPS, CLEARANCE_EPS / 2, 0.0):
             s = replace(scene, clearance=limit)
             assert segment_clear(a, b, s) == (worst >= s.clearance - CLEARANCE_EPS), (a, b, limit)
     # the bbox test's boundary: a box whose gap to the segment on one axis is
@@ -384,16 +385,25 @@ def cone_agrees_with_oracle(scene: Scene) -> int:
     scene lies closer than the clearance limit to the scene by the oracle's
     distances, and that segment_clear rejects it; return how many were ruled
     out.  The segment is the end alone, which segment_clear rejects least
-    readily."""
+    readily.  Also assert that a vertex's free arc holds every sampled angle
+    in_cone passes there and none further than 1e-9 inside a window."""
     r, ruled_out = scene.clearance, 0
     obstacles = oracles.scene_obstacles(scene)
     for v, cones in scene.compiled.cones.items():
+        arc = scene.compiled.free[v]
+        assert arc is None or len(cones) == 2, v
+        ends = [e for lo in cones for e in (lo, lo + math.pi - 2.0 * CONE_MARGIN)]
         for a in window_edge_angles(scene, v):
             p = Point(v.x + r * math.cos(a), v.y + r * math.sin(a))
             if in_cone(a, cones):
                 assert oracles.point_clearance(p, obstacles) < r - CLEARANCE_EPS, (v, a, p)
                 assert not segment_clear(p, p, scene), (v, a, p)
                 ruled_out += 1
+            if arc is not None:  # the free arc holds every angle in_cone passes, and reaches 1e-9 into a window
+                if (a - arc[0]) % TAU <= arc[1]:
+                    assert not in_cone(a, cones) or min(abs(math.remainder(a - e, TAU)) for e in ends) <= 1e-9
+                else:
+                    assert in_cone(a, cones), (v, a, arc)
     return ruled_out
 
 

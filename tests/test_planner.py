@@ -32,7 +32,16 @@ from arcplan.geometry import (
     segment_clear,
 )
 from arcplan import geometry, planner
-from arcplan.paths import ChainingError, Line, SmoothPath, Turn, TurningCircle, pair_tangent, validate_path
+from arcplan.paths import (
+    ChainingError,
+    Line,
+    SmoothPath,
+    Turn,
+    TurningCircle,
+    pair_tangent,
+    pair_tangents,
+    validate_path,
+)
 from arcplan.planner import (
     _FALLBACK_TRIES,
     KNOWN_TARGETS,
@@ -302,11 +311,64 @@ def own_edge_gap(polygons: list, r: float, end) -> float:
     return min((oracles.seg_dist(end, a, b) for a, b in edges), default=math.inf)
 
 
+def short_edge_scene() -> Scene:
+    """A triangle with an edge of 6, under the clearance, so that its two
+    ends have one window each, beside a rect."""
+    shapes = (
+        ObstacleSpec(1, Triangle(Point(100, 100), Point(106, 100), Point(150, 180))),
+        ObstacleSpec(2, AxisRect(Point(220, 60), 80, 40)),
+    )
+    return Scene(bounds=(400.0, 400.0), obstacles=shapes, clearance=10.0)
+
+
+def compile_filtered(monkeypatch, sc: Scene):
+    """_corner_links(sc) for a Scene object that has not compiled its links
+    yet, and the (i, j) corner pairs its direction filter dropped before
+    _connected."""
+    tested = []
+    monkeypatch.setattr(planner, "_connected", lambda a, b, s: tested.append((a, b)) or _connected(a, b, s))
+    links = planner._corner_links(sc)
+    at = {id(c): i for i, c in enumerate(links.circles)}
+    kept = {(at[id(a)], at[id(b)]) for a, b in tested}
+    return links, [ij for ij in itertools.combinations(range(len(links.corners)), 2) if ij not in kept]
+
+
+def test_corner_links_drop_only_pairs_the_cones_close(monkeypatch):
+    # The compile's direction filter changes no link: the pairs equal the
+    # unfiltered reference, _connected on every corner pair.  It drops a pair
+    # only when each of its turn pairs either has no tangent or has an end
+    # that in_cone blocks, so _connected would have handed segment_clear no
+    # leg of it.  The scenes hold vertices with no free arc: a vertex of two
+    # squares, the ends of an edge under the clearance.
+    inputs = perfbench_module("inputs")
+    scenes = [builtin_scene(), acute_scene(), shared_vertex_scene(), short_edge_scene()]
+    scenes += [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 8)]
+    pairs = dropped = unfree = 0
+    for sc in scenes:
+        links, skipped = compile_filtered(monkeypatch, sc)
+        everything = list(itertools.combinations(range(len(links.corners)), 2))
+        assert links.pairs == tuple((i, j) for i, j in everything if _connected(links.circles[i], links.circles[j], sc))
+        cones = sc.compiled.cones
+        for i, j in skipped:
+            for c1, c2 in itertools.product(links.circles[i], links.circles[j]):
+                try:
+                    t1, t2 = pair_tangent(c1, c2)
+                except ChainingError:
+                    continue
+                assert in_cone(t1, cones[c1.center]) or in_cone(t2, cones[c2.center]), (c1, c2)
+        pairs += len(everything)
+        dropped += len(skipped)
+        unfree += sum(sc.compiled.free[v] is None for v in links.corners)
+    assert dropped > pairs / 2 and unfree >= 4, (pairs, dropped, unfree)  # it drops 64% of 7,915 here
+
+
 def test_in_cone_rules_out_most_legs_that_fail_at_their_own_corner(monkeypatch):
     # The vertex windows must not go blind: of the legs of a corner-link
-    # compile that fail at their own corner, in_cone rules out nearly all
+    # compile that fail at their own corner, the windows rule out nearly all
     # from their angles, and only the rest reach segment_clear.  in_cone
-    # rules a leg out once at most, so its True verdicts count legs.
+    # rules a leg out once at most, so its True verdicts count legs; the
+    # compile's direction filter rules out every leg of the corner pairs it
+    # drops before in_cone sees them, so those legs count too.
     inputs = perfbench_module("inputs")
     by_cone = by_scan = 0
 
@@ -325,7 +387,9 @@ def test_in_cone_rules_out_most_legs_that_fail_at_their_own_corner(monkeypatch):
     monkeypatch.setattr(planner, "in_cone", cone)
     monkeypatch.setattr(planner, "segment_clear", scan)
     for sc in [acute_scene()] + [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 4)]:
-        planner._corner_links(sc)
+        links, skipped = compile_filtered(monkeypatch, sc)
+        by_cone += sum(angles is not None for i, j in skipped
+                       for angles in pair_tangents(links.circles[i], links.circles[j]))
     assert by_cone >= 0.95 * (by_cone + by_scan) and by_cone > 5000, (by_cone, by_scan)
 
 
