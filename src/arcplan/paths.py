@@ -1,6 +1,8 @@
 """Line-and-arc smooth paths: directed tangents between turning circles,
-multi-corner chains, lengths and travel times, and their validation, whose
-clearance check is exact on lines and arcs alike.
+multi-corner chains, lengths and travel times, and their validation.  Each
+rule has one judge: per piece (an arc turns, its radius, the field, and the
+clearance, exact on lines and arcs alike) and per junction (gap, kink);
+validate_path applies them to a whole path and corner_clear to one corner.
 
 A smooth path alternates straight lines with circular arcs of radius >= 10
 (the robot's minimum turning radius).  Each line is the common tangent of two
@@ -17,7 +19,7 @@ import itertools
 import math
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .geometry import CLEARANCE_EPS, TAU, Point, Scene, arc_clear, arc_min_clearance, segment_min_clearance
+from .geometry import TAU, Point, Scene, arc_clear, arc_min_clearance, segment_clear, segment_min_clearance
 
 MIN_TURN_RADIUS = 10.0
 V0_DEFAULT = 5.0
@@ -216,7 +218,7 @@ def chain_path(start: Point, circles: tuple[TurningCircle, ...], end: Point) -> 
 
 
 class Violation(NamedTuple):
-    kind: str  # "tangency" | "clearance" | "radius" | "continuity" | "field"
+    kind: str  # "turn" | "radius" | "field" | "clearance" | "continuity" | "tangency"
     where: Point
     detail: str
 
@@ -247,37 +249,37 @@ def _kink_violation(i: int, j: int, a: PathSegment, b: PathSegment) -> Optional[
     return None
 
 
-def _radius_violation(seg: PathSegment) -> Optional[Violation]:
-    if isinstance(seg, Arc) and seg.circle.radius < MIN_TURN_RADIUS - 1e-12:
-        return Violation("radius", seg.start, f"arc radius {seg.circle.radius} below {MIN_TURN_RADIUS}")
-    return None
-
-
-def _field_violation(i: int, seg: PathSegment, scene: Scene) -> Optional[Violation]:
-    """Segment i leaves the field: an end of it, or an axis extreme its arc sweeps."""
+def _piece_violations(i: int, seg: PathSegment, scene: Scene) -> Iterator[Violation]:
+    """Segment i's own violations, its clearance last.  An arc must turn: a
+    sweep within 1e-9 of 0 or 2pi is a corner the route does not turn on, and
+    dropping it gives the same curve, or one a whole loop shorter.  Then an
+    arc's radius, and the field: an end, or an axis extreme the arc sweeps.
+    The clearance verdict is segment_clear's or arc_clear's, the planner's
+    own; the least clearance is computed only to word a violation."""
     points = [seg.start, seg.end]
     if isinstance(seg, Arc):
+        (center, radius, _), start, sweep = seg.circle, seg.ccw_start, seg.sweep
+        if not 1e-9 < sweep < TAU - 1e-9:
+            yield Violation("turn", seg.start, f"arc segment {i} sweeps {sweep!r}: the route does not turn there")
+        if radius < MIN_TURN_RADIUS - 1e-12:
+            yield Violation("radius", seg.start, f"arc radius {radius} below {MIN_TURN_RADIUS}")
         extremes = (k * TAU / 4 for k in range(4))  # the angles of the circle's axis extremes
-        points += [seg.circle.at(a) for a in extremes if (a - seg.ccw_start) % TAU <= seg.sweep]
+        points += [seg.circle.at(a) for a in extremes if (a - start) % TAU <= sweep]
     out = [p for p in points if not scene.contains(p)]
-    return Violation("field", out[0], f"segment {i} leaves the field at {tuple(out[0])}") if out else None
-
-
-def _clearance_violation(i: int, seg: PathSegment, scene: Scene) -> Optional[Violation]:
-    """The clearance violation of segment i, if any."""
+    if out:
+        yield Violation("field", out[0], f"segment {i} leaves the field at {tuple(out[0])}")
     if isinstance(seg, Line):
-        worst, kind = segment_min_clearance(seg.a, seg.b, scene), "line"
-    else:
-        c = seg.circle
-        worst, kind = arc_min_clearance(c.center, c.radius, seg.ccw_start, seg.sweep, scene), "arc"
-    if worst < scene.clearance - CLEARANCE_EPS:
-        return Violation("clearance", seg.start, f"{kind} segment {i} clearance {worst:.9f}")
-    return None
+        if not segment_clear(seg.a, seg.b, scene):
+            worst = segment_min_clearance(seg.a, seg.b, scene)
+            yield Violation("clearance", seg.start, f"line segment {i} clearance {worst:.9f}")
+    elif not arc_clear(center, radius, start, sweep, scene):
+        worst = arc_min_clearance(center, radius, start, sweep, scene)
+        yield Violation("clearance", seg.start, f"arc segment {i} clearance {worst:.9f}")
 
 
 def validate_path(p: SmoothPath, scene: Scene) -> PathDiagnostics:
-    """Check tangency continuity, clearance, minimum turn radius and that
-    the path stays inside the field.
+    """Check each piece (an arc turns, its radius, the field, the
+    clearance) and each junction (no gap, no kink).
 
     Clearance is exact on lines and arcs alike (the closed-form distances of
     geometry).  A line of length 0 has no direction, so the tangency check
@@ -289,10 +291,9 @@ def validate_path(p: SmoothPath, scene: Scene) -> PathDiagnostics:
     kinks = {i: _kink_violation(i, j, segs[i], segs[j]) for i, j in zip(steered, steered[1:])}
     out = []
     for i, seg in enumerate(segs):
-        out += [_radius_violation(seg), _field_violation(i, seg, scene)]
+        out += _piece_violations(i, seg, scene)
         if i + 1 < len(segs):
             out.append(_gap_violation(i, seg, segs[i + 1]) or kinks.get(i))
-    out += [_clearance_violation(i, seg, scene) for i, seg in enumerate(segs)]
     return PathDiagnostics(tuple(v for v in out if v is not None))
 
 
@@ -305,13 +306,9 @@ def corner_clear(
     into: tuple[float, float, Line], c: TurningCircle, out: tuple[float, float, Line], scene: Scene
 ) -> bool:
     """validate_path's verdict on the arc chain_path puts on c between the
-    legs `into` and `out`: its radius, its field (a leg's other end is an
-    endpoint or another arc's end), both junctions and its clearance.  An arc
-    that sweeps within 1e-9 of 0 or 2pi fails too: the route does not turn
-    there, and leaving the corner out gives the same curve, or a loop shorter."""
+    legs `into` and `out` and on its two junctions, by validate_path's own
+    judges (a leg's other end is an endpoint or another arc's end)."""
     arc = Arc(c, into[1], out[0])
-    joints = ((into[2], arc), (arc, out[2]))
-    if not 1e-9 < arc.sweep < TAU - 1e-9 or _radius_violation(arc) or _field_violation(0, arc, scene):
+    if any(_gap_violation(0, a, b) or _kink_violation(0, 1, a, b) for a, b in ((into[2], arc), (arc, out[2]))):
         return False
-    kinked = any(_gap_violation(0, a, b) or _kink_violation(0, 1, a, b) for a, b in joints)
-    return not kinked and arc_clear(c.center, c.radius, arc.ccw_start, arc.sweep, scene)
+    return next(_piece_violations(0, arc, scene), None) is None

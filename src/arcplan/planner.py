@@ -313,8 +313,7 @@ class _ChainScreen:
     ones first.  The pieces are those chain_path builds, on the roadmap's
     circles, and each is judged at validate_path's one clearance limit
     (`_leg` for a leg, corner_clear for a corner): for a start and a goal
-    apart the verdict is validate_path's on the chained path, but a corner
-    the path does not turn on fails.
+    apart the verdict is validate_path's on the chained path.
     """
 
     def __init__(self, rm: Roadmap, scene: Scene):

@@ -9,9 +9,11 @@ entries, each a name and a text:
 - the exit code, stdout and stderr of `plan`, `plan --to B`, `plan --engine
   aco --seed 5`, `aco --seed 2`, `enumerate --to B --top 3` and `verify` (the
   deterministic-report commands of the acceptance tests), `plan --to C`,
-  `plan --from O --to O` and `enumerate` between the ends of random pair 15
-  of seed 2, whose second route once repeated the first curve with an extra
-  zero-length arc; each plan command runs with `--out` and `--svg`,
+  `plan --from O --to O`, and `enumerate` and `plan --engine aco --seed 1`
+  between the ends of random pair 15 of seed 2: the second route of the one
+  once repeated the first curve with an extra zero-length arc, and the
+  colony route of the other once named a corner it did not turn on; each
+  plan command runs with `--out` and `--svg`,
   and both files are entries too, as is the file of `export-svg --to B`;
 - for each of the 80 cold scenes of seeds 1-2 (perfbench's `cold_scenes`), a
   clockwise triangle and a parallelogram whose top_left lies below its
@@ -46,6 +48,8 @@ COMMANDS = [
     ("plan", "--from", "O", "--to", "O"),
     ("enumerate", "--from", "16.91589577852053,204.55204324595408", "--to", "650.6835099218207,125.69463094941993",
      "--top", "3"),
+    ("plan", "--engine", "aco", "--seed", "1", "--from", "16.91589577852053,204.55204324595408",
+     "--to", "650.6835099218207,125.69463094941993"),
 ]
 
 # clockwise vertex orders, each with a query that must pass the obstacle

@@ -4,11 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from arcplan.geometry import Point, Scene, builtin_scene
+from arcplan.geometry import AxisRect, Circle, ObstacleSpec, Point, Scene, builtin_scene, segment_clear
 from arcplan.paths import (
     Arc,
     ChainingError,
@@ -433,16 +433,61 @@ def test_validate_flags_arc_leaving_the_field(turn):
 @pytest.mark.parametrize("rise", [0.0, 1e-12, -1e-12])
 def test_corner_clear_rejects_a_corner_the_path_does_not_turn_on(turn, cy, rise):
     # the line y = 40 touches the circle, so the arc on it sweeps 0, or 2pi
-    # less a rounding error, as the goal rises or sinks by 1e-12: validate_path
-    # passes the chain, but the route does not turn there
+    # less a rounding error, as the goal rises or sinks by 1e-12 (cw at 30
+    # and 1e-12 higher, a loop about 62.8 longer than the line): the route
+    # does not turn there, and validate_path and corner_clear both say so
     scene = Scene(bounds=(100.0, 100.0))
     into, arc, out = chain_path(Point(20, 40), (TurningCircle(Point(50, cy), 10.0, turn),), Point(80, 40 + rise)).segments
     assert min(arc.sweep, TAU - arc.sweep) < 1e-9
-    assert validate_path(SmoothPath((into, arc, out)), scene).ok
+    violations = validate_path(SmoothPath((into, arc, out)), scene).violations
+    assert [(v.kind, v.where) for v in violations] == [("turn", arc.start)]
+    assert repr(arc.sweep) in violations[0].detail
     assert not corner_clear((None, arc.start_angle, into), arc.circle, (arc.end_angle, None, out), scene)
     # halfway into the line, the route bends round the circle
     into, arc, out = chain_path(Point(20, 40), (TurningCircle(Point(50, (cy + 40) / 2), 10.0, turn),), Point(80, 40)).segments
+    assert validate_path(SmoothPath((into, arc, out)), scene).ok
     assert corner_clear((None, arc.start_angle, into), arc.circle, (arc.end_angle, None, out), scene)
+
+
+@st.composite
+def _corners(draw):
+    """A radius-10 circle in a 200 x 200 scene with clearance 10, the start
+    and the goal of a one-corner chain round it, and up to two obstacles near
+    the middle of the arc the chain turns on: circles and axis rects, or a
+    circle about the clearance off the arc."""
+    center = Point(draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 200.0)))
+    circle = TurningCircle(center, 10.0, draw(st.sampled_from(list(Turn))))
+    enter = draw(st.floats(-math.pi, math.pi))
+    bend = max(draw(st.floats(-1.0, TAU - 0.01)), 0.0)  # 0: the exit on the entry's tangent, a sweep of 0 or 2pi
+    arc = Arc(circle, enter, enter + circle.turn.sign * bend)
+    d_in, d_out = arc.tangent_at(arc.start_angle), arc.tangent_at(arc.end_angle)
+    l_in, l_out = draw(st.floats(0.5, 40.0)), draw(st.floats(0.5, 40.0))
+    start = Point(arc.start.x - l_in * d_in.x, arc.start.y - l_in * d_in.y)
+    goal = Point(arc.end.x + l_out * d_out.x, arc.end.y + l_out * d_out.y)
+    mid = enter + circle.turn.sign * bend / 2
+    size = st.floats(1.0, 12.0)
+    near = st.builds(lambda r, a: TurningCircle(center, r).at(mid + a), st.floats(0.0, 35.0), st.floats(-1.0, 1.0))
+    rim = st.builds(lambda r, gap, a: Circle(TurningCircle(center, 20.0 + r + gap).at(mid + a), r),
+                    size, st.floats(-1.0, 1.0), st.floats(-0.5, 0.5))
+    shape = st.one_of(st.builds(Circle, near, size), st.builds(AxisRect, near, size, size), rim)
+    obstacles = tuple(ObstacleSpec(i, s) for i, s in enumerate(draw(st.lists(shape, max_size=2)), 1))
+    return Scene((200.0, 200.0), obstacles, 10.0), start, circle, goal
+
+
+@given(_corners())
+@settings(max_examples=300)
+def test_corner_clear_is_validate_path_on_the_one_corner_chain(corner):
+    # where both legs of the chain keep clearance and stay in the field,
+    # corner_clear is validate_path's verdict on the chain
+    scene, start, circle, goal = corner
+    try:
+        into, arc, out = chain_path(start, (circle,), goal).segments
+    except ChainingError:
+        return
+    if not all(segment_clear(a, b, scene) and scene.contains(a) and scene.contains(b) for a, b in (into, out)):
+        return
+    verdict = corner_clear((None, arc.start_angle, into), circle, (arc.end_angle, None, out), scene)
+    assert verdict == validate_path(SmoothPath((into, arc, out)), scene).ok
 
 
 def test_validate_checks_tangency_across_zero_length_line(scene):
