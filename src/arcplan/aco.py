@@ -1,13 +1,12 @@
 """Binary-chromosome ant colony search over a weighted node graph.
 
-Routes are encoded as node-inclusion bit strings: bit i says whether node i+1
-is on the route, and a chromosome decodes by visiting its set nodes in
-ascending index order.  Missing edges between consecutive visited nodes cost
-the graph's no-edge penalty, so infeasible routes are merely expensive, never
-invalid.  One best-first search lives alongside, with one contract: it starts
-from several sources at their own costs and never enters a closed state.  The
-exact Dijkstra that checks the colony (one source, nothing closed) and every
-search of the planner's k-shortest routes run it.
+A route is a node-inclusion bit string: bit i says whether node i+1 is on it,
+and a chromosome decodes by visiting its set nodes in ascending order.  A hop
+without an edge costs the graph's no-edge penalty, so infeasible routes are
+merely expensive, never invalid.  One best-first search lives alongside: it
+starts from several sources at their own costs and never enters a closed
+state.  The exact Dijkstra that checks the colony (one source, nothing
+closed) and every search of the planner's k-shortest routes run it.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from functools import cache
 from itertools import compress
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -95,21 +95,27 @@ def bits_to_string(bits: Bits) -> str:
     return "".join(str(b) for b in bits)
 
 
+def _hop_table(g: WeightedGraph) -> list[list[float]]:
+    """[a - 1][b - 1]: the hop a -> b's weight if has_edge(a, b), else the sentinel."""
+    no_edge, low = g.no_edge, -math.inf
+    return [[w if low < w < no_edge else no_edge for w in row] for row in g.weights]
+
+
+def _route_cost(nodes: Sequence[int], hops: list[list[float]]) -> float:
+    cost = 0.0  # plus each hop in route order, as aco_run's global moves add them
+    for a, b in zip(nodes, nodes[1:]):
+        cost += hops[a - 1][b - 1]
+    return cost
+
+
 def decode_and_cost(bits: Bits, g: WeightedGraph) -> tuple[tuple[int, ...], float]:
     """Decode a node-inclusion chromosome: visit set nodes in ascending order.
-
-    Consecutive pairs without an edge contribute the graph's no-edge sentinel
-    instead of a real weight.
-    """
-    weights, no_edge, low = g.weights, g.no_edge, -math.inf  # read once: a record field is slower than a local
-    if len(bits) != len(weights):
-        raise ValueError(f"chromosome has {len(bits)} bits for a graph of {len(weights)} nodes")
+    A hop without an edge costs the graph's no-edge sentinel."""
+    hops = _hop_table(g)
+    if len(bits) != len(hops):
+        raise ValueError(f"chromosome has {len(bits)} bits for a graph of {len(hops)} nodes")
     nodes = tuple(compress(range(1, len(bits) + 1), bits))
-    cost = 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        w = weights[a - 1][b - 1]
-        cost += w if low < w < no_edge else no_edge  # has_edge's test (the nodes ascend, so a != b)
-    return nodes, cost
+    return nodes, _route_cost(nodes, hops)
 
 
 def pheromone_init(costs: Sequence[float]) -> list[float]:
@@ -157,38 +163,30 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
       6. record best / mean cost curves; repeat from 3.
 
     A missing hop costs the graph's no-edge sentinel, so `g.no_edge` must be
-    finite (ValueError otherwise) and dominate any real route cost.  A decode
-    is a pure function of the bits, so each distinct chromosome is decoded
-    once per run; the final decode of the best is the one repeat.
+    finite (ValueError otherwise) and dominate any real route cost.  Bit i of
+    a chromosome's int mask is node i + 1's.  A global move adds each hop as
+    it sets a node; a local move decodes only a mask the run has not costed.
     """
     if not math.isfinite(g.no_edge):
         raise ValueError(f"aco_run needs a finite no-edge sentinel, got {g.no_edge!r}")
-    scored: dict[bytes, float] = {}  # chromosome -> cost; bytes keep the keys small
-
-    def score(bits: list[int]) -> float:
-        key = bytes(bits)
-        cost = scored.get(key)
-        if cost is None:
-            cost = scored[key] = decode_and_cost(tuple(bits), g)[1]
-        return cost
-
+    hops, n = _hop_table(g), g.node_count
+    score = cache(lambda mask: _route_cost([i + 1 for i in range(n) if mask >> i & 1], hops))  # each mask once
     rng = random.Random(params.seed)
     getrandbits = rng.getrandbits  # a coin is randint(0, 1)'s own draw: getrandbits(2), redrawn while above 1
-    n = g.node_count
-    free = list(range(1, n - 1))
-    colony = [[1] * n for _ in range(params.ants)]
-    for bits in colony:
+    free = range(1, n - 1)
+    ends = 1 | 1 << n - 1
+    colony = [ends] * params.ants
+    for j in range(params.ants):
         for idx in range(n):  # the ends are drawn too, then set
             r = getrandbits(2)
             while r > 1:
                 r = getrandbits(2)
-            bits[idx] = r
-        bits[0] = bits[n - 1] = 1
-    costs = [score(b) for b in colony]
+            colony[j] |= r << idx
+    costs = [score(m) for m in colony]
     pher = pheromone_init(costs)
 
     best_cost = min(costs)
-    best_bits = tuple(colony[costs.index(best_cost)])
+    best = colony[costs.index(best_cost)]
     best_curve: list[float] = []
     mean_curve: list[float] = []
 
@@ -196,23 +194,24 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
         lam = 1.0 / gen
         t_best = max(pher)
         for j in range(params.ants):
-            prob = 1.0 if t_best <= 0.0 else (t_best - pher[j]) / t_best
-            cand = colony[j][:]
-            if prob < params.p0:
-                flipped = False
+            if (1.0 if t_best <= 0.0 else (t_best - pher[j]) / t_best) < params.p0:
+                cand, flipped = colony[j], False
                 for idx in free:
                     if rng.random() < lam:
-                        cand[idx] ^= 1
+                        cand ^= 1 << idx
                         flipped = True
                 if not flipped and free:  # lambda shrinks; never allow a dead move
-                    cand[rng.choice(free)] ^= 1
+                    cand ^= 1 << rng.choice(free)
+                c = score(cand)
             else:
+                cand, c, row = ends, 0.0, hops[0]
                 for idx in free:
                     r = getrandbits(2)
                     while r > 1:
                         r = getrandbits(2)
-                    cand[idx] = r
-            c = score(cand)
+                    if r:  # node idx + 1 joins the route, after the last one set
+                        cand, c, row = cand | 1 << idx, c + row[idx], hops[idx]
+                c += row[n - 1] if n > 1 else 0.0  # one node is its own route, at cost 0
             if c < costs[j]:
                 colony[j] = cand
                 costs[j] = c
@@ -221,12 +220,12 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
         gen_best = min(costs)
         if gen_best < best_cost:
             best_cost = gen_best
-            best_bits = tuple(colony[costs.index(gen_best)])
+            best = colony[costs.index(gen_best)]
         best_curve.append(best_cost)
         mean_curve.append(math.fsum(costs) / len(costs))  # statistics.fmean(costs), whose import slows every start-up
 
-    nodes, cost = decode_and_cost(best_bits, g)
-    return AcoResult(best_bits, nodes, cost, tuple(best_curve), tuple(mean_curve))
+    best_bits = tuple(best >> idx & 1 for idx in range(n))
+    return AcoResult(best_bits, *decode_and_cost(best_bits, g), tuple(best_curve), tuple(mean_curve))
 
 
 def best_first(

@@ -86,7 +86,7 @@ def _add_route_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_colony_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_at_least(0), default=1)  # Random(-s) is Random(s)
     p.add_argument("--ants", type=_at_least(1), default=50)
     p.add_argument("--gens", type=_at_least(0), default=100)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from typing import NamedTuple
 
 TAU = 2.0 * math.pi
 
@@ -447,6 +448,103 @@ def exhaustive_routes(weights, no_edge, src: int, dst: int):
     walk(src, 0.0)
     out.sort()
     return out
+
+
+# ---------------------------------------------------------------------------
+# the colony on bit lists, the reference for aco_run's results
+
+
+class AcoResult(NamedTuple):
+    """Field for field arcplan.aco.AcoResult, so the two reprs compare."""
+
+    bits: tuple
+    nodes: tuple
+    cost: float
+    best_curve: tuple
+    mean_curve: tuple
+
+
+def reference_aco_run(g, params) -> AcoResult:
+    """The colony of arcplan.aco.aco_run with each move on a copied bit list
+    and each distinct chromosome decoded pair by pair: the same RNG draws,
+    the same float additions and the same branch test, so its repr must equal
+    aco_run's on every graph and parameter set."""
+    if not math.isfinite(g.no_edge):
+        raise ValueError(f"aco_run needs a finite no-edge sentinel, got {g.no_edge!r}")
+
+    def decode(bits):
+        nodes = tuple(i + 1 for i, b in enumerate(bits) if b)
+        cost = 0.0
+        for a, b in zip(nodes, nodes[1:]):
+            w = g.weights[a - 1][b - 1]
+            cost += w if -math.inf < w < g.no_edge else g.no_edge
+        return nodes, cost
+
+    scored: dict[bytes, float] = {}
+
+    def score(bits: list[int]) -> float:
+        key = bytes(bits)
+        cost = scored.get(key)
+        if cost is None:
+            cost = scored[key] = decode(tuple(bits))[1]
+        return cost
+
+    rng = random.Random(params.seed)
+    getrandbits = rng.getrandbits
+    n = len(g.weights)
+    free = list(range(1, n - 1))
+    colony = [[1] * n for _ in range(params.ants)]
+    for bits in colony:
+        for idx in range(n):
+            r = getrandbits(2)
+            while r > 1:
+                r = getrandbits(2)
+            bits[idx] = r
+        bits[0] = bits[n - 1] = 1
+    costs = [score(b) for b in colony]
+    top = max(costs)
+    pher = [top - c for c in costs]
+
+    best_cost = min(costs)
+    best_bits = tuple(colony[costs.index(best_cost)])
+    best_curve: list[float] = []
+    mean_curve: list[float] = []
+
+    for gen in range(1, params.generations + 1):
+        lam = 1.0 / gen
+        t_best = max(pher)
+        for j in range(params.ants):
+            prob = 1.0 if t_best <= 0.0 else (t_best - pher[j]) / t_best
+            cand = colony[j][:]
+            if prob < params.p0:
+                flipped = False
+                for idx in free:
+                    if rng.random() < lam:
+                        cand[idx] ^= 1
+                        flipped = True
+                if not flipped and free:
+                    cand[rng.choice(free)] ^= 1
+            else:
+                for idx in free:
+                    r = getrandbits(2)
+                    while r > 1:
+                        r = getrandbits(2)
+                    cand[idx] = r
+            c = score(cand)
+            if c < costs[j]:
+                colony[j] = cand
+                costs[j] = c
+        worst = max(costs)
+        pher = [(1.0 - params.evaporation) * t + (worst - c) for t, c in zip(pher, costs)]
+        gen_best = min(costs)
+        if gen_best < best_cost:
+            best_cost = gen_best
+            best_bits = tuple(colony[costs.index(gen_best)])
+        best_curve.append(best_cost)
+        mean_curve.append(math.fsum(costs) / len(costs))
+
+    nodes, cost = decode(best_bits)
+    return AcoResult(best_bits, nodes, cost, tuple(best_curve), tuple(mean_curve))
 
 
 # ---------------------------------------------------------------------------

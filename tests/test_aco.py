@@ -1,6 +1,7 @@
 """Colony search and graph utilities against exact and exhaustive oracles."""
 
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -286,21 +287,63 @@ def test_aco_rejects_a_sentinel_that_is_not_finite(no_edge):
 
 
 def test_aco_scores_through_the_module_name(graph, monkeypatch):
-    # perfbench counts aco.decode_and_cost calls by wrapping the module
-    # attribute, so aco_run must call it there for every chromosome it decodes:
-    # each distinct one once, then the best once more for its nodes
-    calls: list[bytes] = []
+    # the answer is the one chromosome a run decodes through the module name
+    # aco.decode_and_cost; a global move adds its hops as it draws its bits,
+    # and a local move decodes (_route_cost) only a chromosome not seen before
+    answers: list = []
+    routes: list[tuple] = []
+    route_cost = arcplan.aco._route_cost
 
-    def counted(bits, g):
-        calls.append(bytes(bits))
+    def counted_decode(bits, g):
+        answers.append(bits)
         return decode_and_cost(bits, g)
 
-    monkeypatch.setattr(arcplan.aco, "decode_and_cost", counted)
+    def counted_route_cost(nodes, hops):
+        routes.append(tuple(nodes))
+        return route_cost(nodes, hops)
+
+    monkeypatch.setattr(arcplan.aco, "decode_and_cost", counted_decode)
+    monkeypatch.setattr(arcplan.aco, "_route_cost", counted_route_cost)
     res = aco_run(graph, AcoParams())
-    assert len(set(calls[:-1])) == len(calls) - 1  # no chromosome decoded twice
-    assert calls[-1] == bytes(res.bits)
-    # the run scores 50 * (100 + 1) = 5,050 chromosomes, 3,076 of them distinct
-    assert len(calls) == 3076 + 1
+    assert answers == [res.bits]
+    assert routes[-1] == res.nodes  # the answer's decode
+    decoded = routes[:-1]
+    assert decoded and len(set(decoded)) == len(decoded)  # no chromosome decoded twice
+    assert all(r[0] == 1 and r[-1] == 15 for r in decoded)  # each with both ends set
+    # of the 50 * (100 + 1) = 5,050 chromosomes the run scores, the initial
+    # colony and the local moves hold 324 distinct ones that need a decode
+    assert len(decoded) == 324
+
+
+def _reference_graph(rng: random.Random):
+    """1-18 nodes with non-integer weights, some of them inf, nan, negative or
+    above the sentinel, so that a hop charged or added otherwise shows."""
+    n = rng.randint(1, 18)
+    no_edge = rng.choice([NO_EDGE, 60.5])
+    specials = [math.inf, -math.inf, math.nan, 1.5 * no_edge, no_edge, -2.25]
+    edges = [
+        (i, j, rng.choice(specials) if rng.random() < 0.15 else rng.uniform(0.1, 99.9))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rng.random() < 0.6
+    ]
+    return graph_from_edges(n, edges, no_edge=no_edge)
+
+
+def test_aco_run_matches_the_reference():
+    # every field of every run, bit for bit, against the colony that copied a
+    # bit list per move; ants=1 keeps t_best at 0, where the branch test must
+    # read a transfer probability of 1.0 (local for p0 > 1)
+    cases = itertools.product((-0.5, 0.0, 0.2, 1.0, 2.0), (0.0, 0.8, 1.0), range(1, 9))
+    for seed, (p0, evaporation, ants) in enumerate(cases):
+        rng = random.Random(seed)
+        g = _reference_graph(rng)
+        params = AcoParams(ants=ants, generations=rng.randint(0, 30), p0=p0, evaporation=evaporation, seed=seed)
+        assert repr(aco_run(g, params)) == repr(oracles.reference_aco_run(g, params)), (g.node_count, params)
+    g = builtin_graph()
+    for seed in (1, 2):
+        params = AcoParams(seed=seed)
+        assert repr(aco_run(g, params)) == repr(oracles.reference_aco_run(g, params))
 
 
 @pytest.mark.parametrize("chromosome", ["1" * 20, "1101"], ids=["too-long", "too-short"])

@@ -364,11 +364,12 @@ def test_large_scene_files_load_in_linear_time(tmp_path):
         (("export-svg", "--ants", "0", "--out", "route.svg"), "expected an integer >= 1, got 0"),
         (("aco", "--ants", "0"), "expected an integer >= 1, got 0"),
         (("aco", "--gens", "-5"), "expected an integer >= 0, got -5"),
+        (("aco", "--seed", "-5"), "expected an integer >= 0, got -5"),
         (("verify", "--tolerance", "-1"), "expected a finite number >= 0, got -1.0"),
         (("verify", "--tolerance", "nan"), "expected a finite number >= 0, got nan"),
     ],
-    ids=["enumerate-top", "plan-ants", "export-svg-ants", "aco-ants", "aco-gens", "verify-negative-tolerance",
-         "verify-nan-tolerance"],
+    ids=["enumerate-top", "plan-ants", "export-svg-ants", "aco-ants", "aco-gens", "aco-negative-seed",
+         "verify-negative-tolerance", "verify-nan-tolerance"],
 )
 def test_nonpositive_count_usage_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
