@@ -1,10 +1,10 @@
 """Binary-chromosome ant colony search over a weighted node graph.
 
-A route is a node-inclusion bit string: bit i says whether node i+1 is on it,
-and a chromosome decodes by visiting its set nodes in ascending order.  A hop
-without an edge costs the graph's no-edge penalty, so infeasible routes are
-merely expensive, never invalid.  One best-first search lives alongside: it
-starts from several sources at their own costs and never enters a closed
+A graph keeps only its edge lists, and a pair without an edge weighs its
+no-edge penalty.  A route is a node-inclusion bit string (bit i: node i+1 is
+on it) that decodes to its set nodes in ascending order, so infeasible routes
+are merely expensive, never invalid.  One best-first search lives alongside:
+it starts from several sources at their own costs and never enters a closed
 state.  The exact Dijkstra that checks the colony (one source, nothing
 closed) and every search of the planner's k-shortest routes run it.
 """
@@ -22,39 +22,45 @@ NO_EDGE = 1000.0  # sentinel weight used by the builtin graph
 
 
 class WeightedGraph(NamedTuple):
-    """Built by graph_from_edges; a weight at or above no_edge, or not finite, is no edge."""
+    """Built by graph_from_edges; its edge lists are its one stored form, and a non-edge weighs no_edge."""
 
-    weights: tuple[tuple[float, ...], ...]
-    no_edge: float
     adjacency: tuple[tuple[tuple[int, float], ...], ...]  # row i - 1: node i's (neighbor, weight), ascending
+    no_edge: float
 
     @property
     def node_count(self) -> int:
-        return len(self.weights)
+        return len(self.adjacency)
+
+    @property
+    def weights(self) -> list[list[float]]:
+        """[i - 1][j - 1]: weight(i, j), a dense view of the edge lists built anew on each read."""
+        m = [[self.no_edge] * len(self.adjacency) for _ in self.adjacency]
+        for i, row in enumerate(self.adjacency):
+            m[i][i] = 0.0
+            for j, w in row:
+                m[i][j - 1] = w
+        return m
 
     def weight(self, i: int, j: int) -> float:
-        """Weight between 1-based nodes i and j."""
-        return self.weights[i - 1][j - 1]
+        """Weight between 1-based nodes i and j: 0.0 when i == j, no_edge without an edge."""
+        return next((w for v, w in self.adjacency[i - 1] if v == j), 0.0 if i == j else self.no_edge)
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        w = self.weights[i - 1][j - 1]
-        return w < self.no_edge and math.isfinite(w)
+        return any(v == j for v, _ in self.adjacency[i - 1])
 
 
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int, float]], no_edge: float = NO_EDGE) -> WeightedGraph:
-    m = [[0.0 if i == j else no_edge for j in range(n)] for i in range(n)]
+    """Nodes 1..n; the last weight given for a pair wins.  The one edge rule: i != j, finite, below no_edge."""
+    rows: list[dict[int, float]] = [{} for _ in range(n)]
     for i, j, w in edges:
         if not (1 <= i <= n and 1 <= j <= n):  # node 0 or -1 would index the last row
             raise ValueError(f"edge {(i, j, w)!r} names a node outside 1..{n}")
-        m[i - 1][j - 1] = w
-        m[j - 1][i - 1] = w
+        rows[i - 1][j] = rows[j - 1][i] = w
     adjacency = tuple(
-        tuple((j, w) for j, w in enumerate(row, start=1) if j != i and w < no_edge and math.isfinite(w))
-        for i, row in enumerate(m, start=1)
+        tuple(sorted((j, w) for j, w in row.items() if j != i and w < no_edge and math.isfinite(w)))
+        for i, row in enumerate(rows, start=1)
     )
-    return WeightedGraph(tuple(tuple(row) for row in m), no_edge, adjacency)
+    return WeightedGraph(adjacency, no_edge)
 
 
 # The 15-node benchmark graph.  No edge between nodes 2 and 6: with one, the
@@ -95,12 +101,6 @@ def bits_to_string(bits: Bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-def _hop_table(g: WeightedGraph) -> list[list[float]]:
-    """[a - 1][b - 1]: the hop a -> b's weight if has_edge(a, b), else the sentinel."""
-    no_edge, low = g.no_edge, -math.inf
-    return [[w if low < w < no_edge else no_edge for w in row] for row in g.weights]
-
-
 def _route_cost(nodes: Sequence[int], hops: list[list[float]]) -> float:
     cost = 0.0  # plus each hop in route order, as aco_run's global moves add them
     for a, b in zip(nodes, nodes[1:]):
@@ -111,7 +111,7 @@ def _route_cost(nodes: Sequence[int], hops: list[list[float]]) -> float:
 def decode_and_cost(bits: Bits, g: WeightedGraph) -> tuple[tuple[int, ...], float]:
     """Decode a node-inclusion chromosome: visit set nodes in ascending order.
     A hop without an edge costs the graph's no-edge sentinel."""
-    hops = _hop_table(g)
+    hops = g.weights
     if len(bits) != len(hops):
         raise ValueError(f"chromosome has {len(bits)} bits for a graph of {len(hops)} nodes")
     nodes = tuple(compress(range(1, len(bits) + 1), bits))
@@ -163,13 +163,16 @@ def aco_run(g: WeightedGraph, params: AcoParams = AcoParams()) -> AcoResult:
       6. record best / mean cost curves; repeat from 3.
 
     A missing hop costs the graph's no-edge sentinel, so `g.no_edge` must be
-    finite (ValueError otherwise) and dominate any real route cost.  Bit i of
-    a chromosome's int mask is node i + 1's.  A global move adds each hop as
-    it sets a node; a local move decodes only a mask the run has not costed.
+    finite and dominate any real route cost; ValueError when it is not finite
+    or the graph has no node.  Bit i of a chromosome's int mask is node i + 1's.
+    A global move adds each hop as it sets a node; a local move decodes only a
+    mask the run has not costed.
     """
     if not math.isfinite(g.no_edge):
         raise ValueError(f"aco_run needs a finite no-edge sentinel, got {g.no_edge!r}")
-    hops, n = _hop_table(g), g.node_count
+    if not g.node_count:
+        raise ValueError("aco_run needs a graph of at least one node, got an empty graph")
+    hops, n = g.weights, g.node_count
     score = cache(lambda mask: _route_cost([i + 1 for i in range(n) if mask >> i & 1], hops))  # each mask once
     rng = random.Random(params.seed)
     getrandbits = rng.getrandbits  # a coin is randint(0, 1)'s own draw: getrandbits(2), redrawn while above 1

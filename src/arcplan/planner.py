@@ -387,11 +387,8 @@ def _colony_subgraph(rm: Roadmap) -> Optional[tuple[WeightedGraph, tuple[int, ..
     keep = tuple(sorted({node for seq, _ in routes for node in seq}))
     if not keep:
         return None
-    edges = [
-        (i, j, rm.graph.weight(a, b))
-        for (i, a), (j, b) in itertools.combinations(enumerate(keep, start=1), 2)
-        if rm.graph.has_edge(a, b)
-    ]
+    index = {a: i for i, a in enumerate(keep, start=1)}
+    edges = [(index[a], index[b], w) for a in keep for b, w in rm.graph.adjacency[a - 1] if a < b and b in index]
     return graph_from_edges(len(keep), edges, no_edge=_ACO_PENALTY), keep
 
 

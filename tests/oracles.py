@@ -471,12 +471,13 @@ def reference_aco_run(g, params) -> AcoResult:
     aco_run's on every graph and parameter set."""
     if not math.isfinite(g.no_edge):
         raise ValueError(f"aco_run needs a finite no-edge sentinel, got {g.no_edge!r}")
+    weights = g.weights  # a view the graph builds anew on each read: read once per run
 
     def decode(bits):
         nodes = tuple(i + 1 for i, b in enumerate(bits) if b)
         cost = 0.0
         for a, b in zip(nodes, nodes[1:]):
-            w = g.weights[a - 1][b - 1]
+            w = weights[a - 1][b - 1]
             cost += w if -math.inf < w < g.no_edge else g.no_edge
         return nodes, cost
 
@@ -491,7 +492,7 @@ def reference_aco_run(g, params) -> AcoResult:
 
     rng = random.Random(params.seed)
     getrandbits = rng.getrandbits
-    n = len(g.weights)
+    n = len(weights)
     free = list(range(1, n - 1))
     colony = [[1] * n for _ in range(params.ants)]
     for bits in colony:

@@ -76,6 +76,36 @@ def test_graph_from_edges_rejects_a_node_outside_the_graph(edge):
         graph_from_edges(3, [edge])
 
 
+def test_graph_from_edges_applies_the_one_edge_rule():
+    # against an oracle: the last weight given for an unordered pair wins, and
+    # the pair holds an edge iff i != j and that weight is finite and below
+    # no_edge; every other pair, a self-loop's too, weighs no_edge
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        no_edge = rng.choice([NO_EDGE, 60.5, math.inf])
+        specials = [math.nan, math.inf, -math.inf, -2.25, no_edge, 1.5 * no_edge]
+        edges = [
+            (rng.randint(1, n), rng.randint(1, n), rng.choice(specials) if rng.random() < 0.3 else rng.uniform(0.1, 99.9))
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        edges += [(j, i, rng.choice(specials)) for i, j, _ in rng.sample(edges, len(edges) // 3)]  # re-given reversed
+        last = {(min(i, j), max(i, j)): w for i, j, w in edges}
+        want = {(i, j): w for (a, b), w in last.items() if a != b and math.isfinite(w) and w < no_edge
+                for i, j in ((a, b), (b, a))}
+        g = graph_from_edges(n, edges, no_edge=no_edge)
+        weights = g.weights
+        assert g.node_count == len(weights) == n
+        for i in range(1, n + 1):
+            neighbors = [j for j, _ in g.adjacency[i - 1]]
+            assert all(a < b for a, b in zip(neighbors, neighbors[1:])), (seed, i)
+            assert dict(g.adjacency[i - 1]) == {j: w for (a, j), w in want.items() if a == i}, (seed, i)
+            for j in range(1, n + 1):
+                assert g.has_edge(i, j) == ((i, j) in want), (seed, i, j)
+                assert g.weight(i, j) == weights[i - 1][j - 1] == weights[j - 1][i - 1], (seed, i, j)
+                assert weights[i - 1][j - 1] == (0.0 if i == j else want.get((i, j), no_edge)), (seed, i, j)
+
+
 def test_bits_string_roundtrip():
     bits = bits_from_string(OPTIMUM_CHROMOSOME)
     assert bits == (1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1)
@@ -103,7 +133,7 @@ def test_decode_known_chromosome(graph):
     ids=["builtin", "at-sentinel", "above-sentinel", "not-finite", "inf-sentinel", "inf-sentinel-edges"],
 )
 def test_decode_charges_missing_edges(edges, no_edge, chromosome, nodes, cost):
-    # a hop without an edge (has_edge False) costs the sentinel, whatever the matrix holds
+    # a hop without an edge (has_edge False) costs the sentinel, whatever weight was given for it
     g = graph_from_edges(len(chromosome), edges, no_edge=no_edge)
     assert decode_and_cost(bits_from_string(chromosome), g) == (nodes, cost)
     hops = zip(nodes, nodes[1:])
@@ -284,6 +314,12 @@ def test_aco_rejects_a_sentinel_that_is_not_finite(no_edge):
     g = graph_from_edges(3, [(1, 2, 5.0)], no_edge=no_edge)
     with pytest.raises(ValueError, match="aco_run needs a finite no-edge sentinel"):
         aco_run(g, AcoParams(ants=3, generations=2))
+
+
+def test_aco_rejects_an_empty_graph():
+    # a graph of no node has no first and last bit to set
+    with pytest.raises(ValueError, match="aco_run needs a graph of at least one node, got an empty graph"):
+        aco_run(graph_from_edges(0, []), AcoParams(ants=2, generations=1))
 
 
 def test_aco_scores_through_the_module_name(graph, monkeypatch):
