@@ -211,7 +211,8 @@ def _cmd_verify(args, stdout) -> int:
     # corner benchmarks
     for key in ("corner_oa", "corner_ob3"):
         e = read(exp, key, lambda v, _: dict(v))
-        corner = (*(read(e, k, sceneio.read_point) for k in ("start", "end", "center")), read(e, "radius"))
+        corner = (*(read(e, k, sceneio.read_point) for k in ("start", "end", "center")),
+                  read(e, "radius", sceneio.read_size))  # a positive number, as a scene file's circle radius
         sol = read(exp, key, lambda *_: solve_corner(*corner))  # ChainingError: an end lies inside the circle
         first, last = sol.segments[0], sol.segments[-1]
         near(f"{key} total", sol.length, e, "total", "total_tol")

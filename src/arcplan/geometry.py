@@ -18,6 +18,8 @@ closed form, never by sampling.  A point is a zero-length segment: one
 segment-obstacle routine serves both, with one separating-axis pass over a
 polygon's edges; `segment_clear` skips it for a polygon wholly to one side
 of pq's line, about the clearance or more off.  Arcs get one pass too.
+Every clearance verdict, the start's and the goal's too, is `segment_clear`'s
+or `arc_clear`'s; the clearance measures only word a refusal or a violation.
 """
 
 from __future__ import annotations
@@ -192,14 +194,6 @@ def _obstacle_geom(spec: ObstacleSpec):
     return "poly", verts, (min(xs), min(ys), max(xs), max(ys))
 
 
-def _bbox_seg_gap(bbox, a, b) -> float:
-    sx0, sx1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-    sy0, sy1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-    dx = max(bbox[0] - sx1, 0.0, sx0 - bbox[2])
-    dy = max(bbox[1] - sy1, 0.0, sy0 - bbox[3])
-    return math.hypot(dx, dy)
-
-
 def _segment_distance(a, b, kind: str, payload) -> float:
     """Distance from segment ab (a point if a == b) to one obstacle, 0 on
     contact.  A convex polygon is apart from ab iff an axis separates them:
@@ -304,14 +298,7 @@ def min_clearance(p: Point, scene: Scene) -> float:
 
 
 def segment_min_clearance(a: Point, b: Point, scene: Scene) -> float:
-    best = math.inf
-    for kind, payload, bbox in scene.compiled.obstacles:
-        if _bbox_seg_gap(bbox, a, b) >= best:
-            continue
-        d = _segment_distance(a, b, kind, payload)
-        if d < best:
-            best = d
-    return best
+    return min((_segment_distance(a, b, kind, payload) for kind, payload, _ in scene.compiled.obstacles), default=math.inf)
 
 
 def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
@@ -319,7 +306,7 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     CLEARANCE_EPS = e) from every obstacle (segment_min_clearance's verdict),
     stopping at the first obstacle closer.  It skips an obstacle when an axis
     gap of its bbox to pq's, or the hypot of two positive ones, reaches the
-    limit (_bbox_seg_gap is never less), and a polygon when c = (q - p) x
+    limit (the exact distance is never less), and a polygon when c = (q - p) x
     (v - p) has one sign and |c| >= (r - e/2)|pq| at each vertex v.  With
     u = 2**-53 and coordinates within M, c rounds by u|c| + 8.5uM|pq|, the
     bound by 5ur|pq| and _segment_distance by 2ur + 7.1uM: under 16u(M + r)
@@ -374,14 +361,7 @@ def arc_min_clearance(center: Point, radius: float, start: float, sweep: float, 
     counter-clockwise from angle start through sweep to any obstacle (0 on
     overlap), in closed form."""
     arc = _arc_ends(center, radius, start, sweep)
-    best = math.inf
-    for kind, payload, bbox in scene.compiled.obstacles:
-        if _bbox_seg_gap(bbox, center, center) - radius >= best:
-            continue
-        d = _arc_distance(arc, kind, payload)
-        if d < best:
-            best = d
-    return best
+    return min((_arc_distance(arc, kind, payload) for kind, payload, _ in scene.compiled.obstacles), default=math.inf)
 
 
 def arc_clear(center: Point, radius: float, start: float, sweep: float, scene: Scene) -> bool:
@@ -390,9 +370,10 @@ def arc_clear(center: Point, radius: float, start: float, sweep: float, scene: S
     first obstacle that comes closer."""
     limit = scene.clearance - CLEARANCE_EPS
     arc = _arc_ends(center, radius, start, sweep)
-    for kind, payload, bbox in scene.compiled.obstacles:
-        if _bbox_seg_gap(bbox, center, center) - radius >= limit:
-            continue
+    cx, cy = center
+    for kind, payload, (x0, y0, x1, y1) in scene.compiled.obstacles:
+        if math.hypot(max(x0 - cx, 0.0, cx - x1), max(y0 - cy, 0.0, cy - y1)) - radius >= limit:
+            continue  # the center's gap to the bbox, less the radius, reaches the limit
         if _arc_distance(arc, kind, payload) < limit:
             return False
     return True

@@ -42,7 +42,6 @@ from typing import Iterator, NamedTuple, Optional
 
 from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, best_first, graph_from_edges
 from .geometry import (
-    CLEARANCE_EPS,
     TAU,
     Point,
     Scene,
@@ -117,9 +116,8 @@ class PlanResult(NamedTuple):
 def _check_endpoint(p: Point, scene: Scene, label: str) -> None:
     if not scene.contains(p):
         raise RequestError(f"{label} {tuple(p)} lies outside the scene bounds {scene.bounds}")
-    d = min_clearance(p, scene)
-    if d < scene.clearance - CLEARANCE_EPS:
-        near = blocking_obstacles(p, p, scene)
+    if not segment_clear(p, p, scene):
+        d, near = min_clearance(p, scene), blocking_obstacles(p, p, scene)
         raise RequestError(f"{label} {tuple(p)} has clearance {d:.4f} < {scene.clearance} (obstacles {near})")
 
 

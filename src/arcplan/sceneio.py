@@ -75,19 +75,19 @@ def read_point(v, name: str) -> Point:
     return Point(read_number(v[0], name), read_number(v[1], name))
 
 
-def _size(v, name: str) -> float:
+def read_size(v, name: str) -> float:
     return read_number(v, name, positive=True)
 
 
 # Each obstacle kind: its shape class, whose fields are the file's fields in
 # file order, and each field's reader: an [x, y] point (read_point) or a
-# positive number (_size).  A triangle is stored as (left, lower-right, top);
-# either orientation reads as CCW.
+# positive number (read_size).  A triangle is stored as (left, lower-right,
+# top); either orientation reads as CCW.
 _KINDS = {
-    "rect": (AxisRect, {"anchor": read_point, "width": _size, "height": _size}),
-    "circle": (Circle, {"center": read_point, "radius": _size}),
+    "rect": (AxisRect, {"anchor": read_point, "width": read_size, "height": read_size}),
+    "circle": (Circle, {"center": read_point, "radius": read_size}),
     "triangle": (Triangle, {"left": read_point, "lower_right": read_point, "top": read_point}),
-    "parallelogram": (Parallelogram, {"anchor": read_point, "base": _size, "top_left": read_point}),
+    "parallelogram": (Parallelogram, {"anchor": read_point, "base": read_size, "top_left": read_point}),
 }
 
 
@@ -105,8 +105,8 @@ def scene_from_dict(d: dict) -> Scene:
         raw = d.get("bounds", [800.0, 800.0])
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise SceneFormatError(f"bounds must be [width, height], got {reprlib.repr(raw)}")
-        bounds = (_size(raw[0], "bounds width"), _size(raw[1], "bounds height"))
-        clearance = _size(d.get("clearance", 10.0), "clearance")
+        bounds = (read_size(raw[0], "bounds width"), read_size(raw[1], "bounds height"))
+        clearance = read_size(d.get("clearance", 10.0), "clearance")
         entries, obstacles, ids = d.get("obstacles", []), [], set()
         if not isinstance(entries, (list, tuple)):
             raise SceneFormatError(f"obstacles must be a list, got {reprlib.repr(entries)}")

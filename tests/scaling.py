@@ -12,16 +12,16 @@ scene gets one query by random_query's recipe, drawn over its whole field.
 
 Per size it records, summed over the scenes, the deterministic counts of a
 cold plan_route (a fresh Scene, so the corner-link compile is included):
-segment_clear calls, the exact obstacle distances they run, the anchor
-pairs that reach `_legs` and the legs it tests (turn pairs, whether they
-have a tangent or not).  They are counted by wrapping the module
-attributes, as the tests do.  It also records the median time of a cold
-plan_route and of a warm one (the same query again on the same Scene),
-timed without the wrappers, and how many queries got no route.  The
-growth exponent of each figure is the least-squares slope of its logarithm
-over log(size).  Prints the table and writes OUT; two runs of one checkout
-give the same counts, so a count diff between checkouts is a same-work
-check.  pytest does not collect it.
+segment_clear calls (the start's and the goal's checks among them), the
+exact obstacle distances they run, the anchor pairs that reach `_legs` and
+the legs it tests (turn pairs, whether they have a tangent or not).  They
+are counted by wrapping the module attributes, as the tests do.  It also
+records the median time of a cold plan_route and of a warm one (the same
+query again on the same Scene), timed without the wrappers, and how many
+queries got no route.  The growth exponent of each figure is the
+least-squares slope of its logarithm over log(size).  Prints the table and
+writes OUT; two runs of one checkout give the same counts, so a count diff
+between checkouts is a same-work check.  pytest does not collect it.
 """
 
 from __future__ import annotations

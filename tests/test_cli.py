@@ -509,9 +509,12 @@ def test_fixture_of_the_wrong_shape_exit_code(capsys, tmp_path, monkeypatch, con
         ("corner_oa", "radius", True, "radius"),
         ("corner_oa", "total", "471.0372", "total"),
         ("corner_oa", "start", [False, "0"], "start"),
+        # a corner's radius is read as a scene file's circle radius: a positive number
+        ("corner_oa", "radius", 0, "radius"),
+        ("corner_ob3", "radius", -10, "radius"),
     ],
     ids=["long-chromosome", "short-chromosome", "corner-oa-start-inside", "corner-ob3-start-inside", "chain-ob-start",
-         "boolean-radius", "string-total", "boolean-and-string-start"],
+         "boolean-radius", "string-total", "boolean-and-string-start", "zero-radius", "negative-radius"],
 )
 def test_fixture_that_cannot_be_used_exit_code(capsys, tmp_path, monkeypatch, entry, key, value, name):
     expected = sceneio.load_expected()

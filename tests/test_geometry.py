@@ -284,11 +284,16 @@ def test_segment_clear_is_the_min_clearance_test(scene):
     segments = [(Point(-g, -20.0), Point(-g, 70.0)) for g in gaps]  # the x gap is g exactly
     segments += [(Point(-20.0, -g), Point(70.0, -g)) for g in gaps]  # the y gap
     segments += [(Point(-d, -d), Point(-d - 40.0, -d - 10.0)) for d in (diagonal, below)]
+    # the same gaps for points, the zero-length segments planner's endpoint check judges
+    points = [Point(-g, 25.0) for g in gaps] + [Point(25.0, -g) for g in gaps]
+    points += [Point(-d, -d) for d in (diagonal, below)]
+    segments += [(p, p) for p in points]
     verdicts = []
     for a, b in segments:
         verdicts.append(segment_clear(a, b, box))
         assert verdicts[-1] == (segment_min_clearance(a, b, box) >= limit), (a, b)
-    assert verdicts == [True, False, True, False, True] * 2 + [True, False]
+    assert verdicts == ([True, False, True, False, True] * 2 + [True, False]) * 2
+    assert [min_clearance(p, box) >= limit for p in points] == verdicts[len(points):]
 
 
 def around(r: float) -> list[float]:

@@ -31,7 +31,7 @@ from arcplan.geometry import (
     obstacle_vertices,
     segment_clear,
 )
-from arcplan import geometry, planner
+from arcplan import geometry, paths, planner
 from arcplan.paths import (
     Arc,
     ChainingError,
@@ -962,3 +962,34 @@ def test_roadmap_and_validate_path_share_one_clearance_limit(delta):
     assert validate_path(plan.path, scene).ok
     assert (plan.path.segments == (Line(start, goal),)) == straight_ok
     assert straight_ok == (delta <= 5e-10)
+
+
+@pytest.mark.parametrize("delta", [5e-7, 5e-10, 0.0, -1e-7])
+def test_endpoint_check_and_validate_path_share_one_clearance_limit(delta):
+    # the same box, now 10 - delta below the start: plan_route refuses the
+    # start exactly when validate_path rejects it as a zero-length line
+    box = ObstacleSpec(1, AxisRect(Point(100, 50 + delta), 100, 40))
+    scene = Scene((300.0, 200.0), (box,), 10.0)
+    start, goal = Point(150, 100), Point(250, 100)
+    point_ok = validate_path(SmoothPath((Line(start, start),)), scene).ok
+    if point_ok:
+        assert validate_path(plan_route(RouteRequest(start, goal, scene)).path, scene).ok
+    else:
+        with pytest.raises(RequestError, match=r"^start \(150, 100\) has clearance [\d.]+ < 10\.0 \(obstacles \(1,\)\)$"):
+            plan_route(RouteRequest(start, goal, scene))
+    assert point_ok == (delta <= 5e-10)
+
+
+def test_no_successful_query_computes_a_clearance_measure(scene, monkeypatch):
+    # every verdict is segment_clear's or arc_clear's: the least clearance is
+    # computed only to word a refused endpoint or a violation, never on the
+    # way to a plan, so the measures need no pruning of their own
+    pairs = [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 10)
+    calls = []
+    for module, name in ((planner, "min_clearance"), (paths, "segment_min_clearance"), (paths, "arc_min_clearance")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+    for start, goal in pairs:
+        plan_route(RouteRequest(start, goal, scene))
+    for t in "ABC":
+        plan_route(RouteRequest(O, KNOWN_TARGETS[t], scene, engine="aco", aco_params=AcoParams(seed=1)))
+    assert calls == []
