@@ -261,7 +261,7 @@ def _piece_violations(i: int, seg: PathSegment, scene: Scene) -> Iterator[Violat
         (center, radius, _), start, sweep = seg.circle, seg.ccw_start, seg.sweep
         if not 1e-9 < sweep < TAU - 1e-9:
             yield Violation("turn", seg.start, f"arc segment {i} sweeps {sweep!r}: the route does not turn there")
-        if radius < MIN_TURN_RADIUS - 1e-12:
+        if radius < MIN_TURN_RADIUS:
             yield Violation("radius", seg.start, f"arc radius {radius} below {MIN_TURN_RADIUS}")
         extremes = (k * TAU / 4 for k in range(4))  # the angles of the circle's axis extremes
         points += [seg.circle.at(a) for a in extremes if (a - start) % TAU <= sweep]

@@ -118,7 +118,7 @@ def _check_endpoint(p: Point, scene: Scene, label: str) -> None:
         raise RequestError(f"{label} {tuple(p)} lies outside the scene bounds {scene.bounds}")
     if not segment_clear(p, p, scene):
         d, near = min_clearance(p, scene), blocking_obstacles(p, p, scene)
-        raise RequestError(f"{label} {tuple(p)} has clearance {d:.4f} < {scene.clearance} (obstacles {near})")
+        raise RequestError(f"{label} {tuple(p)} has clearance {d!r} < {scene.clearance} (obstacles {near})")
 
 
 def corner_candidates(scene: Scene) -> tuple[Point, ...]:
@@ -137,9 +137,9 @@ def _legs(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...],
     """chain_path's leg for each (c1, c2) of itertools.product(a, b), two
     anchors' circles, in turn: (angle out of c1, angle into c2, the tangent
     line) when it chains and keeps clearance, else None; pair_tangents' angles
-    and c1.at's and c2.at's floats.  A leg whose angle at either end lies in
-    a window its corner's edges block (in_cone) never reaches segment_clear's
-    scan of the scene; segment_clear would reject it too."""
+    and c1.at's and c2.at's floats.  A leg that leaves or enters in_cone skips
+    segment_clear, which would reject it too.  Two anchors join iff any leg
+    clears: any will do, so the order the pairs are tried in cannot change it."""
     (v1, r1, _), (v2, r2, _) = a[0], b[0]
     (x1, y1), (x2, y2) = v1, v2
     cones = scene.compiled.cones
@@ -159,21 +159,9 @@ def _legs(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...],
         yield (a_out, a_in, Line(p, q)) if segment_clear(p, q, scene) else None
 
 
-def _leg(c1: TurningCircle, c2: TurningCircle, scene: Scene) -> Optional[tuple[float, float, Line]]:
-    """`_legs`' leg from c1 to c2 alone."""
-    return next(_legs((c1,), (c2,), scene))
-
-
-def _connected(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...], scene: Scene) -> bool:
-    """True iff the directed tangent of some turn pair keeps clearance
-    (`_legs`); a and b are two anchors' circles.  Any pair that clears will
-    do, so the order the pairs are tried in cannot change the answer."""
-    return any(_legs(a, b, scene))
-
-
 class _CornerLinks(NamedTuple):
     """A scene's corners in `corner_candidates` order, their (CW, CCW)
-    turning circles, and the (i, j), i < j, pairs `_connected` joins."""
+    turning circles, and the (i, j), i < j, pairs some leg joins (`_legs`)."""
 
     corners: tuple[Point, ...]
     circles: tuple[tuple[TurningCircle, TurningCircle], ...]
@@ -206,7 +194,7 @@ def _corner_links(scene: Scene) -> _CornerLinks:
                 beta, d = math.atan2(y2 - y1, x2 - x1), math.hypot(x2 - x1, y2 - y1)
                 delta = math.acos(2.0 * r / d) - 1e-9 if d > 2.0 * r else 0.0
                 if (_faces(arc, beta, delta) and _faces(arcs[j], beta + math.pi, delta)
-                        and _connected(circles[i], circles[j], scene)):
+                        and any(_legs(circles[i], circles[j], scene))):
                     pairs.append((i, j))
         compiled.corner_links = _CornerLinks(corners, circles, tuple(pairs))
     return compiled.corner_links
@@ -236,7 +224,7 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     last = len(anchors) - 1
     at = {corner: k for k, corner in enumerate(order, start=1)}  # corner index -> anchor index
     ends = [(0, j) for j in range(1, last + 1)] + [(i, last) for i in range(1, last)]
-    pairs = [(i, j) for i, j in ends if _connected(circles[i], circles[j], scene)]
+    pairs = [(i, j) for i, j in ends if any(_legs(circles[i], circles[j], scene))]
     pairs += [(at[a], at[b]) for a, b in links.pairs]
     edges = [(i + 1, j + 1, math.dist(anchors[i], anchors[j])) for i, j in pairs]
     return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, circles)
@@ -310,7 +298,7 @@ class _ChainScreen:
     ids and turns; a sequence is rejected at its first failing piece, known
     ones first.  The pieces are those chain_path builds, on the roadmap's
     circles, and each is judged at validate_path's one clearance limit
-    (`_leg` for a leg, corner_clear for a corner): for a start and a goal
+    (`_legs` for a leg, corner_clear for a corner): for a start and a goal
     apart the verdict is validate_path's on the chained path.
     """
 
@@ -333,8 +321,8 @@ class _ChainScreen:
             return False
         for leg in legs:
             if leg not in self.legs:
-                (n1, ccw1), (n2, ccw2) = leg
-                if self.legs.setdefault(leg, _leg(turning[n1 - 1][ccw1], turning[n2 - 1][ccw2], self.scene)) is None:
+                ends = [(turning[node - 1][ccw],) for node, ccw in leg]
+                if self.legs.setdefault(leg, next(_legs(*ends, self.scene))) is None:
                     return False
         for into, out, corner, verdict in zip(legs, legs[1:], corners, corner_verdicts):
             if verdict is None:
@@ -399,8 +387,8 @@ def _direct_plan(scene: Scene, start: Point, goal: Point, engine: str) -> Option
         path = SmoothPath(() if start == goal else (Line(start, goal),))
         return PlanResult((), path, path.length, travel_time(path), engine)
     if scene.clearance < MIN_TURN_RADIUS:
-        raise RequestError(f"the route must turn, but the scene clearance {scene.clearance:g}, the radius of"
-                           f" its corner arcs, is below the minimum turning radius {MIN_TURN_RADIUS:g}")
+        raise RequestError(f"the route must turn, but the scene clearance {scene.clearance:.17g}, the radius of"
+                           f" its corner arcs, is below the minimum turning radius {MIN_TURN_RADIUS:.17g}")
     return None
 
 

@@ -15,7 +15,6 @@ import math
 import os
 import reprlib
 from collections import Counter
-from importlib import resources
 from typing import Optional
 
 from .aco import AcoResult
@@ -194,7 +193,7 @@ def fixture_dir() -> str:
     override = os.environ.get(FIXTURE_ENV)
     if override:
         return override
-    return str(resources.files("arcplan").joinpath("fixtures"))
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def expected_path() -> str:

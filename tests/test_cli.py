@@ -468,7 +468,7 @@ def test_clockwise_triangle_start_inside_exit_code(capsys, tmp_path):
     )
     rc, out, err = run_cli(capsys, "plan", "--scene", str(scene_file), "--from", "300,200", "--to", "300,250")
     assert rc == 2 and out == ""
-    assert err.startswith("error: start (300.0, 200.0) has clearance 0.0000")
+    assert err.startswith("error: start (300.0, 200.0) has clearance 0.0 <")
 
 
 def test_fixture_dir_env_override(capsys, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import importlib
 import itertools
 import math
 import random
+import re
 import sys
 import weakref
 from pathlib import Path
@@ -33,12 +34,14 @@ from arcplan.geometry import (
 )
 from arcplan import geometry, paths, planner
 from arcplan.paths import (
+    MIN_TURN_RADIUS,
     Arc,
     ChainingError,
     Line,
     SmoothPath,
     Turn,
     TurningCircle,
+    chain_path,
     pair_tangent,
     pair_tangents,
     validate_path,
@@ -51,9 +54,8 @@ from arcplan.planner import (
     RouteInfeasible,
     RouteRequest,
     _chain_for,
-    _connected,
     _ChainScreen,
-    _leg,
+    _legs,
     _result,
     build_roadmap,
     corner_candidates,
@@ -191,8 +193,8 @@ def perfbench_module(name: str):
 def test_connected_is_symmetric(monkeypatch):
     # The scene's corner table tests each corner pair in one order only.  And
     # the skip of legs that in_cone rules out at their own corner is exact:
-    # _connected is segment_clear's verdict on every turn pair's tangent, and
-    # every tangent the skip rejects fails segment_clear.  The legs _connected hands
+    # any(_legs) is segment_clear's verdict on every turn pair's tangent, and
+    # every tangent the skip rejects fails segment_clear.  The legs any(_legs) hands
     # segment_clear are, in order and float for float, those a per-leg
     # reference builds with pair_tangent and TurningCircle.at up to the first
     # that clears: for corner pairs, and for the radius-0 circle of a start
@@ -227,9 +229,9 @@ def test_connected_is_symmetric(monkeypatch):
                     expected.append((p, q))
                 reference = reference or clear
             calls.clear()
-            assert _connected(a, b, sc) == reference, (a[0].center, b[0].center)
+            assert any(_legs(a, b, sc)) == reference, (a[0].center, b[0].center)
             assert calls == expected, (a[0].center, b[0].center)
-            assert _connected(b, a, sc) == reference, (a[0].center, b[0].center)
+            assert any(_legs(b, a, sc)) == reference, (a[0].center, b[0].center)
             legs += len(expected)
             pairs += 1
             endpoint_pairs += len(a) == 1 or len(b) == 1
@@ -325,9 +327,9 @@ def short_edge_scene() -> Scene:
 def compile_filtered(monkeypatch, sc: Scene):
     """_corner_links(sc) for a Scene object that has not compiled its links
     yet, and the (i, j) corner pairs its direction filter dropped before
-    _connected."""
+    _legs."""
     tested = []
-    monkeypatch.setattr(planner, "_connected", lambda a, b, s: tested.append((a, b)) or _connected(a, b, s))
+    monkeypatch.setattr(planner, "_legs", lambda a, b, s: tested.append((a, b)) or _legs(a, b, s))
     links = planner._corner_links(sc)
     at = {id(c): i for i, c in enumerate(links.circles)}
     kept = {(at[id(a)], at[id(b)]) for a, b in tested}
@@ -336,9 +338,9 @@ def compile_filtered(monkeypatch, sc: Scene):
 
 def test_corner_links_drop_only_pairs_the_cones_close(monkeypatch):
     # The compile's direction filter changes no link: the pairs equal the
-    # unfiltered reference, _connected on every corner pair.  It drops a pair
+    # unfiltered reference, any(_legs) on every corner pair.  It drops a pair
     # only when each of its turn pairs either has no tangent or has an end
-    # that in_cone blocks, so _connected would have handed segment_clear no
+    # that in_cone blocks, so _legs would have handed segment_clear no
     # leg of it.  The scenes hold vertices with no free arc: a vertex of two
     # squares, the ends of an edge under the clearance.
     inputs = perfbench_module("inputs")
@@ -348,7 +350,7 @@ def test_corner_links_drop_only_pairs_the_cones_close(monkeypatch):
     for sc in scenes:
         links, skipped = compile_filtered(monkeypatch, sc)
         everything = list(itertools.combinations(range(len(links.corners)), 2))
-        assert links.pairs == tuple((i, j) for i, j in everything if _connected(links.circles[i], links.circles[j], sc))
+        assert links.pairs == tuple((i, j) for i, j in everything if any(_legs(links.circles[i], links.circles[j], sc)))
         cones = sc.compiled.cones
         for i, j in skipped:
             for c1, c2 in itertools.product(links.circles[i], links.circles[j]):
@@ -420,13 +422,13 @@ def test_segment_clear_runs_few_polygon_distances_that_clear(monkeypatch):
 
 
 def test_leg_is_the_plans_chain_line(scene):
-    # _leg builds its tangent itself, from the floats chain_path uses: on each
+    # _legs builds its tangent itself, from the floats chain_path uses: on each
     # pair of consecutive circles of a plan it gives the plan's line there.
     for goal in (A, B, C):
         plan = plan_route(RouteRequest(O, goal, scene))
         circles = (TurningCircle(O, 0.0), *plan.corners, TurningCircle(goal, 0.0))
         lines = [seg for seg in plan.path.segments if isinstance(seg, Line)]
-        assert [_leg(c1, c2, scene)[2] for c1, c2 in zip(circles, circles[1:])] == lines, goal
+        assert [next(_legs((c1,), (c2,), scene))[2] for c1, c2 in zip(circles, circles[1:])] == lines, goal
 
 
 def test_compiled_scene_dies_with_its_scene():
@@ -975,9 +977,51 @@ def test_endpoint_check_and_validate_path_share_one_clearance_limit(delta):
     if point_ok:
         assert validate_path(plan_route(RouteRequest(start, goal, scene)).path, scene).ok
     else:
-        with pytest.raises(RequestError, match=r"^start \(150, 100\) has clearance [\d.]+ < 10\.0 \(obstacles \(1,\)\)$"):
+        refusal = r"^start \(150, 100\) has clearance ([\d.]+) < (10\.0) \(obstacles \(1,\)\)$"
+        with pytest.raises(RequestError, match=refusal) as refused:
             plan_route(RouteRequest(start, goal, scene))
+        # the message names the gap it refuses on: the number printed is below the printed limit
+        gap, limit = re.match(refusal, str(refused.value)).groups()
+        assert float(gap) < float(limit), str(refused.value)
     assert point_ok == (delta <= 5e-10)
+
+
+def test_planner_and_validate_path_share_one_turning_radius_rule():
+    # a scene clearance 1 ulp below MIN_TURN_RADIUS: the planner refuses to
+    # turn on arcs of that radius, naming both numbers apart, and
+    # validate_path rejects the radius of the same route's arcs
+    r = math.nextafter(MIN_TURN_RADIUS, 0.0)
+    box = ObstacleSpec(1, AxisRect(Point(80, 80), 40, 40))
+    start, goal = Point(50, 100), Point(150, 100)
+    scene = Scene((200.0, 200.0), (box,), r)
+    with pytest.raises(RequestError, match=r"clearance 9\.9999999999999982, .* is below the minimum turning radius 10$"):
+        plan_route(RouteRequest(start, goal, scene))
+    corners = plan_route(RouteRequest(start, goal, Scene((200.0, 200.0), (box,), 10.0))).corners
+    path = chain_path(start, tuple(c._replace(radius=r) for c in corners), goal)
+    assert corners and "radius" in {v.kind for v in validate_path(path, scene).violations}
+
+
+def test_reversed_query_has_the_same_length(scene):
+    # metamorphic: a->b and b->a have lengths within 1e-6, or both are
+    # infeasible, on the builtin scene and on seeded random scenes
+    inputs = perfbench_module("inputs")
+    queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, a, b) for a, b in recipe_pairs(scene, 20)]
+    queries += [(scene_from_dict(req["scene_dict"]), Point(*req["from"]), Point(*req["to"]))
+                for req in inputs.cold_scenes(1, 8)]
+
+    def length(sc, a, b):
+        try:
+            return plan_route(RouteRequest(a, b, sc)).length
+        except RouteInfeasible:
+            return None
+
+    for sc, a, b in queries:
+        there, back = length(sc, a, b), length(sc, b, a)
+        if there is None or back is None:
+            assert there is back, (a, b, there, back)
+        else:
+            assert abs(there - back) <= 1e-6, (a, b, there, back)
+    assert len(queries) == 31
 
 
 def test_no_successful_query_computes_a_clearance_measure(scene, monkeypatch):
