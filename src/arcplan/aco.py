@@ -4,9 +4,9 @@ A graph keeps only its edge lists, and a pair without an edge weighs its
 no-edge penalty.  A route is a node-inclusion bit string (bit i: node i+1 is
 on it) that decodes to its set nodes in ascending order, so infeasible routes
 are merely expensive, never invalid.  One best-first search lives alongside:
-it starts from several sources at their own costs and never enters a closed
-state.  The exact Dijkstra that checks the colony (one source, nothing
-closed) and every search of the planner's k-shortest routes run it.
+it starts from several sources at their own costs, never enters a closed
+state, and is A* given a heuristic.  The exact Dijkstra that checks the
+colony (one source) and every search of the planner's k-shortest routes run it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import random
 from functools import cache
 from itertools import compress
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 NO_EDGE = 1000.0  # sentinel weight used by the builtin graph
 
@@ -236,8 +236,10 @@ def best_first(
     goal: Any,
     successors: Mapping[Any, Iterable[tuple[Any, float]]],
     closed: Iterable[Any] = (),
+    h: Optional[Callable[[Any], float]] = None,
 ) -> tuple[tuple, float]:
-    """Dijkstra's best-first search from several start states to `goal`.
+    """Dijkstra's best-first search from several start states to `goal`; A*
+    when given `h`, 0 at goal and at most a hop's cost plus h after it.
 
     `sources` holds (cost, state) pairs, as from a super-source;
     `successors[state]` holds the state's (next, cost) pairs, costs
@@ -248,13 +250,14 @@ def best_first(
     prev: dict = {}
     heap = []
     pop, push, get, inf = heapq.heappop, heapq.heappush, dist.get, math.inf  # bound once, read per relaxation
+    h = h or (lambda state: 0.0)
     for cost, state in sources:
         if cost < get(state, inf):
             dist[state], prev[state] = cost, None
-            heap.append((cost, state))
+            heap.append((cost + h(state), cost, state))
     heapq.heapify(heap)
     while heap:
-        d, u = pop(heap)
+        _, d, u = pop(heap)
         if d > dist[u]:  # a stale entry: u was pushed again at a lower cost
             continue
         if u == goal:
@@ -266,7 +269,7 @@ def best_first(
             nd = d + w
             if nd < get(v, inf):
                 dist[v], prev[v] = nd, u
-                push(heap, (nd, v))
+                push(heap, (nd + h(v), nd, v))
     return (), inf
 
 

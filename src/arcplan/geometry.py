@@ -113,14 +113,14 @@ class CompiledScene:
     the obstacle table the clearance queries read, the directions the edges
     that meet at each polygon vertex block there (`in_cone` reads them) and
     the one arc of directions they leave free, the reach of segment_clear's
-    side test, and the corner links the planner's roadmap reads (the planner
-    fills them in on first use, skipping corner pairs by their free arcs)."""
+    side test, and the planner's corner table (its corners, and each
+    corner's links to the others from the first time a search expands it)."""
 
     obstacles: tuple[tuple, ...]  # (kind, payload, bbox) per obstacle, in scene order
     cones: dict[Point, list]  # vertex -> the low end of each window in_cone tests at it
     free: dict[Point, Optional[tuple[float, float]]]  # vertex -> its _free_arc
     reach: float  # the side test runs while pq's coordinates are within it (-1: an obstacle is beyond)
-    corner_links: Optional[object] = None
+    corner_links: Optional[object] = None  # planner._Corners, made on the first roadmap; its rows fill in lazily
 
 
 def builtin_scene() -> Scene:

@@ -1,18 +1,18 @@
 """End-to-end route planning over a corner roadmap.
 
 Pipeline: take one turning-circle candidate per convex obstacle vertex and
-circles of radius 0 at the start and the goal, join the corners the scene's
-compiled pairs join and the endpoint pairs whose directed tangents keep
-clearance, pick a node sequence (exact Dijkstra / k-shortest, or the ant
-colony), assign each corner the turn direction the polyline bends in, chain
-the smooth path and validate it.
+circles of radius 0 at the start and the goal, join the anchor pairs whose
+directed tangents keep clearance, pick a node sequence (exact A* /
+k-shortest, or the ant colony), assign each corner the turn direction the
+polyline bends in, chain the smooth path and validate it.
 Reported lengths always come from the chain.  A colony proposal that fails is
 no infeasibility verdict: the exact engine answers it.
 
-The corner-to-corner part of the roadmap does not depend on the query: each
-Scene object computes its corner links once, on first use, and keeps them
-for as long as it lives; a query tests only the pairs that hold its start or
-its goal.  Reuse one Scene object across queries to pay for them once.
+A roadmap row is built when a search first expands its node (Lazy PRM,
+Bohlin & Kavraki 2000): a query judges only the anchor pairs of the corners
+it reaches.  Corner-to-corner links do not depend on the query, so each Scene
+object keeps them, judging each corner pair at most once; reuse one Scene
+object across queries to pay for them once.
 
 The corner links, the endpoint links and the chain screen test legs in one
 pass per anchor pair (`_legs`).  It rejects a leg that leaves a corner's
@@ -29,6 +29,8 @@ more than the arcs at its two ends add.  The exact engine walks Yen's
 sequences in ascending roadmap cost and stops once it holds k valid plans and
 the next sequence costs at least the k-th plan's length; no later sequence can
 be shorter.  Otherwise it gives up after max(_FALLBACK_TRIES, 8k) sequences.
+Its searches are A* (Hart, Nilsson & Raphael 1968) on the straight distance
+to the goal: routes of equal cost may come in another order, costs never.
 A query checks each leg and each corner arc of its sequences once
 (`_ChainScreen`) and chains only the sequences that pass.
 """
@@ -38,7 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .aco import AcoParams, AcoResult, WeightedGraph, aco_run, best_first, graph_from_edges
 from .geometry import (
@@ -99,7 +101,7 @@ class Roadmap(NamedTuple):
     circles[node - 1] holds chain_path's radius-0 circle at an endpoint and the
     (CW, CCW) circles at a corner, so circles[node - 1][bends ccw] turns as bent."""
 
-    graph: WeightedGraph
+    graph: RoadmapGraph
     anchors: tuple[Point, ...]
     circles: tuple[tuple[TurningCircle, ...], ...]
 
@@ -159,15 +161,6 @@ def _legs(a: tuple[TurningCircle, ...], b: tuple[TurningCircle, ...],
         yield (a_out, a_in, Line(p, q)) if segment_clear(p, q, scene) else None
 
 
-class _CornerLinks(NamedTuple):
-    """A scene's corners in `corner_candidates` order, their (CW, CCW)
-    turning circles, and the (i, j), i < j, pairs some leg joins (`_legs`)."""
-
-    corners: tuple[Point, ...]
-    circles: tuple[tuple[TurningCircle, TurningCircle], ...]
-    pairs: tuple[tuple[int, int], ...]
-
-
 def _faces(arc: Optional[tuple[float, float]], beta: float, delta: float) -> bool:
     """Whether a corner's free arc (start, width), or None, meets [beta -
     pi/2, beta - delta] or [beta + delta, beta + pi/2]: tangents to a corner
@@ -180,24 +173,75 @@ def _faces(arc: Optional[tuple[float, float]], beta: float, delta: float) -> boo
     return (u <= math.pi or end >= TAU) and (u <= math.pi / 2 - delta or end >= math.pi / 2 + delta)
 
 
-def _corner_links(scene: Scene) -> _CornerLinks:
-    """The scene's corner links, computed once per Scene object."""
-    compiled = scene.compiled
+# A Scene's corners (corner_candidates order), their (CW, CCW) circles and linked-corner sets (None: unbuilt)
+_Corners = NamedTuple("_Corners", [("points", tuple), ("circles", tuple), ("rows", list)])
+
+
+def _corners(scene: Scene) -> _Corners:
+    """The scene's corner table, made on first use with no row built."""
+    compiled, r = scene.compiled, scene.clearance
     if compiled.corner_links is None:
-        r = scene.clearance
-        corners = corner_candidates(scene)
-        circles = tuple((TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in corners)
-        arcs = [compiled.free[v] for v in corners]
-        pairs = []
-        for i, ((x1, y1), arc) in enumerate(zip(corners, arcs)):
-            for j, (x2, y2) in enumerate(corners[i + 1:], i + 1):
-                beta, d = math.atan2(y2 - y1, x2 - x1), math.hypot(x2 - x1, y2 - y1)
-                delta = math.acos(2.0 * r / d) - 1e-9 if d > 2.0 * r else 0.0
-                if (_faces(arc, beta, delta) and _faces(arcs[j], beta + math.pi, delta)
-                        and any(_legs(circles[i], circles[j], scene))):
-                    pairs.append((i, j))
-        compiled.corner_links = _CornerLinks(corners, circles, tuple(pairs))
+        points = corner_candidates(scene)
+        circles = tuple((TurningCircle(v, r, Turn.CW), TurningCircle(v, r, Turn.CCW)) for v in points)
+        compiled.corner_links = _Corners(points, circles, [None] * len(points))
     return compiled.corner_links
+
+
+def _corner_row(scene: Scene, i: int) -> set[int]:
+    """The corners corner i links to, built on first ask and kept on the Scene.
+    A pair is judged once per Scene object, as (lower, higher) index: dropped
+    when, from the direction between the centers alone, no tangent leaves and
+    enters within the corners' free arcs (`_faces`), else joined iff some leg
+    clears (`_legs`).  A corner whose row exists already holds the verdict.
+    The table keeps no reference to its Scene, so a Scene dies by refcount."""
+    (points, circles, rows), r, free = _corners(scene), scene.clearance, scene.compiled.free
+    def joined(a: int, b: int) -> bool:
+        (x1, y1), (x2, y2) = points[a], points[b]
+        beta, d = math.atan2(y2 - y1, x2 - x1), math.hypot(x2 - x1, y2 - y1)
+        delta = math.acos(2.0 * r / d) - 1e-9 if d > 2.0 * r else 0.0
+        return (_faces(free[points[a]], beta, delta) and _faces(free[points[b]], beta + math.pi, delta)
+                and any(_legs(circles[a], circles[b], scene)))
+
+    if rows[i] is None:
+        rows[i] = {j for j in range(len(points))
+                   if j != i and (i in rows[j] if rows[j] is not None else joined(min(i, j), max(i, j)))}
+    return rows[i]
+
+
+class RoadmapGraph(dict):
+    """A query's roadmap edges: graph[node] is the node's (neighbor, weight)
+    row, ascending, built on first read, so a search judges only the anchor
+    pairs of the nodes it expands.  node_count, has_edge and weight answer as
+    WeightedGraph's do, building the rows they read.  Node k is corner
+    order[k - 2]; to_goal(node), the straight distance to the goal, is A*'s h."""
+
+    no_edge = math.inf
+
+    def __init__(self, scene: Scene, anchors: tuple[Point, ...], circles: tuple, order: tuple[int, ...]):
+        super().__init__()
+        self.scene, self.anchors, self.circles, self.order = scene, anchors, circles, order
+        self.node_count = n = len(anchors)
+        self.node_of = {corner: k for k, corner in enumerate(order, start=2)}
+        self.start_links = {j for j in range(2, n + 1) if any(_legs(circles[0], circles[j - 1], scene))}
+        self.to_goal = [0.0, *(math.dist(anchor, anchors[-1]) for anchor in anchors)].__getitem__
+
+    def __missing__(self, node: int) -> tuple[tuple[int, float], ...]:
+        n, circles = self.node_count, self.circles
+        if node == 1:
+            near = self.start_links
+        elif node == n:  # no search expands the goal: its row reads every other one
+            near = [k for k in range(1, n) if self.has_edge(k, n)]
+        else:  # a corner: its scene-kept links, the start's verdict, and its link to the goal judged now
+            near = [self.node_of[j] for j in _corner_row(self.scene, self.order[node - 2])]
+            near += [1] * (node in self.start_links) + [n] * any(_legs(circles[node - 1], circles[-1], self.scene))
+        row = self[node] = tuple(sorted((k, math.dist(self.anchors[node - 1], self.anchors[k - 1])) for k in near))
+        return row
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return any(v == j for v, _ in self[i])
+
+    def weight(self, i: int, j: int) -> float:
+        return next((w for v, w in self[i] if v == j), 0.0 if i == j else self.no_edge)
 
 
 def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
@@ -210,24 +254,17 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     validate_path applies).  Between the endpoints that tangent is the
     straight segment; between an endpoint and a corner the corner's two
     turns give the two tangents.  Its weight is the plain Euclidean anchor
-    distance.  A query tests only the pairs that hold an endpoint, the
-    start-goal pair included; it adds one corner-to-corner edge for each pair
-    the scene's compiled corner links joined.
+    distance.  The edges are `RoadmapGraph` rows, built when first read; the
+    links between corners are kept on the Scene (`_corner_row`).
     Nodes run start, corners by distance from the start, goal.  The endpoints
     are not checked here: the planning entry points check them first.
     """
     start, goal = Point(*start), Point(*goal)
-    links = _corner_links(scene)
-    order = sorted(range(len(links.corners)), key=lambda i: (math.dist(start, links.corners[i]), *links.corners[i]))
-    anchors = (start, *(links.corners[i] for i in order), goal)
-    circles = ((TurningCircle(start, 0.0),), *(links.circles[i] for i in order), (TurningCircle(goal, 0.0),))
-    last = len(anchors) - 1
-    at = {corner: k for k, corner in enumerate(order, start=1)}  # corner index -> anchor index
-    ends = [(0, j) for j in range(1, last + 1)] + [(i, last) for i in range(1, last)]
-    pairs = [(i, j) for i, j in ends if any(_legs(circles[i], circles[j], scene))]
-    pairs += [(at[a], at[b]) for a, b in links.pairs]
-    edges = [(i + 1, j + 1, math.dist(anchors[i], anchors[j])) for i, j in pairs]
-    return Roadmap(graph_from_edges(len(anchors), edges, no_edge=math.inf), anchors, circles)
+    points, corner_circles, _ = _corners(scene)
+    order = tuple(sorted(range(len(points)), key=lambda i: (math.dist(start, points[i]), *points[i])))
+    anchors = (start, *(points[i] for i in order), goal)
+    circles = ((TurningCircle(start, 0.0),), *(corner_circles[i] for i in order), (TurningCircle(goal, 0.0),))
+    return Roadmap(RoadmapGraph(scene, anchors, circles, order), anchors, circles)
 
 
 def _bends_ccw(rm: Roadmap, node_seq: tuple[int, ...]) -> list[bool]:
@@ -236,12 +273,12 @@ def _bends_ccw(rm: Roadmap, node_seq: tuple[int, ...]) -> list[bool]:
     return [(b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) > 0 for a, b, c in zip(pts, pts[1:], pts[2:])]
 
 
-def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Loopless shortest roadmap routes in ascending cost order (Yen).  Every
-    search is best_first's; a spur's starts from the spur's first hops that no
+def k_shortest_routes(graph: Mapping, src: int, dst: int, h: Optional[Callable] = None) -> Iterator[tuple]:
+    """Loopless shortest routes in ascending cost order (Yen) over graph[node],
+    the node's (neighbor, weight) row.  Every search is best_first's, with the
+    heuristic h when given; a spur's starts from the spur's first hops that no
     earlier route through its root took, and never enters the root."""
-    successors = dict(enumerate(g.adjacency, 1))
-    path, cost = best_first([(0.0, src)], dst, successors)
+    path, cost = best_first([(0.0, src)], dst, graph, (), h)
     pool = [(cost, path)] if path else []  # (cost, route) of the candidates not yet yielded
     pooled: set[tuple[int, ...]] = set()
     branches: dict[tuple[int, ...], set[int]] = {}  # route prefix -> the next node of each route yielded through it
@@ -256,11 +293,11 @@ def k_shortest_routes(g: WeightedGraph, src: int, dst: int) -> Iterator[tuple[tu
             shared += 1
         for i in range(len(path) - 1):
             branches.setdefault(path[: i + 1], set()).add(path[i + 1])
-        root_costs = list(itertools.accumulate((g.weight(a, b) for a, b in zip(path, path[1:])), initial=0))
+        root_costs = list(itertools.accumulate((dict(graph[a])[b] for a, b in zip(path, path[1:])), initial=0))
         for i in range(shared - 1, len(path) - 1):
             spur, root = path[i], path[: i + 1]
             taken = branches[root]
-            tail, tail_cost = best_first([(w, v) for v, w in successors[spur] if v not in taken], dst, successors, root)
+            tail, tail_cost = best_first([(w, v) for v, w in graph[spur] if v not in taken], dst, graph, root, h)
             candidate = root + tail
             if tail and candidate not in pooled:
                 heapq.heappush(pool, (root_costs[i] + tail_cost, candidate))
@@ -344,7 +381,7 @@ def _ranked_plans(rm: Roadmap, scene: Scene, k: int) -> list[PlanResult]:
     """
     found: list[PlanResult] = []
     screen = _ChainScreen(rm, scene)
-    routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count)
+    routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal)
     for seq, cost in itertools.islice(routes, max(_FALLBACK_TRIES, 8 * k)):
         if len(found) == k and cost >= found[-1].length:
             break
@@ -367,14 +404,14 @@ def _colony_subgraph(rm: Roadmap) -> Optional[tuple[WeightedGraph, tuple[int, ..
     hand.  A missing hop weighs _ACO_PENALTY, the subgraph's no-edge sentinel.
     Returns the subgraph plus the kept original node ids (ascending, so node 1
     stays the start and the last node stays the goal), or None when the goal
-    is unreachable.
+    is unreachable.  It cuts the plain search, whose ties A* could reorder.
     """
     routes = itertools.islice(k_shortest_routes(rm.graph, 1, rm.graph.node_count), _ACO_ROUTES)
     keep = tuple(sorted({node for seq, _ in routes for node in seq}))
     if not keep:
         return None
     index = {a: i for i, a in enumerate(keep, start=1)}
-    edges = [(index[a], index[b], w) for a in keep for b, w in rm.graph.adjacency[a - 1] if a < b and b in index]
+    edges = [(index[a], index[b], w) for a in keep[:-1] for b, w in rm.graph[a] if a < b and b in index]
     return graph_from_edges(len(keep), edges, no_edge=_ACO_PENALTY), keep
 
 

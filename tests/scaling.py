@@ -11,7 +11,8 @@ of `size` cells drawn from a grid of 160-unit cells, 5 x 5 (the cold scenes'
 scene gets one query by random_query's recipe, drawn over its whole field.
 
 Per size it records, summed over the scenes, the deterministic counts of a
-cold plan_route (a fresh Scene, so the corner-link compile is included):
+cold plan_route (a fresh Scene, so the corner rows its search expands are
+built within it):
 segment_clear calls (the start's and the goal's checks among them), the
 exact obstacle distances they run, the anchor pairs that reach `_legs` and
 the legs it tests (turn pairs, whether they have a tangent or not).  They

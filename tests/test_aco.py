@@ -194,34 +194,41 @@ def test_best_first_matches_exhaustive_on_random_graphs():
     # The sources, each with its own starting cost, are one super-source:
     # node n + 1 of the oracle's graph, joined to each source at that cost.
     # The oracle's graph leaves out the closed nodes; the goal is node n.
-    rng = random.Random(7)
-    seen = {"reached": 0, "unreachable": 0, "source is goal": 0, "closed source": 0}
-    for _ in range(40):
-        n = rng.randint(5, 8)
-        edges = [
-            (i, j, float(rng.randint(1, 99)))
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if rng.random() < 0.4
-        ]
-        sources = [(float(rng.randint(0, 80)), v) for v in rng.sample(range(1, n + 1), rng.randint(1, 3))]
-        closed = {v for v in range(1, n) if rng.random() < 0.2}
-        kept = [(i, j, w) for i, j, w in edges if i not in closed and j not in closed]
-        kept += [(n + 1, v, cost) for cost, v in sources if v not in closed]
-        oracle_graph = graph_from_edges(n + 1, kept)
-        routes = oracles.exhaustive_routes([list(r) for r in oracle_graph.weights], NO_EDGE, n + 1, n)
-        successors = dict(enumerate(graph_from_edges(n, edges).adjacency, 1))
-        path, cost = best_first(sources, n, successors, closed)
-        if routes:
-            assert cost == routes[0][0]
-            assert (cost, (n + 1, *path)) in routes  # tie-safe: any cheapest route is fine
-            seen["reached"] += 1
-            seen["source is goal"] += path == (n,)
-        else:
-            assert (path, cost) == ((), math.inf)
-            seen["unreachable"] += 1
-        seen["closed source"] += any(v in closed for _, v in sources)
-    assert min(seen.values()) > 0, seen
+    # Two kinds of graph: integer weights, searched without a heuristic, and
+    # Euclidean ones, an edge weighing the distance between random points,
+    # searched as A* with h = the straight distance to the goal.
+    for euclidean in (False, True):
+        rng = random.Random(7)
+        seen = {"reached": 0, "unreachable": 0, "source is goal": 0, "closed source": 0}
+        for _ in range(40):
+            n = rng.randint(8, 11) if euclidean else rng.randint(5, 8)
+            points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n + 1)] if euclidean else []
+            edges = [
+                (i, j, math.dist(points[i], points[j]) if euclidean else float(rng.randint(1, 99)))
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                if rng.random() < (0.5 if euclidean else 0.4)
+            ]
+            top = 20 if euclidean else 80  # the sources' starting costs
+            sources = [(float(rng.randint(0, top)), v) for v in rng.sample(range(1, n + 1), rng.randint(1, 3))]
+            closed = {v for v in range(1, n) if rng.random() < 0.2}
+            kept = [(i, j, w) for i, j, w in edges if i not in closed and j not in closed]
+            kept += [(n + 1, v, cost) for cost, v in sources if v not in closed]
+            oracle_graph = graph_from_edges(n + 1, kept)
+            routes = oracles.exhaustive_routes([list(r) for r in oracle_graph.weights], NO_EDGE, n + 1, n)
+            successors = dict(enumerate(graph_from_edges(n, edges).adjacency, 1))
+            h = (lambda v: math.dist(points[v], points[n])) if euclidean else None
+            path, cost = best_first(sources, n, successors, closed, h)
+            if routes:
+                assert cost == routes[0][0], euclidean
+                assert (cost, (n + 1, *path)) in routes  # tie-safe: any cheapest route is fine
+                seen["reached"] += 1
+                seen["source is goal"] += path == (n,)
+            else:
+                assert (path, cost) == ((), math.inf)
+                seen["unreachable"] += 1
+            seen["closed source"] += any(v in closed for _, v in sources)
+        assert min(seen.values()) > 0, (euclidean, seen)
 
 
 def test_best_first_sources_compete():

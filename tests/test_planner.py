@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from arcplan.aco import AcoParams, best_first, dijkstra_shortest
+from arcplan.aco import AcoParams, best_first
 from arcplan.geometry import (
     CLEARANCE_EPS,
     AxisRect,
@@ -112,7 +112,7 @@ def test_build_roadmap_anchors_and_weights(scene):
     # every present edge carries the plain anchor distance
     checked = 0
     for i in range(1, n + 1):
-        for j, w in g.adjacency[i - 1]:
+        for j, w in g[i]:
             assert w == pytest.approx(math.dist(rm.anchors[i - 1], rm.anchors[j - 1]))
             checked += 1
     assert checked > 0
@@ -133,8 +133,9 @@ def test_build_roadmap_empty_scene():
 
 
 def roadmap_edges(rm) -> set:
+    """Every edge of the roadmap, as (i, j), i < j: reading each row builds it."""
     g = rm.graph
-    return {(i, j) for i in range(1, g.node_count + 1) for j, _ in g.adjacency[i - 1] if i < j}
+    return {(i, j) for i in range(1, g.node_count + 1) for j, _ in g[i] if i < j}
 
 
 def oracle_edges(rm, scene: Scene) -> set:
@@ -239,28 +240,41 @@ def test_connected_is_symmetric(monkeypatch):
 
 
 def test_scene_compiles_corner_links_once(monkeypatch):
+    # A corner pair is judged (handed to _legs) only when a search first
+    # expands one of its corners, and at most once per Scene object: a
+    # repeated query judges none.  A cold query judges only the pairs of the
+    # corners it reaches, so building every row up front fails here.
+    judged = []
+
+    def counted(a, b, sc):
+        if len(a) == len(b) == 2:  # two corners' (CW, CCW) circles, not an endpoint's one
+            judged.append((id(sc), a[0].center, b[0].center))
+        return _legs(a, b, sc)
+
+    monkeypatch.setattr(planner, "_legs", counted)
     scene = builtin_scene()
-    calls = 0
-
-    def counted(p, q, sc):
-        nonlocal calls
-        calls += 1
-        return segment_clear(p, q, sc)
-
-    monkeypatch.setattr(planner, "segment_clear", counted)
-    first = build_roadmap(scene, O, C)
-    compiled = calls
-    calls = 0
-    again = build_roadmap(scene, O, C)
+    queries = [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 6)
+    for start, goal in queries:
+        plan_route(RouteRequest(start, goal, scene))
+    seen = len(judged)
+    for start, goal in queries:
+        plan_route(RouteRequest(start, goal, scene))
+    assert len(judged) == seen > 0
+    build_every_row(scene)
+    assert len(set(judged)) == len(judged) > seen
+    everything = len(judged)
     corners = len(corner_candidates(scene))
-    # per query: the straight start-goal segment and, for each endpoint and
-    # corner, the tangents to the corner's CW and CCW circles
-    assert calls <= 4 * corners + 1 < compiled
-    assert roadmap_edges(again) == roadmap_edges(first)
+    # a cold O->C judges under half of all corner pairs, and a cold O->A under
+    # half of those that building every row judges
+    for goal, share in ((C, corners * (corners - 1) / 2), (A, everything)):
+        judged.clear()
+        plan_route(RouteRequest(O, goal, builtin_scene()))
+        assert 0 < len(judged) < share / 2, (goal, len(judged), share)
     # an equal Scene object gives the same weighted edges
-    other = build_roadmap(builtin_scene(), O, C)
+    first, other = build_roadmap(scene, O, C), build_roadmap(builtin_scene(), O, C)
     assert other.anchors == first.anchors
-    assert other.graph.adjacency == first.graph.adjacency
+    nodes = range(1, first.graph.node_count + 1)
+    assert [other.graph[i] for i in nodes] == [first.graph[i] for i in nodes]
 
 
 def acute_scene() -> Scene:
@@ -324,16 +338,24 @@ def short_edge_scene() -> Scene:
     return Scene(bounds=(400.0, 400.0), obstacles=shapes, clearance=10.0)
 
 
+def build_every_row(sc: Scene):
+    """sc's corner table with every row built: the links between all its corners."""
+    table = planner._corners(sc)
+    for i in range(len(table.points)):
+        planner._corner_row(sc, i)
+    return table
+
+
 def compile_filtered(monkeypatch, sc: Scene):
-    """_corner_links(sc) for a Scene object that has not compiled its links
-    yet, and the (i, j) corner pairs its direction filter dropped before
-    _legs."""
+    """For a Scene object that has built no corner row yet: its corner table
+    with every row built, and the (i, j), i < j, corner pairs its direction
+    filter dropped before _legs."""
     tested = []
     monkeypatch.setattr(planner, "_legs", lambda a, b, s: tested.append((a, b)) or _legs(a, b, s))
-    links = planner._corner_links(sc)
-    at = {id(c): i for i, c in enumerate(links.circles)}
+    table = build_every_row(sc)
+    at = {id(c): i for i, c in enumerate(table.circles)}
     kept = {(at[id(a)], at[id(b)]) for a, b in tested}
-    return links, [ij for ij in itertools.combinations(range(len(links.corners)), 2) if ij not in kept]
+    return table, [ij for ij in itertools.combinations(range(len(table.points)), 2) if ij not in kept]
 
 
 def test_corner_links_drop_only_pairs_the_cones_close(monkeypatch):
@@ -348,12 +370,14 @@ def test_corner_links_drop_only_pairs_the_cones_close(monkeypatch):
     scenes += [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 8)]
     pairs = dropped = unfree = 0
     for sc in scenes:
-        links, skipped = compile_filtered(monkeypatch, sc)
-        everything = list(itertools.combinations(range(len(links.corners)), 2))
-        assert links.pairs == tuple((i, j) for i, j in everything if any(_legs(links.circles[i], links.circles[j], sc)))
+        table, skipped = compile_filtered(monkeypatch, sc)
+        everything = list(itertools.combinations(range(len(table.points)), 2))
+        linked = [(i, j) for i, j in everything if j in table.rows[i]]
+        assert linked == [(i, j) for i, j in everything if any(_legs(table.circles[i], table.circles[j], sc))]
+        assert all(i in table.rows[j] for i, j in linked)  # rows built in either order agree
         cones = sc.compiled.cones
         for i, j in skipped:
-            for c1, c2 in itertools.product(links.circles[i], links.circles[j]):
+            for c1, c2 in itertools.product(table.circles[i], table.circles[j]):
                 try:
                     t1, t2 = pair_tangent(c1, c2)
                 except ChainingError:
@@ -361,7 +385,7 @@ def test_corner_links_drop_only_pairs_the_cones_close(monkeypatch):
                 assert in_cone(t1, cones[c1.center]) or in_cone(t2, cones[c2.center]), (c1, c2)
         pairs += len(everything)
         dropped += len(skipped)
-        unfree += sum(sc.compiled.free[v] is None for v in links.corners)
+        unfree += sum(sc.compiled.free[v] is None for v in table.points)
     assert dropped > pairs / 2 and unfree >= 4, (pairs, dropped, unfree)  # it drops 64% of 7,915 here
 
 
@@ -390,9 +414,9 @@ def test_in_cone_rules_out_most_legs_that_fail_at_their_own_corner(monkeypatch):
     monkeypatch.setattr(planner, "in_cone", cone)
     monkeypatch.setattr(planner, "segment_clear", scan)
     for sc in [acute_scene()] + [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 4)]:
-        links, skipped = compile_filtered(monkeypatch, sc)
+        table, skipped = compile_filtered(monkeypatch, sc)
         by_cone += sum(angles is not None for i, j in skipped
-                       for angles in pair_tangents(links.circles[i], links.circles[j]))
+                       for angles in pair_tangents(table.circles[i], table.circles[j]))
     assert by_cone >= 0.95 * (by_cone + by_scan) and by_cone > 5000, (by_cone, by_scan)
 
 
@@ -417,7 +441,7 @@ def test_segment_clear_runs_few_polygon_distances_that_clear(monkeypatch):
 
     monkeypatch.setattr(geometry, "_segment_distance", counted)
     for sc in scenes:
-        planner._corner_links(sc)
+        build_every_row(sc)
     assert far < 0.05 * (near + far) and near > 200, (near, far)
 
 
@@ -432,12 +456,18 @@ def test_leg_is_the_plans_chain_line(scene):
 
 
 def test_compiled_scene_dies_with_its_scene():
+    # by refcount alone, with the collector off: the corner table keeps no
+    # reference back to its Scene, so a cold Scene goes with its last query
     scene = builtin_scene()
-    plan_route(RouteRequest(O, B, scene))
-    ref = weakref.ref(scene)
-    del scene
-    gc.collect()
-    assert ref() is None
+    gc.disable()
+    try:
+        for engine in ("exact", "aco"):
+            plan_route(RouteRequest(O, B, scene, engine, AcoParams(ants=8, generations=8)))
+        ref = weakref.ref(scene)
+        del scene
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_shared_vertex_scene_plans():
@@ -627,7 +657,7 @@ def test_enumerate_lists_each_curve_once(scene):
 
 
 def test_k_shortest_routes_match_exhaustive_on_builtin(graph):
-    routes = list(itertools.islice(k_shortest_routes(graph, 1, 15), 20))
+    routes = list(itertools.islice(k_shortest_routes(dict(enumerate(graph.adjacency, 1)), 1, 15), 20))
     exhaustive = oracles.exhaustive_routes([list(r) for r in graph.weights], graph.no_edge, 1, 15)
     assert len(routes) == 20
     # ascending and equal, rank by rank, to the exhaustive scan's costs
@@ -639,12 +669,12 @@ def test_k_shortest_routes_match_exhaustive_on_builtin(graph):
 
 
 def textbook_yen(g, src, dst):
-    """Yen's algorithm as written: every spur of every route, plain searches.
-    A spur search runs on the graph without the edges that earlier routes
-    through the same root took out of the spur, and never enters the root's
-    other nodes."""
-    adjacency = dict(enumerate(g.adjacency, 1))
-    best = dijkstra_shortest(g, src, dst)
+    """Yen's algorithm as written: every spur of every route, plain searches,
+    on a roadmap graph with every row built.  A spur search runs on the graph
+    without the edges that earlier routes through the same root took out of
+    the spur, and never enters the root's other nodes."""
+    adjacency = {u: g[u] for u in range(1, g.node_count + 1)}
+    best = best_first([(0.0, src)], dst, adjacency)
     if not best[0]:
         return
     yield best
@@ -673,6 +703,30 @@ def test_k_shortest_routes_match_textbook_yen(scene):
         g = build_roadmap(scene, start, goal).graph
         got = list(itertools.islice(k_shortest_routes(g, 1, g.node_count), 80))
         assert got == list(itertools.islice(textbook_yen(g, 1, g.node_count), 80)), (start, goal)
+
+
+def test_k_shortest_routes_with_the_heuristic_match_plain_search(scene):
+    # A* (the straight distance to the goal as h) changes which of several
+    # equal-cost routes a search returns, never a cost: over 60 routes the
+    # cost sequences are equal, and each group of equal costs that the cut
+    # at 60 does not split holds the same routes.
+    queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, *pair) for pair in recipe_pairs(scene, 6)]
+    queries += [(shared_vertex_scene(), Point(60, 300), Point(300, 60)), (acute_scene(), Point(320, 120), Point(140, 268))]
+    queries += [(scene_from_dict(req["scene_dict"]), Point(*req["from"]), Point(*req["to"]))
+                for req in perfbench_module("inputs").cold_scenes(1, 8) if len(req["scene_dict"]["obstacles"]) <= 12]
+    reordered = 0
+    for sc, start, goal in queries:
+        g = build_roadmap(sc, start, goal).graph
+        plain = list(itertools.islice(k_shortest_routes(g, 1, g.node_count), 60))
+        informed = list(itertools.islice(k_shortest_routes(g, 1, g.node_count, g.to_goal), 60))
+        assert [cost for _, cost in informed] == [cost for _, cost in plain], (start, goal)
+        groups = [[route for route, _ in group] for _, group in itertools.groupby(plain, key=lambda rc: rc[1])]
+        at = 0
+        for group in groups[:-1] if len(plain) == 60 else groups:
+            assert {route for route, _ in informed[at:at + len(group)]} == set(group), (start, goal, at)
+            at += len(group)
+        reordered += informed != plain
+    assert len(queries) > 14 and reordered > 0, (len(queries), reordered)
 
 
 def test_enumerate_rejects_bad_k(scene):
@@ -854,7 +908,8 @@ def detour_scene(ids) -> Scene:
 @pytest.fixture(scope="module")
 def yen_scans(scene):
     """Per query: (scene, start, goal, [(rank, seq, roadmap cost, chain length
-    or None, validated plan or None)]) over the first 150 Yen sequences."""
+    or None, validated plan or None)]) over the first 150 Yen sequences, in
+    the exact engine's order (A* on the straight distance to the goal)."""
     detour = (Point(302.6218164353809, 776.2112292225685), Point(80.10331516036162, 521.6401595915338))
     queries = (
         [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"]
@@ -865,7 +920,7 @@ def yen_scans(scene):
     for sc, start, goal in queries:
         rm = build_roadmap(sc, start, goal)
         rows = []
-        routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count)
+        routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal)
         for rank, (seq, cost) in enumerate(itertools.islice(routes, 150)):
             try:
                 length = _chain_for(rm, seq)[1].length
