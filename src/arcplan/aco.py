@@ -5,7 +5,8 @@ no-edge penalty.  A route is a node-inclusion bit string (bit i: node i+1 is
 on it) that decodes to its set nodes in ascending order, so infeasible routes
 are merely expensive, never invalid.  One best-first search lives alongside:
 it starts from several sources at their own costs, never enters a closed
-state, and is A* given a heuristic.  The exact Dijkstra that checks the
+state, is A* given a heuristic, and searches no path dearer than a bound
+given.  The exact Dijkstra that checks the
 colony (one source) and every search of the planner's k-shortest routes run it.
 """
 
@@ -237,14 +238,17 @@ def best_first(
     successors: Mapping[Any, Iterable[tuple[Any, float]]],
     closed: Iterable[Any] = (),
     h: Optional[Callable[[Any], float]] = None,
+    bound: float = math.inf,
 ) -> tuple[tuple, float]:
     """Dijkstra's best-first search from several start states to `goal`; A*
     when given `h`, 0 at goal and at most a hop's cost plus h after it.
 
     `sources` holds (cost, state) pairs, as from a super-source;
     `successors[state]` holds the state's (next, cost) pairs, costs
-    nonnegative; no state of `closed` is entered.  Returns the path, from its
-    source to goal, and its cost; ((), inf) when goal cannot be reached.
+    nonnegative; no state of `closed` is entered, nor one whose cost plus h
+    exceeds `bound` (those kept pop in the unbounded order).  Returns the
+    path, from its source to goal, and its cost; ((), inf) when goal cannot
+    be reached within `bound`.
     """
     dist: dict = dict.fromkeys(closed, -math.inf)  # no cost improves on a closed state, so none is pushed
     prev: dict = {}
@@ -252,9 +256,9 @@ def best_first(
     pop, push, get, inf = heapq.heappop, heapq.heappush, dist.get, math.inf  # bound once, read per relaxation
     h = h or (lambda state: 0.0)
     for cost, state in sources:
-        if cost < get(state, inf):
+        if cost < get(state, inf) and (f := cost + h(state)) <= bound:
             dist[state], prev[state] = cost, None
-            heap.append((cost + h(state), cost, state))
+            heap.append((f, cost, state))
     heapq.heapify(heap)
     while heap:
         _, d, u = pop(heap)
@@ -267,9 +271,9 @@ def best_first(
             return tuple(reversed(path)), d
         for v, w in successors[u]:
             nd = d + w
-            if nd < get(v, inf):
+            if nd < get(v, inf) and (f := nd + h(v)) <= bound:
                 dist[v], prev[v] = nd, u
-                push(heap, (nd + h(v), nd, v))
+                push(heap, (f, nd, v))
     return (), inf
 
 

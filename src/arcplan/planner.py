@@ -28,7 +28,10 @@ never exceeds its chained length: a tangent leg falls short of its hop by no
 more than the arcs at its two ends add.  The exact engine walks Yen's
 sequences in ascending roadmap cost and stops once it holds k valid plans and
 the next sequence costs at least the k-th plan's length; no later sequence can
-be shorter.  Otherwise it gives up after max(_FALLBACK_TRIES, 8k) sequences.
+be shorter.  Once it holds k plans, Yen's spur searches stop at the k-th
+plan's length too: they skip only sequences the scan would never reach, and
+every cheaper one still comes, in the same order.  Otherwise it gives up after
+max(_FALLBACK_TRIES, 8k) sequences.
 Its searches are A* (Hart, Nilsson & Raphael 1968) on the straight distance
 to the goal: routes of equal cost may come in another order, costs never.
 A query checks each leg and each corner arc of its sequences once
@@ -273,11 +276,15 @@ def _bends_ccw(rm: Roadmap, node_seq: tuple[int, ...]) -> list[bool]:
     return [(b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) > 0 for a, b, c in zip(pts, pts[1:], pts[2:])]
 
 
-def k_shortest_routes(graph: Mapping, src: int, dst: int, h: Optional[Callable] = None) -> Iterator[tuple]:
+def k_shortest_routes(graph: Mapping, src: int, dst: int, h: Optional[Callable] = None,
+                      bound: Callable[[], float] = lambda: math.inf) -> Iterator[tuple]:
     """Loopless shortest routes in ascending cost order (Yen) over graph[node],
     the node's (neighbor, weight) row.  Every search is best_first's, with the
     heuristic h when given; a spur's starts from the spur's first hops that no
-    earlier route through its root took, and never enters the root."""
+    earlier route through its root took, and never enters the root.  bound(),
+    never rising, is read after each yield: that route's spur searches skip
+    routes dearer (by over a relative 1e-9, against rounding in cost + h), so
+    every route within it still comes, in order; dearer ones may not."""
     path, cost = best_first([(0.0, src)], dst, graph, (), h)
     pool = [(cost, path)] if path else []  # (cost, route) of the candidates not yet yielded
     pooled: set[tuple[int, ...]] = set()
@@ -294,10 +301,12 @@ def k_shortest_routes(graph: Mapping, src: int, dst: int, h: Optional[Callable] 
         for i in range(len(path) - 1):
             branches.setdefault(path[: i + 1], set()).add(path[i + 1])
         root_costs = list(itertools.accumulate((dict(graph[a])[b] for a, b in zip(path, path[1:])), initial=0))
+        ceiling = bound() * (1.0 + 1e-9)
         for i in range(shared - 1, len(path) - 1):
             spur, root = path[i], path[: i + 1]
             taken = branches[root]
-            tail, tail_cost = best_first([(w, v) for v, w in graph[spur] if v not in taken], dst, graph, root, h)
+            tail, tail_cost = best_first([(w, v) for v, w in graph[spur] if v not in taken], dst, graph, root, h,
+                                         ceiling - root_costs[i])
             candidate = root + tail
             if tail and candidate not in pooled:
                 heapq.heappush(pool, (root_costs[i] + tail_cost, candidate))
@@ -381,7 +390,8 @@ def _ranked_plans(rm: Roadmap, scene: Scene, k: int) -> list[PlanResult]:
     """
     found: list[PlanResult] = []
     screen = _ChainScreen(rm, scene)
-    routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal)
+    routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal,
+                               lambda: found[-1].length if len(found) == k else math.inf)
     for seq, cost in itertools.islice(routes, max(_FALLBACK_TRIES, 8 * k)):
         if len(found) == k and cost >= found[-1].length:
             break

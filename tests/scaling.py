@@ -3,7 +3,8 @@
     python tests/scaling.py OUT.json [--repo DIR]
 
 Imports arcplan from DIR/src and the seeded scene recipe from DIR/perfbench
-(DIR defaults to the checkout holding this script; it needs `planner._legs`).
+(DIR defaults to the checkout holding this script; it needs `planner._legs`,
+`planner._corners` and `planner._corner_row`).
 For each size of 6, 12, 24, 48 and 96 obstacles, SCENES scenes drawn by
 random.Random(size): perfbench/inputs' obstacle recipe, one obstacle in each
 of `size` cells drawn from a grid of 160-unit cells, 5 x 5 (the cold scenes'
@@ -14,9 +15,10 @@ Per size it records, summed over the scenes, the deterministic counts of a
 cold plan_route (a fresh Scene, so the corner rows its search expands are
 built within it):
 segment_clear calls (the start's and the goal's checks among them), the
-exact obstacle distances they run, the anchor pairs that reach `_legs` and
-the legs it tests (turn pairs, whether they have a tangent or not).  They
-are counted by wrapping the module attributes, as the tests do.  It also
+exact obstacle distances they run, the anchor pairs that reach `_legs`,
+the legs it tests (turn pairs, whether they have a tangent or not) and the
+corner rows built (`_corner_row` calls on a row not yet built).  They are
+counted by wrapping the module attributes, as the tests do.  It also
 records the median time of a cold plan_route and of a warm one (the same
 query again on the same Scene), timed without the wrappers, and how many
 queries got no route.  The growth exponent of each figure is the
@@ -39,7 +41,7 @@ import time
 
 SIZES = (6, 12, 24, 48, 96)
 SCENES = 8  # per size
-COUNTS = ("segment_clear", "segment_distance", "pairs", "legs")
+COUNTS = ("segment_clear", "segment_distance", "pairs", "legs", "rows")
 
 
 def scene_dict(inputs, rng: random.Random, obstacles: int) -> dict:
@@ -84,14 +86,14 @@ def plan(arc, d: dict, start, goal, scene=None):
 def counted(arc, counts: dict):
     """Wrap the counted module attributes; returns a function that undoes it."""
     planner, geometry = arc.planner, arc.geometry
-    saved = [(planner, "segment_clear"), (geometry, "_segment_distance"), (planner, "_legs")]
+    saved = [(planner, "segment_clear"), (geometry, "_segment_distance"), (planner, "_legs"), (planner, "_corner_row")]
     saved = [(module, name, getattr(module, name)) for module, name in saved]
     for (module, name, original), key in zip(saved[:2], COUNTS):
         def call(*args, _original=original, _key=key):
             counts[_key] += 1
             return _original(*args)
         setattr(module, name, call)
-    legs = saved[2][2]
+    legs, row = saved[2][2], saved[3][2]
 
     def counted_legs(*args):
         counts["pairs"] += 1
@@ -99,7 +101,11 @@ def counted(arc, counts: dict):
             counts["legs"] += 1
             yield leg
 
-    planner._legs = counted_legs
+    def counted_row(scene, i):
+        counts["rows"] += planner._corners(scene).rows[i] is None
+        return row(scene, i)
+
+    planner._legs, planner._corner_row = counted_legs, counted_row
     return lambda: [setattr(module, name, original) for module, name, original in saved]
 
 

@@ -190,28 +190,36 @@ def test_dijkstra_unreachable_and_trivial():
     assert dijkstra_shortest(g, 3, 3) == ((3,), 0.0)
 
 
+def random_graphs(euclidean: bool):
+    """40 graphs from random.Random(7), each (n, points, edges, sources,
+    closed): nodes 1..n, the goal node n, (cost, node) sources and closed
+    nodes.  Integer weights, or Euclidean ones, an edge weighing the distance
+    between random points (points[v] is node v's; points is empty else)."""
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(8, 11) if euclidean else rng.randint(5, 8)
+        points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n + 1)] if euclidean else []
+        edges = [
+            (i, j, math.dist(points[i], points[j]) if euclidean else float(rng.randint(1, 99)))
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if rng.random() < (0.5 if euclidean else 0.4)
+        ]
+        top = 20 if euclidean else 80  # the sources' starting costs
+        sources = [(float(rng.randint(0, top)), v) for v in rng.sample(range(1, n + 1), rng.randint(1, 3))]
+        closed = {v for v in range(1, n) if rng.random() < 0.2}
+        yield n, points, edges, sources, closed
+
+
 def test_best_first_matches_exhaustive_on_random_graphs():
     # The sources, each with its own starting cost, are one super-source:
     # node n + 1 of the oracle's graph, joined to each source at that cost.
     # The oracle's graph leaves out the closed nodes; the goal is node n.
     # Two kinds of graph: integer weights, searched without a heuristic, and
-    # Euclidean ones, an edge weighing the distance between random points,
-    # searched as A* with h = the straight distance to the goal.
+    # Euclidean ones, searched as A* with h = the straight distance to the goal.
     for euclidean in (False, True):
-        rng = random.Random(7)
         seen = {"reached": 0, "unreachable": 0, "source is goal": 0, "closed source": 0}
-        for _ in range(40):
-            n = rng.randint(8, 11) if euclidean else rng.randint(5, 8)
-            points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n + 1)] if euclidean else []
-            edges = [
-                (i, j, math.dist(points[i], points[j]) if euclidean else float(rng.randint(1, 99)))
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-                if rng.random() < (0.5 if euclidean else 0.4)
-            ]
-            top = 20 if euclidean else 80  # the sources' starting costs
-            sources = [(float(rng.randint(0, top)), v) for v in rng.sample(range(1, n + 1), rng.randint(1, 3))]
-            closed = {v for v in range(1, n) if rng.random() < 0.2}
+        for n, points, edges, sources, closed in random_graphs(euclidean):
             kept = [(i, j, w) for i, j, w in edges if i not in closed and j not in closed]
             kept += [(n + 1, v, cost) for cost, v in sources if v not in closed]
             oracle_graph = graph_from_edges(n + 1, kept)
@@ -229,6 +237,45 @@ def test_best_first_matches_exhaustive_on_random_graphs():
                 seen["unreachable"] += 1
             seen["closed source"] += any(v in closed for _, v in sources)
         assert min(seen.values()) > 0, (euclidean, seen)
+
+
+class Reads(dict):
+    """successors that records each state whose row is read: the states expanded."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, state):
+        self.read.append(state)
+        return super().__getitem__(state)
+
+
+def test_best_first_with_a_bound_searches_only_within_it():
+    # On the Euclidean graphs, as Dijkstra and as A* (h = the straight
+    # distance to the goal): a bound at or above the optimum returns the
+    # unbounded answer, one below it returns nothing, and no state expanded
+    # has its shortest cost from the sources plus h above the bound.
+    seen = {"pruned": 0, "reached": 0}
+    for informed in (False, True):
+        for n, points, edges, sources, closed in random_graphs(True):
+            successors = dict(enumerate(graph_from_edges(n, edges).adjacency, 1))
+            h = (lambda v, points=points, n=n: math.dist(points[v], points[n])) if informed else None
+            f = {v: best_first(sources, v, successors, closed)[1] + (h(v) if h else 0.0) for v in successors}
+            path, cost = best_first(sources, n, successors, closed, h)
+            if path:
+                seen["reached"] += 1
+                for bound in (cost, cost + 1.0, math.inf):
+                    assert best_first(sources, n, successors, closed, h, bound) == (path, cost), (informed, bound)
+                assert best_first(sources, n, successors, closed, h, cost - 1e-6) == ((), math.inf), informed
+            for bound in (cost, 0.75 * cost, 0.5 * cost, 30.0):
+                reads = Reads(successors)
+                best_first(sources, n, reads, closed, h, bound)
+                assert all(f[u] <= bound for u in reads.read), (informed, bound)
+                everything = Reads(successors)
+                best_first(sources, n, everything, closed, h)
+                seen["pruned"] += len(set(everything.read) - set(reads.read)) > 0
+    assert seen["pruned"] > 0 and seen["reached"] > 0, seen
 
 
 def test_best_first_sources_compete():

@@ -960,6 +960,43 @@ def test_stopping_rule_matches_brute_force_ranking(yen_scans):
     assert solved >= 10
 
 
+def test_scan_bounds_its_spur_searches_by_the_plans_held():
+    # enumerate_candidates on a fresh Scene against a replay of _ranked_plans'
+    # loop with k_shortest_routes unbounded, the same stopping rule and
+    # _ChainScreen, on another fresh Scene: equal plans, and the bounded
+    # spur searches build no more corner rows, and fewer on some query.
+    def rows_built(sc):
+        return sum(row is not None for row in planner._corners(sc).rows)
+
+    def unbounded(sc, start, goal, k):
+        rm = build_roadmap(sc, start, goal)
+        found, screen = [], _ChainScreen(rm, sc)
+        routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal)
+        for seq, cost in itertools.islice(routes, max(_FALLBACK_TRIES, 8 * k)):
+            if len(found) == k and cost >= found[-1].length:
+                break
+            if screen.ok(seq):
+                found = sorted([*found, planner._plan(rm, seq, "exact")], key=lambda p: p.length)[:k]
+        return found
+
+    queries = [(builtin_scene, O, KNOWN_TARGETS[t]) for t in "ABC"]
+    queries += [(builtin_scene, *pair) for pair in recipe_pairs(builtin_scene(), 6)]
+    queries += [(lambda d=req["scene_dict"]: scene_from_dict(d), Point(*req["from"]), Point(*req["to"]))
+                for req in perfbench_module("inputs").cold_scenes(1, 8)]
+    fewer = 0
+    for fresh, start, goal in queries:
+        for k in (1, 3):
+            bounded_scene, replay_scene = fresh(), fresh()
+            try:
+                got = enumerate_candidates(bounded_scene, start, goal, k)
+            except RouteInfeasible:
+                got = []
+            assert got == unbounded(replay_scene, start, goal, k), (start, goal, k)
+            assert rows_built(bounded_scene) <= rows_built(replay_scene), (start, goal, k)
+            fewer += rows_built(bounded_scene) < rows_built(replay_scene)
+    assert fewer > 0
+
+
 def test_chain_screen_matches_validate_path(yen_scans):
     # one screen per query, as the exact engine keeps it, over 150 sequences
     checked = accepted = 0
