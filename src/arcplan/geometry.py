@@ -305,13 +305,12 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     """True iff every point of segment pq keeps the scene clearance r (less
     CLEARANCE_EPS = e) from every obstacle (segment_min_clearance's verdict),
     stopping at the first obstacle closer.  It skips an obstacle when an axis
-    gap of its bbox to pq's, or the hypot of two positive ones, reaches the
-    limit (the exact distance is never less), and a polygon when c = (q - p) x
-    (v - p) has one sign and |c| >= (r - e/2)|pq| at each vertex v.  With
-    u = 2**-53 and coordinates within M, c rounds by u|c| + 8.5uM|pq|, the
-    bound by 5ur|pq| and _segment_distance by 2ur + 7.1uM: under 16u(M + r)
-    <= e/4 while M + r <= _SIDE_REACH (Scene.compiled.reach, pq's bbox) and
-    |pq| is a normal float."""
+    gap of its bbox to pq's reaches the limit (the exact distance is never
+    less), and a polygon when c = (q - p) x (v - p) has one sign and |c| >=
+    (r - e/2)|pq| at each vertex v.  With u = 2**-53 and coordinates within
+    M, c rounds by u|c| + 8.5uM|pq|, the bound by 5ur|pq| and
+    _segment_distance by 2ur + 7.1uM: under 16u(M + r) <= e/4 while M + r <=
+    _SIDE_REACH (Scene.compiled.reach, pq's bbox) and |pq| is a normal float."""
     limit = scene.clearance - CLEARANCE_EPS
     px, py, ux, uy = p[0], p[1], q[0] - p[0], q[1] - p[1]
     sx0, sx1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
@@ -321,8 +320,6 @@ def segment_clear(p: Point, q: Point, scene: Scene) -> bool:
     for kind, payload, (x0, y0, x1, y1) in scene.compiled.obstacles:
         dx, ex, dy, ey = x0 - sx1, sx0 - x1, y0 - sy1, sy0 - y1  # an axis gap is the positive one of a pair
         if dx >= limit or ex >= limit or dy >= limit or ey >= limit:
-            continue
-        if (dx > 0.0 or ex > 0.0) and (dy > 0.0 or ey > 0.0) and math.hypot(max(dx, ex), max(dy, ey)) >= limit:
             continue
         if kind == "poly":
             sides = [ux * (vy - py) - uy * (vx - px) for vx, vy in payload]

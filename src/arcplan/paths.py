@@ -2,7 +2,8 @@
 multi-corner chains, lengths and travel times, and their validation.  Each
 rule has one judge: per piece (an arc turns, its radius, the field, and the
 clearance, exact on lines and arcs alike) and per junction (gap, kink);
-validate_path applies them to a whole path and corner_clear to one corner.
+validate_path applies them to a whole path, and corner_clear the piece
+judges to one corner's arc, whose junctions its tangents make smooth.
 
 A smooth path alternates straight lines with circular arcs of radius >= 10
 (the robot's minimum turning radius).  Each line is the common tangent of two
@@ -231,14 +232,6 @@ class PathDiagnostics(NamedTuple):
         return not self.violations
 
 
-def _gap_violation(i: int, a: PathSegment, b: PathSegment) -> Optional[Violation]:
-    """Where segment i (a) meets segment i + 1 (b): a gap."""
-    gap = math.hypot(a.end.x - b.start.x, a.end.y - b.start.y)
-    if gap > 1e-6:
-        return Violation("continuity", a.end, f"segments {i} and {i + 1} meet with gap {gap:g}")
-    return None
-
-
 def _kink_violation(i: int, j: int, a: PathSegment, b: PathSegment) -> Optional[Violation]:
     """Where segment i (a) hands over to segment j (b): a kink."""
     d1 = a.tangent_at(a.end_angle) if isinstance(a, Arc) else a.direction()
@@ -293,7 +286,9 @@ def validate_path(p: SmoothPath, scene: Scene) -> PathDiagnostics:
     for i, seg in enumerate(segs):
         out += _piece_violations(i, seg, scene)
         if i + 1 < len(segs):
-            out.append(_gap_violation(i, seg, segs[i + 1]) or kinks.get(i))
+            gap = math.hypot(seg.end.x - segs[i + 1].start.x, seg.end.y - segs[i + 1].start.y)
+            out.append(Violation("continuity", seg.end, f"segments {i} and {i + 1} meet with gap {gap:g}")
+                       if gap > 1e-6 else kinks.get(i))
     return PathDiagnostics(tuple(v for v in out if v is not None))
 
 
@@ -306,9 +301,6 @@ def corner_clear(
     into: tuple[float, float, Line], c: TurningCircle, out: tuple[float, float, Line], scene: Scene
 ) -> bool:
     """validate_path's verdict on the arc chain_path puts on c between the
-    legs `into` and `out` and on its two junctions, by validate_path's own
-    judges (a leg's other end is an endpoint or another arc's end)."""
-    arc = Arc(c, into[1], out[0])
-    if any(_gap_violation(0, a, b) or _kink_violation(0, 1, a, b) for a, b in ((into[2], arc), (arc, out[2]))):
-        return False
-    return next(_piece_violations(0, arc, scene), None) is None
+    legs `into` and `out`, by validate_path's piece judges.  Its junctions
+    need none: pair_tangents makes each leg tangent to c at the arc's ends."""
+    return next(_piece_violations(0, Arc(c, into[1], out[0]), scene), None) is None

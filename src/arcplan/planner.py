@@ -214,11 +214,10 @@ def _corner_row(scene: Scene, i: int) -> set[int]:
 class RoadmapGraph(dict):
     """A query's roadmap edges: graph[node] is the node's (neighbor, weight)
     row, ascending, built on first read, so a search judges only the anchor
-    pairs of the nodes it expands.  node_count, has_edge and weight answer as
-    WeightedGraph's do, building the rows they read.  Node k is corner
-    order[k - 2]; to_goal(node), the straight distance to the goal, is A*'s h."""
-
-    no_edge = math.inf
+    pairs of the nodes it expands; the goal's, which no search expands, is
+    empty.  node_count, and has_edge(i, j) for i < j, answer as
+    WeightedGraph's do.  Node k is corner order[k - 2]; to_goal(node), the
+    straight distance to the goal, is A*'s h."""
 
     def __init__(self, scene: Scene, anchors: tuple[Point, ...], circles: tuple, order: tuple[int, ...]):
         super().__init__()
@@ -232,8 +231,8 @@ class RoadmapGraph(dict):
         n, circles = self.node_count, self.circles
         if node == 1:
             near = self.start_links
-        elif node == n:  # no search expands the goal: its row reads every other one
-            near = [k for k in range(1, n) if self.has_edge(k, n)]
+        elif node == n:  # the goal: no search expands it
+            near = ()
         else:  # a corner: its scene-kept links, the start's verdict, and its link to the goal judged now
             near = [self.node_of[j] for j in _corner_row(self.scene, self.order[node - 2])]
             near += [1] * (node in self.start_links) + [n] * any(_legs(circles[node - 1], circles[-1], self.scene))
@@ -242,9 +241,6 @@ class RoadmapGraph(dict):
 
     def has_edge(self, i: int, j: int) -> bool:
         return any(v == j for v, _ in self[i])
-
-    def weight(self, i: int, j: int) -> float:
-        return next((w for v, w in self[i] if v == j), 0.0 if i == j else self.no_edge)
 
 
 def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
@@ -341,8 +337,8 @@ class _ChainScreen:
     The sequences share most of their pieces, so each leg (the tangent of
     two consecutive turning circles) and each corner (a circle's arc between
     the legs into and out of it) is built and checked once, keyed by node
-    ids and turns; a sequence is rejected at its first failing piece, known
-    ones first.  The pieces are those chain_path builds, on the roadmap's
+    ids and turns; a sequence is rejected at its first failing piece, its
+    legs first.  The pieces are those chain_path builds, on the roadmap's
     circles, and each is judged at validate_path's one clearance limit
     (`_legs` for a leg, corner_clear for a corner): for a start and a goal
     apart the verdict is validate_path's on the chained path.
@@ -361,21 +357,19 @@ class _ChainScreen:
         circles = list(zip(seq, [False, *_bends_ccw(self.rm, seq), False]))
         turning = self.rm.circles
         legs = list(zip(circles, circles[1:]))
-        corners = list(zip(circles, circles[1:], circles[2:]))
-        corner_verdicts = list(map(self.corners.get, corners))
-        if any(self.legs.get(leg, True) is None for leg in legs) or False in corner_verdicts:
-            return False
         for leg in legs:
             if leg not in self.legs:
                 ends = [(turning[node - 1][ccw],) for node, ccw in leg]
-                if self.legs.setdefault(leg, next(_legs(*ends, self.scene))) is None:
-                    return False
-        for into, out, corner, verdict in zip(legs, legs[1:], corners, corner_verdicts):
-            if verdict is None:
-                node, ccw = corner[1]
-                keeps = corner_clear(self.legs[into], turning[node - 1][ccw], self.legs[out], self.scene)
-                if not self.corners.setdefault(corner, keeps):
-                    return False
+                self.legs[leg] = next(_legs(*ends, self.scene))
+            if self.legs[leg] is None:
+                return False
+        for into, out in zip(legs, legs[1:]):
+            corner = (*into, out[1])
+            if corner not in self.corners:
+                node, ccw = out[0]
+                self.corners[corner] = corner_clear(self.legs[into], turning[node - 1][ccw], self.legs[out], self.scene)
+            if not self.corners[corner]:
+                return False
         return True
 
 
@@ -444,9 +438,10 @@ def plan_route(req: RouteRequest) -> PlanResult:
     for an engine other than "exact" or "aco", a bad endpoint, or a route
     that must turn where the clearance is below MIN_TURN_RADIUS.
 
-    The colony engine runs the colony once.  When its proposal is unconnected
-    or does not chain into a valid path, the exact engine answers instead: the
-    plan says engine "exact" and keeps the colony's result as `aco`.
+    The colony engine runs the colony once.  When its proposal does not chain
+    into a valid path (an unconnected one never does), the exact engine
+    answers instead: the plan says engine "exact" and keeps the colony's
+    result as `aco`.
     """
     if req.engine not in ("exact", "aco"):
         raise RequestError(f"unknown engine {req.engine!r}: expected 'exact' or 'aco'")
@@ -463,12 +458,10 @@ def plan_route(req: RouteRequest) -> PlanResult:
         if reduced is not None:
             sub, keep = reduced
             colony = aco_run(sub, req.aco_params or AcoParams())
-            picked = colony.nodes
-            if all(sub.has_edge(a, b) for a, b in zip(picked, picked[1:])):
-                seq = tuple(keep[i - 1] for i in picked)
-                plan = _result(rm, scene, seq, "aco", aco=colony)
-                if plan is not None:
-                    return plan
+            seq = tuple(keep[i - 1] for i in colony.nodes)
+            plan = _result(rm, scene, seq, "aco", aco=colony)
+            if plan is not None:
+                return plan
     return _ranked_plans(rm, scene, 1)[0]._replace(aco=colony)
 
 

@@ -1,0 +1,129 @@
+"""Count the planner's broken metamorphic relations on the cold scenes, for diffing two checkouts.
+
+    python tests/relations.py OUT.json [--repo DIR]
+
+Imports arcplan from DIR/src and the seeded scene generator from
+DIR/perfbench (DIR defaults to the checkout holding this script).  For each
+of the 160 cold scenes of inputs.cold_scenes seeds 1-2 it plans the scene's
+one query with the exact engine three times: as drawn, mirrored (every x
+mapped to W - x, W the field's width) and scaled (every coordinate and the
+clearance times 2).  Two relations must hold, each within TOL:
+
+- mirror: the verdict and the length are the same, and each corner is the
+  mirror image of the drawn plan's, turned the other way;
+- scale: the verdict is the same and the length doubles.
+
+Neither needs an oracle.  Prints the count of broken relations of each kind
+and writes every query's verdict, length and relations to OUT.  Always exits
+0: a broken relation is a defect to report, as tests/bounds.py reports routes
+above their bracket.  test_planner's tier-1 test checks a fixed sample of the
+same queries (`check`).  pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+SCALE = 2.0  # a power of two: scaling the scene rounds no coordinate
+TOL = 1e-6
+RELATIONS = ("mirror", "scale")
+
+
+def mirrored(geometry, scene):
+    """The scene reflected in the line x = W / 2."""
+    w = scene.bounds[0]
+
+    def flip(p):
+        return geometry.Point(w - p[0], p[1])
+
+    def shape(s):
+        if isinstance(s, geometry.AxisRect):
+            (x, y), width, height = s
+            return geometry.AxisRect(geometry.Point(w - x - width, y), width, height)
+        if isinstance(s, geometry.Circle):
+            return geometry.Circle(flip(s.center), s.radius)
+        if isinstance(s, geometry.Triangle):
+            return geometry.Triangle(*map(flip, s))
+        (x, y), base, (tx, ty) = s  # a parallelogram: its base still runs along +x from the lower-left vertex
+        return geometry.Parallelogram(geometry.Point(w - x - base, y), base, geometry.Point(w - tx - base, ty))
+
+    obstacles = tuple(spec._replace(shape=shape(spec.shape)) for spec in scene.obstacles)
+    return geometry.Scene(scene.bounds, obstacles, scene.clearance)
+
+
+def scaled(geometry, scene, k: float):
+    """The scene with every coordinate, length and the clearance times k."""
+    def shape(s):  # each field of a shape is a point or a length
+        return type(s)(*(geometry.Point(k * f[0], k * f[1]) if isinstance(f, tuple) else k * f for f in s))
+
+    obstacles = tuple(spec._replace(shape=shape(spec.shape)) for spec in scene.obstacles)
+    return geometry.Scene(tuple(k * b for b in scene.bounds), obstacles, k * scene.clearance)
+
+
+def outcome(arc, scene, start, goal) -> tuple:
+    """(verdict, length, corners) of the exact engine's answer; length and
+    corners are None without a plan."""
+    req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene)
+    try:
+        plan = arc.planner.plan_route(req)
+    except arc.planner.RouteInfeasible:
+        return "infeasible", None, None
+    except arc.planner.RequestError:
+        return "request error", None, None
+    return "plan", plan.length, plan.corners
+
+
+def check(arc, scene, start, goal) -> dict:
+    """{relation: whether it holds} for one query, with the drawn query's
+    verdict and length."""
+    w = scene.bounds[0]
+    verdict, length, corners = outcome(arc, scene, start, goal)
+    m_verdict, m_length, m_corners = outcome(arc, mirrored(arc.geometry, scene), (w - start[0], start[1]),
+                                             (w - goal[0], goal[1]))
+    s_verdict, s_length, _ = outcome(arc, scaled(arc.geometry, scene, SCALE), (SCALE * start[0], SCALE * start[1]),
+                                     (SCALE * goal[0], SCALE * goal[1]))
+    mirror = m_verdict == verdict and (length is None or (
+        abs(m_length - length) <= TOL and len(m_corners) == len(corners)
+        and all(abs(m.center[0] - (w - c.center[0])) <= TOL and abs(m.center[1] - c.center[1]) <= TOL
+                and m.turn is not c.turn for m, c in zip(m_corners, corners))))
+    scale = s_verdict == verdict and (length is None or abs(s_length - SCALE * length) <= TOL)
+    return {"verdict": verdict, "length": length, "mirror": mirror, "scale": scale}
+
+
+def collect(repo: str) -> list[dict]:
+    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
+    sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
+    import arcplan.geometry
+    import arcplan.planner
+    import arcplan.sceneio
+    import inputs
+
+    out = []
+    for seed in (1, 2):
+        for i, req in enumerate(inputs.cold_scenes(seed, 80)):
+            scene = arcplan.sceneio.scene_from_dict(req["scene_dict"])
+            query = {"seed": seed, "scene": i, "from": list(req["from"]), "to": list(req["to"])}
+            out.append({**query, **check(arcplan, scene, req["from"], req["to"])})
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out")
+    ap.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    args = ap.parse_args()
+    t = time.perf_counter()
+    entries = collect(os.path.abspath(args.repo))
+    seconds = time.perf_counter() - t
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(entries, indent=1) + "\n")
+    broken = ", ".join(f"{sum(not e[r] for e in entries)} {r}" for r in RELATIONS)
+    print(f"{len(entries)} queries, broken relations: {broken} ({seconds:.1f} s)")
+
+
+if __name__ == "__main__":
+    main()

@@ -22,9 +22,14 @@ counted by wrapping the module attributes, as the tests do.  It also
 records the median time of a cold plan_route and of a warm one (the same
 query again on the same Scene), timed without the wrappers, and how many
 queries got no route.  The growth exponent of each figure is the
-least-squares slope of its logarithm over log(size).  Prints the table and
-writes OUT; two runs of one checkout give the same counts, so a count diff
-between checkouts is a same-work check.  pytest does not collect it.
+least-squares slope of its logarithm over log(size).
+
+It also plans two queries with no route, built on the first scene of 96
+obstacles (`sealed_queries`), and records for each the verdict, the same
+counts of one cold plan_route and the median time of REPEATS more: the cost
+of an exit 3, which no feasible query shows.  Prints the tables and writes
+OUT; two runs of one checkout give the same counts, so a count diff between
+checkouts is a same-work check.  pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import time
 
 SIZES = (6, 12, 24, 48, 96)
 SCENES = 8  # per size
+REPEATS = 3  # timed cold plans of each query with no route
 COUNTS = ("segment_clear", "segment_distance", "pairs", "legs", "rows")
 
 
@@ -70,6 +76,25 @@ def query(oracle, inputs, rng: random.Random, d: dict) -> tuple[tuple, tuple]:
         a, b = point(), point()
         if oracle.segment_clearance(a, b, shapes) < d["clearance"] - 1e-9:
             return a, b
+
+
+def sealed_queries(inputs, oracle) -> list[tuple[str, dict, tuple, tuple]]:
+    """(name, scene, start, goal) of two queries with no route, on the first
+    scene of 96 obstacles (field W) and its query: the far corner closed by
+    two 45 x 5 bars that touch at (W - 45, W - 45), with the goal inside it at
+    (W - 15, W - 15), and a 5-wide bar from wall to wall at x = W / 2 between
+    the query's own ends."""
+    rng = random.Random(96)
+    d = scene_dict(inputs, rng, 96)
+    start, goal = query(oracle, inputs, rng, d)
+    w, n = d["bounds"][0], len(d["obstacles"])
+
+    def bar(i, x, y, width, height):
+        return {"id": n + i, "kind": "rect", "anchor": [x, y], "width": width, "height": height}
+
+    corner = [bar(1, w - 45, w - 50, 45, 5), bar(2, w - 50, w - 45, 5, 45)]
+    return [("sealed corner", {**d, "obstacles": d["obstacles"] + corner}, start, (w - 15, w - 15)),
+            ("barrier", {**d, "obstacles": d["obstacles"] + [bar(1, w / 2 - 2.5, 0, 5, w)]}, start, goal)]
 
 
 def plan(arc, d: dict, start, goal, scene=None):
@@ -162,8 +187,23 @@ def collect(repo: str) -> dict:
         rows.append({"obstacles": size, "field": d["bounds"][0], "scenes": SCENES, **counts,
                      "no_route": SCENES - routed, "cold_ms_p50": statistics.median(cold),
                      "warm_ms_p50": statistics.median(warm)})
+    sealed = []
+    for name, d, start, goal in sealed_queries(inputs, oracle):
+        counts = dict.fromkeys(COUNTS, 0)
+        undo = counted(arc, counts)
+        try:
+            _, routed = plan(arc, d, start, goal)
+        finally:
+            undo()
+        cold = []
+        for _ in range(REPEATS):
+            t = time.perf_counter()
+            plan(arc, d, start, goal)
+            cold.append(1e3 * (time.perf_counter() - t))
+        sealed.append({"query": name, "obstacles": len(d["obstacles"]), "verdict": "route" if routed else "no route",
+                       **counts, "cold_ms_p50": statistics.median(cold)})
     figures = (*COUNTS, "cold_ms_p50", "warm_ms_p50")
-    return {"machine": machine(), "sizes": rows,
+    return {"machine": machine(), "sizes": rows, "sealed": sealed,
             "exponents": {k: exponent(SIZES, [row[k] for row in rows]) for k in figures}}
 
 
@@ -182,6 +222,10 @@ def main() -> None:
     slopes = record["exponents"]
     print(f"{'exponent':>16} " + " ".join(f"{'-':>16}" if slopes.get(c) is None else f"{slopes[c]:>16.2f}"
                                           for c in columns[1:]))
+    columns = ("query", "obstacles", "verdict", *COUNTS, "cold_ms_p50")
+    print(" ".join(f"{c:>16}" for c in columns))
+    for row in record["sealed"]:
+        print(" ".join(f"{row[c]:>16.2f}" if isinstance(row[c], float) else f"{row[c]:>16}" for c in columns))
     print(record["machine"])
 
 

@@ -271,8 +271,9 @@ def test_segment_clear_is_the_min_clearance_test(scene):
             s = replace(scene, clearance=limit)
             assert segment_clear(a, b, s) == (worst >= s.clearance - CLEARANCE_EPS), (a, b, limit)
     # the bbox test's boundary: a box whose gap to the segment on one axis is
-    # the limit or lies within 1e-12 of it, and a diagonal gap whose two
-    # components are each below the limit while their hypot reaches it or not
+    # the limit or lies within 1e-12 of it; and a diagonal gap whose two
+    # components are each below the limit while their hypot reaches it or
+    # not, which the bbox test passes on to the exact distance
     box = Scene((100.0, 100.0), (ObstacleSpec(1, AxisRect(Point(0, 0), 50, 50)),), 10.0)
     limit = box.clearance - CLEARANCE_EPS
     gaps = (limit, math.nextafter(limit, 0.0), math.nextafter(limit, 20.0), limit - 1e-12, limit + 1e-12)

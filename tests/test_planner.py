@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcplan
 import oracles
+import relations
 from arcplan.aco import AcoParams, best_first
 from arcplan.geometry import (
     CLEARANCE_EPS,
@@ -106,9 +108,9 @@ def test_build_roadmap_anchors_and_weights(scene):
         assert pair == (TurningCircle(anchor, scene.clearance, Turn.CW), TurningCircle(anchor, scene.clearance, Turn.CCW))
     assert Point(80.0, 210.0) in rm.anchors
     g = rm.graph
-    assert g.no_edge == math.inf
     n = g.node_count
     assert n == len(rm.anchors)
+    assert g[n] == ()  # no search expands the goal: its edges lie in the other nodes' rows
     # every present edge carries the plain anchor distance
     checked = 0
     for i in range(1, n + 1):
@@ -129,7 +131,7 @@ def test_build_roadmap_empty_scene():
     rm = build_roadmap(empty, Point(10, 10), Point(480, 30))
     assert len(rm.anchors) == 2
     assert rm.graph.has_edge(1, 2)
-    assert rm.graph.weight(1, 2) == pytest.approx(math.dist((10, 10), (480, 30)))
+    assert rm.graph[1] == ((2, pytest.approx(math.dist((10, 10), (480, 30)))),)
 
 
 def roadmap_edges(rm) -> set:
@@ -531,6 +533,11 @@ def wall_triangle_scene() -> Scene:
     return Scene(bounds=(200.0, 200.0), obstacles=shapes, clearance=10.0)
 
 
+def box_scene() -> Scene:
+    """A 100 x 100 box at (100, 100) in a 300 x 300 field."""
+    return Scene(bounds=(300.0, 300.0), obstacles=(ObstacleSpec(1, AxisRect(Point(100, 100), 100, 100)),), clearance=10.0)
+
+
 @pytest.mark.parametrize(
     "make_scene, start, goal",
     [
@@ -544,8 +551,11 @@ def wall_triangle_scene() -> Scene:
                      marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
         pytest.param(acute_scene, Point(330, 140), Point(120, 258),
                      marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
+        pytest.param(box_scene, Point(100 + 10 * math.cos(math.radians(225)), 100 + 10 * math.sin(math.radians(225))),
+                     Point(150, 90),  # a start on the clearance circle of the box's corner (100, 100)
+                     marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
     ],
-    ids=["o-to-c", "seed-3-pair", "circle-wrap", "wall-triangle", "acute"],
+    ids=["o-to-c", "seed-3-pair", "circle-wrap", "wall-triangle", "acute", "start-on-a-corner-circle"],
 )
 def test_known_defect_lies_in_the_length_bounds(make_scene, start, goal):
     # the known defects of the exact engine: a route longer than the upper
@@ -689,7 +699,7 @@ def textbook_yen(g, src, dst):
             candidate = root[:-1] + tail
             if tail and candidate not in pooled:
                 pooled.add(candidate)
-                heapq.heappush(pool, (sum(g.weight(a, b) for a, b in zip(root, root[1:])) + tail_cost, candidate))
+                heapq.heappush(pool, (sum(dict(adjacency[a])[b] for a, b in zip(root, root[1:])) + tail_cost, candidate))
         if not pool:
             return
         accepted.append(heapq.heappop(pool)[::-1])
@@ -1114,6 +1124,17 @@ def test_reversed_query_has_the_same_length(scene):
         else:
             assert abs(there - back) <= 1e-6, (a, b, there, back)
     assert len(queries) == 31
+
+
+def test_mirrored_and_scaled_queries_agree():
+    # metamorphic, on the 160 cold scenes of seeds 1-2: mirroring the scene
+    # (x -> W - x) keeps the verdict and the length and swaps every corner's
+    # turn, and scaling every coordinate and the clearance by 2 doubles the
+    # length, each within 1e-6 (tests/relations.py counts them for a diff)
+    inputs = perfbench_module("inputs")
+    for req in [req for seed in (1, 2) for req in inputs.cold_scenes(seed, 80)]:
+        holds = relations.check(arcplan, scene_from_dict(req["scene_dict"]), req["from"], req["to"])
+        assert holds["mirror"] and holds["scale"], (req["from"], req["to"], holds)
 
 
 def test_no_successful_query_computes_a_clearance_measure(scene, monkeypatch):
