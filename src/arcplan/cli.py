@@ -1,11 +1,9 @@
 """Command-line front end.
 
-Commands:
-  plan        shortest route between two points (report + optional SVG/JSON)
-  aco         seeded colony run on the builtin 15-node graph
-  verify      check the build against the stored benchmark results
-  export-svg  draw scene, hazard envelope and route
-  enumerate   ranked alternative routes
+COMMANDS gives each command its help line, argument builder and runner. A run
+is parsed by the parser of the command it names alone (command_parser); the
+full parser (build_parser) is built only for the top-level help and the usage
+errors that it words.
 """
 
 from __future__ import annotations
@@ -91,53 +89,40 @@ def _add_colony_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gens", type=_at_least(0), default=100)
 
 
-def _add_engine_args(p: argparse.ArgumentParser) -> None:
+def _add_planning_args(p: argparse.ArgumentParser) -> None:
+    _add_route_args(p)
     p.add_argument("--engine", choices=("exact", "aco"), default="exact")
     _add_colony_args(p)
+
+
+def _add_plan_args(p: argparse.ArgumentParser) -> None:
+    _add_planning_args(p)
+    p.add_argument("--out", metavar="FILE", help="write full-precision JSON result")
+    p.add_argument("--svg", metavar="FILE", help="write an SVG drawing")
+
+
+def _add_aco_args(p: argparse.ArgumentParser) -> None:
+    _add_colony_args(p)
+    p.add_argument("--out", metavar="FILE", help="write the convergence curve (gen best mean)")
+
+
+def _add_verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tolerance", type=_at_least(0, float), default=None, help="override every check tolerance (units)")
+
+
+def _add_export_svg_args(p: argparse.ArgumentParser) -> None:
+    _add_planning_args(p)
+    p.add_argument("--out", metavar="FILE", required=True)
+
+
+def _add_enumerate_args(p: argparse.ArgumentParser) -> None:
+    _add_route_args(p)
+    p.add_argument("--top", type=_at_least(1), default=3, metavar="K")
 
 
 def _label(args) -> str:
     names = {v: k for k, v in KNOWN_TARGETS.items()}
     return " -> ".join(names.get(p, f"({p.x:g},{p.y:g})") for p in (args.src, args.dst))
-
-
-@functools.cache  # parse_args leaves the parser as it found it
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arcplan",
-        description="Shortest line-and-arc paths for a point robot among fixed obstacles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_plan = sub.add_parser("plan", help="compute the shortest route")
-    p_plan.set_defaults(run=_cmd_plan)
-    _add_route_args(p_plan)
-    _add_engine_args(p_plan)
-    p_plan.add_argument("--out", metavar="FILE", help="write full-precision JSON result")
-    p_plan.add_argument("--svg", metavar="FILE", help="write an SVG drawing")
-
-    p_aco = sub.add_parser("aco", help="run the colony on the builtin 15-node graph")
-    p_aco.set_defaults(run=_cmd_aco)
-    _add_colony_args(p_aco)
-    p_aco.add_argument("--out", metavar="FILE", help="write the convergence curve (gen best mean)")
-
-    p_ver = sub.add_parser("verify", help="check this build against stored benchmark results")
-    p_ver.set_defaults(run=_cmd_verify)
-    p_ver.add_argument("--tolerance", type=_at_least(0, float), default=None,
-                       help="override every check tolerance (units)")
-
-    p_svg = sub.add_parser("export-svg", help="draw scene + envelope + route")
-    p_svg.set_defaults(run=_cmd_export_svg)
-    _add_route_args(p_svg)
-    _add_engine_args(p_svg)
-    p_svg.add_argument("--out", metavar="FILE", required=True)
-
-    p_enum = sub.add_parser("enumerate", help="ranked alternative routes")
-    p_enum.set_defaults(run=_cmd_enumerate)
-    _add_route_args(p_enum)
-    p_enum.add_argument("--top", type=_at_least(1), default=3, metavar="K")
-
-    return parser
 
 
 def _plan(args) -> tuple[Scene, PlanResult]:
@@ -151,8 +136,7 @@ def _cmd_plan(args, stdout) -> int:
     stdout.write(sceneio.format_plan_report(_label(args), plan))
     if args.out:
         with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(sceneio.plan_to_dict(_label(args), plan), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(sceneio.plan_to_dict(_label(args), plan), indent=2) + "\n")
     if args.svg:
         with _writing(args.svg):
             sceneio.write_svg(scene, plan.path, args.svg)
@@ -261,8 +245,49 @@ def _cmd_verify(args, stdout) -> int:
     return 0 if failures == 0 else 1
 
 
+# each command's help line, argument builder and runner, in the order of the help
+COMMANDS = {
+    "plan": ("compute the shortest route", _add_plan_args, _cmd_plan),
+    "aco": ("run the colony on the builtin 15-node graph", _add_aco_args, _cmd_aco),
+    "verify": ("check this build against stored benchmark results", _add_verify_args, _cmd_verify),
+    "export-svg": ("draw scene + envelope + route", _add_export_svg_args, _cmd_export_svg),
+    "enumerate": ("ranked alternative routes", _add_enumerate_args, _cmd_enumerate),
+}
+
+
+def _with_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, add_args, run = COMMANDS[name]
+    p.set_defaults(command=name, run=run)
+    add_args(p)
+    return p
+
+
+@functools.cache  # parse_args leaves the parser as it found it
+def build_parser() -> argparse.ArgumentParser:
+    """Every command's parser under one: the wording of top-level help and of errors it alone makes."""
+    parser = argparse.ArgumentParser(
+        prog="arcplan",
+        description="Shortest line-and-arc paths for a point robot among fixed obstacles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _with_command(sub.add_parser(name, help=help_line), name)
+    return parser
+
+
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, worded as build_parser's subparser of that name."""
+    return _with_command(argparse.ArgumentParser(prog=f"arcplan {name}"), name)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, rest = None, argv
+    if argv and argv[0] in COMMANDS:  # one command's parser, not all five, parses the common run
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:  # the full parser words the top-level usage and the unrecognized arguments
+        args = build_parser().parse_args(argv)
     try:
         return args.run(args, sys.stdout)
     except (RequestError, sceneio.SceneFormatError) as e:

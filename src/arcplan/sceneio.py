@@ -185,8 +185,7 @@ def load_scene(path: str) -> Scene:
 
 def dump_scene(scene: Scene, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(scene_to_dict(scene), indent=2) + "\n")
 
 
 def fixture_dir() -> str:

@@ -15,6 +15,10 @@ entries, each a name and a text:
   colony route of the other once named a corner it did not turn on; each
   plan command runs with `--out` and `--svg`,
   and both files are entries too, as is the file of `export-svg --to B`;
+- the exit code, stdout and stderr of `-h` and of `<command> -h` for each
+  command, and of three usage errors: a bad value (`plan --seed x`), an
+  unrecognized argument (`plan --bogus`) and an unknown command (`bogus`),
+  with help wrapped at 80 columns whatever the terminal;
 - for each of the 80 cold scenes of seeds 1-2 (perfbench's `cold_scenes`), a
   clockwise triangle and a parallelogram whose top_left lies below its
   anchor: `scene_to_dict` of the loaded scene, `render_svg` of it with the
@@ -52,6 +56,13 @@ COMMANDS = [
      "--to", "650.6835099218207,125.69463094941993"),
 ]
 
+# runs that stop in the parser: help, and a usage error of each kind
+USAGE = [("-h",), *((name, "-h") for name in ("plan", "aco", "verify", "export-svg", "enumerate")),
+         ("plan", "--seed", "x"), ("plan", "--bogus"), ("bogus",)]
+
+# the files a command writes, by its name
+FILES = {"plan": {"out": "plan.json", "svg": "plan.svg"}, "export-svg": {"out": "export.svg"}}
+
 # clockwise vertex orders, each with a query that must pass the obstacle
 EXTRA_SCENES = {
     "clockwise-triangle": (
@@ -67,16 +78,18 @@ EXTRA_SCENES = {
 }
 
 
-def run(arc, argv, work: str) -> dict:
+def run(arc, argv, work: str, files: dict) -> dict:
     """Exit code, stdout and stderr of one command, and the files it wrote."""
-    files = {"plan": {"out": "plan.json", "svg": "plan.svg"}, "export-svg": {"out": "export.svg"}}.get(argv[0], {})
     flags = [x for key, path in files.items() for x in (f"--{key}", path)]
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
     os.chdir(work)  # relative file names, so that stdout names no temporary directory
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = arc.cli.main([*argv, *flags])
+            try:
+                rc = arc.cli.main([*argv, *flags])
+            except SystemExit as e:  # help, or a usage error
+                rc = e.code
         name = " ".join(argv)
         entries = {f"{name}: exit": str(rc), f"{name}: stdout": out.getvalue(), f"{name}: stderr": err.getvalue()}
         for key, path in files.items():
@@ -106,6 +119,7 @@ def scene_entries(arc, name: str, scene_dict: dict, start, goal) -> dict:
 
 def collect(repo: str) -> dict:
     sys.dont_write_bytecode = True  # leave no __pycache__ in either checkout
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width otherwise
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
     import arcplan.cli
     import arcplan.geometry
@@ -117,8 +131,10 @@ def collect(repo: str) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as work:
         for argv in COMMANDS:
-            out.update(run(arc, argv, work))
-        out.update(run(arc, ("export-svg", "--to", "B"), work))
+            out.update(run(arc, argv, work, FILES.get(argv[0], {})))
+        out.update(run(arc, ("export-svg", "--to", "B"), work, FILES["export-svg"]))
+        for argv in USAGE:
+            out.update(run(arc, argv, work, {}))
     for seed in (1, 2):
         for i, req in enumerate(inputs.cold_scenes(seed, 80)):
             out.update(scene_entries(arc, f"cold {seed}/{i}", req["scene_dict"], req["from"], req["to"]))

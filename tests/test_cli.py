@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arcplan import sceneio
+from arcplan import builtin_scene, cli, sceneio
 from arcplan.cli import main
 from test_planner import pocket_scene
 
@@ -413,6 +413,59 @@ def test_infeasible_exit_code(capsys, tmp_path):
     )
     assert rc == 3 and out == ""
     assert enum_err == err
+
+
+# one valid run of each command, abbreviations included; "scene.json" is the builtin scene
+VALID_RUNS = [
+    ("plan", "--to", "B", "--engine", "aco", "--seed", "3", "--ants", "5", "--gens", "4", "--out", "p.json",
+     "--svg", "p.svg"),
+    ("aco", "--se", "2", "--ants", "5", "--gens", "3", "--out", "curve.txt"),
+    ("verify", "--tol", "1"),
+    ("export-svg", "--sce", "scene.json", "--from", "10,10", "--to", "B", "--ou", "route.svg"),
+    ("enumerate", "--sce", "scene.json", "--to", "B", "--top", "2"),
+]
+PARSER_STOPS = [
+    (), ("-h",), ("--help",), ("bogus",), ("--bogus", "plan"),
+    *((name, "-h") for name in cli.COMMANDS),
+    *((name, "--bogus") for name in cli.COMMANDS),
+    ("plan", "extra"), ("plan", "--to", "B", "--bogus", "--seed", "x"),
+    ("plan", "--seed", "x"), ("aco", "--seed", "x"), ("export-svg", "--seed", "x", "--out", "r.svg"),
+    ("enumerate", "--top", "0"), ("verify", "--tolerance", "x"), ("export-svg", "--to", "B"),
+    ("plan", "--sce", "no-such-file.json"), ("plan", "--s", "1"), ("aco", "--seed"),
+]
+
+
+def _outcome(capsys, argv) -> tuple:
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:  # help, or a usage error
+        rc = e.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", VALID_RUNS + PARSER_STOPS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_command_parser_answers_as_the_full_parser(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    sceneio.dump_scene(builtin_scene(), "scene.json")
+    if argv in VALID_RUNS:
+        args, rest = cli.command_parser(argv[0]).parse_known_args(argv[1:])
+        assert rest == [] and args == cli.build_parser().parse_args(argv)
+    fast = _outcome(capsys, argv)
+    cli.build_parser()  # built from the whole table before main loses sight of it
+    monkeypatch.setattr(cli, "COMMANDS", {})  # no name is a command, so main takes the full parser
+    assert _outcome(capsys, argv) == fast
+
+
+def test_valid_runs_never_build_the_full_parser(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sceneio.dump_scene(builtin_scene(), "scene.json")
+    cli.build_parser.cache_clear()
+    for argv in VALID_RUNS:
+        assert main(list(argv)) == 0, argv
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert info.hits + info.misses == 0
 
 
 num3 = st.floats(-1000.0, 1000.0).map(lambda v: round(v, 3))  # as perfbench's scene generator draws them
