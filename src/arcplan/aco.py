@@ -34,20 +34,14 @@ class WeightedGraph(NamedTuple):
 
     @property
     def weights(self) -> list[list[float]]:
-        """[i - 1][j - 1]: weight(i, j), a dense view of the edge lists built anew on each read."""
+        """[i - 1][j - 1]: the weight between nodes i and j, 0.0 when i == j, no_edge without an edge; a
+        dense view of the edge lists built anew on each read."""
         m = [[self.no_edge] * len(self.adjacency) for _ in self.adjacency]
         for i, row in enumerate(self.adjacency):
             m[i][i] = 0.0
             for j, w in row:
                 m[i][j - 1] = w
         return m
-
-    def weight(self, i: int, j: int) -> float:
-        """Weight between 1-based nodes i and j: 0.0 when i == j, no_edge without an edge."""
-        return next((w for v, w in self.adjacency[i - 1] if v == j), 0.0 if i == j else self.no_edge)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return any(v == j for v, _ in self.adjacency[i - 1])
 
 
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int, float]], no_edge: float = NO_EDGE) -> WeightedGraph:

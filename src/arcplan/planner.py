@@ -215,8 +215,8 @@ class RoadmapGraph(dict):
     """A query's roadmap edges: graph[node] is the node's (neighbor, weight)
     row, ascending, built on first read, so a search judges only the anchor
     pairs of the nodes it expands; the goal's, which no search expands, is
-    empty.  node_count, and has_edge(i, j) for i < j, answer as
-    WeightedGraph's do.  Node k is corner order[k - 2]; to_goal(node), the
+    empty.  node_count answers as WeightedGraph's does, and has_edge(i, j),
+    for i < j, reads row i.  Node k is corner order[k - 2]; to_goal(node), the
     straight distance to the goal, is A*'s h."""
 
     def __init__(self, scene: Scene, anchors: tuple[Point, ...], circles: tuple, order: tuple[int, ...]):
@@ -224,7 +224,7 @@ class RoadmapGraph(dict):
         self.scene, self.anchors, self.circles, self.order = scene, anchors, circles, order
         self.node_count = n = len(anchors)
         self.node_of = {corner: k for k, corner in enumerate(order, start=2)}
-        self.start_links = {j for j in range(2, n + 1) if any(_legs(circles[0], circles[j - 1], scene))}
+        self.start_links = {j for j in range(2, n) if any(_legs(circles[0], circles[j - 1], scene))}
         self.to_goal = [0.0, *(math.dist(anchor, anchors[-1]) for anchor in anchors)].__getitem__
 
     def __missing__(self, node: int) -> tuple[tuple[int, float], ...]:
@@ -250,13 +250,14 @@ def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
     one of radius 0 for an endpoint, a CW and a CCW one of radius clearance
     for a corner.  An edge exists iff the directed tangent of some turn pair
     between two anchors' circles keeps clearance (segment_clear, the limit
-    validate_path applies).  Between the endpoints that tangent is the
-    straight segment; between an endpoint and a corner the corner's two
-    turns give the two tangents.  Its weight is the plain Euclidean anchor
-    distance.  The edges are `RoadmapGraph` rows, built when first read; the
-    links between corners are kept on the Scene (`_corner_row`).
-    Nodes run start, corners by distance from the start, goal.  The endpoints
-    are not checked here: the planning entry points check them first.
+    validate_path applies); between an endpoint and a corner the corner's
+    two turns give the two tangents, and the straight start-goal segment,
+    which `_direct_plan` refused, is no edge.  An edge weighs the plain
+    Euclidean anchor distance.  The edges are `RoadmapGraph` rows, built
+    when first read; the links between corners are kept on the Scene
+    (`_corner_row`).  Nodes run start, corners by distance from the start,
+    goal.  The endpoints are not checked here: the planning entry points
+    check them first.
     """
     start, goal = Point(*start), Point(*goal)
     points, corner_circles, _ = _corners(scene)

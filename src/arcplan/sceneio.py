@@ -101,11 +101,11 @@ def scene_from_dict(d: dict) -> Scene:
         raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
         _no_unknown_keys(d, ("bounds", "clearance", "obstacles"), "scene")
-        raw = d.get("bounds", [800.0, 800.0])
+        raw = d.get("bounds", Scene.bounds)
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise SceneFormatError(f"bounds must be [width, height], got {reprlib.repr(raw)}")
         bounds = (read_size(raw[0], "bounds width"), read_size(raw[1], "bounds height"))
-        clearance = read_size(d.get("clearance", 10.0), "clearance")
+        clearance = read_size(d.get("clearance", Scene.clearance), "clearance")
         entries, obstacles, ids = d.get("obstacles", []), [], set()
         if not isinstance(entries, (list, tuple)):
             raise SceneFormatError(f"obstacles must be a list, got {reprlib.repr(entries)}")

@@ -2,10 +2,9 @@
 
     python tests/answers.py OUT.json [--repo DIR]
 
-Imports arcplan from DIR/src and the seeded query generators from
-DIR/perfbench (DIR defaults to the checkout holding this script).  The
-queries: O->A/B/C on the builtin scene, 69 random pairs on it for each of
-seeds 1-3, the 80 cold scenes of each of seeds 1-2 with their one query each
+A sweep (tests/sweep.py).  The queries: O->A/B/C on the builtin scene, 69
+random pairs on it for each of seeds 1-3, the 80 cold scenes of each of
+seeds 1-2 with their one query each
 (the exact engine throughout), colony-engine plans O->A/B/C for colony
 seeds 1-3, exact queries from O to 40 goals drawn uniformly over the
 builtin field by random.Random(4) with no clearance filter, so that the
@@ -17,18 +16,16 @@ plan and each aco_run also record the colony's chromosome, repr(cost) and a
 SHA-256 of repr((best_curve, mean_curve)), so the random stream is compared
 too, not only the routes it leads to.  Prints the answer count and a SHA-256
 digest of OUT; two checkouts give the same answers iff the files are equal.
-Times nothing, and pytest does not collect it.  tests/bounds.py brackets the
-same exact queries (exact_queries).
+Times nothing.  tests/bounds.py brackets the same exact queries
+(exact_queries).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
 import random
-import sys
+
+import sweep
 
 GOALS = 40  # exact queries from O to goals drawn uniformly over the builtin field
 
@@ -78,16 +75,7 @@ def exact_queries(arc, inputs) -> list[tuple]:
     return queries + [(scene, origin, (rng.uniform(0, w), rng.uniform(0, h))) for _ in range(GOALS)]
 
 
-def collect(repo: str) -> list[dict]:
-    sys.dont_write_bytecode = True  # leave no __pycache__ in either checkout
-    sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
-    import arcplan.aco
-    import arcplan.geometry
-    import arcplan.planner
-    import arcplan.sceneio
-    import inputs
-
-    arc = arcplan
+def collect(arc, inputs, _oracle) -> list[dict]:
     queries = exact_queries(arc, inputs)
     scene, origin, _ = queries[0]
     out = [answer(arc, *q) for q in queries[:-GOALS]]
@@ -99,17 +87,9 @@ def collect(repo: str) -> list[dict]:
     return out
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out")
-    ap.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    args = ap.parse_args()
-    answers = collect(os.path.abspath(args.repo))
-    text = json.dumps(answers, indent=1) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def summary(answers: list, text: str, _seconds) -> None:
     print(f"{len(answers)} answers, sha256 {hashlib.sha256(text.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(sweep.run(__doc__, collect, summary))

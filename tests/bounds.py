@@ -2,9 +2,8 @@
 
     python tests/bounds.py OUT.json [--repo DIR]
 
-Imports arcplan from DIR/src and the seeded query generators from
-DIR/perfbench (DIR defaults to the checkout holding this script), and
-`oracles` and the query list from this script's own checkout.  For each of
+A sweep (tests/sweep.py), with `oracles` and the query list from this
+script's own checkout.  For each of
 the 410 exact queries of tests/answers.py it plans the route and computes
 oracles.length_bounds at step STEP, which uses none of arcplan's tangent,
 clearance or arc code, and writes one verdict:
@@ -23,20 +22,15 @@ Prints the count of each verdict and writes every query's verdict, length
 below its lower bound and 0 otherwise: no correct route is shorter than the
 lower bound, while routes above the bracket and false exit 3s are the
 engine's known defects.
-pytest does not collect it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import sys
-import time
 
 import answers
 import oracles
+import sweep
 
 STEP = 0.3  # rad of envelope arc between polygon vertices
 SLACK = 1e-9  # float noise allowed on either side of the bracket
@@ -60,31 +54,15 @@ def verdict(arc, scene, start, goal) -> dict:
     return {**query, "verdict": kind, "length": length, "lower": lower, "upper": upper}
 
 
-def collect(repo: str) -> list[dict]:
-    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
-    sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
-    import arcplan.geometry
-    import arcplan.planner
-    import arcplan.sceneio
-    import inputs
-
-    return [verdict(arcplan, *q) for q in answers.exact_queries(arcplan, inputs)]
+def collect(arc, inputs, _oracle) -> list[dict]:
+    return [verdict(arc, *q) for q in answers.exact_queries(arc, inputs)]
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out")
-    ap.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    args = ap.parse_args()
-    t = time.perf_counter()
-    entries = collect(os.path.abspath(args.repo))
-    seconds = time.perf_counter() - t
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(entries, indent=1) + "\n")
+def summary(entries: list, _text, seconds: float) -> int:
     counts = {v: sum(e["verdict"] == v for e in entries) for v in VERDICTS}
     print(f"{len(entries)} queries: " + ", ".join(f"{n} {v}" for v, n in counts.items()) + f" ({seconds:.1f} s)")
     return 1 if counts["below"] else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(sweep.run(__doc__, collect, summary))

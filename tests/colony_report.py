@@ -2,8 +2,7 @@
 
     python tests/colony_report.py OUT.json [--repo DIR]
 
-Imports arcplan from DIR/src and the seeded query generators from
-DIR/perfbench (DIR defaults to the checkout holding this script).  Two parts:
+A sweep (tests/sweep.py).  Two parts:
 
 - graph: aco_run with the default parameters on the 15-node graph for seeds
   1-100; the histogram of final costs, how many runs reach the exact optimum
@@ -17,35 +16,20 @@ DIR/perfbench (DIR defaults to the checkout holding this script).  Two parts:
 
 The report is deterministic and times nothing: two checkouts whose colony
 behaves the same write the same file.  Prints a summary line per part.
-pytest does not collect it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
 import statistics
-import sys
+
+import sweep
 
 SEEDS = range(1, 101)  # aco_run seeds on the 15-node graph
 COLONY_SEEDS = (1, 2, 3)
 PAIR_SEEDS = (1, 2, 3)  # warm_queries seeds: 69 random pairs each
 PAIRS_PER_SEED = 69
 SLACK = 1e-9  # float noise below which a length difference is no excess
-
-
-def load(repo: str):
-    sys.dont_write_bytecode = True  # leave no __pycache__ in either checkout
-    sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
-    import arcplan.aco
-    import arcplan.geometry
-    import arcplan.planner
-    import arcplan.sceneio
-    import inputs
-
-    return arcplan, inputs
 
 
 def p90(values: list) -> float:
@@ -119,15 +103,11 @@ def warm_part(arc, inputs) -> dict:
     return {"pairs": len(pairs), "pair_seeds": list(PAIR_SEEDS), "colony_seeds": per_seed}
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out")
-    ap.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    args = ap.parse_args()
-    arc, inputs = load(os.path.abspath(args.repo))
-    report = {"graph": graph_part(arc), "warm_pairs": warm_part(arc, inputs)}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=1) + "\n")
+def collect(arc, inputs, _oracle) -> dict:
+    return {"graph": graph_part(arc), "warm_pairs": warm_part(arc, inputs)}
+
+
+def summary(report: dict, _text, _seconds) -> None:
     g = report["graph"]
     print(f"15-node graph, seeds {g['seeds'][0]}-{g['seeds'][1]}: {g['reach_optimum']} reach {g['optimum']:g};"
           f" final costs {g['final_costs']}; first hit {g['first_hit_generation']}")
@@ -137,4 +117,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(sweep.run(__doc__, collect, summary))

@@ -2,12 +2,10 @@
 
     python tests/relations.py OUT.json [--repo DIR]
 
-Imports arcplan from DIR/src and the seeded scene generator from
-DIR/perfbench (DIR defaults to the checkout holding this script).  For each
-of the 160 cold scenes of inputs.cold_scenes seeds 1-2 it plans the scene's
-one query with the exact engine three times: as drawn, mirrored (every x
-mapped to W - x, W the field's width) and scaled (every coordinate and the
-clearance times 2).  Two relations must hold, each within TOL:
+A sweep (tests/sweep.py).  For each of the 160 cold scenes of
+inputs.cold_scenes seeds 1-2 it plans the scene's one query with the exact
+engine three times: as drawn, mirrored (every x mapped to W - x, W the
+field's width) and scaled (every coordinate and the clearance times 2).  Two relations must hold, each within TOL:
 
 - mirror: the verdict and the length are the same, and each corner is the
   mirror image of the drawn plan's, turned the other way;
@@ -17,16 +15,12 @@ Neither needs an oracle.  Prints the count of broken relations of each kind
 and writes every query's verdict, length and relations to OUT.  Always exits
 0: a broken relation is a defect to report, as tests/bounds.py reports routes
 above their bracket.  test_planner's tier-1 test checks a fixed sample of the
-same queries (`check`).  pytest does not collect it.
+same queries (`check`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import time
+import sweep
 
 SCALE = 2.0  # a power of two: scaling the scene rounds no coordinate
 TOL = 1e-6
@@ -94,36 +88,20 @@ def check(arc, scene, start, goal) -> dict:
     return {"verdict": verdict, "length": length, "mirror": mirror, "scale": scale}
 
 
-def collect(repo: str) -> list[dict]:
-    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
-    sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
-    import arcplan.geometry
-    import arcplan.planner
-    import arcplan.sceneio
-    import inputs
-
+def collect(arc, inputs, _oracle) -> list[dict]:
     out = []
     for seed in (1, 2):
         for i, req in enumerate(inputs.cold_scenes(seed, 80)):
-            scene = arcplan.sceneio.scene_from_dict(req["scene_dict"])
+            scene = arc.sceneio.scene_from_dict(req["scene_dict"])
             query = {"seed": seed, "scene": i, "from": list(req["from"]), "to": list(req["to"])}
-            out.append({**query, **check(arcplan, scene, req["from"], req["to"])})
+            out.append({**query, **check(arc, scene, req["from"], req["to"])})
     return out
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out")
-    ap.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    args = ap.parse_args()
-    t = time.perf_counter()
-    entries = collect(os.path.abspath(args.repo))
-    seconds = time.perf_counter() - t
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(entries, indent=1) + "\n")
+def summary(entries: list, _text, seconds: float) -> None:
     broken = ", ".join(f"{sum(not e[r] for e in entries)} {r}" for r in RELATIONS)
     print(f"{len(entries)} queries, broken relations: {broken} ({seconds:.1f} s)")
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(sweep.run(__doc__, collect, summary))

@@ -2,9 +2,7 @@
 
     python tests/reports.py OUT.json [--repo DIR]
 
-Imports arcplan from DIR/src and the seeded scene generator from
-DIR/perfbench (DIR defaults to the checkout holding this script).  The
-entries, each a name and a text:
+A sweep (tests/sweep.py).  The entries, each a name and a text:
 
 - the exit code, stdout and stderr of `plan`, `plan --to B`, `plan --engine
   aco --seed 5`, `aco --seed 2`, `enumerate --to B --top 3` and `verify` (the
@@ -26,20 +24,19 @@ entries, each a name and a text:
   when there is none).
 
 Prints the entry count and a SHA-256 digest of OUT; two checkouts give the
-same outputs iff the files are equal.  Times nothing, and pytest does not
-collect it.
+same outputs iff the files are equal.  Times nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
-import sys
 import tempfile
+
+import sweep
 
 COMMANDS = [
     ("plan",),
@@ -117,17 +114,8 @@ def scene_entries(arc, name: str, scene_dict: dict, start, goal) -> dict:
     }
 
 
-def collect(repo: str) -> dict:
-    sys.dont_write_bytecode = True  # leave no __pycache__ in either checkout
+def collect(arc, inputs, _oracle) -> dict:
     os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width otherwise
-    sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
-    import arcplan.cli
-    import arcplan.geometry
-    import arcplan.planner
-    import arcplan.sceneio
-    import inputs
-
-    arc = arcplan
     out = {}
     with tempfile.TemporaryDirectory() as work:
         for argv in COMMANDS:
@@ -143,17 +131,9 @@ def collect(repo: str) -> dict:
     return out
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out")
-    ap.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    args = ap.parse_args()
-    reports = collect(os.path.abspath(args.repo))
-    text = json.dumps(reports, indent=1) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def summary(reports: dict, text: str, _seconds) -> None:
     print(f"{len(reports)} entries, sha256 {hashlib.sha256(text.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(sweep.run(__doc__, collect, summary))

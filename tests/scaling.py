@@ -2,9 +2,8 @@
 
     python tests/scaling.py OUT.json [--repo DIR]
 
-Imports arcplan from DIR/src and the seeded scene recipe from DIR/perfbench
-(DIR defaults to the checkout holding this script; it needs `planner._legs`,
-`planner._corners` and `planner._corner_row`).
+A sweep (tests/sweep.py); it needs `planner._legs`, `planner._corners` and
+`planner._corner_row`.
 For each size of 6, 12, 24, 48 and 96 obstacles, SCENES scenes drawn by
 random.Random(size): perfbench/inputs' obstacle recipe, one obstacle in each
 of `size` cells drawn from a grid of 160-unit cells, 5 x 5 (the cold scenes'
@@ -29,20 +28,19 @@ obstacles (`sealed_queries`), and records for each the verdict, the same
 counts of one cold plan_route and the median time of REPEATS more: the cost
 of an exit 3, which no feasible query shows.  Prints the tables and writes
 OUT; two runs of one checkout give the same counts, so a count diff between
-checkouts is a same-work check.  pytest does not collect it.
+checkouts is a same-work check.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import platform
 import random
 import statistics
-import sys
 import time
+
+import sweep
 
 SIZES = (6, 12, 24, 48, 96)
 SCENES = 8  # per size
@@ -153,16 +151,7 @@ def machine() -> str:
     return f"python {platform.python_version()}, nproc {os.cpu_count()}, cpu {cpu}"
 
 
-def collect(repo: str) -> dict:
-    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
-    sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
-    import arcplan.geometry
-    import arcplan.planner
-    import arcplan.sceneio
-    import inputs
-    import oracle
-
-    arc = arcplan
+def collect(arc, inputs, oracle) -> dict:
     rows = []
     for size in SIZES:
         rng = random.Random(size)
@@ -207,14 +196,7 @@ def collect(repo: str) -> dict:
             "exponents": {k: exponent(SIZES, [row[k] for row in rows]) for k in figures}}
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out")
-    ap.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    args = ap.parse_args()
-    record = collect(os.path.abspath(args.repo))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, indent=1) + "\n")
+def summary(record: dict, _text, _seconds) -> None:
     columns = ("obstacles", *COUNTS, "no_route", "cold_ms_p50", "warm_ms_p50")
     print(" ".join(f"{c:>16}" for c in columns))
     for row in record["sizes"]:
@@ -230,4 +212,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(sweep.run(__doc__, collect, summary))

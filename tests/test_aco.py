@@ -33,39 +33,38 @@ OPTIMUM_COST = 637.0
 def test_builtin_graph_shape(graph):
     assert graph.node_count == 15
     assert graph.no_edge == 1000.0
+    weights = graph.weights
     for i in range(1, 16):
-        assert graph.weight(i, i) == 0.0
+        assert weights[i - 1][i - 1] == 0.0
         for j in range(1, 16):
-            assert graph.weight(i, j) == graph.weight(j, i)
-    edges = sum(1 for i in range(1, 16) for j in range(i + 1, 16) if graph.has_edge(i, j))
+            assert weights[i - 1][j - 1] == weights[j - 1][i - 1]
+    edges = sum(1 for i in range(1, 16) for j in range(i + 1, 16) if j in dict(graph.adjacency[i - 1]))
     assert edges == 31
 
 
 def test_builtin_graph_spot_weights(graph):
-    assert graph.weight(1, 2) == 70.0
-    assert graph.weight(1, 4) == 276.0
-    assert graph.weight(3, 8) == 500.0
-    assert graph.weight(8, 9) == 49.0
-    assert graph.weight(9, 11) == 30.0
-    assert graph.weight(11, 14) == 69.0
-    assert graph.weight(14, 15) == 82.0
-    assert graph.weight(8, 14) == 555.0
+    weights = graph.weights
+    spots = [(1, 2, 70.0), (1, 4, 276.0), (3, 8, 500.0), (8, 9, 49.0), (9, 11, 30.0), (11, 14, 69.0), (14, 15, 82.0),
+             (8, 14, 555.0)]
+    for i, j, w in spots:
+        assert weights[i - 1][j - 1] == w, (i, j)
     # 2-6 stays disconnected; an edge there would re-route the whole benchmark
-    assert not graph.has_edge(2, 6)
-    assert graph.weight(2, 6) == NO_EDGE
+    assert 6 not in dict(graph.adjacency[2 - 1])
+    assert weights[2 - 1][6 - 1] == NO_EDGE
 
 
 def test_builtin_graph_neighbors(graph):
     assert dict(graph.adjacency[0]) == {2: 70.0, 4: 276.0, 5: 208.0}
     assert dict(graph.adjacency[14]) == {13: 141.0, 14: 82.0}
-    assert not graph.has_edge(1, 1)
+    assert 1 not in dict(graph.adjacency[0])
 
 
 def test_graph_from_edges_symmetry():
     g = graph_from_edges(4, [(1, 2, 5.0), (2, 4, 7.5)], no_edge=99.0)
-    assert g.weight(2, 1) == 5.0 and g.weight(4, 2) == 7.5
-    assert g.weight(1, 1) == 0.0
-    assert not g.has_edge(1, 3)
+    weights = g.weights
+    assert weights[2 - 1][1 - 1] == 5.0 and weights[4 - 1][2 - 1] == 7.5
+    assert weights[1 - 1][1 - 1] == 0.0
+    assert 3 not in dict(g.adjacency[1 - 1])
     assert g.no_edge == 99.0
 
 
@@ -101,8 +100,8 @@ def test_graph_from_edges_applies_the_one_edge_rule():
             assert all(a < b for a, b in zip(neighbors, neighbors[1:])), (seed, i)
             assert dict(g.adjacency[i - 1]) == {j: w for (a, j), w in want.items() if a == i}, (seed, i)
             for j in range(1, n + 1):
-                assert g.has_edge(i, j) == ((i, j) in want), (seed, i, j)
-                assert g.weight(i, j) == weights[i - 1][j - 1] == weights[j - 1][i - 1], (seed, i, j)
+                assert (j in dict(g.adjacency[i - 1])) == ((i, j) in want), (seed, i, j)
+                assert weights[i - 1][j - 1] == weights[j - 1][i - 1], (seed, i, j)
                 assert weights[i - 1][j - 1] == (0.0 if i == j else want.get((i, j), no_edge)), (seed, i, j)
 
 
@@ -133,11 +132,11 @@ def test_decode_known_chromosome(graph):
     ids=["builtin", "at-sentinel", "above-sentinel", "not-finite", "inf-sentinel", "inf-sentinel-edges"],
 )
 def test_decode_charges_missing_edges(edges, no_edge, chromosome, nodes, cost):
-    # a hop without an edge (has_edge False) costs the sentinel, whatever weight was given for it
+    # a hop without an edge (no adjacency entry) costs the sentinel, whatever weight was given for it
     g = graph_from_edges(len(chromosome), edges, no_edge=no_edge)
     assert decode_and_cost(bits_from_string(chromosome), g) == (nodes, cost)
     hops = zip(nodes, nodes[1:])
-    assert cost == sum(g.weight(a, b) if g.has_edge(a, b) else g.no_edge for a, b in hops)
+    assert cost == sum(dict(g.adjacency[a - 1]).get(b, g.no_edge) for a, b in hops)
 
 
 def test_pheromone_init_peaks_at_best():

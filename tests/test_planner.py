@@ -127,11 +127,17 @@ def test_build_roadmap_holds_chain_corners(scene, expected):
 
 
 def test_build_roadmap_empty_scene():
+    # the straight start-goal segment is _direct_plan's: the planning entry
+    # points answer with it before any roadmap is built, so the roadmap
+    # judges no start-goal edge, and here the start has no corner to link to
     empty = Scene(bounds=(500.0, 500.0))
-    rm = build_roadmap(empty, Point(10, 10), Point(480, 30))
+    start, goal = Point(10, 10), Point(480, 30)
+    rm = build_roadmap(empty, start, goal)
     assert len(rm.anchors) == 2
-    assert rm.graph.has_edge(1, 2)
-    assert rm.graph[1] == ((2, pytest.approx(math.dist((10, 10), (480, 30)))),)
+    assert not rm.graph.has_edge(1, 2)
+    assert rm.graph[1] == ()
+    plan = plan_route(RouteRequest(start, goal, empty))
+    assert plan.corners == () and plan.length == pytest.approx(math.dist((10, 10), (480, 30)))
 
 
 def roadmap_edges(rm) -> set:

@@ -1,0 +1,52 @@
+"""The same-answer sweeps' diff: `python tests/sweep.py BASE.json HEAD.json`."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SWEEP = Path(__file__).with_name("sweep.py")
+
+
+def sweep_diff(tmp_path, base, head) -> list[str]:
+    """The diff's stdout lines for two records written as the sweeps write them."""
+    paths = []
+    for name, record in (("base.json", base), ("head.json", head)):
+        if record is not None:
+            (tmp_path / name).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    done = subprocess.run([sys.executable, str(SWEEP), *paths], capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
+def test_sweep_diff_names_every_differing_leaf(tmp_path):
+    svg = "<svg>" + "x" * 300 + "</svg>"
+    base = {"answers": [{"length": "471.0372", "corners": [[230, 60]]}, {"length": "853.7001"}],
+            "scene": {"bounds": [800, 800], "kind": "rect"}, "svg": svg, "count": 1, "gone": 7}
+    head = {"answers": [{"length": "471.0372", "corners": [[230, 61]]}, {"length": "853.7001"}, {"length": "9.5"}],
+            "scene": {"bounds": [800, 800], "kind": "circle"}, "svg": svg.replace("x", "y"), "count": 1.0, "new": []}
+    lines = sweep_diff(tmp_path, base, head)
+    # 12 leaves in all: 4 under answers, 3 under scene, svg, count, gone, new, and the third answer's length
+    assert lines[0] == "7 of 12 leaves differ"
+    named = {line.split(": ", 1)[0].strip(): line.split(": ", 1)[1] for line in lines[1:]}
+    assert named == {
+        "/answers/0/corners/0/1": "60 -> 61",  # a list index inside a nested key
+        "/answers/2/length": "absent -> '9.5'",  # a list index on one side only
+        "/scene/kind": "'rect' -> 'circle'",
+        "/svg": named["/svg"],
+        "/count": "1 -> 1.0",  # equal in Python, not in the file
+        "/gone": "7 -> absent",  # a key on one side only
+        "/new": "absent -> []",  # an empty list is a leaf
+    }
+    assert "..." in named["/svg"] and len(named["/svg"]) < 100  # the long texts, shortened
+    assert named["/svg"].startswith("'<svg>xxx") and "-> '<svg>yyy" in named["/svg"]
+
+
+def test_sweep_diff_of_identical_files_prints_zero(tmp_path):
+    record = [{"from": [0, 0], "to": [470, 120], "report": "length 471.0372\n" * 40}, {"aco": None, "blockers": []}]
+    assert sweep_diff(tmp_path, record, record) == ["0 of 7 leaves differ"]
+
+
+def test_sweep_diff_names_a_missing_record(tmp_path):
+    # a base run that crashed wrote no file: the diff names it and still exits 0
+    assert sweep_diff(tmp_path, None, {"a": 1}) == [f"{tmp_path / 'base.json'}: missing"]
