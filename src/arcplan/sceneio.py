@@ -94,9 +94,10 @@ def scene_from_dict(d: dict) -> Scene:
     """Scene from its JSON form, an object with a list of obstacle objects;
     every number must be a finite JSON number (no boolean or string), the
     clearance, bounds and obstacle dimensions positive, the obstacle ids
-    distinct integers, no triangle or parallelogram of zero area and no two
-    corners of a rect or parallelogram at one point; a key it does not
-    define, at the top or for an obstacle's kind, is never ignored."""
+    distinct integers, no triangle or parallelogram of zero area, no two
+    corners of a rect or parallelogram at one point and no corner or area
+    beyond the float range; a key it does not define, at the top or for an
+    obstacle's kind, is never ignored."""
     if not isinstance(d, dict):
         raise SceneFormatError(f"a scene must be a JSON object, got {type(d).__name__}")
     try:
@@ -126,14 +127,19 @@ def scene_from_dict(d: dict) -> Scene:
                 raise SceneFormatError(f"{at}: unknown kind {reprlib.repr(kind)}")
             cls, fields = _KINDS[kind]
             shape = cls(*[read(entry[key], f"{at} {key}") for key, read in fields.items()])
+            if kind != "circle":  # area: the cross product of the sides at the first vertex
+                verts = polygon_vertices(shape)
+                (ax, ay), (bx, by), (cx, cy) = verts[0], verts[1], verts[-1]
+                area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if kind == "triangle":
-                (ax, ay), (bx, by), (cx, cy) = shape
-                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0.0:
+                if area == 0.0:
                     raise SceneFormatError(f"{at}: left, lower_right and top are collinear (zero area)")
             elif kind == "parallelogram" and shape.top_left.y == shape.anchor.y:
                 raise SceneFormatError(f"{at}: top_left is level with anchor (zero area)")
-            elif kind != "circle" and len(set(polygon_vertices(shape))) < 4:
+            elif kind != "circle" and len(set(verts)) < 4:
                 raise SceneFormatError(f"{at}: two corners coincide (a side is below the float spacing)")
+            if kind != "circle" and not all(map(math.isfinite, (area, *sum(verts, ())))):
+                raise SceneFormatError(f"{at}: a corner or the area is beyond the float range")
             _no_unknown_keys(entry, ("id", "kind", *fields), f"{at} ({kind})")
             obstacles.append(ObstacleSpec(oid, shape))
     except KeyError as e:

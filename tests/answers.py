@@ -36,15 +36,12 @@ def colony(res) -> dict:
 
 
 def answer(arc, scene, start, goal, engine="exact", seed=1) -> dict:
-    params = arc.aco.AcoParams(seed=seed) if engine == "aco" else None
-    req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene, engine, params)
     query = {"from": list(start), "to": list(goal), "engine": engine, "seed": seed}
-    try:
-        plan = arc.planner.plan_route(req)
-    except arc.planner.RouteInfeasible as e:
-        return {**query, "verdict": "infeasible", "blockers": list(e.blockers)}
-    except arc.planner.RequestError as e:
-        return {**query, "verdict": "request error", "message": str(e)}
+    plan = sweep.plan(arc, scene, start, goal, engine, seed)
+    if isinstance(plan, arc.planner.RouteInfeasible):
+        return {**query, "verdict": "infeasible", "blockers": list(plan.blockers)}
+    if isinstance(plan, arc.planner.RequestError):
+        return {**query, "verdict": "request error", "message": str(plan)}
     out = {
         **query,
         "verdict": "plan",

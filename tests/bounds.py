@@ -39,13 +39,10 @@ VERDICTS = ("inside", "above", "below", "infeasible with a route", "infeasible",
 
 def verdict(arc, scene, start, goal) -> dict:
     query = {"from": list(start), "to": list(goal)}
-    req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene)
-    try:
-        length = arc.planner.plan_route(req).length
-    except arc.planner.RequestError:
+    plan = sweep.plan(arc, scene, start, goal)
+    if isinstance(plan, arc.planner.RequestError):
         return {**query, "verdict": "request error"}
-    except arc.planner.RouteInfeasible:
-        length = None
+    length = None if isinstance(plan, arc.planner.RouteInfeasible) else plan.length
     lower, upper = oracles.length_bounds(scene, start, goal, STEP)
     if length is None:
         kind = "infeasible with a route" if upper < math.inf else "infeasible"

@@ -65,12 +65,10 @@ def graph_part(arc) -> dict:
 
 def plan(arc, scene, start, goal, engine: str, seed: int):
     """The planner's plan for the query, or None when it finds no route."""
-    params = arc.aco.AcoParams(seed=seed) if engine == "aco" else None
-    req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene, engine, params)
-    try:
-        return arc.planner.plan_route(req)
-    except arc.planner.RouteInfeasible:
-        return None
+    out = sweep.plan(arc, scene, start, goal, engine, seed)
+    if isinstance(out, arc.planner.RequestError):
+        raise out
+    return None if isinstance(out, arc.planner.RouteInfeasible) else out
 
 
 def warm_part(arc, inputs) -> dict:

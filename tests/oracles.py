@@ -307,34 +307,6 @@ def chain_length(start, corners, end, radius) -> float:
     return total + math.dist(prev, end)
 
 
-def chain_segment_lengths(start, corners, end, radius) -> list[float]:
-    """Per-segment lengths (line, arc, line, arc, ..., line) of the chain."""
-    if not corners:
-        return [math.dist(start, end)]
-    entries = []
-    exits = []
-    first = corners[0]
-    entries.append(entry_angle(start, (first[0], first[1]), radius, first[2]))
-    for (x1, y1, t1), (x2, y2, t2) in zip(corners, corners[1:]):
-        a_out, a_in = pair_angles((x1, y1), t1, (x2, y2), t2, radius)
-        exits.append(a_out)
-        entries.append(a_in)
-    last = corners[-1]
-    exits.append(exit_angle(end, (last[0], last[1]), radius, last[2]))
-
-    out: list[float] = []
-    prev = start
-    for (cx, cy, turn), a_in, a_out in zip(corners, entries, exits):
-        p_in = (cx + radius * math.cos(a_in), cy + radius * math.sin(a_in))
-        p_out = (cx + radius * math.cos(a_out), cy + radius * math.sin(a_out))
-        sweep = (turn * (a_out - a_in)) % TAU
-        out.append(math.dist(prev, p_in))
-        out.append(radius * sweep)
-        prev = p_out
-    out.append(math.dist(prev, end))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tangent roadmap edges
 

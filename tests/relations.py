@@ -11,11 +11,20 @@ field's width) and scaled (every coordinate and the clearance times 2).  Two rel
   mirror image of the drawn plan's, turned the other way;
 - scale: the verdict is the same and the length doubles.
 
-Neither needs an oracle.  Prints the count of broken relations of each kind
-and writes every query's verdict, length and relations to OUT.  Always exits
+When the drawn query has a route, it also plans it once on the scene without
+each obstacle in turn (`removals`), and a third relation must hold:
+
+- removal: no removal makes the answer longer by more than TOL or leaves it
+  without a route.
+
+None needs an oracle.  Prints the count of broken mirror and scale
+relations, and per seed how many removals lengthened the answer (and by how
+much at most) or lost its route; writes every query's verdict, length and
+relations to OUT, with each removal that breaks its relation.  Always exits
 0: a broken relation is a defect to report, as tests/bounds.py reports routes
 above their bracket.  test_planner's tier-1 test checks a fixed sample of the
-same queries (`check`).
+same queries against the mirror and scale relations (`check`); the removal
+relation stays out of tier-1, since the engine is known to break it.
 """
 
 from __future__ import annotations
@@ -61,13 +70,9 @@ def scaled(geometry, scene, k: float):
 def outcome(arc, scene, start, goal) -> tuple:
     """(verdict, length, corners) of the exact engine's answer; length and
     corners are None without a plan."""
-    req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene)
-    try:
-        plan = arc.planner.plan_route(req)
-    except arc.planner.RouteInfeasible:
-        return "infeasible", None, None
-    except arc.planner.RequestError:
-        return "request error", None, None
+    plan = sweep.plan(arc, scene, start, goal)
+    if isinstance(plan, Exception):
+        return "infeasible" if isinstance(plan, arc.planner.RouteInfeasible) else "request error", None, None
     return "plan", plan.length, plan.corners
 
 
@@ -88,19 +93,40 @@ def check(arc, scene, start, goal) -> dict:
     return {"verdict": verdict, "length": length, "mirror": mirror, "scale": scale}
 
 
+def removals(arc, scene, start, goal, length) -> list[dict]:
+    """The id, verdict and length of each one-obstacle removal that breaks
+    the removal relation of a query whose drawn answer has this length (None
+    without a route, when no removal can break it)."""
+    if length is None:
+        return []
+    broken = []
+    for spec in scene.obstacles:
+        rest = tuple(o for o in scene.obstacles if o is not spec)
+        verdict, r_length, _ = outcome(arc, arc.geometry.Scene(scene.bounds, rest, scene.clearance), start, goal)
+        if r_length is None or r_length > length + TOL:
+            broken.append({"id": spec.id, "verdict": verdict, "length": r_length})
+    return broken
+
+
 def collect(arc, inputs, _oracle) -> list[dict]:
     out = []
     for seed in (1, 2):
         for i, req in enumerate(inputs.cold_scenes(seed, 80)):
             scene = arc.sceneio.scene_from_dict(req["scene_dict"])
             query = {"seed": seed, "scene": i, "from": list(req["from"]), "to": list(req["to"])}
-            out.append({**query, **check(arc, scene, req["from"], req["to"])})
+            entry = {**query, **check(arc, scene, req["from"], req["to"])}
+            out.append({**entry, "removal": removals(arc, scene, req["from"], req["to"], entry["length"])})
     return out
 
 
 def summary(entries: list, _text, seconds: float) -> None:
     broken = ", ".join(f"{sum(not e[r] for e in entries)} {r}" for r in RELATIONS)
     print(f"{len(entries)} queries, broken relations: {broken} ({seconds:.1f} s)")
+    for seed in sorted({e["seed"] for e in entries}):
+        broken = [(e, r) for e in entries if e["seed"] == seed for r in e["removal"]]
+        excess = [r["length"] - e["length"] for e, r in broken if r["length"] is not None]
+        print(f"removal, seed {seed}: {len(excess)} answers longer (by up to {max(excess, default=0.0):.2f}),"
+              f" {len(broken) - len(excess)} without a route")
 
 
 if __name__ == "__main__":

@@ -100,11 +100,9 @@ def run(arc, argv, work: str, files: dict) -> dict:
 
 def scene_entries(arc, name: str, scene_dict: dict, start, goal) -> dict:
     scene = arc.sceneio.scene_from_dict(scene_dict)
-    req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene)
-    try:
-        plan = arc.planner.plan_route(req)
-    except (arc.planner.RouteInfeasible, arc.planner.RequestError) as e:
-        plan, verdict = None, f"{type(e).__name__}: {e}"
+    plan = sweep.plan(arc, scene, start, goal)
+    if isinstance(plan, Exception):
+        plan, verdict = None, f"{type(plan).__name__}: {plan}"
     else:
         verdict = json.dumps(arc.sceneio.plan_to_dict(f"{start} -> {goal}", plan), indent=1)
     return {

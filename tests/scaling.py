@@ -98,12 +98,7 @@ def sealed_queries(inputs, oracle) -> list[tuple[str, dict, tuple, tuple]]:
 def plan(arc, d: dict, start, goal, scene=None):
     """The Scene planned on (a fresh one unless given) and whether a route came back."""
     scene = arc.sceneio.scene_from_dict(d) if scene is None else scene
-    req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene)
-    try:
-        arc.planner.plan_route(req)
-    except (arc.planner.RouteInfeasible, arc.planner.RequestError):
-        return scene, False
-    return scene, True
+    return scene, not isinstance(sweep.plan(arc, scene, start, goal), Exception)
 
 
 def counted(arc, counts: dict):

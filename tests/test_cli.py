@@ -278,6 +278,10 @@ def _scene_with(obstacle: dict) -> str:
         ('{"obstacles": [5]}', "obstacle entry 0 must be an object, got 5"),
         (_scene_with({"kind": "rect", "anchor": [10, 10], "width": 5}), "obstacle 1: missing field 'height'"),
         ('{"obstacles": [{"kind": "rect"}]}', "obstacle entry 0: missing field 'id'"),
+        (_scene_with({"kind": "rect", "anchor": [1.5e308, 0], "width": 1.5e308, "height": 10}),
+         "obstacle 1: a corner or the area is beyond the float range"),  # a corner at x = inf
+        (_scene_with({"kind": "triangle", "left": [-1e200, -1e200], "lower_right": [0, 0], "top": [1e200, 1e200]}),
+         "obstacle 1: a corner or the area is beyond the float range"),  # collinear, but the area is inf - inf = nan
     ],
     ids=["top-level-array", "one-bound", "three-bounds", "negative-clearance", "nan-clearance", "zero-bound",
          "negative-rect-width", "infinite-coordinate", "zero-radius", "negative-base", "boolean-clearance",
@@ -288,7 +292,8 @@ def _scene_with(obstacle: dict) -> str:
          "string-coordinate", "string-id", "string-width", "repeated-top-level-key", "repeated-obstacle-key",
          "long-string-clearance", "long-bounds", "long-anchor", "long-unknown-key", "long-kind", "many-unknown-keys",
          "first-repeated-key", "list-kind", "field-order", "zero-area-before-unknown-key", "string-obstacles",
-         "null-obstacles", "number-obstacle", "missing-height", "missing-id"],
+         "null-obstacles", "number-obstacle", "missing-height", "missing-id", "float-overflow-corner",
+         "float-overflow-area"],
 )
 def test_malformed_scene_file_exit_code(capsys, tmp_path, text, message):
     bad = tmp_path / "scene.json"

@@ -5,7 +5,6 @@ import heapq
 import importlib
 import itertools
 import math
-import random
 import re
 import sys
 import weakref
@@ -30,7 +29,6 @@ from arcplan.geometry import (
     Triangle,
     builtin_scene,
     in_cone,
-    min_clearance,
     obstacle_vertices,
     segment_clear,
 )
@@ -65,9 +63,26 @@ from arcplan.planner import (
     k_shortest_routes,
     plan_route,
 )
-from arcplan.sceneio import scene_from_dict
+from arcplan.sceneio import scene_from_dict, scene_to_dict
 
 O, A, B, C = (KNOWN_TARGETS[k] for k in "OABC")
+
+
+def perfbench_module(name: str):
+    """A module of perfbench/, imported without writing bytecode there."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, path)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+
+
+# perfbench's random pairs on the builtin scene, seed 3: uniform points with
+# clearance >= 10.5, paired, keeping only the pairs without a straight route
+PAIRS = perfbench_module("inputs").random_pairs(scene_to_dict(builtin_scene()), 3, 20)
 
 
 def pocket_scene() -> Scene:
@@ -171,7 +186,7 @@ def test_roadmap_edges_match_tangent_oracle(scene):
     shared = shared_vertex_scene()
     shared_queries = itertools.cycle([(Point(60, 300), Point(300, 60)), (Point(300, 60), Point(60, 300)),
                                       (Point(20, 20), Point(380, 380))])
-    for start, goal in [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 3):
+    for start, goal in [(O, KNOWN_TARGETS[t]) for t in "ABC"] + PAIRS[:3]:
         rm = build_roadmap(scene, start, goal)
         assert roadmap_edges(rm) == oracle_edges(rm, scene), (start, goal)
         s, g = next(shared_queries)
@@ -185,18 +200,6 @@ def test_roadmap_edges_match_tangent_oracle(scene):
             sc = scene_from_dict(req["scene_dict"])
             rm = build_roadmap(sc, Point(*req["from"]), Point(*req["to"]))
             assert roadmap_edges(rm) == oracle_edges(rm, sc), (req["from"], req["to"])
-
-
-def perfbench_module(name: str):
-    """A module of perfbench/, imported without writing bytecode there."""
-    path = str(Path(__file__).resolve().parents[1] / "perfbench")
-    saved = sys.dont_write_bytecode, list(sys.path)
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, path)
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.dont_write_bytecode, sys.path[:] = saved
 
 
 def test_connected_is_symmetric(monkeypatch):
@@ -261,7 +264,7 @@ def test_scene_compiles_corner_links_once(monkeypatch):
 
     monkeypatch.setattr(planner, "_legs", counted)
     scene = builtin_scene()
-    queries = [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 6)
+    queries = [(O, KNOWN_TARGETS[t]) for t in "ABC"] + PAIRS[:6]
     for start, goal in queries:
         plan_route(RouteRequest(start, goal, scene))
     seen = len(judged)
@@ -581,7 +584,7 @@ def test_length_bounds_hold_the_shortest_o_to_c(scene):
 def test_no_plan_is_shorter_than_the_lower_bound(scene):
     # a route the engine returns keeps the clearance, so it is never shorter
     # than the path around the inscribed envelope polygons
-    for a, b in recipe_pairs(scene, 20):
+    for a, b in PAIRS:
         lower, upper = oracles.length_bounds(scene, a, b, 0.3)
         assert lower <= upper
         try:
@@ -715,7 +718,7 @@ def textbook_yen(g, src, dst):
 def test_k_shortest_routes_match_textbook_yen(scene):
     # Lawler's skipped spurs and the bounded spur searches change no route,
     # no cost and no order, ties included.
-    for start, goal in [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 6):
+    for start, goal in [(O, KNOWN_TARGETS[t]) for t in "ABC"] + PAIRS[:6]:
         g = build_roadmap(scene, start, goal).graph
         got = list(itertools.islice(k_shortest_routes(g, 1, g.node_count), 80))
         assert got == list(itertools.islice(textbook_yen(g, 1, g.node_count), 80)), (start, goal)
@@ -726,7 +729,7 @@ def test_k_shortest_routes_with_the_heuristic_match_plain_search(scene):
     # equal-cost routes a search returns, never a cost: over 60 routes the
     # cost sequences are equal, and each group of equal costs that the cut
     # at 60 does not split holds the same routes.
-    queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, *pair) for pair in recipe_pairs(scene, 6)]
+    queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, *pair) for pair in PAIRS[:6]]
     queries += [(shared_vertex_scene(), Point(60, 300), Point(300, 60)), (acute_scene(), Point(320, 120), Point(140, 268))]
     queries += [(scene_from_dict(req["scene_dict"]), Point(*req["from"]), Point(*req["to"]))
                 for req in perfbench_module("inputs").cold_scenes(1, 8) if len(req["scene_dict"]["obstacles"]) <= 12]
@@ -865,12 +868,12 @@ def test_colony_plans_are_pinned(scene, target, seed):
 
 
 def test_colony_miss_answered_by_exact_engine(scene):
-    # On these two recipe queries the seed-1 colony proposes a route that does
+    # On these two random pairs the seed-1 colony proposes a route that does
     # not make a valid path; the exact engine answers, and the plan says so.
     # On perfbench's random pair 15 of seed 2 its route names (230,210), a
     # corner the path does not turn on: an arc that sweeps 0 fails too.
     unturned = (Point(16.91589577852053, 204.55204324595408), Point(650.6835099218207, 125.69463094941993))
-    for start, goal in [*recipe_pairs(scene, 11)[9:], unturned]:
+    for start, goal in [*PAIRS[9:11], unturned]:
         exact = plan_route(RouteRequest(start, goal, scene))
         colony = plan_route(RouteRequest(start, goal, scene, engine="aco", aco_params=AcoParams(seed=1)))
         assert colony.engine == "exact"
@@ -879,27 +882,6 @@ def test_colony_miss_answered_by_exact_engine(scene):
         assert colony.corners == exact.corners
         assert validate_path(colony.path, scene).ok
         assert all(1e-9 < seg.sweep < 2 * math.pi - 1e-9 for seg in colony.path.segments if isinstance(seg, Arc))
-
-
-def recipe_pairs(scene: Scene, count: int) -> list[tuple[Point, Point]]:
-    """The first `count` random queries of the ROADMAP recipe: uniform points
-    from random.Random(3) with clearance >= 10.5, paired (0,1), (2,3), ...,
-    keeping only pairs without a straight route."""
-    rng = random.Random(3)
-    w, h = scene.bounds
-
-    def point():
-        while True:
-            p = Point(rng.uniform(0, w), rng.uniform(0, h))
-            if min_clearance(p, scene) >= 10.5:
-                return p
-
-    pairs = []
-    while len(pairs) < count:
-        a, b = point(), point()
-        if not segment_clear(a, b, scene):
-            pairs.append((a, b))
-    return pairs
 
 
 def detour_scene(ids) -> Scene:
@@ -929,7 +911,7 @@ def yen_scans(scene):
     detour = (Point(302.6218164353809, 776.2112292225685), Point(80.10331516036162, 521.6401595915338))
     queries = (
         [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"]
-        + [(scene, *pair) for pair in recipe_pairs(scene, 4)]
+        + [(scene, *pair) for pair in PAIRS[:4]]
         + [(detour_scene(ids), *detour) for ids in ((2, 3, 9, 11, 15, 17), (2, 3, 11, 17))]
     )
     scans = []
@@ -996,7 +978,7 @@ def test_scan_bounds_its_spur_searches_by_the_plans_held():
         return found
 
     queries = [(builtin_scene, O, KNOWN_TARGETS[t]) for t in "ABC"]
-    queries += [(builtin_scene, *pair) for pair in recipe_pairs(builtin_scene(), 6)]
+    queries += [(builtin_scene, *pair) for pair in PAIRS[:6]]
     queries += [(lambda d=req["scene_dict"]: scene_from_dict(d), Point(*req["from"]), Point(*req["to"]))
                 for req in perfbench_module("inputs").cold_scenes(1, 8)]
     fewer = 0
@@ -1113,7 +1095,7 @@ def test_reversed_query_has_the_same_length(scene):
     # metamorphic: a->b and b->a have lengths within 1e-6, or both are
     # infeasible, on the builtin scene and on seeded random scenes
     inputs = perfbench_module("inputs")
-    queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, a, b) for a, b in recipe_pairs(scene, 20)]
+    queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, a, b) for a, b in PAIRS]
     queries += [(scene_from_dict(req["scene_dict"]), Point(*req["from"]), Point(*req["to"]))
                 for req in inputs.cold_scenes(1, 8)]
 
@@ -1147,7 +1129,7 @@ def test_no_successful_query_computes_a_clearance_measure(scene, monkeypatch):
     # every verdict is segment_clear's or arc_clear's: the least clearance is
     # computed only to word a refused endpoint or a violation, never on the
     # way to a plan, so the measures need no pruning of their own
-    pairs = [(O, KNOWN_TARGETS[t]) for t in "ABC"] + recipe_pairs(scene, 10)
+    pairs = [(O, KNOWN_TARGETS[t]) for t in "ABC"] + PAIRS[:10]
     calls = []
     for module, name in ((planner, "min_clearance"), (paths, "segment_min_clearance"), (paths, "arc_min_clearance")):
         monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))

@@ -1,11 +1,40 @@
-"""The same-answer sweeps' diff: `python tests/sweep.py BASE.json HEAD.json`."""
+"""The same-answer sweeps' query runner (`sweep.plan`) and diff
+(`python tests/sweep.py BASE.json HEAD.json`)."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import arcplan
+import arcplan.aco
+import arcplan.planner
+import sweep
+from arcplan.geometry import AxisRect, ObstacleSpec, Point, Scene, builtin_scene
+from arcplan.planner import KNOWN_TARGETS, PlanResult, RequestError, RouteInfeasible
+
 SWEEP = Path(__file__).with_name("sweep.py")
+
+
+def test_plan_returns_the_plan_or_the_verdict_raised(monkeypatch):
+    scene, origin = builtin_scene(), KNOWN_TARGETS["O"]
+    for engine in ("exact", "aco"):
+        plan = sweep.plan(arcplan, scene, origin, KNOWN_TARGETS["A"], engine, seed=2)
+        assert type(plan) is PlanResult and plan.engine == engine and round(plan.length, 4) == 471.0372
+    bar = Scene((200.0, 200.0), (ObstacleSpec(7, AxisRect(Point(95, 0), 10, 200)),), 10.0)  # from wall to wall
+    no_route = sweep.plan(arcplan, bar, (20, 100), (180, 100))
+    assert type(no_route) is RouteInfeasible and no_route.blockers == (7,)
+    inside = sweep.plan(arcplan, scene, (550, 450), KNOWN_TARGETS["A"])  # the circle obstacle's center
+    assert type(inside) is RequestError and str(inside).startswith("start (550, 450) has clearance 0.0")
+    for error in (ValueError("not a request error"), RuntimeError("not a verdict"), ZeroDivisionError()):
+        def fail(_req, _error=error):
+            raise _error
+        monkeypatch.setattr(arcplan.planner, "plan_route", fail)
+        with pytest.raises(type(error)) as raised:
+            sweep.plan(arcplan, scene, origin, KNOWN_TARGETS["A"])
+        assert raised.value is error
 
 
 def sweep_diff(tmp_path, base, head) -> list[str]:
