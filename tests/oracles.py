@@ -213,7 +213,7 @@ def wrap_length(s, e, c, r, turn: int) -> float:
     -1 cw), then tangent lengths and the directed sweep are summed.
     """
     u1 = entry_angle(s, c, r, turn)
-    u2 = exit_angle(e, c, r, turn)
+    u2 = entry_angle(e, c, r, -turn)
     sweep = (u2 - u1) % TAU if turn > 0 else (u1 - u2) % TAU
     p1 = (c[0] + r * math.cos(u1), c[1] + r * math.sin(u1))
     p2 = (c[0] + r * math.cos(u2), c[1] + r * math.sin(u2))
@@ -237,7 +237,9 @@ def _aligned(u, v) -> bool:
 
 
 def entry_angle(p, center, radius, turn) -> float:
-    """Angle where a path from p joins the circle turning `turn` (+1 ccw)."""
+    """Angle where a path from p joins the circle turning `turn` (+1 ccw);
+    a path leaving the circle toward p leaves it at entry_angle(p, center,
+    radius, -turn), the same tangent run backwards."""
     d = math.dist(p, center)
     base = math.atan2(p[1] - center[1], p[0] - center[0])
     half = math.acos(radius / d)
@@ -247,19 +249,6 @@ def entry_angle(p, center, radius, turn) -> float:
         if _aligned(u, _vel(cand, turn)):
             return cand
     raise AssertionError("no kinematically consistent entry tangent")
-
-
-def exit_angle(p, center, radius, turn) -> float:
-    """Angle where a path leaves the circle (turning `turn`) toward p."""
-    d = math.dist(p, center)
-    base = math.atan2(p[1] - center[1], p[0] - center[0])
-    half = math.acos(radius / d)
-    for cand in (base + half, base - half):
-        t = (center[0] + radius * math.cos(cand), center[1] + radius * math.sin(cand))
-        u = (p[0] - t[0], p[1] - t[1])
-        if _aligned(u, _vel(cand, turn)):
-            return cand
-    raise AssertionError("no kinematically consistent exit tangent")
 
 
 def pair_angles(c1, turn1, c2, turn2, radius) -> tuple[float, float]:
@@ -295,7 +284,7 @@ def chain_length(start, corners, end, radius) -> float:
         exits.append(a_out)
         entries.append(a_in)
     last = corners[-1]
-    exits.append(exit_angle(end, (last[0], last[1]), radius, last[2]))
+    exits.append(entry_angle(end, (last[0], last[1]), radius, -last[2]))
 
     prev = start
     for (cx, cy, turn), a_in, a_out in zip(corners, entries, exits):
@@ -356,10 +345,10 @@ def tangent_roadmap_edges(anchors, radius, obstacles, limit) -> set:
     def on_circle(center, angle):
         return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
 
-    def endpoint_tangents(p, center, tangent):
+    def endpoint_tangents(p, center):  # over both turns, the entry and the exit tangents alike
         if math.dist(p, center) <= radius:
             return []
-        return [(p, on_circle(center, tangent(p, center, radius, turn))) for turn in (1, -1)]
+        return [(p, on_circle(center, entry_angle(p, center, radius, turn))) for turn in (1, -1)]
 
     edges = set()
     for i in range(n):
@@ -368,9 +357,9 @@ def tangent_roadmap_edges(anchors, radius, obstacles, limit) -> set:
             if i == 0 and j == n - 1:
                 segments = [(a, b)]
             elif i == 0:
-                segments = endpoint_tangents(a, b, entry_angle)
+                segments = endpoint_tangents(a, b)
             elif j == n - 1:
-                segments = endpoint_tangents(b, a, exit_angle)
+                segments = endpoint_tangents(b, a)
             else:
                 D = math.dist(a, b)
                 segments = []
@@ -578,30 +567,46 @@ def arc_points(center, radius, start, sweep, spacing):
     ]
 
 
+def segment_ends(seg):
+    """(start point, end point, direction in, direction out) of a line or an
+    arc, read from its plain fields: a line's ends `a` and `b` (no direction
+    when they coincide); an arc's circle (center, radius, turn "cw"/"ccw")
+    and its start and end angles."""
+    if hasattr(seg, "a"):
+        (ax, ay), (bx, by) = seg.a, seg.b
+        L = math.hypot(bx - ax, by - ay)
+        d = ((bx - ax) / L, (by - ay) / L) if L else None
+        return (ax, ay), (bx, by), d, d
+    (cx, cy), r = seg.circle.center, seg.circle.radius
+    s = 1.0 if seg.circle.turn.value == "ccw" else -1.0
+    a0, a1 = seg.start_angle, seg.end_angle
+    return (
+        (cx + r * math.cos(a0), cy + r * math.sin(a0)),
+        (cx + r * math.cos(a1), cy + r * math.sin(a1)),
+        (-s * math.sin(a0), s * math.cos(a0)),
+        (-s * math.sin(a1), s * math.cos(a1)),
+    )
+
+
+def segment_points(seg, spacing):
+    """Points of a line or an arc, read as segment_ends reads it, both ends
+    included, at most `spacing` apart along it."""
+    if hasattr(seg, "a"):
+        (ax, ay), (bx, by) = seg.a, seg.b
+        steps = max(1, math.ceil(math.hypot(bx - ax, by - ay) / spacing))
+        return [(ax + (bx - ax) * k / steps, ay + (by - ay) * k / steps) for k in range(steps + 1)]
+    c = seg.circle
+    s = 1.0 if c.turn.value == "ccw" else -1.0
+    sweep = (s * (seg.end_angle - seg.start_angle)) % TAU
+    return arc_points(c.center, c.radius, seg.start_angle if s > 0 else seg.end_angle, sweep, spacing)
+
+
 def path_violation(segments, obstacles, clearance, spacing=0.5):
     """The first fault of a line/arc chain, or None: a gap or a kink at a
     joint, or a point closer than clearance - 1e-6 to an obstacle (lines
     exactly, arcs at points `spacing` apart).  Reads only the plain fields of
-    the segments: a line's ends `a` and `b`; an arc's circle (center, radius,
-    turn "cw"/"ccw") and its start and end angles."""
-
-    def parts(seg):  # (start point, end point, direction in, direction out)
-        if hasattr(seg, "a"):
-            (ax, ay), (bx, by) = seg.a, seg.b
-            L = math.hypot(bx - ax, by - ay)
-            d = ((bx - ax) / L, (by - ay) / L) if L else None
-            return (ax, ay), (bx, by), d, d
-        (cx, cy), r = seg.circle.center, seg.circle.radius
-        s = 1.0 if seg.circle.turn.value == "ccw" else -1.0
-        a0, a1 = seg.start_angle, seg.end_angle
-        return (
-            (cx + r * math.cos(a0), cy + r * math.sin(a0)),
-            (cx + r * math.cos(a1), cy + r * math.sin(a1)),
-            (-s * math.sin(a0), s * math.cos(a0)),
-            (-s * math.sin(a1), s * math.cos(a1)),
-        )
-
-    pieces = [parts(seg) for seg in segments]
+    the segments (segment_ends)."""
+    pieces = [segment_ends(seg) for seg in segments]
     for i, (p, q) in enumerate(zip(pieces, pieces[1:])):
         if math.dist(p[1], q[0]) > 1e-6:
             return f"gap after segment {i}"
@@ -612,11 +617,7 @@ def path_violation(segments, obstacles, clearance, spacing=0.5):
         if hasattr(seg, "a"):
             d = segment_clearance(seg.a, seg.b, obstacles)
         else:
-            c = seg.circle
-            s = 1.0 if c.turn.value == "ccw" else -1.0
-            sweep = (s * (seg.end_angle - seg.start_angle)) % TAU
-            low = seg.start_angle if s > 0 else seg.end_angle
-            d = min(point_clearance(p, obstacles) for p in arc_points(c.center, c.radius, low, sweep, spacing))
+            d = min(point_clearance(p, obstacles) for p in segment_points(seg, spacing))
         if d < limit:
             return f"segment {i} has clearance {d:.9f}"
     return None

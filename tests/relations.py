@@ -4,26 +4,29 @@
 
 A sweep (tests/sweep.py).  For each of the 160 cold scenes of
 inputs.cold_scenes seeds 1-2 it plans the scene's one query with the exact
-engine three times: as drawn, mirrored (every x mapped to W - x, W the
-field's width) and scaled (every coordinate and the clearance times 2).  Two relations must hold, each within TOL:
+engine four times: as drawn, mirrored (every x mapped to W - x, W the
+field's width), scaled (every coordinate and the clearance times 2) and
+reversed (from the goal to the start).  Three relations must hold, each
+within TOL:
 
 - mirror: the verdict and the length are the same, and each corner is the
   mirror image of the drawn plan's, turned the other way;
-- scale: the verdict is the same and the length doubles.
+- scale: the verdict is the same and the length doubles;
+- reverse: the verdict and the length are the same.
 
 When the drawn query has a route, it also plans it once on the scene without
-each obstacle in turn (`removals`), and a third relation must hold:
+each obstacle in turn (`removals`), and a fourth relation must hold:
 
 - removal: no removal makes the answer longer by more than TOL or leaves it
   without a route.
 
-None needs an oracle.  Prints the count of broken mirror and scale
+None needs an oracle.  Prints the count of broken mirror, scale and reverse
 relations, and per seed how many removals lengthened the answer (and by how
 much at most) or lost its route; writes every query's verdict, length and
 relations to OUT, with each removal that breaks its relation.  Always exits
 0: a broken relation is a defect to report, as tests/bounds.py reports routes
-above their bracket.  test_planner's tier-1 test checks a fixed sample of the
-same queries against the mirror and scale relations (`check`); the removal
+above their bracket.  test_planner's tier-1 test checks the same queries and
+the builtin scene's against the first three relations (`check`); the removal
 relation stays out of tier-1, since the engine is known to break it.
 """
 
@@ -33,7 +36,7 @@ import sweep
 
 SCALE = 2.0  # a power of two: scaling the scene rounds no coordinate
 TOL = 1e-6
-RELATIONS = ("mirror", "scale")
+RELATIONS = ("mirror", "scale", "reverse")
 
 
 def mirrored(geometry, scene):
@@ -90,7 +93,9 @@ def check(arc, scene, start, goal) -> dict:
         and all(abs(m.center[0] - (w - c.center[0])) <= TOL and abs(m.center[1] - c.center[1]) <= TOL
                 and m.turn is not c.turn for m, c in zip(m_corners, corners))))
     scale = s_verdict == verdict and (length is None or abs(s_length - SCALE * length) <= TOL)
-    return {"verdict": verdict, "length": length, "mirror": mirror, "scale": scale}
+    r_verdict, r_length, _ = outcome(arc, scene, goal, start)
+    reverse = r_verdict == verdict and (length is None or abs(r_length - length) <= TOL)
+    return {"verdict": verdict, "length": length, "mirror": mirror, "scale": scale, "reverse": reverse}
 
 
 def removals(arc, scene, start, goal, length) -> list[dict]:

@@ -12,8 +12,9 @@ dict keys and list indices (`/17/length`; an empty list or dict is a leaf
 too), prints how many leaves differ and then each one as
 `path: base -> head`, long texts shortened by reprlib.  A file that is
 missing, as when a base run crashed, is named and not diffed.  Both report
-and exit 0.  Every sweep runs its queries through `plan`.  pytest does not
-collect it.
+and exit 0.  Every sweep runs its queries through `plan`; tier-1 tests that
+accept a verdict for an answer use it too, and load perfbench with `load`.
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ def run(doc: str, collect, summary) -> int:
     return summary(record, text, seconds) or 0
 
 
-def plan(arc, scene, start, goal, engine: str = "exact", seed: int = 1):
+def plan(arc, scene, start, goal, engine: str = "exact", seed: int = 1, **aco):
     """plan_route's plan for the query, or the RouteInfeasible or RequestError
-    it raised; any other exception propagates."""
-    params = arc.aco.AcoParams(seed=seed) if engine == "aco" else None
+    it raised; any other exception propagates.  aco holds the colony's other
+    AcoParams fields."""
+    params = arc.aco.AcoParams(seed=seed, **aco) if engine == "aco" else None
     req = arc.planner.RouteRequest(arc.geometry.Point(*start), arc.geometry.Point(*goal), scene, engine, params)
     try:
         return arc.planner.plan_route(req)

@@ -14,10 +14,9 @@ import pytest
 import oracles
 from arcplan.aco import AcoParams, aco_run, builtin_graph, dijkstra_shortest
 from arcplan.cli import main
-from arcplan.geometry import Point, Scene, builtin_scene, min_clearance
+from arcplan.geometry import Point, Scene, builtin_scene
 from arcplan.paths import (
     Arc,
-    Line,
     TurningCircle,
     Turn,
     max_turn_speed,
@@ -47,34 +46,6 @@ def report(n: int, ok: bool, detail: str) -> None:
         with _CAPTURE.disabled():
             print(line, flush=True)
     assert ok, f"criterion {n} failed: {detail}"
-
-
-def _sample_points(path, spacing=0.5):
-    for seg in path.segments:
-        steps = max(1, math.ceil(seg.length / spacing))
-        if isinstance(seg, Line):
-            for k in range(steps + 1):
-                t = k / steps
-                yield Point(seg.a.x + t * (seg.b.x - seg.a.x), seg.a.y + t * (seg.b.y - seg.a.y))
-        else:
-            c, r = seg.circle.center, seg.circle.radius
-            sweep = seg.length / r
-            sign = seg.circle.turn.sign
-            for k in range(steps + 1):
-                ang = seg.start_angle + sign * sweep * k / steps
-                yield Point(c.x + r * math.cos(ang), c.y + r * math.sin(ang))
-
-
-def _junction_dots(path):
-    segs = path.segments
-    for prev, nxt in zip(segs, segs[1:]):
-        if isinstance(prev, Line) and isinstance(nxt, Arc):
-            d, t = prev.direction(), nxt.tangent_at(nxt.start_angle)
-        elif isinstance(prev, Arc) and isinstance(nxt, Line):
-            d, t = prev.tangent_at(prev.end_angle), nxt.direction()
-        else:
-            continue
-        yield d.x * t.x + d.y * t.y
 
 
 def test_criterion_1_shortest_route_to_a(scene, expected):
@@ -203,13 +174,18 @@ def test_criterion_6_speed_law(expected):
 
 def test_criterion_7_property_suite(scene):
     plans = [plan_route(RouteRequest(O, goal, scene)) for goal in (A, B)]
+    # a) and b) read each segment's plain fields and measure with the
+    # independent oracle, not with arcplan's directions, lengths or clearance
 
     # a) line/arc junctions are tangent
-    dot_err = max(abs(1.0 - d) for plan in plans for d in _junction_dots(plan.path))
+    ends = [[oracles.segment_ends(seg) for seg in plan.path.segments] for plan in plans]
+    dot_err = max(abs(1.0 - (p[3][0] * q[2][0] + p[3][1] * q[2][1])) for e in ends for p, q in zip(e, e[1:]))
     ok_a = dot_err <= 1e-9
 
     # b) half-unit sampling keeps clearance
-    min_clear = min(min_clearance(p, scene) for plan in plans for p in _sample_points(plan.path))
+    obstacles = oracles.scene_obstacles(scene)
+    min_clear = min(oracles.point_clearance(p, obstacles)
+                    for plan in plans for seg in plan.path.segments for p in oracles.segment_points(seg, 0.5))
     ok_b = min_clear >= 10.0 - 1e-6
 
     # c) closed form equals numeric descent on 100 random corner problems

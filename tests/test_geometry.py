@@ -35,7 +35,7 @@ from arcplan.geometry import (
     segment_obstacle_distance,
 )
 from arcplan.sceneio import render_svg, scene_from_dict
-from test_planner import perfbench_module, shared_vertex_scene
+from test_planner import inputs, shared_vertex_scene
 
 TAU = 2.0 * math.pi
 coord = st.floats(min_value=-500.0, max_value=1500.0, allow_nan=False, allow_infinity=False)
@@ -160,7 +160,7 @@ def test_segment_distance_matches_oracle(scene):
     # thin rectangle (-10, 0)-(10, 1) and inside the builtin scene.
     scenes = [scene] + [
         scene_from_dict(req["scene_dict"])
-        for req in perfbench_module("inputs").cold_scenes(1, 8)
+        for req in inputs.cold_scenes(1, 8)
         if len(req["scene_dict"]["obstacles"]) <= 12
     ]
     rng = random.Random(11)

@@ -105,7 +105,7 @@ def test_point_tangent_angles_follow_the_turn():
             entry = pair_tangent(point, c)[1]
             exit_ = pair_tangent(c, point)[0]
             assert _angle_gap(entry, oracles.entry_angle(p, center, 10.0, turn.sign)) < 1e-12
-            assert _angle_gap(exit_, oracles.exit_angle(p, center, 10.0, turn.sign)) < 1e-12
+            assert _angle_gap(exit_, oracles.entry_angle(p, center, 10.0, -turn.sign)) < 1e-12
 
 
 def _pair_segment(c1, c2):

@@ -6,9 +6,7 @@ import importlib
 import itertools
 import math
 import re
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +15,7 @@ from hypothesis import strategies as st
 import arcplan
 import oracles
 import relations
+import sweep
 from arcplan.aco import AcoParams, best_first
 from arcplan.geometry import (
     CLEARANCE_EPS,
@@ -68,21 +67,12 @@ from arcplan.sceneio import scene_from_dict, scene_to_dict
 O, A, B, C = (KNOWN_TARGETS[k] for k in "OABC")
 
 
-def perfbench_module(name: str):
-    """A module of perfbench/, imported without writing bytecode there."""
-    path = str(Path(__file__).resolve().parents[1] / "perfbench")
-    saved = sys.dont_write_bytecode, list(sys.path)
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, path)
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.dont_write_bytecode, sys.path[:] = saved
-
+# perfbench's query generators, loaded as the sweeps load them
+_, inputs, _ = sweep.load(sweep.REPO)
 
 # perfbench's random pairs on the builtin scene, seed 3: uniform points with
 # clearance >= 10.5, paired, keeping only the pairs without a straight route
-PAIRS = perfbench_module("inputs").random_pairs(scene_to_dict(builtin_scene()), 3, 20)
+PAIRS = inputs.random_pairs(scene_to_dict(builtin_scene()), 3, 20)
 
 
 def pocket_scene() -> Scene:
@@ -195,7 +185,7 @@ def test_roadmap_edges_match_tangent_oracle(scene):
         assert roadmap_edges(rm) == oracle_edges(rm, shared), (s, g)
     # generated scenes of 12 and 6 obstacles: triangles and parallelograms
     # given in either vertex order, and circles, each with its own query
-    for req in perfbench_module("inputs").cold_scenes(1, 8):
+    for req in inputs.cold_scenes(1, 8):
         if len(req["scene_dict"]["obstacles"]) <= 12:
             sc = scene_from_dict(req["scene_dict"])
             rm = build_roadmap(sc, Point(*req["from"]), Point(*req["to"]))
@@ -214,7 +204,6 @@ def test_connected_is_symmetric(monkeypatch):
     # orders build_roadmap uses).
     calls = []
     monkeypatch.setattr(planner, "segment_clear", lambda p, q, sc: calls.append((p, q)) or segment_clear(p, q, sc))
-    inputs = perfbench_module("inputs")
     queries = [(builtin_scene(), O, C), (acute_scene(), Point(320, 120), Point(140, 268)),
                (shared_vertex_scene(), Point(60, 300), Point(300, 60))]
     queries += [(scene_from_dict(req["scene_dict"]), Point(*req["from"]), Point(*req["to"]))
@@ -376,7 +365,6 @@ def test_corner_links_drop_only_pairs_the_cones_close(monkeypatch):
     # that in_cone blocks, so _legs would have handed segment_clear no
     # leg of it.  The scenes hold vertices with no free arc: a vertex of two
     # squares, the ends of an edge under the clearance.
-    inputs = perfbench_module("inputs")
     scenes = [builtin_scene(), acute_scene(), shared_vertex_scene(), short_edge_scene()]
     scenes += [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 8)]
     pairs = dropped = unfree = 0
@@ -407,7 +395,6 @@ def test_in_cone_rules_out_most_legs_that_fail_at_their_own_corner(monkeypatch):
     # rules a leg out once at most, so its True verdicts count legs; the
     # compile's direction filter rules out every leg of the corner pairs it
     # drops before in_cone sees them, so those legs count too.
-    inputs = perfbench_module("inputs")
     by_cone = by_scan = 0
 
     def cone(*args):
@@ -436,7 +423,7 @@ def test_segment_clear_runs_few_polygon_distances_that_clear(monkeypatch):
     # segment_clear still runs in a corner-link compile, few come out at or
     # beyond the limit.  Without the side test about 84% do: the bbox of a
     # long diagonal leg admits mostly polygons that the leg clears.
-    scenes = [scene_from_dict(req["scene_dict"]) for req in perfbench_module("inputs").cold_scenes(1, 4)]
+    scenes = [scene_from_dict(req["scene_dict"]) for req in inputs.cold_scenes(1, 4)]
     limit = scenes[0].clearance - CLEARANCE_EPS
     assert all(sc.clearance == scenes[0].clearance for sc in scenes)
     distance = geometry._segment_distance
@@ -587,11 +574,9 @@ def test_no_plan_is_shorter_than_the_lower_bound(scene):
     for a, b in PAIRS:
         lower, upper = oracles.length_bounds(scene, a, b, 0.3)
         assert lower <= upper
-        try:
-            length = plan_route(RouteRequest(a, b, scene)).length
-        except RouteInfeasible:
-            continue
-        assert length >= lower - 1e-9, (a, b)
+        plan = sweep.plan(arcplan, scene, a, b)
+        if not isinstance(plan, RouteInfeasible):
+            assert plan.length >= lower - 1e-9, (a, b, plan)
 
 
 def test_plan_start_equals_goal(scene):
@@ -732,7 +717,7 @@ def test_k_shortest_routes_with_the_heuristic_match_plain_search(scene):
     queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, *pair) for pair in PAIRS[:6]]
     queries += [(shared_vertex_scene(), Point(60, 300), Point(300, 60)), (acute_scene(), Point(320, 120), Point(140, 268))]
     queries += [(scene_from_dict(req["scene_dict"]), Point(*req["from"]), Point(*req["to"]))
-                for req in perfbench_module("inputs").cold_scenes(1, 8) if len(req["scene_dict"]["obstacles"]) <= 12]
+                for req in inputs.cold_scenes(1, 8) if len(req["scene_dict"]["obstacles"]) <= 12]
     reordered = 0
     for sc, start, goal in queries:
         g = build_roadmap(sc, start, goal).graph
@@ -813,11 +798,9 @@ def small_scenes(draw):
 )
 def test_random_scene_plans_pass_sampled_oracle(scene, start, goal, engine):
     # every answer keeps clearance at half-unit arc samples and is tangent at every joint
-    try:
-        plan = plan_route(RouteRequest(start, goal, scene, engine, AcoParams(ants=8, generations=8)))
-    except (RequestError, RouteInfeasible):
-        return
-    assert oracles.path_violation(plan.path.segments, oracles.scene_obstacles(scene), scene.clearance) is None
+    plan = sweep.plan(arcplan, scene, start, goal, engine, ants=8, generations=8)
+    if not isinstance(plan, Exception):
+        assert oracles.path_violation(plan.path.segments, oracles.scene_obstacles(scene), scene.clearance) is None
 
 
 def test_route_infeasible_reports_blockers():
@@ -980,7 +963,7 @@ def test_scan_bounds_its_spur_searches_by_the_plans_held():
     queries = [(builtin_scene, O, KNOWN_TARGETS[t]) for t in "ABC"]
     queries += [(builtin_scene, *pair) for pair in PAIRS[:6]]
     queries += [(lambda d=req["scene_dict"]: scene_from_dict(d), Point(*req["from"]), Point(*req["to"]))
-                for req in perfbench_module("inputs").cold_scenes(1, 8)]
+                for req in inputs.cold_scenes(1, 8)]
     fewer = 0
     for fresh, start, goal in queries:
         for k in (1, 3):
@@ -1030,12 +1013,10 @@ def test_results_are_immutable(scene):
 
 def test_trace_wrap_points_resolve():
     # the benchmark's per-layer metrics wrap arcplan functions by name
-    # (read and run, not imported, so nothing is written under perfbench/)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    tracing = {"__name__": "tracing"}
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    import tracing  # perfbench's, on the path since sweep.load
+
     resolved: dict[str, bool] = {}
-    for module, attr, name, _how in tracing["WRAPS"]:
+    for module, attr, name, _how in tracing.WRAPS:
         fn = getattr(importlib.import_module(f"arcplan.{module}"), attr, None)
         resolved[name] = resolved.get(name, False) or callable(fn)
     assert resolved and all(resolved.values()), [n for n, ok in resolved.items() if not ok]
@@ -1091,38 +1072,20 @@ def test_planner_and_validate_path_share_one_turning_radius_rule():
     assert corners and "radius" in {v.kind for v in validate_path(path, scene).violations}
 
 
-def test_reversed_query_has_the_same_length(scene):
-    # metamorphic: a->b and b->a have lengths within 1e-6, or both are
-    # infeasible, on the builtin scene and on seeded random scenes
-    inputs = perfbench_module("inputs")
-    queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, a, b) for a, b in PAIRS]
-    queries += [(scene_from_dict(req["scene_dict"]), Point(*req["from"]), Point(*req["to"]))
-                for req in inputs.cold_scenes(1, 8)]
-
-    def length(sc, a, b):
-        try:
-            return plan_route(RouteRequest(a, b, sc)).length
-        except RouteInfeasible:
-            return None
-
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["builtin", "cold-seed-1", "cold-seed-2"])
+def test_metamorphic_relations_hold(scene, seed):
+    # on O->A/B/C and PAIRS, or on the 80 cold scenes of a seed: reversing a
+    # query (b -> a) keeps the verdict and the length, mirroring the scene
+    # (x -> W - x) keeps them and swaps every corner's turn, and scaling every
+    # coordinate and the clearance by 2 doubles the length, each within 1e-6
+    # (tests/relations.py counts them for a diff)
+    if seed is None:
+        queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, a, b) for a, b in PAIRS]
+    else:
+        queries = [(scene_from_dict(req["scene_dict"]), req["from"], req["to"]) for req in inputs.cold_scenes(seed, 80)]
     for sc, a, b in queries:
-        there, back = length(sc, a, b), length(sc, b, a)
-        if there is None or back is None:
-            assert there is back, (a, b, there, back)
-        else:
-            assert abs(there - back) <= 1e-6, (a, b, there, back)
-    assert len(queries) == 31
-
-
-def test_mirrored_and_scaled_queries_agree():
-    # metamorphic, on the 160 cold scenes of seeds 1-2: mirroring the scene
-    # (x -> W - x) keeps the verdict and the length and swaps every corner's
-    # turn, and scaling every coordinate and the clearance by 2 doubles the
-    # length, each within 1e-6 (tests/relations.py counts them for a diff)
-    inputs = perfbench_module("inputs")
-    for req in [req for seed in (1, 2) for req in inputs.cold_scenes(seed, 80)]:
-        holds = relations.check(arcplan, scene_from_dict(req["scene_dict"]), req["from"], req["to"])
-        assert holds["mirror"] and holds["scale"], (req["from"], req["to"], holds)
+        holds = relations.check(arcplan, sc, a, b)
+        assert all(holds[r] for r in relations.RELATIONS), (a, b, holds)
 
 
 def test_no_successful_query_computes_a_clearance_measure(scene, monkeypatch):

@@ -1,5 +1,5 @@
-"""The same-answer sweeps' query runner (`sweep.plan`) and diff
-(`python tests/sweep.py BASE.json HEAD.json`)."""
+"""The same-answer sweeps' query runner (`sweep.plan`), relation check
+(`relations.check`) and diff (`python tests/sweep.py BASE.json HEAD.json`)."""
 
 import json
 import subprocess
@@ -11,6 +11,7 @@ import pytest
 import arcplan
 import arcplan.aco
 import arcplan.planner
+import relations
 import sweep
 from arcplan.geometry import AxisRect, ObstacleSpec, Point, Scene, builtin_scene
 from arcplan.planner import KNOWN_TARGETS, PlanResult, RequestError, RouteInfeasible
@@ -35,6 +36,21 @@ def test_plan_returns_the_plan_or_the_verdict_raised(monkeypatch):
         with pytest.raises(type(error)) as raised:
             sweep.plan(arcplan, scene, origin, KNOWN_TARGETS["A"])
         assert raised.value is error
+
+
+def test_check_reports_a_broken_reversal_alone(monkeypatch):
+    # a planner whose route is 1e-3 longer when the start lies below the goal:
+    # mirroring and scaling keep which end lies lower, reversing swaps it
+    plan_route = arcplan.planner.plan_route
+
+    def longer_upward(req):
+        plan = plan_route(req)
+        return plan._replace(length=plan.length + 1e-3) if req.start.y < req.goal.y else plan
+
+    monkeypatch.setattr(arcplan.planner, "plan_route", longer_upward)
+    holds = relations.check(arcplan, builtin_scene(), KNOWN_TARGETS["A"], KNOWN_TARGETS["O"])
+    assert holds["verdict"] == "plan" and round(holds["length"], 4) == 471.0372
+    assert {r: holds[r] for r in relations.RELATIONS} == {"mirror": True, "scale": True, "reverse": False}
 
 
 def sweep_diff(tmp_path, base, head) -> list[str]:
