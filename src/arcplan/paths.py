@@ -242,13 +242,14 @@ def _kink_violation(i: int, j: int, a: PathSegment, b: PathSegment) -> Optional[
     return None
 
 
-def _piece_violations(i: int, seg: PathSegment, scene: Scene) -> Iterator[Violation]:
+def _piece_violations(i: int, seg: PathSegment, scene: Scene, *, measure: bool = True) -> Iterator[Violation]:
     """Segment i's own violations, its clearance last.  An arc must turn: a
     sweep within 1e-9 of 0 or 2pi is a corner the route does not turn on, and
     dropping it gives the same curve, or one a whole loop shorter.  Then an
     arc's radius, and the field: an end, or an axis extreme the arc sweeps.
     The clearance verdict is segment_clear's or arc_clear's, the planner's
-    own; the least clearance is computed only to word a violation."""
+    own; the least clearance is computed only to word a violation, and
+    without `measure` not at all (its detail reads nan)."""
     points = [seg.start, seg.end]
     if isinstance(seg, Arc):
         (center, radius, _), start, sweep = seg.circle, seg.ccw_start, seg.sweep
@@ -263,10 +264,10 @@ def _piece_violations(i: int, seg: PathSegment, scene: Scene) -> Iterator[Violat
         yield Violation("field", out[0], f"segment {i} leaves the field at {tuple(out[0])}")
     if isinstance(seg, Line):
         if not segment_clear(seg.a, seg.b, scene):
-            worst = segment_min_clearance(seg.a, seg.b, scene)
+            worst = segment_min_clearance(seg.a, seg.b, scene) if measure else math.nan
             yield Violation("clearance", seg.start, f"line segment {i} clearance {worst:.9f}")
     elif not arc_clear(center, radius, start, sweep, scene):
-        worst = arc_min_clearance(center, radius, start, sweep, scene)
+        worst = arc_min_clearance(center, radius, start, sweep, scene) if measure else math.nan
         yield Violation("clearance", seg.start, f"arc segment {i} clearance {worst:.9f}")
 
 
@@ -301,6 +302,7 @@ def corner_clear(
     into: tuple[float, float, Line], c: TurningCircle, out: tuple[float, float, Line], scene: Scene
 ) -> bool:
     """validate_path's verdict on the arc chain_path puts on c between the
-    legs `into` and `out`, by validate_path's piece judges.  Its junctions
-    need none: pair_tangents makes each leg tangent to c at the arc's ends."""
-    return next(_piece_violations(0, Arc(c, into[1], out[0]), scene), None) is None
+    legs `into` and `out`, by validate_path's piece judges, with no clearance
+    measured.  Its junctions need none: pair_tangents makes each leg tangent
+    to c at the arc's ends."""
+    return next(_piece_violations(0, Arc(c, into[1], out[0]), scene, measure=False), None) is None

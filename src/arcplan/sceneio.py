@@ -189,11 +189,6 @@ def load_scene(path: str) -> Scene:
     return scene_from_dict(_load_json(path, "scene file"))
 
 
-def dump_scene(scene: Scene, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(scene_to_dict(scene), indent=2) + "\n")
-
-
 def fixture_dir() -> str:
     override = os.environ.get(FIXTURE_ENV)
     if override:

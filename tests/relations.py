@@ -26,8 +26,9 @@ much at most) or lost its route; writes every query's verdict, length and
 relations to OUT, with each removal that breaks its relation.  Always exits
 0: a broken relation is a defect to report, as tests/bounds.py reports routes
 above their bracket.  test_planner's tier-1 test checks the same queries and
-the builtin scene's against the first three relations (`check`); the removal
-relation stays out of tier-1, since the engine is known to break it.
+the builtin scene's against the first three relations (`check`), and the
+removal relation on one cold query per seed, which the engine is known to
+break there (a strict xfail).
 """
 
 from __future__ import annotations

@@ -18,17 +18,18 @@ exact obstacle distances they run, the anchor pairs that reach `_legs`,
 the legs it tests (turn pairs, whether they have a tangent or not) and the
 corner rows built (`_corner_row` calls on a row not yet built).  They are
 counted by wrapping the module attributes, as the tests do.  It also
-records the median time of a cold plan_route and of a warm one (the same
-query again on the same Scene), timed without the wrappers, and how many
-queries got no route.  The growth exponent of each figure is the
+records how many queries got no route, and prints the median time of a
+cold plan_route and of a warm one (the same query again on the same Scene),
+timed without the wrappers.  The growth exponent of each figure is the
 least-squares slope of its logarithm over log(size).
 
 It also plans two queries with no route, built on the first scene of 96
-obstacles (`sealed_queries`), and records for each the verdict, the same
-counts of one cold plan_route and the median time of REPEATS more: the cost
-of an exit 3, which no feasible query shows.  Prints the tables and writes
-OUT; two runs of one checkout give the same counts, so a count diff between
-checkouts is a same-work check.
+obstacles (`sealed_queries`), and records for each the verdict and the same
+counts of one cold plan_route, and prints the median time of REPEATS more:
+the cost of an exit 3, which no feasible query shows.  Prints the tables and
+the machine, and writes OUT without the times or the machine: two runs of one
+checkout write the same file, so a diff between checkouts is a same-work
+check.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def machine() -> str:
 
 
 def collect(arc, inputs, oracle) -> dict:
-    rows = []
+    rows, times = [], []  # the times are printed, not recorded
     for size in SIZES:
         rng = random.Random(size)
         scenes = []
@@ -169,9 +170,9 @@ def collect(arc, inputs, oracle) -> dict:
             plan(arc, d, start, goal, scene)
             warm.append(1e3 * (time.perf_counter() - t))
         rows.append({"obstacles": size, "field": d["bounds"][0], "scenes": SCENES, **counts,
-                     "no_route": SCENES - routed, "cold_ms_p50": statistics.median(cold),
-                     "warm_ms_p50": statistics.median(warm)})
-    sealed = []
+                     "no_route": SCENES - routed})
+        times.append({"obstacles": size, "cold_ms_p50": statistics.median(cold), "warm_ms_p50": statistics.median(warm)})
+    sealed, sealed_times = [], []
     for name, d, start, goal in sealed_queries(inputs, oracle):
         counts = dict.fromkeys(COUNTS, 0)
         undo = counted(arc, counts)
@@ -185,25 +186,28 @@ def collect(arc, inputs, oracle) -> dict:
             plan(arc, d, start, goal)
             cold.append(1e3 * (time.perf_counter() - t))
         sealed.append({"query": name, "obstacles": len(d["obstacles"]), "verdict": "route" if routed else "no route",
-                       **counts, "cold_ms_p50": statistics.median(cold)})
-    figures = (*COUNTS, "cold_ms_p50", "warm_ms_p50")
-    return {"machine": machine(), "sizes": rows, "sealed": sealed,
-            "exponents": {k: exponent(SIZES, [row[k] for row in rows]) for k in figures}}
+                       **counts})
+        sealed_times.append({"query": name, "cold_ms_p50": statistics.median(cold)})
+    timed = ("cold_ms_p50", "warm_ms_p50")
+    table(times, ("obstacles", *timed), {k: exponent(SIZES, [row[k] for row in times]) for k in timed})
+    table(sealed_times, ("query", "cold_ms_p50"))
+    print(machine())
+    return {"sizes": rows, "sealed": sealed, "exponents": {k: exponent(SIZES, [row[k] for row in rows]) for k in COUNTS}}
+
+
+def table(rows: list, columns: tuple, slopes: dict | None = None) -> None:
+    """Print the columns of rows, and under them the slopes given."""
+    print(" ".join(f"{c:>16}" for c in columns))
+    for row in rows:
+        print(" ".join(f"{row[c]:>16.2f}" if isinstance(row[c], float) else f"{row[c]:>16}" for c in columns))
+    if slopes is not None:
+        print(f"{'exponent':>16} " + " ".join(f"{'-':>16}" if slopes.get(c) is None else f"{slopes[c]:>16.2f}"
+                                              for c in columns[1:]))
 
 
 def summary(record: dict, _text, _seconds) -> None:
-    columns = ("obstacles", *COUNTS, "no_route", "cold_ms_p50", "warm_ms_p50")
-    print(" ".join(f"{c:>16}" for c in columns))
-    for row in record["sizes"]:
-        print(" ".join(f"{row[c]:>16.2f}" if isinstance(row[c], float) else f"{row[c]:>16}" for c in columns))
-    slopes = record["exponents"]
-    print(f"{'exponent':>16} " + " ".join(f"{'-':>16}" if slopes.get(c) is None else f"{slopes[c]:>16.2f}"
-                                          for c in columns[1:]))
-    columns = ("query", "obstacles", "verdict", *COUNTS, "cold_ms_p50")
-    print(" ".join(f"{c:>16}" for c in columns))
-    for row in record["sealed"]:
-        print(" ".join(f"{row[c]:>16.2f}" if isinstance(row[c], float) else f"{row[c]:>16}" for c in columns))
-    print(record["machine"])
+    table(record["sizes"], ("obstacles", *COUNTS, "no_route"), record["exponents"])
+    table(record["sealed"], ("query", "obstacles", "verdict", *COUNTS))
 
 
 if __name__ == "__main__":

@@ -30,16 +30,21 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def load(repo: str) -> tuple:
-    """(arcplan with its modules imported, inputs, oracle) of the checkout at repo."""
-    sys.dont_write_bytecode = True  # leave no __pycache__ in either checkout
+    """(arcplan with its modules imported, inputs, oracle) of the checkout at
+    repo; the imports write no bytecode, and the flag that says so is put
+    back once they are done."""
+    flag, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave no __pycache__ in either checkout
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
-    import arcplan.aco
-    import arcplan.cli
-    import arcplan.geometry
-    import arcplan.planner
-    import arcplan.sceneio
-    import inputs
-    import oracle
+    try:
+        import arcplan.aco
+        import arcplan.cli
+        import arcplan.geometry
+        import arcplan.planner
+        import arcplan.sceneio
+        import inputs
+        import oracle
+    finally:
+        sys.dont_write_bytecode = flag
 
     return arcplan, inputs, oracle
 

@@ -406,7 +406,7 @@ def test_unwritable_output_file_exit_code(capsys, tmp_path, argv):
 
 def test_infeasible_exit_code(capsys, tmp_path):
     scene_file = tmp_path / "pocket.json"
-    sceneio.dump_scene(pocket_scene(), str(scene_file))
+    scene_file.write_text(json.dumps(sceneio.scene_to_dict(pocket_scene()), indent=2), encoding="utf-8")
     rc, _, err = run_cli(
         capsys, "plan", "--scene", str(scene_file), "--from", "20,20", "--to", "100,100"
     )
@@ -452,7 +452,7 @@ def _outcome(capsys, argv) -> tuple:
 @pytest.mark.parametrize("argv", VALID_RUNS + PARSER_STOPS, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_command_parser_answers_as_the_full_parser(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    sceneio.dump_scene(builtin_scene(), "scene.json")
+    Path("scene.json").write_text(json.dumps(sceneio.scene_to_dict(builtin_scene()), indent=2), encoding="utf-8")
     if argv in VALID_RUNS:
         args, rest = cli.command_parser(argv[0]).parse_known_args(argv[1:])
         assert rest == [] and args == cli.build_parser().parse_args(argv)
@@ -464,7 +464,7 @@ def test_command_parser_answers_as_the_full_parser(capsys, tmp_path, monkeypatch
 
 def test_valid_runs_never_build_the_full_parser(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    sceneio.dump_scene(builtin_scene(), "scene.json")
+    Path("scene.json").write_text(json.dumps(sceneio.scene_to_dict(builtin_scene()), indent=2), encoding="utf-8")
     cli.build_parser.cache_clear()
     for argv in VALID_RUNS:
         assert main(list(argv)) == 0, argv
@@ -507,7 +507,7 @@ def test_scene_file_round_trip(d):
     assert sceneio.scene_to_dict(scene) == d
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "scene.json")
-        sceneio.dump_scene(scene, path)
+        Path(path).write_text(json.dumps(sceneio.scene_to_dict(scene), indent=2), encoding="utf-8")
         assert sceneio.load_scene(path) == scene
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from arcplan import paths
 from arcplan.geometry import AxisRect, Circle, ObstacleSpec, Point, Scene, builtin_scene, segment_clear
 from arcplan.paths import (
     Arc,
@@ -478,7 +479,8 @@ def _corners(draw):
 @settings(max_examples=300)
 def test_corner_clear_is_validate_path_on_the_one_corner_chain(corner):
     # where both legs of the chain keep clearance and stay in the field,
-    # corner_clear is validate_path's verdict on the chain
+    # corner_clear is validate_path's verdict on the chain, decided without
+    # measuring a clearance
     scene, start, circle, goal = corner
     try:
         into, arc, out = chain_path(start, (circle,), goal).segments
@@ -486,7 +488,14 @@ def test_corner_clear_is_validate_path_on_the_one_corner_chain(corner):
         return
     if not all(segment_clear(a, b, scene) and scene.contains(a) and scene.contains(b) for a, b in (into, out)):
         return
-    verdict = corner_clear((None, arc.start_angle, into), circle, (arc.end_angle, None, out), scene)
+
+    def measured(*_args):
+        raise AssertionError("corner_clear measured a clearance")
+
+    with pytest.MonkeyPatch.context() as mp:  # a Hypothesis test: no function-scoped fixture
+        for name in ("arc_min_clearance", "segment_min_clearance"):
+            mp.setattr(paths, name, measured)
+        verdict = corner_clear((None, arc.start_angle, into), circle, (arc.end_angle, None, out), scene)
     assert verdict == validate_path(SmoothPath((into, arc, out)), scene).ok
 
 

@@ -240,18 +240,19 @@ def test_connected_is_symmetric(monkeypatch):
 
 
 def test_scene_compiles_corner_links_once(monkeypatch):
-    # A corner pair is judged (handed to _legs) only when a search first
-    # expands one of its corners, and at most once per Scene object: a
-    # repeated query judges none.  A cold query judges only the pairs of the
-    # corners it reaches, so building every row up front fails here.
+    # A corner pair is judged (its tangents handed out by pair_tangents) only
+    # when a search first expands one of its corners, and at most once per
+    # Scene object: a repeated query judges none.  A cold query judges only
+    # the pairs of the corners it reaches, so building every row up front
+    # fails here.
     judged = []
 
-    def counted(a, b, sc):
+    def counted(a, b):
         if len(a) == len(b) == 2:  # two corners' (CW, CCW) circles, not an endpoint's one
-            judged.append((id(sc), a[0].center, b[0].center))
-        return _legs(a, b, sc)
+            judged.append((a[0].center, b[0].center))
+        return pair_tangents(a, b)
 
-    monkeypatch.setattr(planner, "_legs", counted)
+    monkeypatch.setattr(planner, "pair_tangents", counted)
     scene = builtin_scene()
     queries = [(O, KNOWN_TARGETS[t]) for t in "ABC"] + PAIRS[:6]
     for start, goal in queries:
@@ -288,20 +289,21 @@ def acute_scene() -> Scene:
 
 
 @pytest.mark.parametrize(
-    "make_scene, start, goal, least",
+    "make_scene, start, goal",
     [
-        (builtin_scene, O, C, 200),
-        (shared_vertex_scene, Point(60, 300), Point(300, 60), 10),  # the leg ends at (200, 200) lie on both squares
-        (acute_scene, Point(320, 120), Point(140, 268), 20),  # turns at (300, 150) and (150, 250)
+        (builtin_scene, O, C),
+        (shared_vertex_scene, Point(60, 300), Point(300, 60)),  # the leg ends at (200, 200) lie on both squares
+        (acute_scene, Point(320, 120), Point(140, 268)),  # turns at (300, 150) and (150, 250)
     ],
     ids=["builtin", "shared-vertex", "acute"],
 )
-def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch, make_scene, start, goal, least):
+def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch, make_scene, start, goal):
     # A leg end on a corner's circle that lies closer than the clearance
     # limit to an edge of that corner's polygon runs back into the polygon:
     # neither the corner links, the endpoint links nor the chain screen may
     # hand such a leg to segment_clear.  in_cone reads only the edges at the
-    # corner; every edge of the polygon is counted here.
+    # corner; every edge of the polygon is counted here.  Each corner the
+    # answer turns on has a leg end among the calls, so some are checked.
     scene = make_scene()
     limit = scene.clearance - 1e-9
     polygons = [ob[1] for ob in oracles.scene_obstacles(scene) if ob[0] == "poly"]
@@ -312,11 +314,11 @@ def test_no_leg_failing_at_its_own_corner_reaches_segment_clear(monkeypatch, mak
         return segment_clear(p, q, sc)
 
     monkeypatch.setattr(planner, "segment_clear", recorded)
-    plan_route(RouteRequest(start, goal, scene))
-    gaps = [gap for call in calls for gap in (own_edge_gap(polygons, scene.clearance, end) for end in call)
-            if gap < math.inf]  # ends on a corner circle
-    assert len(gaps) > least
-    assert min(gaps) >= limit
+    corners = plan_route(RouteRequest(start, goal, scene)).corners
+    ends = [end for call in calls for end in call]
+    assert corners and all(any(abs(math.dist(end, c.center) - c.radius) < 1e-9 for end in ends) for c in corners)
+    gaps = [gap for gap in (own_edge_gap(polygons, scene.clearance, end) for end in ends) if gap < math.inf]
+    assert min(gaps) >= limit  # gaps: the ends on a corner circle
 
 
 def own_edge_gap(polygons: list, r: float, end) -> float:
@@ -513,15 +515,6 @@ def test_plan_length_matches_independent_chain_oracle(scene, expected):
     assert plan.length == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.parametrize("goal", [A, B], ids=["A", "B"])
-def test_plan_lies_in_the_length_bounds(scene, goal):
-    # bounds from polygons inside and around the clearance envelopes, with no
-    # arcplan tangent, clearance or arc code: O->A and O->B are optimal
-    lower, upper = oracles.length_bounds(scene, O, goal, 0.1)
-    assert upper - lower < 0.1
-    assert lower <= plan_route(RouteRequest(O, goal, scene)).length <= upper
-
-
 def wall_triangle_scene() -> Scene:
     """A 200 x 200 field with a flat triangle on its bottom wall, so that the
     turning circle of each of its vertices leaves the field."""
@@ -534,49 +527,54 @@ def box_scene() -> Scene:
     return Scene(bounds=(300.0, 300.0), obstacles=(ObstacleSpec(1, AxisRect(Point(100, 100), 100, 100)),), clearance=10.0)
 
 
+ABOVE = pytest.mark.xfail(raises=AssertionError, strict=True)  # a route longer than the upper bound
+NO_ROUTE = pytest.mark.xfail(raises=RouteInfeasible, strict=True)  # exit 3, though the upper bound holds a route
+PAIRS_ABOVE = {0, 3, 7, 9, 10, 12, 15, 18}  # at step 0.3; PAIRS[11] exits 3, the seed-3-pair row below
+
+
 @pytest.mark.parametrize(
-    "make_scene, start, goal",
+    "make_scene, start, goal, step",
     [
-        pytest.param(builtin_scene, O, C, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+        pytest.param(builtin_scene, O, A, 0.1, id="A"),
+        pytest.param(builtin_scene, O, B, 0.1, id="B"),
+        # the exact engine's known defects, each marker going with its fix
+        pytest.param(builtin_scene, O, C, 0.1, marks=ABOVE, id="o-to-c"),
         pytest.param(builtin_scene, Point(704.7242457978864, 784.5086054746716),
-                     Point(247.7360427810712, 61.57656376432952),  # perfbench seed 3
-                     marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
-        pytest.param(builtin_scene, Point(550, 360), Point(550, 545),  # around a circle obstacle
-                     marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
-        pytest.param(wall_triangle_scene, Point(30, 15), Point(170, 15),
-                     marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
-        pytest.param(acute_scene, Point(330, 140), Point(120, 258),
-                     marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
+                     Point(247.7360427810712, 61.57656376432952), 0.1,  # PAIRS[11]
+                     marks=NO_ROUTE, id="seed-3-pair"),
+        pytest.param(builtin_scene, Point(550, 360), Point(550, 545), 0.1,  # around a circle obstacle
+                     marks=ABOVE, id="circle-wrap"),
+        pytest.param(wall_triangle_scene, Point(30, 15), Point(170, 15), 0.1, marks=NO_ROUTE, id="wall-triangle"),
+        pytest.param(acute_scene, Point(330, 140), Point(120, 258), 0.1, marks=NO_ROUTE, id="acute"),
         pytest.param(box_scene, Point(100 + 10 * math.cos(math.radians(225)), 100 + 10 * math.sin(math.radians(225))),
-                     Point(150, 90),  # a start on the clearance circle of the box's corner (100, 100)
-                     marks=pytest.mark.xfail(raises=RouteInfeasible, strict=True)),
+                     Point(150, 90), 0.1,  # a start on the clearance circle of the box's corner (100, 100)
+                     marks=NO_ROUTE, id="start-on-a-corner-circle"),
+        *(pytest.param(builtin_scene, a, b, 0.3, marks=ABOVE if i in PAIRS_ABOVE else (), id=f"pair-{i}")
+          for i, (a, b) in enumerate(PAIRS) if i != 11),
     ],
-    ids=["o-to-c", "seed-3-pair", "circle-wrap", "wall-triangle", "acute", "start-on-a-corner-circle"],
 )
-def test_known_defect_lies_in_the_length_bounds(make_scene, start, goal):
-    # the known defects of the exact engine: a route longer than the upper
-    # bound, or none where the bound holds one; each marker goes with its fix
+def test_plan_lies_in_the_length_bounds(make_scene, start, goal, step):
+    # bounds from polygons inside and around the clearance envelopes, with no
+    # arcplan tangent, clearance or arc code: O->A, O->B and 11 of PAIRS lie
+    # in them.  A route below the lower bound cuts into the clearance, which
+    # no known defect does: it fails every case, not as the markers expect
     scene = make_scene()
-    lower, upper = oracles.length_bounds(scene, start, goal, 0.1)
-    assert lower <= plan_route(RouteRequest(start, goal, scene)).length <= upper
+    lower, upper = oracles.length_bounds(scene, start, goal, step)
+    length = plan_route(RouteRequest(start, goal, scene)).length
+    if length < lower:
+        pytest.fail(f"length {length!r} below the lower bound {lower!r}")
+    assert length <= upper, (length, upper)
 
 
 def test_length_bounds_hold_the_shortest_o_to_c(scene):
-    # 1088.1952 is the shortest O->C; the engine's 1101.3596 lies above the bracket
+    # 1088.1952 is the shortest O->C; the engine's 1101.3596 lies above the
+    # bracket.  At step 0.1 the brackets of O->A/B/C are under 0.1 wide, so
+    # an answer in one is within 0.1 of the shortest
     lower, upper = oracles.length_bounds(scene, O, C, 0.1)
     assert lower <= 1088.1952 <= upper < 1101.3596
-    assert upper - lower < 0.1
-
-
-def test_no_plan_is_shorter_than_the_lower_bound(scene):
-    # a route the engine returns keeps the clearance, so it is never shorter
-    # than the path around the inscribed envelope polygons
-    for a, b in PAIRS:
-        lower, upper = oracles.length_bounds(scene, a, b, 0.3)
-        assert lower <= upper
-        plan = sweep.plan(arcplan, scene, a, b)
-        if not isinstance(plan, RouteInfeasible):
-            assert plan.length >= lower - 1e-9, (a, b, plan)
+    for goal in (A, B, C):
+        lower, upper = oracles.length_bounds(scene, O, goal, 0.1)
+        assert upper - lower < 0.1
 
 
 def test_plan_start_equals_goal(scene):
@@ -1072,20 +1070,37 @@ def test_planner_and_validate_path_share_one_turning_radius_rule():
     assert corners and "radius" in {v.kind for v in validate_path(path, scene).violations}
 
 
-@pytest.mark.parametrize("seed", [None, 1, 2], ids=["builtin", "cold-seed-1", "cold-seed-2"])
-def test_metamorphic_relations_hold(scene, seed):
+@pytest.mark.parametrize(
+    "seed, removal",
+    [
+        pytest.param(None, None, id="builtin"),
+        pytest.param(1, None, id="cold-seed-1"),
+        pytest.param(2, None, id="cold-seed-2"),
+        # the first cold scene of each seed where the exact engine breaks the
+        # removal relation (30 of seed 1's 80 and 33 of seed 2's break it)
+        pytest.param(1, 1, marks=pytest.mark.xfail(raises=AssertionError, strict=True), id="removal-seed-1"),
+        pytest.param(2, 2, marks=pytest.mark.xfail(raises=AssertionError, strict=True), id="removal-seed-2"),
+    ],
+)
+def test_metamorphic_relations_hold(scene, seed, removal):
     # on O->A/B/C and PAIRS, or on the 80 cold scenes of a seed: reversing a
     # query (b -> a) keeps the verdict and the length, mirroring the scene
     # (x -> W - x) keeps them and swaps every corner's turn, and scaling every
-    # coordinate and the clearance by 2 doubles the length, each within 1e-6
-    # (tests/relations.py counts them for a diff)
+    # coordinate and the clearance by 2 doubles the length, each within 1e-6.
+    # On cold scene `removal` alone, removing any one obstacle also neither
+    # lengthens the answer by more than 1e-6 nor loses its route
+    # (tests/relations.py counts them all for a diff)
     if seed is None:
         queries = [(scene, O, KNOWN_TARGETS[t]) for t in "ABC"] + [(scene, a, b) for a, b in PAIRS]
     else:
         queries = [(scene_from_dict(req["scene_dict"]), req["from"], req["to"]) for req in inputs.cold_scenes(seed, 80)]
+    if removal is not None:
+        queries = queries[removal:removal + 1]
     for sc, a, b in queries:
         holds = relations.check(arcplan, sc, a, b)
         assert all(holds[r] for r in relations.RELATIONS), (a, b, holds)
+        if removal is not None:
+            assert relations.removals(arcplan, sc, a, b, holds["length"]) == [], (a, b)
 
 
 def test_no_successful_query_computes_a_clearance_measure(scene, monkeypatch):

@@ -38,6 +38,16 @@ def test_plan_returns_the_plan_or_the_verdict_raised(monkeypatch):
         assert raised.value is error
 
 
+def test_load_puts_the_bytecode_flag_back(monkeypatch):
+    # the loader's imports write no bytecode, and the modules imported after
+    # it write theirs as the interpreter was told to
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for flag in (False, True):
+        monkeypatch.setattr(sys, "dont_write_bytecode", flag)
+        sweep.load(sweep.REPO)
+        assert sys.dont_write_bytecode is flag
+
+
 def test_check_reports_a_broken_reversal_alone(monkeypatch):
     # a planner whose route is 1e-3 longer when the start lies below the goal:
     # mirroring and scaling keep which end lies lower, reversing swaps it
