@@ -6,6 +6,10 @@ enumeration - without calling into the package's own geometry helpers, so a
 shared bug cannot hide on both sides of an assertion.  A golden-section
 descent over the contact angles acts as the numeric authority for the
 closed-form corner solver.
+
+Routes, and point and segment clearances, are judged by perfbench/oracle.py
+(check_route and its distances), the one judge the benchmark enforces; this
+module only puts scenes and paths in its plain form (scene_obstacles, route).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ TAU = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# plain point / segment / polygon primitives
+# point to segment
 
 
 def seg_dist(p, a, b) -> float:
@@ -32,33 +36,6 @@ def seg_dist(p, a, b) -> float:
     t = ((p[0] - ax) * vx + (p[1] - ay) * vy) / L2
     t = max(0.0, min(1.0, t))
     return math.dist(p, (ax + t * vx, ay + t * vy))
-
-
-def point_in_poly(p, poly) -> bool:
-    """Ray-casting membership test (boundary counts as inside)."""
-    x, y = p
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        (x1, y1), (x2, y2) = poly[i], poly[(i + 1) % n]
-        if seg_dist(p, (x1, y1), (x2, y2)) == 0.0:
-            return True
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x_cross > x:
-                inside = not inside
-    return inside
-
-
-def poly_dist(p, poly) -> float:
-    """Distance from p to a polygon (0 inside)."""
-    if point_in_poly(p, poly):
-        return 0.0
-    return min(seg_dist(p, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly)))
-
-
-def circle_dist(p, center, radius) -> float:
-    return max(0.0, math.dist(p, center) - radius)
 
 
 # ---------------------------------------------------------------------------
@@ -300,47 +277,17 @@ def chain_length(start, corners, end, radius) -> float:
 # tangent roadmap edges
 
 
-def segment_distance(a, b, c, d) -> float:
-    """Distance between segments ab and cd (0 when they cross)."""
-
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    if orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0:
-        return 0.0
-    return min(seg_dist(a, c, d), seg_dist(b, c, d), seg_dist(c, a, b), seg_dist(d, a, b))
-
-
-def segment_clearance(a, b, obstacles) -> float:
-    """Least distance from segment ab to obstacles given as ("poly", vertices)
-    or ("circle", center, radius); 0 where the segment enters one."""
-    best = math.inf
-    for ob in obstacles:
-        if ob[0] == "circle":
-            d = max(0.0, seg_dist(ob[1], a, b) - ob[2])
-        else:
-            poly = ob[1]
-            if point_in_poly(a, poly) or point_in_poly(b, poly):
-                return 0.0
-            d = min(segment_distance(a, b, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly)))
-        best = min(best, d)
-    return best
-
-
-def tangent_roadmap_edges(anchors, radius, obstacles, limit) -> set:
+def tangent_roadmap_edges(anchors, radius, clear) -> set:
     """Edges (i, j), 1-based with i < j, of a roadmap over anchors[0] (start),
     anchors[-1] (goal) and corner circles of `radius` at the anchors between.
 
-    An edge exists iff one tangent joining the two nodes keeps clearance
-    `limit`: the straight segment between start and goal, the entry (start) or
+    An edge exists iff `clear(p, q)` holds for one tangent p-q joining the two
+    nodes: the straight segment between start and goal, the entry (start) or
     exit (goal) tangent for either turn, or the common tangent of one of the
     four turn pairs between two corners.  Opposite turns have no common
     tangent when the circles touch or overlap.
     """
     n = len(anchors)
-
-    def clear(p, q):
-        return segment_clearance(p, q, obstacles) >= limit
 
     def on_circle(center, angle):
         return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
@@ -526,7 +473,7 @@ def mc_area(inside, bbox, samples: int, seed: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampled arcs and whole paths
+# scenes, sampled arcs and routes in plain form
 
 
 def scene_obstacles(scene):
@@ -551,12 +498,6 @@ def scene_obstacles(scene):
     return out
 
 
-def point_clearance(p, obstacles) -> float:
-    """Least distance from p to obstacles given as ("poly", vertices) or
-    ("circle", center, radius); 0 inside one."""
-    return min(circle_dist(p, ob[1], ob[2]) if ob[0] == "circle" else poly_dist(p, ob[1]) for ob in obstacles)
-
-
 def arc_points(center, radius, start, sweep, spacing):
     """Points of the arc swept counter-clockwise from angle `start` through
     `sweep`, both ends included, at most `spacing` apart along it."""
@@ -567,60 +508,19 @@ def arc_points(center, radius, start, sweep, spacing):
     ]
 
 
-def segment_ends(seg):
-    """(start point, end point, direction in, direction out) of a line or an
-    arc, read from its plain fields: a line's ends `a` and `b` (no direction
-    when they coincide); an arc's circle (center, radius, turn "cw"/"ccw")
-    and its start and end angles."""
-    if hasattr(seg, "a"):
-        (ax, ay), (bx, by) = seg.a, seg.b
-        L = math.hypot(bx - ax, by - ay)
-        d = ((bx - ax) / L, (by - ay) / L) if L else None
-        return (ax, ay), (bx, by), d, d
-    (cx, cy), r = seg.circle.center, seg.circle.radius
-    s = 1.0 if seg.circle.turn.value == "ccw" else -1.0
-    a0, a1 = seg.start_angle, seg.end_angle
-    return (
-        (cx + r * math.cos(a0), cy + r * math.sin(a0)),
-        (cx + r * math.cos(a1), cy + r * math.sin(a1)),
-        (-s * math.sin(a0), s * math.cos(a0)),
-        (-s * math.sin(a1), s * math.cos(a1)),
-    )
-
-
-def segment_points(seg, spacing):
-    """Points of a line or an arc, read as segment_ends reads it, both ends
-    included, at most `spacing` apart along it."""
-    if hasattr(seg, "a"):
-        (ax, ay), (bx, by) = seg.a, seg.b
-        steps = max(1, math.ceil(math.hypot(bx - ax, by - ay) / spacing))
-        return [(ax + (bx - ax) * k / steps, ay + (by - ay) * k / steps) for k in range(steps + 1)]
-    c = seg.circle
-    s = 1.0 if c.turn.value == "ccw" else -1.0
-    sweep = (s * (seg.end_angle - seg.start_angle)) % TAU
-    return arc_points(c.center, c.radius, seg.start_angle if s > 0 else seg.end_angle, sweep, spacing)
-
-
-def path_violation(segments, obstacles, clearance, spacing=0.5):
-    """The first fault of a line/arc chain, or None: a gap or a kink at a
-    joint, or a point closer than clearance - 1e-6 to an obstacle (lines
-    exactly, arcs at points `spacing` apart).  Reads only the plain fields of
-    the segments (segment_ends)."""
-    pieces = [segment_ends(seg) for seg in segments]
-    for i, (p, q) in enumerate(zip(pieces, pieces[1:])):
-        if math.dist(p[1], q[0]) > 1e-6:
-            return f"gap after segment {i}"
-        if p[3] and q[2] and p[3][0] * q[2][0] + p[3][1] * q[2][1] < 1.0 - 1e-7:
-            return f"kink after segment {i}"
-    limit = clearance - 1e-6
-    for i, seg in enumerate(segments):
+def route(path):
+    """A path's segments as the tuples of perfbench's oracle.check_route, read
+    from plain fields: a line's ends `a` and `b`; an arc's circle (center,
+    radius, turn "ccw" or "cw") and its start and end angles."""
+    out = []
+    for seg in path.segments:
         if hasattr(seg, "a"):
-            d = segment_clearance(seg.a, seg.b, obstacles)
+            out.append(("line", tuple(seg.a), tuple(seg.b)))
         else:
-            d = min(point_clearance(p, obstacles) for p in segment_points(seg, spacing))
-        if d < limit:
-            return f"segment {i} has clearance {d:.9f}"
-    return None
+            c = seg.circle
+            sign = 1 if c.turn.value == "ccw" else -1
+            out.append(("arc", tuple(c.center), c.radius, sign, seg.start_angle, seg.end_angle))
+    return out
 
 
 # ---------------------------------------------------------------------------

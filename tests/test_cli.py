@@ -163,19 +163,6 @@ def test_export_svg_command(capsys, tmp_path):
     ET.fromstring(svg_file.read_text())
 
 
-def test_reports_are_deterministic(capsys):
-    for argv in (
-        ("plan",),
-        ("plan", "--engine", "aco", "--seed", "7"),
-        ("aco", "--seed", "3"),
-        ("enumerate", "--to", "B"),
-        ("verify",),
-    ):
-        first = run_cli(capsys, *argv)
-        second = run_cli(capsys, *argv)
-        assert first == second, argv
-
-
 def test_bad_point_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--to", "garbage"])

@@ -35,7 +35,7 @@ from arcplan.geometry import (
     segment_obstacle_distance,
 )
 from arcplan.sceneio import render_svg, scene_from_dict
-from test_planner import inputs, shared_vertex_scene
+from test_planner import inputs, oracle, shared_vertex_scene
 
 TAU = 2.0 * math.pi
 coord = st.floats(min_value=-500.0, max_value=1500.0, allow_nan=False, allow_infinity=False)
@@ -135,9 +135,9 @@ def test_clockwise_polygons_read_as_ccw():
         assert area2 > 0
         for _ in range(400):
             p = Point(rng.uniform(50, 750), rng.uniform(50, 750))
-            inside = oracles.point_in_poly(tuple(p), [tuple(v) for v in given])
-            assert (segment_obstacle_distance(p, p, spec) == 0.0) == inside, f"obstacle {oid} at {p}"
-            assert segment_obstacle_distance(p, p, spec) == pytest.approx(oracles.poly_dist(tuple(p), given), abs=1e-9)
+            got, want = segment_obstacle_distance(p, p, spec), oracle.point_distance(p, ("poly", given))
+            assert (got == 0.0) == (want == 0.0), f"obstacle {oid} at {p}"
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +184,24 @@ def test_segment_distance_matches_oracle(scene):
     cases.append((scene, Point(400, 500), Point(700, 20), 0.0))  # an end inside obstacle 1
     for sc, a, b, want in cases:
         obstacles = oracles.scene_obstacles(sc)
-        oracle = oracles.segment_clearance(a, b, obstacles)
+        clearance = oracle.segment_clearance(a, b, obstacles)
         if want is not None:
-            assert oracle == pytest.approx(want, abs=1e-9), (a, b)
-        assert segment_min_clearance(a, b, sc) == pytest.approx(oracle, abs=1e-9), (a, b)
+            assert clearance == pytest.approx(want, abs=1e-9), (a, b)
+        assert segment_min_clearance(a, b, sc) == pytest.approx(clearance, abs=1e-9), (a, b)
         for spec, ob in zip(sc.obstacles, obstacles):
             assert segment_obstacle_distance(a, b, spec) == pytest.approx(
-                oracles.segment_clearance(a, b, [ob]), abs=1e-9), (a, b, spec.id)
+                oracle.segment_distance(a, b, ob), abs=1e-9), (a, b, spec.id)
 
 
 def test_obstacle_distance_matches_polygon_oracle(scene):
     rng = random.Random(3)
-    polys = {
-        spec.id: [tuple(v) for v in obstacle_vertices(spec)]
-        for spec in scene.obstacles
-        if not isinstance(spec.shape, Circle)
-    }
-    specs = {spec.id: spec for spec in scene.obstacles}
+    polys = [(spec, ob) for spec, ob in zip(scene.obstacles, oracles.scene_obstacles(scene)) if ob[0] == "poly"]
     for _ in range(300):
         p = Point(rng.uniform(-50, 850), rng.uniform(-50, 850))
-        for oid, poly in polys.items():
-            want = oracles.poly_dist(tuple(p), poly)
-            got = segment_obstacle_distance(p, p, specs[oid])
-            assert got == pytest.approx(want, abs=1e-9), f"obstacle {oid} at {p}"
+        for spec, ob in polys:
+            want = oracle.point_distance(p, ob)
+            got = segment_obstacle_distance(p, p, spec)
+            assert got == pytest.approx(want, abs=1e-9), f"obstacle {spec.id} at {p}"
 
 
 def test_circle_obstacle_distance(scene):
@@ -238,7 +233,7 @@ def test_min_clearance_nonnegative(x, y):
 def test_degenerate_segment_equals_point_clearance(scene):
     obstacles = oracles.scene_obstacles(scene)
     for p in (Point(0, 0), Point(50, 50), Point(777, 20)):
-        assert min_clearance(p, scene) == pytest.approx(oracles.point_clearance(p, obstacles), abs=1e-9), p
+        assert min_clearance(p, scene) == pytest.approx(oracle.point_clearance(p, obstacles), abs=1e-9), p
 
 
 def test_straight_oa_is_blocked(scene):
@@ -402,7 +397,7 @@ def cone_agrees_with_oracle(scene: Scene) -> int:
         for a in window_edge_angles(scene, v):
             p = Point(v.x + r * math.cos(a), v.y + r * math.sin(a))
             if in_cone(a, cones):
-                assert oracles.point_clearance(p, obstacles) < r - CLEARANCE_EPS, (v, a, p)
+                assert oracle.point_clearance(p, obstacles) < r - CLEARANCE_EPS, (v, a, p)
                 assert not segment_clear(p, p, scene), (v, a, p)
                 ruled_out += 1
             if arc is not None:  # the free arc holds every angle in_cone passes, and reaches 1e-9 into a window
@@ -504,8 +499,8 @@ def test_arc_clearance_matches_sampled_oracle():
     for center, r, start, sweep in _random_arcs(random.Random(7), 160):
         points = oracles.arc_points(center, r, start, sweep, 0.5)
         sagitta = r * (1.0 - math.cos(sweep / (len(points) - 1) / 2.0))
-        sampled = min(oracles.point_clearance(p, obstacles) for p in points)
-        polyline = min(oracles.segment_clearance(p, q, obstacles) for p, q in zip(points, points[1:]))
+        sampled = min(oracle.point_clearance(p, obstacles) for p in points)
+        polyline = min(oracle.segment_clearance(p, q, obstacles) for p, q in zip(points, points[1:]))
         exact = arc_min_clearance(Point(*center), r, start, sweep, ARC_SCENE)
         case = (center, r, start, sweep)
         assert polyline - sagitta - 1e-9 <= exact <= sampled + 1e-9, case
@@ -596,15 +591,14 @@ def test_envelope_regions_structure(scene):
 
 def test_envelope_boundary_sits_at_clearance(scene):
     # the path's points are written with 3 decimals
-    for spec, (kind, data) in zip(scene.obstacles, _svg_envelope(scene)):
+    for ob, (kind, data) in zip(oracles.scene_obstacles(scene), _svg_envelope(scene)):
         if kind == "circle":
             continue
-        poly = [tuple(v) for v in obstacle_vertices(spec)]
         for cmd, p, before in _path_points(data):
-            assert oracles.poly_dist(p, poly) == pytest.approx(10.0, abs=1e-3)
+            assert oracle.point_distance(p, ob) == pytest.approx(10.0, abs=1e-3)
             if cmd == "L":  # an offset edge: its midpoint sits at the clearance too
                 mid = ((p[0] + before[0]) / 2, (p[1] + before[1]) / 2)
-                assert oracles.poly_dist(mid, poly) == pytest.approx(10.0, abs=1e-3)
+                assert oracle.point_distance(mid, ob) == pytest.approx(10.0, abs=1e-3)
 
 
 def test_envelope_corner_arcs_sum_to_full_turn(scene):
@@ -630,6 +624,6 @@ def test_envelope_area_of_rectangle_monte_carlo(scene):
     rect = [(300, 400), (500, 400), (500, 600), (300, 600)]
     analytic = 200 * 200 + 800 * 10 + math.pi * 10 * 10
     estimate = oracles.mc_area(
-        lambda p: oracles.poly_dist(p, rect) <= 10.0, (285, 385, 515, 615), 200_000, seed=7
+        lambda p: oracle.point_distance(p, ("poly", rect)) <= 10.0, (285, 385, 515, 615), 200_000, seed=7
     )
     assert estimate == pytest.approx(analytic, abs=25.0)

@@ -9,7 +9,7 @@ import re
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arcplan
@@ -28,7 +28,6 @@ from arcplan.geometry import (
     Triangle,
     builtin_scene,
     in_cone,
-    obstacle_vertices,
     segment_clear,
 )
 from arcplan import geometry, paths, planner
@@ -67,8 +66,9 @@ from arcplan.sceneio import scene_from_dict, scene_to_dict
 O, A, B, C = (KNOWN_TARGETS[k] for k in "OABC")
 
 
-# perfbench's query generators, loaded as the sweeps load them
-_, inputs, _ = sweep.load(sweep.REPO)
+# perfbench's query generators and its route and clearance oracle, loaded as
+# the sweeps load them
+_, inputs, oracle = sweep.load(sweep.REPO)
 
 # perfbench's random pairs on the builtin scene, seed 3: uniform points with
 # clearance >= 10.5, paired, keeping only the pairs without a straight route
@@ -152,13 +152,9 @@ def roadmap_edges(rm) -> set:
 
 
 def oracle_edges(rm, scene: Scene) -> set:
-    obstacles = [
-        ("circle", tuple(spec.shape.center), spec.shape.radius)
-        if isinstance(spec.shape, Circle)
-        else ("poly", [tuple(v) for v in obstacle_vertices(spec)])
-        for spec in scene.obstacles
-    ]
-    return oracles.tangent_roadmap_edges(rm.anchors, scene.clearance, obstacles, scene.clearance - 1e-9)
+    obstacles = oracles.scene_obstacles(scene)
+    return oracles.tangent_roadmap_edges(
+        rm.anchors, scene.clearance, lambda p, q: oracle.segment_clearance(p, q, obstacles) >= scene.clearance - 1e-9)
 
 
 def shared_vertex_scene() -> Scene:
@@ -168,6 +164,15 @@ def shared_vertex_scene() -> Scene:
         ObstacleSpec(2, AxisRect(Point(200, 200), 100, 100)),
     )
     return Scene(bounds=(400.0, 400.0), obstacles=squares, clearance=10.0)
+
+
+def corner_disc_scene() -> Scene:
+    """A wall (100, 50)-(110, 200) with a disc beyond its top-left corner:
+    legs up its left side and over its top keep clearance, but the arc
+    around (100, 200) passes 7 from the disc."""
+    wall = ObstacleSpec(1, AxisRect(Point(100, 50), 10, 150))
+    disc = ObstacleSpec(2, Circle(Point(100 - 25 * math.sqrt(0.5), 200 + 25 * math.sqrt(0.5)), 8.0))
+    return Scene((300.0, 300.0), (wall, disc), 10.0)
 
 
 def test_roadmap_edges_match_tangent_oracle(scene):
@@ -794,11 +799,14 @@ def small_scenes(draw):
     goal=st.builds(Point, st.floats(275.0, 300.0), st.floats(0.0, 300.0)),
     engine=st.sampled_from(("exact", "aco")),
 )
+@example(scene=corner_disc_scene(), start=Point(90, 150), goal=Point(120, 150), engine="exact")  # shorter over the top
 def test_random_scene_plans_pass_sampled_oracle(scene, start, goal, engine):
-    # every answer keeps clearance at half-unit arc samples and is tangent at every joint
+    # every answer passes check_route: its ends, tangency, radius, clearance
+    # (exact on lines, at half-unit samples on arcs) and reported length
     plan = sweep.plan(arcplan, scene, start, goal, engine, ants=8, generations=8)
     if not isinstance(plan, Exception):
-        assert oracles.path_violation(plan.path.segments, oracles.scene_obstacles(scene), scene.clearance) is None
+        shapes = oracles.scene_obstacles(scene)
+        assert oracle.check_route(oracles.route(plan.path), start, goal, shapes, scene.clearance, plan.length) is None
 
 
 def test_route_infeasible_reports_blockers():
@@ -989,12 +997,8 @@ def test_chain_screen_matches_validate_path(yen_scans):
 
 
 def test_chain_screen_rejects_a_sequence_on_its_corner_arc_alone():
-    # up the wall's left side, around its top corners and down its right
-    # side: the legs keep clearance, but the arc around (100, 200) passes 7
-    # from the disc beyond it
-    wall = ObstacleSpec(1, AxisRect(Point(100, 50), 10, 150))
-    disc = ObstacleSpec(2, Circle(Point(100 - 25 * math.sqrt(0.5), 200 + 25 * math.sqrt(0.5)), 8.0))
-    scene = Scene((300.0, 300.0), (wall, disc), 10.0)
+    # up the wall's left side, around its top corners and down its right side
+    scene = corner_disc_scene()
     rm = build_roadmap(scene, Point(80, 60), Point(130, 60))
     over = (1, rm.anchors.index(Point(100, 200)) + 1, rm.anchors.index(Point(110, 200)) + 1, len(rm.anchors))
     violations = validate_path(_chain_for(rm, over)[1], scene).violations

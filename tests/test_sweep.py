@@ -1,6 +1,8 @@
 """The same-answer sweeps' query runner (`sweep.plan`), relation check
-(`relations.check`) and diff (`python tests/sweep.py BASE.json HEAD.json`)."""
+(`relations.check`) and diff (`python tests/sweep.py BASE.json HEAD.json`),
+and the independence of the oracles they and tier-1 judge with."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -46,6 +48,16 @@ def test_load_puts_the_bytecode_flag_back(monkeypatch):
         monkeypatch.setattr(sys, "dont_write_bytecode", flag)
         sweep.load(sweep.REPO)
         assert sys.dont_write_bytecode is flag
+
+
+def test_oracles_import_no_arcplan():
+    # tests/oracles.py and perfbench's oracle judge arcplan's answers, so
+    # neither imports it, at module level or inside a function
+    for path in (Path(__file__).with_name("oracles.py"), Path(sweep.REPO, "perfbench", "oracle.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert [n for n in names if n.split(".")[0] == "arcplan"] == [], path
 
 
 def test_check_reports_a_broken_reversal_alone(monkeypatch):
