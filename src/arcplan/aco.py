@@ -4,10 +4,10 @@ A graph keeps only its edge lists, and a pair without an edge weighs its
 no-edge penalty.  A route is a node-inclusion bit string (bit i: node i+1 is
 on it) that decodes to its set nodes in ascending order, so infeasible routes
 are merely expensive, never invalid.  One best-first search lives alongside:
-it starts from several sources at their own costs, never enters a closed
-state, is A* given a heuristic, and searches no path dearer than a bound
-given.  The exact Dijkstra that checks the
-colony (one source) and every search of the planner's k-shortest routes run it.
+it starts from several sources at their own costs, judged as they pop if
+asked, never enters a closed state, is A* given a heuristic, and searches no
+path dearer than a bound given.  The exact Dijkstra that checks the colony
+(one source) and every search of the planner's k-shortest routes run it.
 """
 
 from __future__ import annotations
@@ -233,6 +233,7 @@ def best_first(
     closed: Iterable[Any] = (),
     h: Optional[Callable[[Any], float]] = None,
     bound: float = math.inf,
+    admit: Optional[Callable[[Any], bool]] = None,
 ) -> tuple[tuple, float]:
     """Dijkstra's best-first search from several start states to `goal`; A*
     when given `h`, 0 at goal and at most a hop's cost plus h after it.
@@ -240,9 +241,11 @@ def best_first(
     `sources` holds (cost, state) pairs, as from a super-source;
     `successors[state]` holds the state's (next, cost) pairs, costs
     nonnegative; no state of `closed` is entered, nor one whose cost plus h
-    exceeds `bound` (those kept pop in the unbounded order).  Returns the
-    path, from its source to goal, and its cost; ((), inf) when goal cannot
-    be reached within `bound`.
+    exceeds `bound` (those kept pop in the unbounded order).  Given `admit`,
+    a source prunes nothing until it pops below its state's other costs; then
+    admit(state) false drops it, leaving the state open.  Returns the path,
+    from its source to goal, and its cost; ((), inf) when goal cannot be
+    reached within `bound`.
     """
     dist: dict = dict.fromkeys(closed, -math.inf)  # no cost improves on a closed state, so none is pushed
     prev: dict = {}
@@ -251,13 +254,16 @@ def best_first(
     h = h or (lambda state: 0.0)
     for cost, state in sources:
         if cost < get(state, inf) and (f := cost + h(state)) <= bound:
-            dist[state], prev[state] = cost, None
+            if admit is None:  # an admitted source prunes the pushes it beats; an unjudged one prunes none
+                dist[state], prev[state] = cost, None
             heap.append((f, cost, state))
     heapq.heapify(heap)
     while heap:
         _, d, u = pop(heap)
-        if d > dist[u]:  # a stale entry: u was pushed again at a lower cost
-            continue
+        if d != (known := get(u, inf)):  # a stale entry, or an unjudged source below every push of its state
+            if d > known or not admit(u):
+                continue
+            dist[u], prev[u] = d, None
         if u == goal:
             path = [u]
             while (u := prev[u]) is not None:

@@ -9,10 +9,11 @@ Reported lengths always come from the chain.  A colony proposal that fails is
 no infeasibility verdict: the exact engine answers it.
 
 A roadmap row is built when a search first expands its node (Lazy PRM,
-Bohlin & Kavraki 2000): a query judges only the anchor pairs of the corners
-it reaches.  Corner-to-corner links do not depend on the query, so each Scene
-object keeps them, judging each corner pair at most once; reuse one Scene
-object across queries to pay for them once.
+Bohlin & Kavraki 2000), and the start's link to a corner is judged when a
+search pops the corner: a query judges only the anchor pairs of the corners
+it reaches.  Corner-to-corner links do not depend on the query, so each
+Scene object keeps them, judging each corner pair at most once; reuse one
+Scene object across queries to pay for them once.
 
 The corner links, the endpoint links and the chain screen test legs in one
 pass per anchor pair (`_legs`).  It rejects a leg that leaves a corner's
@@ -214,33 +215,42 @@ def _corner_row(scene: Scene, i: int) -> set[int]:
 class RoadmapGraph(dict):
     """A query's roadmap edges: graph[node] is the node's (neighbor, weight)
     row, ascending, built on first read, so a search judges only the anchor
-    pairs of the nodes it expands; the goal's, which no search expands, is
-    empty.  node_count answers as WeightedGraph's does, and has_edge(i, j),
-    for i < j, reads row i.  Node k is corner order[k - 2]; to_goal(node), the
-    straight distance to the goal, is A*'s h."""
+    pairs of the nodes it expands.  The start's row lists every corner; its
+    link to one is judged as a search pops it (admit, kept in start_links).
+    Every search holds the start closed, so no corner's row lists it; the
+    goal's, which no search expands, is empty.  node_count answers as
+    WeightedGraph's does, and has_edge(i, j), for i < j, reads row i (and
+    admit).  Node k is corner order[k - 2]; to_goal(node), the straight
+    distance to the goal, is A*'s h."""
 
     def __init__(self, scene: Scene, anchors: tuple[Point, ...], circles: tuple, order: tuple[int, ...]):
         super().__init__()
         self.scene, self.anchors, self.circles, self.order = scene, anchors, circles, order
-        self.node_count = n = len(anchors)
+        self.node_count = len(anchors)
         self.node_of = {corner: k for k, corner in enumerate(order, start=2)}
-        self.start_links = {j for j in range(2, n) if any(_legs(circles[0], circles[j - 1], scene))}
+        self.start_links: dict[int, bool] = {}  # corner node -> whether the start links to it, once judged
         self.to_goal = [0.0, *(math.dist(anchor, anchors[-1]) for anchor in anchors)].__getitem__
 
     def __missing__(self, node: int) -> tuple[tuple[int, float], ...]:
         n, circles = self.node_count, self.circles
-        if node == 1:
-            near = self.start_links
+        if node == 1:  # every corner, each link judged by admit
+            near = range(2, n)
         elif node == n:  # the goal: no search expands it
             near = ()
-        else:  # a corner: its scene-kept links, the start's verdict, and its link to the goal judged now
+        else:  # a corner: its scene-kept links and its link to the goal judged now
             near = [self.node_of[j] for j in _corner_row(self.scene, self.order[node - 2])]
-            near += [1] * (node in self.start_links) + [n] * any(_legs(circles[node - 1], circles[-1], self.scene))
+            near += [n] * any(_legs(circles[node - 1], circles[-1], self.scene))
         row = self[node] = tuple(sorted((k, math.dist(self.anchors[node - 1], self.anchors[k - 1])) for k in near))
         return row
 
+    def admit(self, node: int) -> bool:
+        """Whether the start links to corner node: some leg clears (`_legs`)."""
+        if node not in self.start_links:
+            self.start_links[node] = any(_legs(self.circles[0], self.circles[node - 1], self.scene))
+        return self.start_links[node]
+
     def has_edge(self, i: int, j: int) -> bool:
-        return any(v == j for v, _ in self[i])
+        return any(v == j for v, _ in self[i]) and (i > 1 or self.admit(j))
 
 
 def build_roadmap(scene: Scene, start: Point, goal: Point) -> Roadmap:
@@ -274,18 +284,26 @@ def _bends_ccw(rm: Roadmap, node_seq: tuple[int, ...]) -> list[bool]:
 
 
 def k_shortest_routes(graph: Mapping, src: int, dst: int, h: Optional[Callable] = None,
-                      bound: Callable[[], float] = lambda: math.inf) -> Iterator[tuple]:
+                      bound: Callable[[], float] = lambda: math.inf,
+                      admit: Optional[Callable[[int], bool]] = None) -> Iterator[tuple]:
     """Loopless shortest routes in ascending cost order (Yen) over graph[node],
     the node's (neighbor, weight) row.  Every search is best_first's, with the
     heuristic h when given; a spur's starts from the spur's first hops that no
-    earlier route through its root took, and never enters the root.  bound(),
-    never rising, is read after each yield: that route's spur searches skip
-    routes dearer (by over a relative 1e-9, against rounding in cost + h), so
-    every route within it still comes, in order; dearer ones may not."""
-    path, cost = best_first([(0.0, src)], dst, graph, (), h)
-    pool = [(cost, path)] if path else []  # (cost, route) of the candidates not yet yielded
+    earlier route through its root took, and never enters the root; the
+    first search is src's.  A search from src judges each hop with admit, if
+    given, as it pops it.  bound(), never rising, is read after each yield:
+    that route's spur searches skip routes dearer (by over a relative 1e-9,
+    against rounding in cost + h), so every route within it still comes, in
+    order; dearer ones may not."""
+    if src == dst:
+        yield (src,), 0.0
+        return
+    # route prefix -> the next node of each route yielded through it; src's also each hop admit rejected
+    branches: dict[tuple[int, ...], set[int]] = {(src,): set()}
+    judge = admit and (lambda v: admit(v) or branches[(src,)].add(v))
+    path, cost = best_first([(w, v) for v, w in graph[src]], dst, graph, (src,), h, admit=judge)
+    pool = [(cost, (src, *path))] if path else []  # (cost, route) of the candidates not yet yielded
     pooled: set[tuple[int, ...]] = set()
-    branches: dict[tuple[int, ...], set[int]] = {}  # route prefix -> the next node of each route yielded through it
     while pool:
         cost, path = heapq.heappop(pool)
         yield path, cost
@@ -303,7 +321,7 @@ def k_shortest_routes(graph: Mapping, src: int, dst: int, h: Optional[Callable] 
             spur, root = path[i], path[: i + 1]
             taken = branches[root]
             tail, tail_cost = best_first([(w, v) for v, w in graph[spur] if v not in taken], dst, graph, root, h,
-                                         ceiling - root_costs[i])
+                                         ceiling - root_costs[i], judge if i == 0 else None)
             candidate = root + tail
             if tail and candidate not in pooled:
                 heapq.heappush(pool, (root_costs[i] + tail_cost, candidate))
@@ -386,7 +404,7 @@ def _ranked_plans(rm: Roadmap, scene: Scene, k: int) -> list[PlanResult]:
     found: list[PlanResult] = []
     screen = _ChainScreen(rm, scene)
     routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal,
-                               lambda: found[-1].length if len(found) == k else math.inf)
+                               lambda: found[-1].length if len(found) == k else math.inf, rm.graph.admit)
     for seq, cost in itertools.islice(routes, max(_FALLBACK_TRIES, 8 * k)):
         if len(found) == k and cost >= found[-1].length:
             break
@@ -411,12 +429,13 @@ def _colony_subgraph(rm: Roadmap) -> Optional[tuple[WeightedGraph, tuple[int, ..
     stays the start and the last node stays the goal), or None when the goal
     is unreachable.  It cuts the plain search, whose ties A* could reorder.
     """
-    routes = itertools.islice(k_shortest_routes(rm.graph, 1, rm.graph.node_count), _ACO_ROUTES)
+    g = rm.graph
+    routes = itertools.islice(k_shortest_routes(g, 1, g.node_count, admit=g.admit), _ACO_ROUTES)
     keep = tuple(sorted({node for seq, _ in routes for node in seq}))
     if not keep:
         return None
     index = {a: i for i, a in enumerate(keep, start=1)}
-    edges = [(index[a], index[b], w) for a in keep[:-1] for b, w in rm.graph[a] if a < b and b in index]
+    edges = [(index[a], index[b], w) for a in keep[:-1] for b, w in g[a] if a < b and b in index and (a > 1 or g.admit(b))]
     return graph_from_edges(len(keep), edges, no_edge=_ACO_PENALTY), keep
 
 

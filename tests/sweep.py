@@ -31,9 +31,11 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def load(repo: str) -> tuple:
     """(arcplan with its modules imported, inputs, oracle) of the checkout at
-    repo; the imports write no bytecode, and the flag that says so is put
-    back once they are done."""
+    repo, with perfbench's `tracing` imported too, for tier-1 to find in
+    sys.modules; the imports write no bytecode, and the flag that says so
+    and sys.path are put back once they are done."""
     flag, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave no __pycache__ in either checkout
+    path = list(sys.path)
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
     try:
         import arcplan.aco
@@ -43,8 +45,9 @@ def load(repo: str) -> tuple:
         import arcplan.sceneio
         import inputs
         import oracle
+        import tracing  # unused here: tier-1 reads its wrap points
     finally:
-        sys.dont_write_bytecode = flag
+        sys.dont_write_bytecode, sys.path[:] = flag, path
 
     return arcplan, inputs, oracle
 

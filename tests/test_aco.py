@@ -226,6 +226,8 @@ def test_best_first_matches_exhaustive_on_random_graphs():
             successors = dict(enumerate(graph_from_edges(n, edges).adjacency, 1))
             h = (lambda v: math.dist(points[v], points[n])) if euclidean else None
             path, cost = best_first(sources, n, successors, closed, h)
+            # sources judged on pop by an admit that takes them all: the same answer
+            assert best_first(sources, n, successors, closed, h, admit=lambda state: True) == (path, cost)
             if routes:
                 assert cost == routes[0][0], euclidean
                 assert (cost, (n + 1, *path)) in routes  # tie-safe: any cheapest route is fine
@@ -284,6 +286,23 @@ def test_best_first_sources_compete():
     assert best_first([(0.0, 1)], 4, successors) == ((), math.inf)
     assert best_first([(0.0, 1)], 3, successors, closed={2}) == ((), math.inf)
     assert best_first([(0.0, 1), (1.0, 2)], 3, successors, closed={2}) == ((), math.inf)  # a closed source
+
+
+def test_best_first_admits_a_source_only_as_it_pops():
+    # Source 1 is the cheapest, but admit rejects it: state 1 stays open, and
+    # the path through source 2 enters it at a higher cost.  Had source 1
+    # held state 1 before it was judged, that push would have been pruned.
+    successors = dict(enumerate(graph_from_edges(3, [(2, 1, 1.0), (1, 3, 1.0)]).adjacency, 1))
+    judged = []
+    admit = lambda state: judged.append(state) or state != 1
+    assert best_first([(0.0, 1), (1.0, 2)], 3, successors, admit=admit) == ((2, 1, 3), 3.0)
+    assert judged == [1, 2]  # each source once, and state 1 again only as a push, unjudged
+    assert best_first([(0.0, 1), (1.0, 2)], 3, successors) == ((1, 3), 1.0)
+    # a source that pops above a cost its state was already reached at is never judged
+    judged.clear()
+    assert best_first([(0.0, 2), (5.0, 1)], 3, successors, admit=admit) == ((2, 1, 3), 2.0)
+    assert judged == [2]
+    assert best_first([(0.0, 1), (1.0, 2)], 3, successors, admit=lambda state: False) == ((), math.inf)
 
 
 def test_aco_is_deterministic(graph):

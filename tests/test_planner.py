@@ -6,6 +6,7 @@ import importlib
 import itertools
 import math
 import re
+import sys
 import weakref
 
 import pytest
@@ -146,9 +147,11 @@ def test_build_roadmap_empty_scene():
 
 
 def roadmap_edges(rm) -> set:
-    """Every edge of the roadmap, as (i, j), i < j: reading each row builds it."""
+    """Every edge of the roadmap, as (i, j), i < j: reading each row builds
+    it, and the start's row lists every corner, of which has_edge admits the
+    start's links."""
     g = rm.graph
-    return {(i, j) for i in range(1, g.node_count + 1) for j, _ in g[i] if i < j}
+    return {(i, j) for i in range(1, g.node_count + 1) for j, _ in g[i] if i < j and (i > 1 or g.has_edge(1, j))}
 
 
 def oracle_edges(rm, scene: Scene) -> set:
@@ -677,10 +680,12 @@ def test_k_shortest_routes_match_exhaustive_on_builtin(graph):
 
 def textbook_yen(g, src, dst):
     """Yen's algorithm as written: every spur of every route, plain searches,
-    on a roadmap graph with every row built.  A spur search runs on the graph
-    without the edges that earlier routes through the same root took out of
-    the spur, and never enters the root's other nodes."""
+    on a roadmap graph with every row built, the start's holding only the
+    links has_edge admits.  A spur search runs on the graph without the edges
+    that earlier routes through the same root took out of the spur, and never
+    enters the root's other nodes."""
     adjacency = {u: g[u] for u in range(1, g.node_count + 1)}
+    adjacency[1] = tuple((v, w) for v, w in g[1] if g.has_edge(1, v))
     best = best_first([(0.0, src)], dst, adjacency)
     if not best[0]:
         return
@@ -703,12 +708,31 @@ def textbook_yen(g, src, dst):
         yield accepted[-1]
 
 
+def test_k_shortest_routes_from_a_node_to_itself_yield_the_one_node_route(graph):
+    assert list(k_shortest_routes(dict(enumerate(graph.adjacency, 1)), 1, 1)) == [((1,), 0.0)]
+
+
+def test_a_query_judges_only_the_start_links_its_searches_pop(monkeypatch):
+    # A cold O->A on a fresh builtin Scene: the start's link to a corner is
+    # judged (one _legs pass from the start's radius-0 circle to both of the
+    # corner's circles; the chain screen passes one) when a search pops that
+    # corner, once, and most corners never pop.
+    scene, judged = builtin_scene(), []
+    def counted(a, b, sc):
+        if a == (TurningCircle(O, 0.0),) and len(b) == 2:
+            judged.append(b[0].center)
+        return _legs(a, b, sc)
+    monkeypatch.setattr(planner, "_legs", counted)
+    assert round(plan_route(RouteRequest(O, A, scene)).length, 4) == 471.0372
+    assert 0 < len(judged) == len(set(judged)) < len(corner_candidates(scene)) == 36, len(judged)
+
+
 def test_k_shortest_routes_match_textbook_yen(scene):
     # Lawler's skipped spurs and the bounded spur searches change no route,
     # no cost and no order, ties included.
     for start, goal in [(O, KNOWN_TARGETS[t]) for t in "ABC"] + PAIRS[:6]:
         g = build_roadmap(scene, start, goal).graph
-        got = list(itertools.islice(k_shortest_routes(g, 1, g.node_count), 80))
+        got = list(itertools.islice(k_shortest_routes(g, 1, g.node_count, admit=g.admit), 80))
         assert got == list(itertools.islice(textbook_yen(g, 1, g.node_count), 80)), (start, goal)
 
 
@@ -724,8 +748,8 @@ def test_k_shortest_routes_with_the_heuristic_match_plain_search(scene):
     reordered = 0
     for sc, start, goal in queries:
         g = build_roadmap(sc, start, goal).graph
-        plain = list(itertools.islice(k_shortest_routes(g, 1, g.node_count), 60))
-        informed = list(itertools.islice(k_shortest_routes(g, 1, g.node_count, g.to_goal), 60))
+        plain = list(itertools.islice(k_shortest_routes(g, 1, g.node_count, admit=g.admit), 60))
+        informed = list(itertools.islice(k_shortest_routes(g, 1, g.node_count, g.to_goal, admit=g.admit), 60))
         assert [cost for _, cost in informed] == [cost for _, cost in plain], (start, goal)
         groups = [[route for route, _ in group] for _, group in itertools.groupby(plain, key=lambda rc: rc[1])]
         at = 0
@@ -907,7 +931,7 @@ def yen_scans(scene):
     for sc, start, goal in queries:
         rm = build_roadmap(sc, start, goal)
         rows = []
-        routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal)
+        routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal, admit=rm.graph.admit)
         for rank, (seq, cost) in enumerate(itertools.islice(routes, 150)):
             try:
                 length = _chain_for(rm, seq)[1].length
@@ -958,7 +982,7 @@ def test_scan_bounds_its_spur_searches_by_the_plans_held():
     def unbounded(sc, start, goal, k):
         rm = build_roadmap(sc, start, goal)
         found, screen = [], _ChainScreen(rm, sc)
-        routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal)
+        routes = k_shortest_routes(rm.graph, 1, rm.graph.node_count, rm.graph.to_goal, admit=rm.graph.admit)
         for seq, cost in itertools.islice(routes, max(_FALLBACK_TRIES, 8 * k)):
             if len(found) == k and cost >= found[-1].length:
                 break
@@ -1015,7 +1039,7 @@ def test_results_are_immutable(scene):
 
 def test_trace_wrap_points_resolve():
     # the benchmark's per-layer metrics wrap arcplan functions by name
-    import tracing  # perfbench's, on the path since sweep.load
+    tracing = sys.modules["tracing"]  # perfbench's, imported by sweep.load
 
     resolved: dict[str, bool] = {}
     for module, attr, name, _how in tracing.WRAPS:

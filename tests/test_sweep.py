@@ -42,12 +42,14 @@ def test_plan_returns_the_plan_or_the_verdict_raised(monkeypatch):
 
 def test_load_puts_the_bytecode_flag_back(monkeypatch):
     # the loader's imports write no bytecode, and the modules imported after
-    # it write theirs as the interpreter was told to
+    # it write theirs as the interpreter was told to, from the path it had
     monkeypatch.setattr(sys, "path", list(sys.path))
+    path = list(sys.path)
     for flag in (False, True):
         monkeypatch.setattr(sys, "dont_write_bytecode", flag)
         sweep.load(sweep.REPO)
         assert sys.dont_write_bytecode is flag
+        assert sys.path == path
 
 
 def test_oracles_import_no_arcplan():
