@@ -1,19 +1,22 @@
 """Command-line front end.
 
-COMMANDS gives each command its help line, argument builder and runner. A run
-is parsed by the parser of the command it names alone (command_parser); the
-full parser (build_parser) is built only for the top-level help and the usage
-errors that it words.
+COMMANDS gives each command its help line, its options (each an option string
+and its add_argument keywords, in the order of the help) and its runner. A run
+that names every option in full, once, with a value (_parse_run) is read from
+that table alone: it builds no parser and imports no argparse. Any other argv
+goes to the parser of the command it names (command_parser), and the full
+parser (build_parser) is built only for the top-level help and the usage
+errors that it words; both are built from the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import math
 import sys
+import types
 from typing import Optional
 
 from .aco import AcoParams, aco_run, bits_from_string, builtin_graph, decode_and_cost, dijkstra_shortest
@@ -38,6 +41,7 @@ def _parse_point(text: str) -> Point:
     try:
         x, y = (float(v) for v in name.split(","))
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"expected a named point ({'/'.join(KNOWN_TARGETS)}) or 'x,y', got {text!r}"
         ) from None
@@ -51,11 +55,13 @@ def _at_least(minimum: int, kind=int):
     def parse(text: str):
         try:
             value = kind(text)
+            if minimum <= value < math.inf:
+                return value
+            message = f"expected {noun} >= {minimum}, got {value}"
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
-        if not minimum <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected {noun} >= {minimum}, got {value}")
-        return value
+            message = f"expected {noun}, got {text!r}"
+        import argparse
+        raise argparse.ArgumentTypeError(message) from None
 
     return parse
 
@@ -70,54 +76,23 @@ def _writing(path: str):
 
 
 def _load_scene(arg: Optional[str]) -> Scene:
-    if arg is None:
-        return builtin_scene()
-    return sceneio.load_scene(arg)
+    return builtin_scene() if arg is None else sceneio.load_scene(arg)
 
 
-def _add_route_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scene", metavar="FILE", help="scene file (default: builtin 12-obstacle scene)")
-    p.add_argument("--from", dest="src", type=_parse_point, default=KNOWN_TARGETS["O"],
-                   metavar="NAME|X,Y", help="start point (default O)")
-    p.add_argument("--to", dest="dst", type=_parse_point, default=KNOWN_TARGETS["A"],
-                   metavar="NAME|X,Y", help="goal point (default A)")
-
-
-def _add_colony_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_at_least(0), default=1)  # Random(-s) is Random(s)
-    p.add_argument("--ants", type=_at_least(1), default=50)
-    p.add_argument("--gens", type=_at_least(0), default=100)
-
-
-def _add_planning_args(p: argparse.ArgumentParser) -> None:
-    _add_route_args(p)
-    p.add_argument("--engine", choices=("exact", "aco"), default="exact")
-    _add_colony_args(p)
-
-
-def _add_plan_args(p: argparse.ArgumentParser) -> None:
-    _add_planning_args(p)
-    p.add_argument("--out", metavar="FILE", help="write full-precision JSON result")
-    p.add_argument("--svg", metavar="FILE", help="write an SVG drawing")
-
-
-def _add_aco_args(p: argparse.ArgumentParser) -> None:
-    _add_colony_args(p)
-    p.add_argument("--out", metavar="FILE", help="write the convergence curve (gen best mean)")
-
-
-def _add_verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=_at_least(0, float), default=None, help="override every check tolerance (units)")
-
-
-def _add_export_svg_args(p: argparse.ArgumentParser) -> None:
-    _add_planning_args(p)
-    p.add_argument("--out", metavar="FILE", required=True)
-
-
-def _add_enumerate_args(p: argparse.ArgumentParser) -> None:
-    _add_route_args(p)
-    p.add_argument("--top", type=_at_least(1), default=3, metavar="K")
+# the options of a command, in the order of its help: each an option string and its add_argument keywords
+_ROUTE = (
+    ("--scene", dict(metavar="FILE", help="scene file (default: builtin 12-obstacle scene)")),
+    ("--from", dict(dest="src", type=_parse_point, default=KNOWN_TARGETS["O"], metavar="NAME|X,Y",
+                    help="start point (default O)")),
+    ("--to", dict(dest="dst", type=_parse_point, default=KNOWN_TARGETS["A"], metavar="NAME|X,Y",
+                  help="goal point (default A)")),
+)
+_COLONY = (
+    ("--seed", dict(type=_at_least(0), default=1)),  # Random(-s) is Random(s)
+    ("--ants", dict(type=_at_least(1), default=50)),
+    ("--gens", dict(type=_at_least(0), default=100)),
+)
+_PLANNING = (*_ROUTE, ("--engine", dict(choices=("exact", "aco"), default="exact")), *_COLONY)
 
 
 def _label(args) -> str:
@@ -245,26 +220,35 @@ def _cmd_verify(args, stdout) -> int:
     return 0 if failures == 0 else 1
 
 
-# each command's help line, argument builder and runner, in the order of the help
+# each command's help line, options and runner, in the order of the help
 COMMANDS = {
-    "plan": ("compute the shortest route", _add_plan_args, _cmd_plan),
-    "aco": ("run the colony on the builtin 15-node graph", _add_aco_args, _cmd_aco),
-    "verify": ("check this build against stored benchmark results", _add_verify_args, _cmd_verify),
-    "export-svg": ("draw scene + envelope + route", _add_export_svg_args, _cmd_export_svg),
-    "enumerate": ("ranked alternative routes", _add_enumerate_args, _cmd_enumerate),
+    "plan": ("compute the shortest route", (*_PLANNING,
+             ("--out", dict(metavar="FILE", help="write full-precision JSON result")),
+             ("--svg", dict(metavar="FILE", help="write an SVG drawing"))), _cmd_plan),
+    "aco": ("run the colony on the builtin 15-node graph",
+            (*_COLONY, ("--out", dict(metavar="FILE", help="write the convergence curve (gen best mean)"))), _cmd_aco),
+    "verify": ("check this build against stored benchmark results",
+               (("--tolerance", dict(type=_at_least(0, float), help="override every check tolerance (units)")),),
+               _cmd_verify),
+    "export-svg": ("draw scene + envelope + route",
+                   (*_PLANNING, ("--out", dict(metavar="FILE", required=True))), _cmd_export_svg),
+    "enumerate": ("ranked alternative routes",
+                  (*_ROUTE, ("--top", dict(type=_at_least(1), default=3, metavar="K"))), _cmd_enumerate),
 }
 
 
-def _with_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, add_args, run = COMMANDS[name]
+def _with_command(p, name: str):
+    _, options, run = COMMANDS[name]
     p.set_defaults(command=name, run=run)
-    add_args(p)
+    for option, keywords in options:
+        p.add_argument(option, **keywords)
     return p
 
 
 @functools.cache  # parse_args leaves the parser as it found it
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """Every command's parser under one: the wording of top-level help and of errors it alone makes."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="arcplan",
         description="Shortest line-and-arc paths for a point robot among fixed obstacles.",
@@ -276,15 +260,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def command_parser(name: str) -> argparse.ArgumentParser:
+def command_parser(name: str):
     """The parser of one command alone, worded as build_parser's subparser of that name."""
+    import argparse
     return _with_command(argparse.ArgumentParser(prog=f"arcplan {name}"), name)
+
+
+def _parse_run(argv: list[str]) -> Optional[types.SimpleNamespace]:
+    """argv's namespace as command_parser(argv[0]) reads it, if argv is a command and then pairs of
+    an option it takes, named in full and given once, and a value that starts with no '-', converts
+    with the option's type and is among its choices, every required option given; else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options, run = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2 or not given.keys() <= dict(options).keys():
+        return None
+    args = types.SimpleNamespace(command=argv[0], run=run)
+    for option, keywords in options:
+        text = given.get(option)
+        try:
+            value = keywords.get("default") if text is None else keywords.get("type", str)(text)
+        except Exception:  # argparse words the error
+            return None
+        if (text is None and keywords.get("required") or (text or "").startswith("-")
+                or value not in keywords.get("choices", (value,))):
+            return None
+        setattr(args, keywords.get("dest", option[2:]), value)
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args, rest = None, argv
-    if argv and argv[0] in COMMANDS:  # one command's parser, not all five, parses the common run
+    args, rest = _parse_run(argv), ()  # the common run, read from COMMANDS without a parser
+    if args is None and argv and argv[0] in COMMANDS:  # else one command's parser, not all five
         args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
     if args is None or rest:  # the full parser words the top-level usage and the unrecognized arguments
         args = build_parser().parse_args(argv)

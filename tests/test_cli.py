@@ -425,6 +425,19 @@ PARSER_STOPS = [
     ("enumerate", "--top", "0"), ("verify", "--tolerance", "x"), ("export-svg", "--to", "B"),
     ("plan", "--sce", "no-such-file.json"), ("plan", "--s", "1"), ("aco", "--seed"),
 ]
+# the edges of the exact form cli._parse_run reads: repeats, "=", values starting with "-", blank and
+# spaced values, a bad choice, a trailing "--", and an option that is a prefix of another
+EXACT_FORM_EDGES = [
+    ("plan", "--to", "B", "--to", "C"), ("plan", "--to=B"), ("plan", "--seed", "-1"), ("plan", "--from", "-5,3"),
+    ("plan", "--scene", ""), ("plan", "--to", " b "), ("plan", "--engine", "bogus"), ("plan", "--to", "B", "--"),
+    ("enumerate", "--to", "B", "--top", "2"),
+]
+
+
+def _full_names(argv) -> list:
+    """argv with each abbreviated option written in full, as argparse reads it."""
+    options = [option for option, _ in cli.COMMANDS[argv[0]][1]]
+    return [min((o for o in options if o.startswith(a)), key=len) if a.startswith("--") else a for a in argv]
 
 
 def _outcome(capsys, argv) -> tuple:
@@ -436,13 +449,18 @@ def _outcome(capsys, argv) -> tuple:
     return rc, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", VALID_RUNS + PARSER_STOPS, ids=lambda argv: " ".join(argv) or "no-arguments")
+@pytest.mark.parametrize("argv", VALID_RUNS + PARSER_STOPS + EXACT_FORM_EDGES,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_command_parser_answers_as_the_full_parser(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     Path("scene.json").write_text(json.dumps(sceneio.scene_to_dict(builtin_scene()), indent=2), encoding="utf-8")
+    table = cli._parse_run(list(argv))  # None leaves the run to argparse
+    assert table is None or vars(table) == vars(cli.command_parser(argv[0]).parse_args(argv[1:]))
     if argv in VALID_RUNS:
         args, rest = cli.command_parser(argv[0]).parse_known_args(argv[1:])
         assert rest == [] and args == cli.build_parser().parse_args(argv)
+        full = cli._parse_run(_full_names(argv))
+        assert full is not None and vars(full) == vars(args), _full_names(argv)
     fast = _outcome(capsys, argv)
     cli.build_parser()  # built from the whole table before main loses sight of it
     monkeypatch.setattr(cli, "COMMANDS", {})  # no name is a command, so main takes the full parser
@@ -458,6 +476,33 @@ def test_valid_runs_never_build_the_full_parser(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     info = cli.build_parser.cache_info()
     assert info.hits + info.misses == 0
+    cli.command_parser.cache_clear()  # and written in full, no parser is built at all
+    for argv in VALID_RUNS:
+        assert main(_full_names(argv)) == 0, argv
+    capsys.readouterr()
+    assert [f.cache_info()[:2] for f in (cli.build_parser, cli.command_parser)] == [(0, 0), (0, 0)]
+
+
+def test_exact_form_run_imports_no_argparse(tmp_path):
+    """A fresh interpreter runs perfbench's cold request without argparse and the gettext and locale it
+    imports; `plan --help` still gets argparse's help."""
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(sceneio.scene_to_dict(builtin_scene()), indent=2), encoding="utf-8")
+    src, dst = (f"{p.x!r},{p.y!r}" for p in (cli.KNOWN_TARGETS["O"], cli.KNOWN_TARGETS["B"]))
+    code = ("import sys; from arcplan import cli; rc = cli.main(sys.argv[1:]); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr); sys.exit(rc)")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120, env=env)
+
+    proc = run("plan", "--scene", str(scene), "--from", src, "--to", dst,
+               "--out", str(tmp_path / "p.json"), "--svg", str(tmp_path / "p.svg"))
+    assert (proc.returncode, proc.stderr) == (0, "[]\n"), proc.stderr
+    assert "total length 853.7001" in proc.stdout
+    proc = run("plan", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: arcplan plan [-h] [--scene FILE]"), proc.stdout
 
 
 num3 = st.floats(-1000.0, 1000.0).map(lambda v: round(v, 3))  # as perfbench's scene generator draws them
